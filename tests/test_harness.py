@@ -8,6 +8,7 @@ import pytest
 
 from randmon.attacks import saturation_budget
 from randmon.config import load_config_dict
+from randmon.errors import InvalidParameter
 from randmon.harness import (
     budget_curve,
     csv_columns,
@@ -275,3 +276,29 @@ def test_cli_tune(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert "bdd_tau" in payload
+
+
+# A flood of 1e308-sized residuals overflows to inf within the first window;
+# the signed-rank test must reject the window rather than rank the inf or NaN.
+OVERFLOW = {
+    "plant": {"preset": "ugv"},
+    "horizon": 600,
+    "seed": 5,
+    "attacks": [{"kind": "symmetric_flood", "sensors": [0], "start": 200, "stop": 600,
+                 "params": {"amplitude": 1e308, "jitter": 1e308}}],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_is_invalid_parameter():
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        run_scenario(load_config_dict(OVERFLOW))
+
+
+def test_cli_non_finite_residual_exit_code(tmp_path):
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(OVERFLOW))
+    result = run_cli("run", "--config", str(cfg_path), "--quiet")
+    assert result.returncode == 3
+    assert "runtime error: window contains non-finite values" in result.stderr
+    assert "Traceback" not in result.stderr
