@@ -58,12 +58,15 @@ from .monitors import (
     SirOutcome,
     WindowBuffer,
     WsrOutcome,
+    alarm_rate_scan,
     runs_moments,
     signed_ranks,
     sir_bounds,
+    sir_scan,
     sir_test,
     wsr_bounds,
     wsr_moments,
+    wsr_scan,
     wsr_test,
 )
 

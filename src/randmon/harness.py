@@ -3,6 +3,14 @@
 Every run is driven by one master seed. Noise, attack dither and saturation
 schedules draw from independent child streams, so runs are bit-reproducible
 and attack randomness does not perturb the noise sequence.
+
+A run has two phases. The first steps the closed loop (plant, estimator,
+controller, attack) and the CUSUM detector, and records the trajectory and
+the residuals. CUSUM stays in the loop because the CUSUM worst-case attack is
+synced to the detector's live statistic every step. The second phase scores
+the recorded residual array: the two window tests, the bad-data detector and
+the sliding alarm rates of all four tests, over all steps at once. Nothing in
+the loop reads those, so the split leaves every output byte unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from . import attacks as atk
 from .config import ScenarioConfig, config_hash, build_plant
 from .detectors import BadDataDetector, CusumDetector, tune_cusum
 from .deviation import deviation_limit
-from .errors import DegenerateWindow, EmptyAfterZeroRemoval, InvalidParameter
+from .errors import InvalidParameter
 from .lti import (
     ControllerGains,
     NoiseSource,
@@ -30,7 +38,7 @@ from .lti import (
     solve_dare,
     step,
 )
-from .monitors import AlarmRateTracker, WindowBuffer, sir_test, wsr_test
+from .monitors import alarm_rate_scan, sir_scan, wsr_scan
 
 log = logging.getLogger(__name__)
 
@@ -113,8 +121,12 @@ def _enabled_tests(cfg: ScenarioConfig) -> tuple:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario and return its artifacts.
 
-    Deterministic for a given config and seed. Monitors are pure observers of
-    the residual stream; the plant trajectory does not depend on them.
+    Deterministic for a given config and seed. Phase 1 simulates the closed
+    loop with the CUSUM detector inside it, since the CUSUM worst-case attack
+    reads the detector's statistic each step. Phase 2 scores the recorded
+    ``(horizon, s)`` residuals with ``wsr_scan``, ``sir_scan``, the bad-data
+    threshold and ``alarm_rate_scan``. Monitors are pure observers of the
+    residual stream; the plant trajectory does not depend on them.
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
@@ -155,23 +167,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     combined = atk.CompositeAttack(policies, s)
     cusum_policies = [p for p in policies if isinstance(p, atk.CusumWorstCaseAttack)]
 
-    windows = [WindowBuffer(cfg.window, sensor_id=i) for i in range(s)]
-    trackers = {t: [AlarmRateTracker(cfg.rate_window, cfg.alpha_tau, cfg.alpha_des[t])
-                    for _ in range(s)] for t in tests}
-
     rec_k = np.arange(horizon)
     rec_x = np.empty((horizon, n))
     rec_xhat = np.empty((horizon, n))
     rec_r = np.empty((horizon, s))
     rec_xi = np.zeros((horizon, s))
-    rec_p = {t: np.full((horizon, s), np.nan) for t in ("wsr", "sir") if t in tests}
-    rec_alarm = {t: np.full((horizon, s), np.nan) for t in tests}
-    rec_rate = {t: np.full((horizon, s), np.nan) for t in tests}
-    rec_cusum_s = np.full((horizon, s), np.nan) if "cusum" in tests else None
+    rec_cusum_s = np.full((horizon, s), np.nan) if cusum is not None else None
+    cusum_alarm = np.full((horizon, s), np.nan) if cusum is not None else None
 
-    alarm_totals = {t: np.zeros(s) for t in tests}
-    verdict_counts = {t: np.zeros(s, dtype=int) for t in tests}
-
+    # Phase 1: the closed loop.
     state = initial_state(plant, kss, noise=noise, attack=combined)
     for k in range(horizon):
         rec_x[k] = state.x
@@ -179,72 +183,46 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rec_r[k] = state.r
         if combined.last_k == k:
             rec_xi[k] = combined.last_xi
-        r = state.r
-
-        for i in range(s):
-            windows[i].push(r[i])
-            if not windows[i].full:
-                continue
-            values = windows[i].values()
-            # Degenerate windows (all zeros, or too few distinct consecutive
-            # values to count runs) are maximally non-random: alarm, p = NaN.
-            try:
-                wsr = wsr_test(values, cfg.alpha_des["wsr"])
-                wsr_p, wsr_alarm = wsr.p, wsr.alarm
-            except EmptyAfterZeroRemoval:
-                wsr_p, wsr_alarm = float("nan"), True
-            rec_p["wsr"][k, i] = wsr_p
-            rec_alarm["wsr"][k, i] = wsr_alarm
-            _track(trackers["wsr"][i], wsr_alarm, rec_rate["wsr"], k, i)
-            alarm_totals["wsr"][i] += wsr_alarm
-            verdict_counts["wsr"][i] += 1
-
-            try:
-                sir = sir_test(values, cfg.alpha_des["sir"])
-                sir_p, sir_alarm = sir.p, sir.alarm
-            except DegenerateWindow:
-                sir_p, sir_alarm = float("nan"), True
-            rec_p["sir"][k, i] = sir_p
-            rec_alarm["sir"][k, i] = sir_alarm
-            _track(trackers["sir"][i], sir_alarm, rec_rate["sir"], k, i)
-            alarm_totals["sir"][i] += sir_alarm
-            verdict_counts["sir"][i] += 1
-
-        if bdd is not None:
-            flags = bdd.step(r)
-            rec_alarm["bdd"][k] = flags
-            for i in range(s):
-                _track(trackers["bdd"][i], flags[i], rec_rate["bdd"], k, i)
-            alarm_totals["bdd"] += flags
-            verdict_counts["bdd"] += 1
         if cusum is not None:
-            flags = cusum.step(r)
-            rec_alarm["cusum"][k] = flags
+            cusum_alarm[k] = cusum.step(state.r)
             rec_cusum_s[k] = cusum.S
-            for i in range(s):
-                _track(trackers["cusum"][i], flags[i], rec_rate["cusum"], k, i)
-            alarm_totals["cusum"] += flags
-            verdict_counts["cusum"] += 1
             for policy in cusum_policies:
                 policy.sync_statistic(cusum.S)
-
         if k + 1 < horizon:
             state = step(plant, kss, gains, state, attack=combined, noise=noise)
 
-    rates = {
-        t: [float(alarm_totals[t][i] / verdict_counts[t][i]) if verdict_counts[t][i] else float("nan")
-            for i in range(s)]
-        for t in tests
-    }
+    # Phase 2: score the recorded residuals. Degenerate windows (all zeros,
+    # or too few distinct consecutive values to count runs) are maximally
+    # non-random: they alarm with p = NaN.
+    rec_p, rec_alarm = {}, {}
+    for t, scan in (("wsr", wsr_scan), ("sir", sir_scan)):
+        rec_p[t], rec_alarm[t] = scan(rec_r, cfg.window, cfg.alpha_des[t])
+    if bdd is not None:
+        rec_alarm["bdd"] = bdd.step(rec_r).astype(float)
+    if cusum is not None:
+        rec_alarm["cusum"] = cusum_alarm
+
+    rec_rate, rates, verdicts, compromised, final_rate = {}, {}, {}, {}, {}
+    for t in tests:
+        first = min(cfg.window - 1, horizon) if t in rec_p else 0
+        flags = rec_alarm[t][first:]
+        rec_rate[t] = np.full((horizon, s), np.nan)
+        rec_rate[t][first:], final, flagged = alarm_rate_scan(flags, cfg.rate_window,
+                                                              cfg.alpha_tau)
+        verdicts[t] = [flags.shape[0]] * s
+        rates[t] = (flags.sum(axis=0) / flags.shape[0]).tolist() if flags.size else [math.nan] * s
+        compromised[t] = flagged.tolist()
+        final_rate[t] = final.tolist()
+
     summary = RunSummary(
         schema_version=1,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
         horizon=horizon,
         alarm_rate=rates,
-        verdict_steps={t: [int(verdict_counts[t][i]) for i in range(s)] for t in tests},
-        compromised={t: [bool(trackers[t][i].compromised) for i in range(s)] for t in tests},
-        final_sliding_rate={t: [float(trackers[t][i].rate) for i in range(s)] for t in tests},
+        verdict_steps=verdicts,
+        compromised=compromised,
+        final_sliding_rate=final_rate,
         deviation=_deviation_report(cfg, plant, kss, gains, policies, bdd, cusum, rec_x),
     )
     return RunArtifacts(
@@ -260,12 +238,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rate=rec_rate,
         cusum_s=rec_cusum_s,
     )
-
-
-def _track(tracker: AlarmRateTracker, alarm: bool, rate_array: np.ndarray, k: int, i: int) -> None:
-    tracker.update(alarm)
-    if tracker.full:
-        rate_array[k, i] = tracker.rate
 
 
 def _deviation_report(cfg, plant, kss, gains, policies, bdd, cusum, x):

@@ -5,6 +5,10 @@ symmetry of the residual about zero, and a runs test on the signs of
 consecutive residual differences for serial independence. Both reduce to a
 z-score against closed-form null moments and a two-sided p-value; an alarm
 fires when the p-value drops below the desired false-alarm rate.
+
+``wsr_scan``, ``sir_scan`` and ``alarm_rate_scan`` score a whole recorded
+residual array at once, with the same bytes as running ``wsr_test``,
+``sir_test`` and ``AlarmRateTracker`` window by window.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateWindow,
@@ -29,6 +34,10 @@ from .gaussian import std_normal_quantile, two_sided_p
 #: run but flag the outcome and emit a SmallSampleWarning.
 WSR_MIN_EFFECTIVE = 20
 SIR_MIN_DIFFERENCES = 25
+
+#: residual values per argsort call in ``wsr_scan`` (a chunk holds
+#: SCAN_CHUNK_VALUES // window windows), which bounds its scratch memory
+SCAN_CHUNK_VALUES = 1 << 15
 
 
 class WindowBuffer:
@@ -271,6 +280,13 @@ def _check_alpha(alpha_des: float) -> None:
         raise DomainError(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
 
 
+def _check_rate_args(window: int, alpha_tau: float) -> None:
+    if window < 1:
+        raise InvalidParameter(f"rate window must be >= 1, got {window}")
+    if not 0.0 < alpha_tau <= 1.0:
+        raise InvalidParameter(f"alpha_tau must lie in (0, 1], got {alpha_tau}")
+
+
 class AlarmRateTracker:
     """Sliding alarm-rate ring with a compromised-sensor threshold.
 
@@ -280,10 +296,7 @@ class AlarmRateTracker:
     """
 
     def __init__(self, window: int, alpha_tau: float, alpha_des: float | None = None):
-        if window < 1:
-            raise InvalidParameter(f"rate window must be >= 1, got {window}")
-        if not 0.0 < alpha_tau <= 1.0:
-            raise InvalidParameter(f"alpha_tau must lie in (0, 1], got {alpha_tau}")
+        _check_rate_args(window, alpha_tau)
         self.window = int(window)
         self.alpha_tau = float(alpha_tau)
         self.alpha_des = alpha_des
@@ -312,3 +325,131 @@ class AlarmRateTracker:
     @property
     def compromised(self) -> bool:
         return self.full and self.rate > self.alpha_tau
+
+
+# --- whole-array scoring ------------------------------------------------------------
+
+
+def wsr_scan(r, ell: int, alpha_des: float):
+    """``wsr_test`` on every full window of each column of ``r`` (steps x sensors).
+
+    Returns ``(p, alarm)`` shaped like ``r``: row k scores the window ending
+    at step k, rows before ``ell - 1`` are NaN, alarms are 0/1 floats, and a
+    window of zeros alarms with a NaN p-value. Windows of distinct, nonzero,
+    finite magnitudes are ranked by a stable argsort in chunks: their ranks
+    are exactly 1..ell, so W+ is an integer sum and z and p carry the bytes
+    ``wsr_test`` gives. Every other window, and every window below
+    ``WSR_MIN_EFFECTIVE``, goes through ``wsr_test`` itself, with its
+    warnings and its error on non-finite values.
+    """
+    return _scan(r, ell, alpha_des, _wsr_batch, wsr_test, EmptyAfterZeroRemoval)
+
+
+def sir_scan(r, ell: int, alpha_des: float):
+    """``sir_test`` on every full window of each column of ``r`` (steps x sensors).
+
+    Returns ``(p, alarm)`` as ``wsr_scan`` does; a window with fewer than two
+    nonzero differences alarms with a NaN p-value. Where every difference in
+    a window is nonzero and finite, the runs count is 1 plus a difference of
+    prefix sums of sign changes. Windows with a zero (tied) or non-finite
+    difference, and every window below ``SIR_MIN_DIFFERENCES``, go through
+    ``sir_test`` itself.
+    """
+    return _scan(r, ell, alpha_des, _sir_batch, sir_test, DegenerateWindow)
+
+
+def _scan(r, ell: int, alpha_des: float, batch, test, degenerate):
+    """Score every full window of each column of ``r``.
+
+    ``batch(column, ell)`` returns the windows it cannot take and the
+    z-scores of the others; ``test`` runs on each window it cannot take, and
+    a ``degenerate`` window alarms with p = NaN.
+    """
+    _check_alpha(alpha_des)
+    if ell < 1:
+        raise InvalidParameter(f"window length must be >= 1, got {ell}")
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2:
+        raise InvalidParameter(f"residuals must be a (steps, sensors) array, got shape {r.shape}")
+    p = np.full(r.shape, np.nan)
+    alarm = np.full(r.shape, np.nan)
+    if r.shape[0] < ell:
+        return p, alarm
+    for i in range(r.shape[1]):
+        col_p, col_alarm = p[ell - 1:, i], alarm[ell - 1:, i]
+        exact, z = batch(r[:, i], ell)
+        # one two_sided_p per distinct z: rank sums and runs counts take few values
+        distinct, inverse = np.unique(z, return_inverse=True)
+        col_p[~exact] = np.array([two_sided_p(float(v)) for v in distinct])[inverse.ravel()]
+        col_alarm[~exact] = col_p[~exact] < alpha_des
+        windows = sliding_window_view(r[:, i], ell)
+        for a in np.flatnonzero(exact):
+            try:
+                outcome = test(windows[a], alpha_des)
+                col_p[a], col_alarm[a] = outcome.p, outcome.alarm
+            except degenerate:
+                col_p[a], col_alarm[a] = math.nan, True
+    return p, alarm
+
+
+def _wsr_batch(column, ell: int):
+    windows = sliding_window_view(column, ell)
+    exact = np.ones(windows.shape[0], dtype=bool)
+    if ell < WSR_MIN_EFFECTIVE:
+        return exact, np.empty(0)
+    w_plus = np.empty(windows.shape[0], dtype=np.int64)
+    ranks = np.arange(1, ell + 1)
+    chunk = max(1, SCAN_CHUNK_VALUES // ell)
+    for a in range(0, windows.shape[0], chunk):
+        win = windows[a:a + chunk]
+        mag = np.abs(win)
+        order = np.argsort(mag, axis=1, kind="stable")
+        mag = np.take_along_axis(mag, order, axis=1)
+        # zeros sort first; inf and NaN sort last
+        exact[a:a + chunk] = ((mag[:, 0] == 0.0) | ~np.isfinite(mag[:, -1])
+                              | (mag[:, 1:] == mag[:, :-1]).any(axis=1))
+        w_plus[a:a + chunk] = np.take_along_axis(win > 0.0, order, axis=1) @ ranks
+    w_plus = w_plus[~exact]
+    w_min = np.minimum(w_plus, ell * (ell + 1) // 2 - w_plus).astype(float)
+    mean, var = wsr_moments(ell)
+    return exact, (w_min - mean) / math.sqrt(var)
+
+
+def _sir_batch(column, ell: int):
+    m = ell - 1
+    if m < SIR_MIN_DIFFERENCES:
+        return np.ones(column.shape[0] - m, dtype=bool), np.empty(0)
+    # window a holds the differences d[a:a+m] and the sign changes c[a:a+m-1]
+    d = np.diff(column)
+    bad = _prefix_sum((d == 0.0) | ~np.isfinite(d))
+    exact = bad[m:] != bad[:-m]
+    sign = np.sign(d)
+    changes = _prefix_sum(sign[1:] != sign[:-1])
+    n_runs = 1 + changes[m - 1:] - changes[:1 - m]
+    mean, var = runs_moments(m + 1)
+    return exact, (n_runs[~exact] - mean) / math.sqrt(var)
+
+
+def alarm_rate_scan(flags, window: int, alpha_tau: float):
+    """An ``AlarmRateTracker`` fed each column of ``flags`` (verdicts x sensors) in order.
+
+    Returns ``(rate, final, compromised)``: the sliding rate after each
+    verdict (NaN until ``window`` verdicts exist), and per sensor the
+    tracker's last ``rate`` and its ``compromised`` flag.
+    """
+    _check_rate_args(window, alpha_tau)
+    flags = np.asarray(flags, dtype=bool)
+    n, s = flags.shape
+    rate = np.full((n, s), np.nan)
+    if n < window:
+        final = flags.sum(axis=0) / n if n else np.zeros(s)
+        return rate, final, np.zeros(s, dtype=bool)
+    for i in range(s):
+        counts = _prefix_sum(flags[:, i])
+        rate[window - 1:, i] = (counts[window:] - counts[:-window]) / window
+    return rate, rate[-1].copy(), rate[-1] > alpha_tau
+
+
+def _prefix_sum(x) -> np.ndarray:
+    """Integer prefix sums of a 1-D array, with a leading zero."""
+    return np.concatenate(([0], np.cumsum(x, dtype=np.int64)))
