@@ -22,16 +22,18 @@ from .monitors import wsr_bounds
 #: so float rounding cannot push it over a strict inequality.
 THRESHOLD_MARGIN = 1e-12
 
-ATTACK_KINDS = (
-    "none",
-    "bias_concentrate",
-    "pattern_runs",
-    "symmetric_flood",
-    "worst_case_bdd",
-    "worst_case_cusum",
-    "worst_case_bdd_randaware",
-    "worst_case_cusum_randaware",
-)
+#: attack kind -> the ``AttackPlan.params`` keys its policy reads
+ATTACK_PARAMS = {
+    "none": (),
+    "bias_concentrate": ("mu_a", "sigma_a"),
+    "pattern_runs": ("amplitude",),
+    "symmetric_flood": ("amplitude", "jitter"),
+    "worst_case_bdd": (),
+    "worst_case_cusum": (),
+    "worst_case_bdd_randaware": ("epsilon",),
+    "worst_case_cusum_randaware": ("epsilon",),
+}
+ATTACK_KINDS = tuple(ATTACK_PARAMS)
 
 
 @dataclass
@@ -102,7 +104,6 @@ class AttackerView:
     k: int
     e: np.ndarray
     eta: np.ndarray
-    cusum_s: Optional[np.ndarray] = None
 
 
 def attack_worst_case_bdd(
@@ -343,45 +344,32 @@ class BddWorstCaseAttack(AttackPolicy, _ScheduledMixin):
 class CusumWorstCaseAttack(AttackPolicy, _ScheduledMixin):
     """Worst-case stealthy attack against the CUSUM detector.
 
-    Tracks the detector statistic through a mirror that the harness syncs
-    from the real detector each step (omniscient attacker). Detector-only
-    mode holds the statistic at the threshold with zero alarms.
+    The omniscient attacker reads the live statistic ``detector.S`` of the
+    detector it targets. Whoever runs the loop steps that detector on each
+    residual before the next attack value is drawn (``lti.simulate``'s
+    ``on_step``), so the attack for step k + 1 sees S after r[k].
+    Detector-only mode holds the statistic at the threshold with zero alarms.
     """
 
-    def __init__(self, plan, n_sensors, c_rows, sigma, bias, tau_c, aware, ell, alpha_des, rng):
+    def __init__(self, plan, n_sensors, c_rows, sigma, detector, aware, ell, alpha_des, rng):
         super().__init__(plan, n_sensors)
         self.c_rows = c_rows
-        self.bias = bias
-        self.tau_c = tau_c
+        self.detector = detector
         eps = plan.params.get("epsilon", 1e-6 * sigma)
         self._init_schedule(aware, ell, alpha_des, sigma, eps, rng)
-        self._mirror = np.zeros(n_sensors)
-
-    def sync_statistic(self, S: np.ndarray) -> None:
-        """Overwrite the mirrored statistic with the real detector state."""
-        self._mirror = np.asarray(S, dtype=float).copy()
 
     def _signal(self, view, sensor):
-        saturating = self._slot(view.k)
-        delta = self._delta(sensor)
-        s_prev = float(self._mirror[sensor])
-        xi = attack_worst_case_cusum(
+        det = self.detector
+        return attack_worst_case_cusum(
             view,
             self.c_rows[sensor],
             sensor,
-            float(self.bias[sensor]),
-            float(self.tau_c[sensor]),
-            s_prev,
-            saturating=saturating,
-            delta=delta,
+            float(det.bias[sensor]),
+            float(det.tau[sensor]),
+            float(det.S[sensor]),
+            saturating=self._slot(view.k),
+            delta=self._delta(sensor),
         )
-        # Advance the mirror with the residual this signal produces.
-        r = float(self.c_rows[sensor] @ view.e) + float(view.eta[sensor]) + xi
-        if s_prev > self.tau_c[sensor]:
-            self._mirror[sensor] = 0.0
-        else:
-            self._mirror[sensor] = max(0.0, s_prev + abs(r) - float(self.bias[sensor]))
-        return xi
 
 
 def build_attack_policy(
@@ -425,24 +413,20 @@ def build_attack_policy(
             raise InvalidParameter(f"{kind} requires a tuned CUSUM detector")
         aware = kind.endswith("randaware")
         return CusumWorstCaseAttack(
-            plan, n_sensors, c_rows, sigma, cusum.bias, cusum.tau, aware, ell, alpha_des, rng
+            plan, n_sensors, c_rows, sigma, cusum, aware, ell, alpha_des, rng
         )
     raise InvalidParameter(f"unknown attack kind {kind!r}")
 
 
 class CompositeAttack:
-    """Sum of several policies, recording the last emitted vector per step."""
+    """Sum of several policies."""
 
     def __init__(self, policies: Sequence[AttackPolicy], n_sensors: int):
         self.policies = list(policies)
         self.n_sensors = n_sensors
-        self.last_k: Optional[int] = None
-        self.last_xi = np.zeros(n_sensors)
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray) -> np.ndarray:
         xi = np.zeros(self.n_sensors)
         for policy in self.policies:
             xi += policy(k, e, eta)
-        self.last_k = k
-        self.last_xi = xi
         return xi

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, AttackPlan
+from .attacks import ATTACK_KINDS, ATTACK_PARAMS, AttackPlan
 from .errors import ParseError, ValidationError
 from .lti import LtiPlant, UgvParams, discretize_ugv
 
@@ -106,6 +107,27 @@ def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list) -> 
     for key in mapping:
         if key not in allowed:
             problems.append(f"{where}: unknown key {key!r}")
+
+
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)  # bool is not a number
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, problems: list):
+    """Known keys only; each value a finite number or one finite number per sensor."""
+    _reject_unknown(params, set(ATTACK_PARAMS[kind]), where, problems)
+    for key in [k for k in params if k in ATTACK_PARAMS[kind]]:
+        value = params[key]
+        if isinstance(value, list):
+            ok = n_sensors in (None, len(value)) and all(map(_finite_number, value))
+        else:
+            ok = _finite_number(value)
+        if not ok:
+            problems.append(f"{where}.{key}: must be a finite number or a list of finite "
+                            f"numbers, one per sensor; got {value!r}")
 
 
 def build_plant(spec: dict) -> LtiPlant:
@@ -290,6 +312,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if not isinstance(params, dict):
             problems.append(f"{where}.params: must be an object")
             continue
+        _validate_attack_params(params, kind, n_sensors, f"{where}.params", problems)
         for i in sensors:
             for other_start, other_stop, other_idx in per_sensor_windows.get(i, []):
                 if start < other_stop and other_start < stop:

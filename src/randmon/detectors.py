@@ -230,6 +230,3 @@ class CusumDetector:
         accumulated = np.maximum(0.0, self.S + np.abs(r) - self.bias)
         self.S = np.where(alarm, 0.0, accumulated)
         return alarm
-
-    def reset(self) -> None:
-        self.S = np.zeros_like(self.tau)

@@ -27,30 +27,31 @@ _COND_WARN = 1e10
 
 def expected_residual(
     detector_kind: str,
-    threshold,
-    budget: SaturationBudget,
+    level,
+    budget: Optional[SaturationBudget],
     sensors,
     n_sensors: int,
 ) -> np.ndarray:
-    """Mean residual forced by the randomness-aware worst-case attack.
+    """Mean residual a worst-case stealthy attack forces on each sensor.
 
-    Per attacked sensor this is threshold * beta/ell (the saturating fraction
-    of steps pins the residual at the threshold, the rest sit at zero); clean
-    sensors get zero. ``detector_kind`` is 'bdd' or 'cusum'; the same formula
-    applies with the respective threshold.
-
-    Note: the CUSUM variant of the attack construction leaves a residual of
-    b - delta on non-saturating steps, so its simulated mean approaches the
-    bias b rather than this value; see the validation tests.
+    ``level`` is the bad-data threshold for ``detector_kind`` 'bdd' and the
+    CUSUM bias for 'cusum'; ``budget`` is the randomness-aware attack's
+    saturation budget, or None for the detector-only attack. Pinning the
+    bad-data residual forces the threshold, or threshold * beta/ell when only
+    the saturating steps sit there and the rest at zero. Holding the CUSUM
+    statistic forces the bias in both variants: each held step leaves b, each
+    non-saturating step b - delta. Clean sensors get zero.
     """
     if detector_kind not in ("bdd", "cusum"):
         raise InvalidParameter(f"unknown detector kind {detector_kind!r}")
-    tau = np.atleast_1d(np.asarray(threshold, dtype=float)) * np.ones(n_sensors)
+    level = np.atleast_1d(np.asarray(level, dtype=float)) * np.ones(n_sensors)
+    if detector_kind == "bdd" and budget is not None:
+        level = level * budget.ratio
     out = np.zeros(n_sensors)
     for i in sensors:
         if not 0 <= i < n_sensors:
             raise InvalidParameter(f"sensor index {i} outside 0..{n_sensors - 1}")
-        out[i] = tau[i] * budget.ratio
+        out[i] = level[i]
     return out
 
 

@@ -4,13 +4,14 @@ Every run is driven by one master seed. Noise, attack dither and saturation
 schedules draw from independent child streams, so runs are bit-reproducible
 and attack randomness does not perturb the noise sequence.
 
-A run has two phases. The first steps the closed loop (plant, estimator,
-controller, attack) and the CUSUM detector, and records the trajectory and
-the residuals. CUSUM stays in the loop because the CUSUM worst-case attack is
-synced to the detector's live statistic every step. The second phase scores
-the recorded residual array: the two window tests, the bad-data detector and
-the sliding alarm rates of all four tests, over all steps at once. Nothing in
-the loop reads those, so the split leaves every output byte unchanged.
+A run has two phases. The first is ``lti.simulate``: it steps the closed
+loop (plant, estimator, controller, attack) and records the trajectory, the
+residuals and the applied attack. The CUSUM detector is stepped inside it,
+through simulate's ``on_step`` callback, because the CUSUM worst-case attack
+reads the detector's live statistic. The second phase scores the recorded
+residual array: the two window tests, the bad-data detector and the sliding
+alarm rates of all four tests, over all steps at once. Nothing in the loop
+reads those, so the split leaves every output byte unchanged.
 """
 
 from __future__ import annotations
@@ -28,16 +29,9 @@ import numpy as np
 from . import attacks as atk
 from .config import ScenarioConfig, config_hash, build_plant
 from .detectors import BadDataDetector, CusumDetector, tune_cusum
-from .deviation import deviation_limit
+from .deviation import deviation_limit, expected_residual
 from .errors import InvalidParameter
-from .lti import (
-    ControllerGains,
-    NoiseSource,
-    initial_state,
-    make_controller,
-    solve_dare,
-    step,
-)
+from .lti import ControllerGains, NoiseSource, make_controller, simulate, solve_dare
 from .monitors import alarm_rate_scan, sir_scan, wsr_scan
 
 log = logging.getLogger(__name__)
@@ -118,36 +112,43 @@ def _enabled_tests(cfg: ScenarioConfig) -> tuple:
     return tuple(tests)
 
 
+def _build_detectors(cfg: ScenarioConfig, kss) -> tuple:
+    """The bad-data and CUSUM detectors a config enables; None where disabled."""
+    tests = _enabled_tests(cfg)
+    bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"]) if "bdd" in tests else None
+    cusum = None
+    if "cusum" in tests:
+        bias = cfg.bias_scale * kss.sigma
+        tau = [
+            _tuned_cusum_tau(float(sig), float(b), cfg.alpha_des["cusum"],
+                             cfg.tuning_samples, cfg.tuning_seed)
+            for sig, b in zip(kss.sigma, bias)
+        ]
+        cusum = CusumDetector(tau=tau, bias=bias, alpha_des=cfg.alpha_des["cusum"])
+    return bdd, cusum
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario and return its artifacts.
 
-    Deterministic for a given config and seed. Phase 1 simulates the closed
-    loop with the CUSUM detector inside it, since the CUSUM worst-case attack
-    reads the detector's statistic each step. Phase 2 scores the recorded
-    ``(horizon, s)`` residuals with ``wsr_scan``, ``sir_scan``, the bad-data
-    threshold and ``alarm_rate_scan``. Monitors are pure observers of the
-    residual stream; the plant trajectory does not depend on them.
+    Deterministic for a given config and seed. Phase 1 is ``lti.simulate``
+    with the CUSUM detector stepped in its ``on_step`` callback, since the
+    CUSUM worst-case attack reads the detector's statistic each step. Phase 2
+    scores the recorded ``(horizon, s)`` residuals with ``wsr_scan``,
+    ``sir_scan``, the bad-data threshold and ``alarm_rate_scan``. Monitors are
+    pure observers of the residual stream; the plant trajectory does not
+    depend on them.
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
     gains = _build_controller(cfg, plant)
-    s, n, horizon = plant.s, plant.n, cfg.horizon
+    s, horizon = plant.s, cfg.horizon
     tests = _enabled_tests(cfg)
 
     master = np.random.SeedSequence(cfg.seed)
     noise_seed, attack_root = master.spawn(2)
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
-
-    bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"]) if "bdd" in tests else None
-    cusum = None
-    if "cusum" in tests:
-        bias = cfg.bias_scale * kss.sigma
-        tau = np.array([
-            _tuned_cusum_tau(float(sig), float(b), cfg.alpha_des["cusum"],
-                             cfg.tuning_samples, cfg.tuning_seed)
-            for sig, b in zip(kss.sigma, bias)
-        ])
-        cusum = CusumDetector(tau=tau, bias=bias, alpha_des=cfg.alpha_des["cusum"])
+    bdd, cusum = _build_detectors(cfg, kss)
 
     attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
     policies = [
@@ -165,31 +166,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         for j, plan in enumerate(cfg.attacks)
     ]
     combined = atk.CompositeAttack(policies, s)
-    cusum_policies = [p for p in policies if isinstance(p, atk.CusumWorstCaseAttack)]
 
-    rec_k = np.arange(horizon)
-    rec_x = np.empty((horizon, n))
-    rec_xhat = np.empty((horizon, n))
-    rec_r = np.empty((horizon, s))
-    rec_xi = np.zeros((horizon, s))
-    rec_cusum_s = np.full((horizon, s), np.nan) if cusum is not None else None
-    cusum_alarm = np.full((horizon, s), np.nan) if cusum is not None else None
+    # Phase 1: the closed loop, with the CUSUM detector consuming r[k] before
+    # the attack for step k + 1 reads its statistic.
+    rec_cusum_s = cusum_alarm = None
+    if cusum is not None:
+        rec_cusum_s = np.empty((horizon, s))
+        cusum_alarm = np.empty((horizon, s))
 
-    # Phase 1: the closed loop.
-    state = initial_state(plant, kss, noise=noise, attack=combined)
-    for k in range(horizon):
-        rec_x[k] = state.x
-        rec_xhat[k] = state.xhat
-        rec_r[k] = state.r
-        if combined.last_k == k:
-            rec_xi[k] = combined.last_xi
-        if cusum is not None:
-            cusum_alarm[k] = cusum.step(state.r)
-            rec_cusum_s[k] = cusum.S
-            for policy in cusum_policies:
-                policy.sync_statistic(cusum.S)
-        if k + 1 < horizon:
-            state = step(plant, kss, gains, state, attack=combined, noise=noise)
+    def step_cusum(state):
+        cusum_alarm[state.k] = cusum.step(state.r)
+        rec_cusum_s[state.k] = cusum.S
+
+    traj = simulate(plant, kss, gains, noise, horizon, attack=combined,
+                    on_step=step_cusum if cusum is not None else None)
+    rec_x, rec_r = traj["x"], traj["r"]
 
     # Phase 2: score the recorded residuals. Degenerate windows (all zeros,
     # or too few distinct consecutive values to count runs) are maximally
@@ -228,11 +219,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     return RunArtifacts(
         config=cfg,
         summary=summary,
-        k=rec_k,
+        k=np.arange(horizon),
         x=rec_x,
-        xhat=rec_xhat,
+        xhat=traj["xhat"],
         r=rec_r,
-        xi=rec_xi,
+        xi=traj["xi"],
         p=rec_p,
         alarm=rec_alarm,
         rate=rec_rate,
@@ -243,25 +234,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
 def _deviation_report(cfg, plant, kss, gains, policies, bdd, cusum, x):
     """Predicted vs measured mean state offset for the first worst-case phase.
 
-    The predicted forcing is the mean residual the attack construction holds:
-    the full threshold for detector-only pinning, threshold * beta/ell for the
-    schedule-aware variant against the magnitude threshold, and the bias for
-    the CUSUM-holding sequences. No prediction is reported when the open loop
-    has no finite limit.
+    The predicted forcing is ``deviation.expected_residual`` of the attack.
+    Nothing is reported when a bad-data attack runs without the bad-data
+    detector (its threshold then is not a configured one); the prediction is
+    None when the open loop has no finite limit.
     """
     for policy, plan in zip(policies, cfg.attacks):
         if not plan.kind.startswith("worst_case"):
             continue
-        er = np.zeros(plant.s)
-        for i in plan.sensors:
-            if plan.kind == "worst_case_bdd" and bdd is not None:
-                er[i] = bdd.tau[i]
-            elif plan.kind == "worst_case_bdd_randaware" and bdd is not None:
-                er[i] = bdd.tau[i] * policy.budget.ratio
-            elif plan.kind.startswith("worst_case_cusum") and cusum is not None:
-                er[i] = cusum.bias[i]
-            else:
-                return None
+        if plan.kind.startswith("worst_case_cusum"):
+            detector_kind, level = "cusum", cusum.bias
+        elif bdd is not None:
+            detector_kind, level = "bdd", bdd.tau
+        else:
+            return None
+        er = expected_residual(detector_kind, level, policy.budget, plan.sensors, plant.s)
         pred = deviation_limit(plant, kss, gains, er)
         settle = plan.start + 4 * cfg.window
         stop = min(plan.stop, cfg.horizon)
@@ -437,21 +424,17 @@ def tuned_thresholds(cfg: ScenarioConfig) -> dict:
 
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
+    bdd, cusum = _build_detectors(cfg, kss)
     out = {
         "sigma": kss.sigma.tolist(),
         "wsr_bounds": list(wsr_bounds(cfg.window, cfg.alpha_des["wsr"])),
         "sir_bounds": list(sir_bounds(cfg.window - 1, cfg.alpha_des["sir"])),
     }
-    if cfg.detector_kind in ("bdd", "both"):
-        out["bdd_tau"] = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"]).tau.tolist()
-    if cfg.detector_kind in ("cusum", "both"):
-        bias = cfg.bias_scale * kss.sigma
-        out["cusum_bias"] = bias.tolist()
-        out["cusum_tau"] = [
-            _tuned_cusum_tau(float(sig), float(b), cfg.alpha_des["cusum"],
-                             cfg.tuning_samples, cfg.tuning_seed)
-            for sig, b in zip(kss.sigma, bias)
-        ]
+    if bdd is not None:
+        out["bdd_tau"] = bdd.tau.tolist()
+    if cusum is not None:
+        out["cusum_bias"] = cusum.bias.tolist()
+        out["cusum_tau"] = cusum.tau.tolist()
     return out
 
 

@@ -207,15 +207,6 @@ def zero_reference(m: int) -> Callable[[int], Array]:
     return provider
 
 
-def constant_reference(vector) -> Callable[[int], Array]:
-    ref = np.asarray(vector, dtype=float).ravel()
-
-    def provider(k: int) -> Array:
-        return ref
-
-    return provider
-
-
 def waypoint_reference(schedule) -> Callable[[int], Array]:
     """Piecewise-constant reference from (start_step, vector) pairs.
 
@@ -330,8 +321,9 @@ class SimState:
     """Closed-loop state at one step.
 
     ``xhat`` is the one-step-ahead prediction (see module docstring), ``e``
-    the estimation error x - xhat recomputed fresh each step, and ``r`` the
-    residual y - C xhat.
+    the estimation error x - xhat recomputed fresh each step, ``r`` the
+    residual y - C xhat and ``xi`` the attack added to this step's
+    measurement.
     """
 
     k: int
@@ -341,6 +333,7 @@ class SimState:
     r: Array
     y: Array
     u: Array
+    xi: Array
 
 
 def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array, s: int) -> Array:
@@ -373,7 +366,7 @@ def initial_state(
     xi = _resolve_attack(attack, 0, e, eta, plant.s)
     y = plant.C @ x + eta + xi
     r = y - plant.C @ xhat
-    return SimState(k=0, x=x, xhat=xhat, e=e, r=r, y=y, u=np.zeros(plant.m))
+    return SimState(k=0, x=x, xhat=xhat, e=e, r=r, y=y, u=np.zeros(plant.m), xi=xi)
 
 
 def step(
@@ -406,7 +399,8 @@ def step(
     xi = _resolve_attack(attack, k_next, e_next, eta, plant.s)
     y_next = plant.C @ x_next + eta + xi
     r_next = y_next - plant.C @ xhat_next
-    return SimState(k=k_next, x=x_next, xhat=xhat_next, e=e_next, r=r_next, y=y_next, u=u)
+    return SimState(k=k_next, x=x_next, xhat=xhat_next, e=e_next, r=r_next, y=y_next, u=u,
+                    xi=xi)
 
 
 def simulate(
@@ -418,23 +412,36 @@ def simulate(
     attack: AttackSignal = None,
     x0=None,
     xhat0=None,
+    on_step: Optional[Callable[[SimState], None]] = None,
 ):
     """Run ``horizon`` steps and return stacked trajectories.
 
-    Returns a dict with arrays ``x`` (horizon, n), ``r`` (horizon, s) and the
-    final state. Row k holds the state at step k.
+    Returns a dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the
+    applied attack ``xi`` (horizon, s), and the final state. Row k holds the
+    state at step k.
+
+    ``on_step(state)``, when given, is called with each state right after it
+    is recorded and before the next step. A detector stepped there has
+    consumed r[k] when the attack for step k + 1 is synthesised, which is
+    how an attacker reads a live detector statistic.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
     state = initial_state(plant, kss, x0=x0, xhat0=xhat0, noise=noise, attack=attack)
     xs = np.empty((horizon, plant.n))
+    xhats = np.empty((horizon, plant.n))
     rs = np.empty((horizon, plant.s))
+    xis = np.empty((horizon, plant.s))
     for k in range(horizon):
         xs[k] = state.x
+        xhats[k] = state.xhat
         rs[k] = state.r
+        xis[k] = state.xi
+        if on_step is not None:
+            on_step(state)
         if k + 1 < horizon:
             state = step(plant, kss, gains, state, attack=attack, noise=noise)
-    return {"x": xs, "r": rs, "final_state": state}
+    return {"x": xs, "xhat": xhats, "r": rs, "xi": xis, "final_state": state}
 
 
 # --- zero-order-hold discretization -------------------------------------------------

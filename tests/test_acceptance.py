@@ -187,7 +187,6 @@ def test_c05_worst_case_stealth(ugv_plant, ugv_kss, ugv_gains):
     for k in range(horizon):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
         alarms += int(cusum.step(state.r)[0])
-        policy.sync_statistic(cusum.S)
         if k >= 1:  # statistic saturates from the first attacked update
             max_gap = max(max_gap, abs(cusum.S[0] - cusum.tau[0]))
     checks.append((alarms == 0, f"{alarms} cusum alarms under the holding attack"))

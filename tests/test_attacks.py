@@ -128,6 +128,20 @@ def test_cusum_signal_holds_statistic():
         assert abs(s - tau_c) < 1e-9  # held at the threshold from the first step
 
 
+def test_cusum_policy_reads_live_detector_statistic():
+    cusum = CusumDetector(tau=[0.8, 0.9], bias=[1.5, 1.2], alpha_des=0.05)
+    plan = AttackPlan(kind="worst_case_cusum", sensors=(0, 1), start=0, stop=100)
+    policy = build_attack_policy(plan, 2, np.eye(2), np.ones(2), cusum=cusum, seed=1)
+    e, eta = np.array([0.05, -0.3]), np.array([-0.02, 0.1])
+    for S in ([0.0, 0.0], [0.3, 0.7], [0.8, 0.1]):
+        cusum.S = np.array(S)
+        xi = policy(4, e, eta)
+        view = AttackerView(k=4, e=e, eta=eta)
+        for i in range(2):
+            assert xi[i] == attack_worst_case_cusum(view, np.eye(2)[i], i, cusum.bias[i],
+                                                    cusum.tau[i], S[i])
+
+
 # --- attack plans and policies -----------------------------------------------------------
 
 
@@ -247,7 +261,6 @@ def test_worst_case_cusum_stealth_and_mean(ugv_plant, ugv_kss, ugv_gains):
     for _ in range(3000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
         alarms += int(cusum.step(state.r)[0])
-        policy.sync_statistic(cusum.S)
         rs.append(state.r[0])
         assert cusum.S[0] <= cusum.tau[0]
     assert alarms == 0
@@ -270,7 +283,6 @@ def test_randaware_cusum_statistic_bounded(ugv_plant, ugv_kss, ugv_gains):
     for _ in range(3000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
         alarms += int(cusum.step(state.r)[0])
-        policy.sync_statistic(cusum.S)
         rs.append(state.r[0])
         assert cusum.S[0] <= cusum.tau[0] + 1e-12
     assert alarms == 0

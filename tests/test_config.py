@@ -133,3 +133,33 @@ def test_explicit_plant_requires_matrices():
         load_config_dict(raw)
     missing = [p for p in err.value.problems if "required" in p]
     assert len(missing) == 4  # B, C, Q, R
+
+
+def test_attack_params_checked_against_kind():
+    raw = dict(MINIMAL)
+    raw["attacks"] = [
+        {"kind": "bias_concentrate", "sensors": [0], "start": 100, "stop": 400,
+         "params": {"mu_a": "x", "sigma_a": [0.001, 0.001]}},
+        {"kind": "symmetric_flood", "sensors": [1], "start": 100, "stop": 400,
+         "params": {"typo_key": 1, "jitter": float("inf")}},
+    ]
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(raw)
+    problems = err.value.problems
+    assert len(problems) == 4  # every problem at once
+    assert any("attacks[0].params.mu_a" in p for p in problems)
+    assert any("attacks[0].params.sigma_a" in p for p in problems)  # not one per sensor
+    assert any("attacks[1].params: unknown key 'typo_key'" in p for p in problems)
+    assert any("attacks[1].params.jitter" in p for p in problems)
+
+
+def test_bad_attack_param_is_config_error_exit(tmp_path, capsys):
+    from randmon.cli import main
+
+    raw = dict(MINIMAL)
+    raw["attacks"] = [{"kind": "bias_concentrate", "sensors": [0], "start": 100, "stop": 400,
+                       "params": {"mu_a": "x"}}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    assert "attacks[0].params.mu_a" in capsys.readouterr().err

@@ -43,8 +43,13 @@ def test_expected_residual_product():
 
 def test_expected_residual_limit():
     budget = saturation_budget(50_000, 0.05)
-    out = expected_residual("cusum", 1.0, budget, sensors=[0], n_sensors=1)
+    out = expected_residual("bdd", 1.0, budget, sensors=[0], n_sensors=1)
     assert abs(out[0] - (1.0 - np.sqrt(2.0) / 2.0)) < 0.005
+    # holding the CUSUM statistic leaves a residual at the bias, whatever the budget
+    for b in (budget, None):
+        assert expected_residual("cusum", 0.7, b, sensors=[0], n_sensors=1)[0] == 0.7
+    # the detector-only bad-data attack pins the full threshold
+    assert expected_residual("bdd", 2.0, None, sensors=[0], n_sensors=1)[0] == 2.0
 
 
 def test_expected_residual_validation():
@@ -104,7 +109,7 @@ def test_deviation_limit_shared_kernel_for_cusum():
     er_c = expected_residual("cusum", 0.7, budget, sensors=[0], n_sensors=1)
     db = deviation_limit(plant, kss, gains, er_b).delta
     dc = deviation_limit(plant, kss, gains, er_c).delta
-    np.testing.assert_allclose(dc, db * (0.7 / 2.0), atol=1e-12)
+    np.testing.assert_allclose(dc, db * (0.7 / (2.0 * budget.ratio)), atol=1e-12)
 
 
 def test_deviation_limit_warns_when_ill_conditioned():

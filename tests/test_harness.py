@@ -71,6 +71,8 @@ def test_monitors_do_not_perturb_plant():
     bare = simulate(plant, kss, gains, NoiseSource(plant.Q, plant.R, noise_seed), cfg.horizon)
     np.testing.assert_array_equal(art.x, bare["x"])
     np.testing.assert_array_equal(art.r, bare["r"])
+    np.testing.assert_array_equal(art.xhat, bare["xhat"])
+    np.testing.assert_array_equal(art.xi, bare["xi"])
 
 
 def test_csv_round_trip(tmp_path, base_artifacts):
