@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from randmon.config import build_plant, load_config
 from randmon.detectors import (
     BadDataDetector,
     CusumDetector,
@@ -12,6 +14,9 @@ from randmon.detectors import (
     tune_cusum,
 )
 from randmon.errors import DomainError, InvalidBias, InvalidParameter
+from randmon.lti import solve_dare
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # --- bad-data threshold -----------------------------------------------------------------
@@ -164,3 +169,46 @@ def test_cusum_tuned_per_sensor():
     assert det.tau.shape == (2,)
     # thresholds scale with sigma
     assert abs(det.tau[1] / det.tau[0] - 2.0) < 0.2
+
+
+# Exact tuning results (tau.hex(), achieved_rate, iterations) per sensor of the
+# shipped configs at their CUSUM alpha, bias and tuning seed; any change to the
+# recursion's rounding or to the search moves them.
+PINNED_CONFIG_TUNINGS = {
+    "ugv_noattack": [
+        ("0x1.330730484d879p-7", 0.052199, 5),
+        ("0x1.30102b62e8f3ap-8", 0.052199, 5),
+        ("0x1.e67d9d19c4a9cp-8", 0.052199, 5),
+    ],
+    "ugv_stealthy_randaware": [
+        ("0x1.5ee3a4e4eae41p-9", 0.019754, 4),
+        ("0x1.5b8031959c843p-10", 0.019754, 4),
+        ("0x1.15fea2ea273c7p-9", 0.019754, 4),
+    ],
+    "ugv_three_phase": [
+        ("0x1.072abbabb02b1p-9", 0.100127, 6),
+        ("0x1.04a0253035632p-10", 0.100127, 6),
+        ("0x1.a0fdf45f3adaap-10", 0.100127, 6),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIG_TUNINGS))
+def test_tune_cusum_pinned_for_shipped_configs(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    sigma = solve_dare(build_plant(cfg.plant_spec)).sigma
+    got = []
+    for sig in sigma:
+        out = tune_cusum(float(sig), float(cfg.bias_scale * sig), cfg.alpha_des["cusum"],
+                         n_samples=cfg.tuning_samples, seed=cfg.tuning_seed)
+        got.append((out.tau.hex(), out.achieved_rate, out.iterations))
+    assert got == PINNED_CONFIG_TUNINGS[name]
+
+
+@pytest.mark.parametrize("args, seed, expected", [
+    ((1.0, 10.0, 0.05), 5, ("0x0.0p+0", 0.0, 1)),                     # tau = 0 floor
+    ((0.3, 0.25, 0.05), 3, ("0x1.0ccccccccccccp-1", 0.049301, 5)),   # weak drift, long excursions
+])
+def test_tune_cusum_pinned_edge_cases(args, seed, expected):
+    out = tune_cusum(*args, seed=seed)
+    assert (out.tau.hex(), out.achieved_rate, out.iterations) == expected
