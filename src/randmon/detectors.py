@@ -20,6 +20,9 @@ HALF_NORMAL_MEAN_FACTOR = math.sqrt(2.0 / math.pi)
 #: minimum Monte Carlo sample count accepted by tune_cusum
 CUSUM_MIN_SAMPLES = 1_000_000
 
+#: steps per block of the block-parallel kernel in cusum_alarm_fraction
+CUSUM_BLOCK = 256
+
 
 def tune_bdd(sigma, alpha_des: float):
     """Threshold with two-sided exceedance probability alpha_des under N(0, sigma^2).
@@ -58,29 +61,69 @@ class BadDataDetector:
         return np.abs(r) > self.tau
 
 
+def _cusum_step(s: float, d: float, tau: float) -> tuple:
+    """One step of the scalar recursion: the next statistic and 1 if it alarmed."""
+    if s > tau:
+        return 0.0, 1
+    s += d
+    return (0.0 if s < 0.0 else s), 0
+
+
 def cusum_alarm_fraction(deltas, tau: float) -> float:
     """Alarm fraction of the CUSUM recursion over a fixed increment stream.
 
-    ``deltas`` holds |r| - b per step. The statistic from the previous step is
-    tested first: above tau it resets to zero and alarms (the current
-    increment is not consumed); otherwise it accumulates, clamped at zero.
+    ``deltas`` (a list or a 1-D array) holds |r| - b per step. The statistic
+    from the previous step is tested first: above tau it resets to zero and
+    alarms (the current increment is not consumed); otherwise it accumulates,
+    clamped at zero.
+
+    The stream is cut into blocks of ``CUSUM_BLOCK`` steps, and numpy runs the
+    recursion on all blocks side by side, each starting from zero. Every step
+    is the scalar recursion's own float64 operations (test, add, clamp,
+    reset), so a block whose true entry statistic is zero is exact. For a
+    block entered with a nonzero statistic, the true and the zero-started
+    statistic are stepped together in Python until they are equal; from there
+    on they take the same comparisons, so only the alarms over the walked
+    steps differ. A block that ends before they meet hands its true statistic
+    to the next one, and the tail after the last full block is walked alone.
+    The count is therefore the scalar recursion's own, also for non-finite
+    increments (NaN never compares equal, so it is walked to the end).
     """
     if tau < 0.0:
         raise InvalidParameter("tau must be nonnegative")
-    s = 0.0
-    alarms = 0
-    n = 0
-    for d in deltas:
-        n += 1
-        if s > tau:
-            alarms += 1
-            s = 0.0
-        else:
-            s += d
-            if s < 0.0:
-                s = 0.0
+    d = np.asarray(deltas, dtype=float)
+    n = d.size
     if n == 0:
         raise InvalidParameter("empty increment stream")
+    n_blocks = n // CUSUM_BLOCK
+    blocks = d[: n_blocks * CUSUM_BLOCK].reshape(n_blocks, CUSUM_BLOCK)
+    s = np.zeros(n_blocks)
+    alarms = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in blocks.T:
+            alarm = s > tau
+            alarms += np.count_nonzero(alarm)
+            s += column
+            np.maximum(s, 0.0, out=s)
+            s[alarm] = 0.0
+
+    carry = 0.0
+    for k, end in enumerate(s.tolist()):
+        if carry == 0.0:
+            carry = end
+            continue
+        true_s, zero_s = carry, 0.0
+        for x in map(float, blocks[k]):  # converted lazily: most walks are a few steps
+            if true_s == zero_s:
+                true_s = end
+                break
+            true_s, true_alarm = _cusum_step(true_s, x, tau)
+            zero_s, zero_alarm = _cusum_step(zero_s, x, tau)
+            alarms += true_alarm - zero_alarm
+        carry = true_s
+    for x in d[n_blocks * CUSUM_BLOCK:].tolist():
+        carry, alarm = _cusum_step(carry, x, tau)
+        alarms += alarm
     return alarms / n
 
 
@@ -105,8 +148,11 @@ def tune_cusum(
 
     Simulates the recursion on i.i.d. |N(0, sigma^2)| inputs and bisects tau
     until the empirical alarm rate is within ``rel_tol`` relative of
-    alpha_des. Bracketing and early bisection run on a 1/8 subsample of the
-    stream; candidate thresholds are confirmed on the full stream.
+    alpha_des. The increments |r| - b are drawn once into one float64 array;
+    bracketing and early bisection run on a view of its first 1/8, and
+    candidate thresholds are confirmed on the full stream. Each rate is
+    ``cusum_alarm_fraction``'s exact count, so the search takes the same steps
+    and returns the same tau as a scalar loop over the same stream.
 
     Raises ``InvalidBias`` when bias <= sqrt(2/pi)*sigma (no downward drift
     under clean data) and ``NonConvergence`` if the search exhausts
@@ -125,7 +171,10 @@ def tune_cusum(
         raise InvalidParameter(f"n_samples must be >= {CUSUM_MIN_SAMPLES}")
 
     rng = np.random.Generator(np.random.Philox(seed))
-    deltas_full = (sigma * np.abs(rng.standard_normal(n_samples)) - bias).tolist()
+    deltas_full = rng.standard_normal(n_samples)
+    np.abs(deltas_full, out=deltas_full)
+    deltas_full *= sigma
+    deltas_full -= bias
     deltas_coarse = deltas_full[: max(1, n_samples // 8)]
     tol = rel_tol * alpha_des
 

@@ -1,11 +1,14 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randmon.config import build_plant, load_config
 from randmon.detectors import (
+    CUSUM_BLOCK,
     BadDataDetector,
     CusumDetector,
     HALF_NORMAL_MEAN_FACTOR,
@@ -124,6 +127,73 @@ def test_cusum_determinism():
         det = CusumDetector(tau=[0.5], bias=[0.6], alpha_des=0.05)
         outs.append([det.step([r])[0] for r in stream])
     assert outs[0] == outs[1]
+
+
+# --- cusum alarm-fraction kernel against the scalar recursion ----------------------------
+
+
+def scalar_cusum_fraction(deltas, tau):
+    """Reference: the CUSUM recursion one step at a time in Python floats."""
+    s = 0.0
+    alarms = 0
+    for d in deltas:
+        if s > tau:
+            alarms += 1
+            s = 0.0
+        else:
+            s += d
+            if s < 0.0:
+                s = 0.0
+    return alarms / len(deltas)
+
+
+@st.composite
+def increment_streams(draw):
+    # lengths just below, at and just above a multiple of the block size, or anywhere
+    n = draw(st.one_of(
+        st.builds(lambda k, off: max(1, k * CUSUM_BLOCK + off),
+                  st.integers(0, 5), st.sampled_from((-1, 0, 1))),
+        st.integers(1, 6 * CUSUM_BLOCK),
+    ))
+    tau = draw(st.sampled_from((0.0, 0.25, 2.0, 40.0, 1e300)))
+    drift = draw(st.sampled_from((-1.0, -0.3, -0.05, 0.0, 0.2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    deltas = np.random.default_rng(seed).standard_normal(n) + drift
+    specials = st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, tau, -tau))
+    for k, value in draw(st.lists(st.tuples(st.integers(0, n - 1), specials), max_size=6)):
+        deltas[k] = value
+    return deltas, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(increment_streams(), st.booleans())
+def test_cusum_alarm_fraction_matches_scalar_recursion(stream, as_list):
+    deltas, tau = stream
+    values = deltas.tolist()
+    expected = scalar_cusum_fraction(values, tau)
+    assert cusum_alarm_fraction(values if as_list else deltas, tau) == expected
+
+
+def test_cusum_alarm_fraction_errors():
+    with pytest.raises(InvalidParameter, match="empty increment stream"):
+        cusum_alarm_fraction([], 1.0)
+    with pytest.raises(InvalidParameter, match="empty increment stream"):
+        cusum_alarm_fraction(np.array([]), 0.0)
+    with pytest.raises(InvalidParameter, match="tau must be nonnegative"):
+        cusum_alarm_fraction([0.5] * 3, -0.1)
+    with pytest.raises(InvalidParameter, match="tau must be nonnegative"):
+        cusum_alarm_fraction([], -1.0)  # tau is checked before the stream
+
+
+def test_cusum_alarm_fraction_non_finite_stream_is_silent():
+    deltas = np.full(3 * CUSUM_BLOCK + 7, 1e308)  # overflows to inf
+    deltas[CUSUM_BLOCK + 3] = -math.inf             # inf + -inf gives NaN
+    deltas[2 * CUSUM_BLOCK + 1] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (0.0, 1e308, math.inf):
+            got = cusum_alarm_fraction(deltas, tau)
+            assert got == scalar_cusum_fraction(deltas.tolist(), tau)
 
 
 # --- cusum tuning -------------------------------------------------------------------------
