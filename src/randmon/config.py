@@ -116,11 +116,19 @@ def _finite_number(value) -> bool:
         return False
 
 
+#: attack parameters that are standard deviations of a draw, so never negative
+_NONNEGATIVE_ATTACK_PARAMS = ("sigma_a",)
+
+
 def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, problems: list):
-    """Known keys only; each value a finite number or one finite number per sensor."""
+    """Known keys only; each value a finite number or one finite number per sensor.
+
+    A standard deviation (``_NONNEGATIVE_ATTACK_PARAMS``) must also be >= 0.
+    """
     _reject_unknown(params, set(ATTACK_PARAMS[kind]), where, problems)
     for key in [k for k in params if k in ATTACK_PARAMS[kind]]:
         value = params[key]
+        values = value if isinstance(value, list) else [value]
         if isinstance(value, list):
             ok = n_sensors in (None, len(value)) and all(map(_finite_number, value))
         else:
@@ -128,6 +136,8 @@ def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, prob
         if not ok:
             problems.append(f"{where}.{key}: must be a finite number or a list of finite "
                             f"numbers, one per sensor; got {value!r}")
+        elif key in _NONNEGATIVE_ATTACK_PARAMS and any(v < 0 for v in values):
+            problems.append(f"{where}.{key}: must be >= 0 (a standard deviation); got {value!r}")
 
 
 def build_plant(spec: dict) -> LtiPlant:

@@ -163,3 +163,30 @@ def test_bad_attack_param_is_config_error_exit(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--quiet"]) == 2
     assert "attacks[0].params.mu_a" in capsys.readouterr().err
+
+
+def test_negative_sigma_a_rejected_at_load(tmp_path, capsys):
+    from randmon.cli import main
+
+    raw = dict(MINIMAL)
+    raw["attacks"] = [
+        {"kind": "bias_concentrate", "sensors": [0], "start": 250, "stop": 400,
+         "params": {"sigma_a": -0.001}},
+        {"kind": "bias_concentrate", "sensors": [1], "start": 250, "stop": 400,
+         "params": {"mu_a": 0.001, "sigma_a": [0.001, -0.0, -1e-9]}},
+        {"kind": "symmetric_flood", "sensors": [2], "start": 250, "stop": 400,
+         "params": {"jitter": "x"}},
+    ]
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(raw)
+    problems = err.value.problems
+    assert len(problems) == 3  # reported with every other problem at once
+    assert any("attacks[0].params.sigma_a: must be >= 0" in p for p in problems)
+    assert any("attacks[1].params.sigma_a: must be >= 0" in p for p in problems)
+    assert any("attacks[2].params.jitter" in p for p in problems)
+
+    raw["attacks"] = raw["attacks"][:1]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "attacks[0].params.sigma_a" in capsys.readouterr().err
