@@ -102,7 +102,7 @@ def cusum_alarm_fraction(deltas, tau: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for column in blocks.T:
             alarm = s > tau
-            alarms += np.count_nonzero(alarm)
+            alarms += int(np.count_nonzero(alarm))
             s += column
             np.maximum(s, 0.0, out=s)
             s[alarm] = 0.0
@@ -171,7 +171,7 @@ def tune_cusum(
         raise InvalidParameter(f"n_samples must be >= {CUSUM_MIN_SAMPLES}")
 
     rng = np.random.Generator(np.random.Philox(seed))
-    deltas_full = rng.standard_normal(n_samples)
+    deltas_full = rng.standard_normal(n_samples)  # |z| * sigma - b in place: no temporaries
     np.abs(deltas_full, out=deltas_full)
     deltas_full *= sigma
     deltas_full -= bias
