@@ -129,7 +129,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO)
     commands = {"run": _cmd_run, "tune": _cmd_tune, "budget": _cmd_budget, "sweep": _cmd_sweep}
     try:
-        return commands[args.command](args, args.quiet)
+        code = commands[args.command](args, args.quiet)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`randmon tune ... | head -1`), which is not
+        # an error. Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

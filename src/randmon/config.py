@@ -109,6 +109,10 @@ def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list) -> 
             problems.append(f"{where}: unknown key {key!r}")
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # bool is not an integer
+
+
 def _finite_number(value) -> bool:
     try:
         return type(value) in (int, float) and math.isfinite(value)  # bool is not a number
@@ -116,14 +120,15 @@ def _finite_number(value) -> bool:
         return False
 
 
-#: attack parameters that are standard deviations of a draw, so never negative
-_NONNEGATIVE_ATTACK_PARAMS = ("sigma_a",)
+#: attack parameters that are a spread or a margin (a draw's standard deviation, the
+#: dither below zero), so never negative
+_NONNEGATIVE_ATTACK_PARAMS = ("sigma_a", "epsilon")
 
 
 def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, problems: list):
     """Known keys only; each value a finite number or one finite number per sensor.
 
-    A standard deviation (``_NONNEGATIVE_ATTACK_PARAMS``) must also be >= 0.
+    A spread or margin (``_NONNEGATIVE_ATTACK_PARAMS``) must also be >= 0.
     """
     _reject_unknown(params, set(ATTACK_PARAMS[kind]), where, problems)
     for key in [k for k in params if k in ATTACK_PARAMS[kind]]:
@@ -137,7 +142,7 @@ def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, prob
             problems.append(f"{where}.{key}: must be a finite number or a list of finite "
                             f"numbers, one per sensor; got {value!r}")
         elif key in _NONNEGATIVE_ATTACK_PARAMS and any(v < 0 for v in values):
-            problems.append(f"{where}.{key}: must be >= 0 (a standard deviation); got {value!r}")
+            problems.append(f"{where}.{key}: must be >= 0; got {value!r}")
 
 
 def build_plant(spec: dict) -> LtiPlant:
@@ -164,6 +169,9 @@ def _validate_plant(spec, problems: list) -> dict:
         return {}
     _reject_unknown(spec, _PLANT_KEYS, "plant", problems)
     out = dict(spec)
+    ts = spec.get("ts", 0.05 if spec.get("preset") is not None else 1.0)
+    if not (_finite_number(ts) and ts > 0):
+        problems.append(f"plant.ts: must be a finite positive number, got {ts!r}")
     if spec.get("preset") is not None:
         if spec["preset"] != "ugv":
             problems.append(f"plant.preset: unknown preset {spec['preset']!r}")
@@ -175,8 +183,6 @@ def _validate_plant(spec, problems: list) -> dict:
                     problems.append(f"plant.params.{key}: must be a positive number")
         else:
             problems.append("plant.params: must be an object")
-        if spec.get("ts", 0.05) <= 0:
-            problems.append("plant.ts: must be positive")
         for diag_key, dim in (("q_diag", 3), ("r_diag", 3)):
             diag = spec.get(diag_key)
             if diag is not None and (not isinstance(diag, list) or len(diag) != dim):
@@ -217,6 +223,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         controller_spec = dict(controller_spec)
         if "K" not in controller_spec:
             controller_spec.setdefault("mode", "lqr")
+        if controller_spec.get("mode", "lqr") != "lqr":
+            problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
     else:
         problems.append("controller: must be an object")
         controller_spec = {"mode": "lqr"}
@@ -229,7 +237,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     window = monitors.get("window", 100)
     rate_window = monitors.get("rate_window", 100)
     for name, value in (("monitors.window", window), ("monitors.rate_window", rate_window)):
-        if not isinstance(value, int) or value < 2:
+        if not _is_int(value) or value < 2:
             problems.append(f"{name}: must be an integer >= 2")
 
     alpha_raw = monitors.get("alpha_des", 0.05)
@@ -266,20 +274,22 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(bias_scale, (int, float)) or bias_scale <= 0:
         problems.append("detectors.bias_scale: must be positive")
     tuning_samples = detectors.get("tuning_samples", 1_000_000)
-    if not isinstance(tuning_samples, int) or tuning_samples < 1_000_000:
+    if not _is_int(tuning_samples) or tuning_samples < 1_000_000:
         problems.append("detectors.tuning_samples: must be an integer >= 1000000")
     tuning_seed = detectors.get("tuning_seed", DEFAULT_TUNING_SEED)
+    if not _is_int(tuning_seed) or tuning_seed < 0:
+        problems.append("detectors.tuning_seed: must be a nonnegative integer")
 
     horizon = raw.get("horizon", 10_000)
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_int(horizon) or horizon < 1:
         problems.append("horizon: must be a positive integer")
-    elif isinstance(window, int) and isinstance(rate_window, int) and horizon < window + rate_window:
+    elif _is_int(window) and _is_int(rate_window) and horizon < window + rate_window:
         problems.append(
             f"horizon: must be >= window + rate_window = {window + rate_window}, got {horizon}"
         )
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         problems.append("seed: must be a nonnegative integer")
 
     n_sensors = 3 if plant_spec.get("preset") == "ugv" else None
@@ -306,7 +316,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             problems.append(f"{where}.kind: unknown kind {kind!r}")
             continue
         sensors = entry.get("sensors", [0])
-        if not isinstance(sensors, list) or not all(isinstance(i, int) for i in sensors):
+        if not isinstance(sensors, list) or not all(map(_is_int, sensors)):
             problems.append(f"{where}.sensors: must be a list of integer indices")
             continue
         if n_sensors is not None:
@@ -314,8 +324,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
                 if not 0 <= i < n_sensors:
                     problems.append(f"{where}.sensors: index {i} outside 0..{n_sensors - 1}")
         start = entry.get("start", 0)
-        stop = entry.get("stop", horizon if isinstance(horizon, int) else 0)
-        if not (isinstance(start, int) and isinstance(stop, int) and 0 <= start < stop):
+        stop = entry.get("stop", horizon if _is_int(horizon) else 0)
+        if not (_is_int(start) and _is_int(stop) and 0 <= start < stop):
             problems.append(f"{where}: requires integer 0 <= start < stop")
             continue
         params = entry.get("params", {})

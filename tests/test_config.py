@@ -176,17 +176,48 @@ def test_negative_sigma_a_rejected_at_load(tmp_path, capsys):
          "params": {"mu_a": 0.001, "sigma_a": [0.001, -0.0, -1e-9]}},
         {"kind": "symmetric_flood", "sensors": [2], "start": 250, "stop": 400,
          "params": {"jitter": "x"}},
+        {"kind": "worst_case_bdd_randaware", "sensors": [0], "start": 400, "stop": 600,
+         "params": {"epsilon": -1}},
     ]
     with pytest.raises(ValidationError) as err:
         load_config_dict(raw)
     problems = err.value.problems
-    assert len(problems) == 3  # reported with every other problem at once
+    assert len(problems) == 4  # reported with every other problem at once
     assert any("attacks[0].params.sigma_a: must be >= 0" in p for p in problems)
     assert any("attacks[1].params.sigma_a: must be >= 0" in p for p in problems)
     assert any("attacks[2].params.jitter" in p for p in problems)
+    assert any("attacks[3].params.epsilon: must be >= 0" in p for p in problems)
 
     raw["attacks"] = raw["attacks"][:1]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
     assert "attacks[0].params.sigma_a" in capsys.readouterr().err
+
+
+def _attack(**entry):
+    return {**MINIMAL, "attacks": [{"kind": "bias_concentrate", "sensors": [0], "start": 250,
+                                    "stop": 400, **entry}]}
+
+
+MISTYPED = {
+    "tuning_seed-str": ({**MINIMAL, "detectors": {"tuning_seed": "abc"}}, "detectors.tuning_seed"),
+    "tuning_seed-negative": ({**MINIMAL, "detectors": {"tuning_seed": -1}}, "detectors.tuning_seed"),
+    "seed-bool": ({**MINIMAL, "seed": True}, "seed"),
+    "start-bool": (_attack(start=True), "attacks[0]: requires integer"),
+    "stop-bool": (_attack(start=0, stop=True), "attacks[0]: requires integer"),
+    "sensors-bool": (_attack(sensors=[True]), "attacks[0].sensors"),
+    "mode-pid": ({**MINIMAL, "controller": {"mode": "pid"}}, "controller.mode"),
+    "preset-ts-str": ({**MINIMAL, "plant": {"preset": "ugv", "ts": "x"}}, "plant.ts"),
+    "preset-ts-nan": ({**MINIMAL, "plant": {"preset": "ugv", "ts": float("nan")}}, "plant.ts"),
+    "explicit-ts-negative": ({"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[0.1]],
+                                        "R": [[0.1]], "ts": -1.0},
+                              "horizon": 1000, "seed": 0}, "plant.ts"),
+}
+
+
+@pytest.mark.parametrize("raw, where", MISTYPED.values(), ids=MISTYPED.keys())
+def test_mistyped_scalar_rejected_at_load(raw, where):
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(raw)
+    assert [p for p in err.value.problems if p.startswith(where)] == err.value.problems

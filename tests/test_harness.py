@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from randmon.attacks import saturation_budget
 from randmon.config import load_config_dict
 from randmon.errors import InvalidParameter
 from randmon.harness import (
+    EMIT_CHUNK_ROWS,
     budget_curve,
     csv_columns,
     emit_outputs,
@@ -111,6 +113,29 @@ def test_jsonl_structure(tmp_path, base_artifacts):
     steps = [l for l in lines if l["record"] == "step"]
     assert len(steps) == base_artifacts.horizon
     assert steps[0]["wsr_p0"] is None  # warm-up NaN encodes as null
+
+
+def test_jsonl_values_round_trip_across_chunks(tmp_path):
+    # several full chunks and a partial last one
+    art = run_scenario(load_config_dict({**BASE, "detectors": {"kind": "both"},
+                                         "horizon": 6 * EMIT_CHUNK_ROWS + 5}))
+    emit_outputs(art, "jsonl", str(tmp_path / "run.jsonl"))
+    records = map(json.loads, (tmp_path / "run.jsonl").read_text(encoding="utf-8").splitlines())
+    steps = [r for r in records if r["record"] == "step"]
+    assert len(steps) == art.horizon
+    cols = csv_columns(art)
+    assert all(list(step)[1:] == cols for step in steps)
+    read = np.array([[np.nan if step[c] is None else step[c] for c in cols] for step in steps])
+    expected = {"k": art.k}
+    for prefix, array in [("x", art.x), ("xhat", art.xhat), ("r", art.r), ("xi", art.xi),
+                          ("cusum_S", art.cusum_s),
+                          *[(f"{t}_p", a) for t, a in art.p.items()],
+                          *[(f"{t}_alarm", a) for t, a in art.alarm.items()],
+                          *[(f"{t}_rate", a) for t, a in art.rate.items()]]:
+        expected.update({f"{prefix}{i}": array[:, i] for i in range(array.shape[1])})
+    assert sorted(expected) == sorted(cols)
+    for j, col in enumerate(cols):
+        np.testing.assert_array_equal(read[:, j], expected[col], err_msg=col)
 
 
 def test_budget_curve_table(tmp_path):
@@ -278,6 +303,27 @@ def test_cli_tune(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert "bdd_tau" in payload
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_exits_zero(tmp_path, unbuffered):
+    # The reader is gone before the first line arrives, as it is for every line
+    # after the first in `randmon tune ... | head -1`. Buffered, the write fails
+    # in the final flush; unbuffered, inside print.
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(dict(BASE)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "randmon.cli", "tune", "--config", str(cfg_path), "--quiet"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 # A flood of 1e308-sized residuals overflows to inf within the first window;
