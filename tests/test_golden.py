@@ -2,9 +2,11 @@
 
 Each run is written as CSV and as JSONL and both files are hashed. Any change
 to the simulated trajectory, the monitor p-values, the alarm flags, the
-sliding rates or the summary changes a digest. The last run uses a window
-below the signed-rank test's small-sample size, so every window takes the
-per-window path with its warnings.
+sliding rates or the summary changes a digest. One run uses a window below
+the signed-rank test's small-sample size, so every window takes the
+per-window path with its warnings. Another runs an explicit two-state plant
+under an explicit feedback gain ``controller.K`` instead of the UGV preset and
+its LQR design.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the digests of
 the current code (only re-pin for an intended output change).
@@ -39,11 +41,22 @@ def _raw(kind: str, window: int = 60, rate_window: int = 60) -> dict:
 
 CASES = {kind: _raw(kind) for kind in ATTACK_KINDS}
 CASES["small_window_worst_case_bdd"] = _raw("worst_case_bdd", window=12, rate_window=20)
+CASES["explicit_plant_K_worst_case_cusum"] = {
+    **_raw("worst_case_cusum"),
+    "plant": {"A": [[0.9, 0.05], [0.0, 0.8]], "B": [[0.5], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+              "Q": [[2e-4, 0.0], [0.0, 2e-4]], "R": [[4e-4, 0.0], [0.0, 1e-4]], "ts": 0.1},
+    "controller": {"K": [[-0.3, -0.2]]},
+    "attacks": [{"kind": "worst_case_cusum", "sensors": [1], "start": 120, "stop": HORIZON}],
+}
 
 GOLDEN = {
     "bias_concentrate": (
         "95c1dea57a8210fc267e6c030ade492a6479bf81b294b2884971cb4b51f8c71a",
         "12d212fc392f3ae100e5624b0d04b983f16fbe555388b87b2cdca2c409a17d44",
+    ),
+    "explicit_plant_K_worst_case_cusum": (
+        "eb03bd1ca26a609d3787f067fd33ee402c27e2cd233bdc10b33cab1678abb26b",
+        "fa29e519e5bbbaee27a25bfb953a894c662de95f33d00d4003b25df6358885b3",
     ),
     "none": (
         "f8ff3567a535b11c8c430bc61e33e7e40c45855ef2a3dbb620f95c1ff5903135",
