@@ -9,7 +9,6 @@ asymptotic state deviation in closed form.
 
 from .attacks import (
     ATTACK_KINDS,
-    AttackerView,
     AttackPlan,
     SaturationBudget,
     attack_worst_case_bdd,

@@ -97,17 +97,9 @@ def schedule_saturation(budget: SaturationBudget, rng: np.random.Generator) -> n
     return out
 
 
-@dataclass
-class AttackerView:
-    """Per-step omniscient snapshot handed to attack synthesis functions."""
-
-    k: int
-    e: np.ndarray
-    eta: np.ndarray
-
-
 def attack_worst_case_bdd(
-    view: AttackerView,
+    e: np.ndarray,
+    eta: np.ndarray,
     c_row: np.ndarray,
     tau_b: float,
     sensor: int,
@@ -116,11 +108,12 @@ def attack_worst_case_bdd(
 ) -> float:
     """Attack value for one sensor against the bad-data detector.
 
+    ``e`` and ``eta`` are this step's estimation error and measurement noise.
     With ``saturating=None`` (detector-only mode) the residual is pinned just
     below tau_b every step. In randomness-aware mode, saturating steps pin the
     residual at tau_b - delta and non-saturating steps at -delta.
     """
-    base = -float(c_row @ view.e) - float(view.eta[sensor])
+    base = -float(c_row @ e) - float(eta[sensor])
     pinned = tau_b * (1.0 - THRESHOLD_MARGIN)
     if saturating is None or saturating:
         return base + pinned - delta
@@ -128,7 +121,8 @@ def attack_worst_case_bdd(
 
 
 def attack_worst_case_cusum(
-    view: AttackerView,
+    e: np.ndarray,
+    eta: np.ndarray,
     c_row: np.ndarray,
     sensor: int,
     bias: float,
@@ -139,12 +133,13 @@ def attack_worst_case_cusum(
 ) -> float:
     """Attack value for one sensor against the CUSUM detector.
 
-    Detector-only mode drives the statistic to the threshold on the first
-    step and holds it there (the same expression covers both phases given the
-    live statistic). Randomness-aware non-saturating steps leave a residual of
-    bias - delta, which keeps the statistic from accumulating.
+    ``e`` and ``eta`` are as for :func:`attack_worst_case_bdd`. Detector-only
+    mode drives the statistic to the threshold on the first step and holds it
+    there (the same expression covers both phases given the live statistic).
+    Randomness-aware non-saturating steps leave a residual of bias - delta,
+    which keeps the statistic from accumulating.
     """
-    base = -float(c_row @ view.e) - float(view.eta[sensor])
+    base = -float(c_row @ e) - float(eta[sensor])
     held = tau_c * (1.0 - THRESHOLD_MARGIN)
     if saturating is None or saturating:
         return base + bias - s_prev + held - delta
@@ -176,7 +171,11 @@ class AttackPlan:
 
 
 class AttackPolicy:
-    """Base class: zero signal outside [start, stop) or for untargeted sensors."""
+    """Base class: zero signal outside [start, stop) or for untargeted sensors.
+
+    Subclasses implement ``_signal(k, e, eta, sensor)``, the attack value of one
+    targeted sensor at an active step.
+    """
 
     def __init__(self, plan: AttackPlan, n_sensors: int):
         for i in plan.sensors:
@@ -192,17 +191,16 @@ class AttackPolicy:
         xi = np.zeros(self.n_sensors)
         if not self.active(k):
             return xi
-        view = AttackerView(k=k, e=e, eta=eta)
         for i in self.plan.sensors:
-            xi[i] = self._signal(view, i)
+            xi[i] = self._signal(k, e, eta, i)
         return xi
 
-    def _signal(self, view: AttackerView, sensor: int) -> float:
+    def _signal(self, k: int, e: np.ndarray, eta: np.ndarray, sensor: int) -> float:
         raise NotImplementedError
 
 
 class NoAttack(AttackPolicy):
-    def _signal(self, view, sensor):
+    def _signal(self, k, e, eta, sensor):
         return 0.0
 
 
@@ -232,9 +230,9 @@ class BiasConcentrateAttack(AttackPolicy):
                 )
         self.rng = rng
 
-    def _signal(self, view, sensor):
+    def _signal(self, k, e, eta, sensor):
         target = self.rng.normal(self.mu[sensor], self.sd[sensor])
-        return target - float(self.c_rows[sensor] @ view.e) - float(view.eta[sensor])
+        return target - float(self.c_rows[sensor] @ e) - float(eta[sensor])
 
 
 class PatternRunsAttack(AttackPolicy):
@@ -260,10 +258,10 @@ class PatternRunsAttack(AttackPolicy):
                 )
         self._levels = np.array([-1.5, -0.5, 0.5, 1.5])
 
-    def _signal(self, view, sensor):
-        phase = (view.k - self.plan.start) % 4
+    def _signal(self, k, e, eta, sensor):
+        phase = (k - self.plan.start) % 4
         target = self._levels[phase] * self.amp[sensor]
-        return target - float(self.c_rows[sensor] @ view.e) - float(view.eta[sensor])
+        return target - float(self.c_rows[sensor] @ e) - float(eta[sensor])
 
 
 class SymmetricFloodAttack(AttackPolicy):
@@ -282,10 +280,10 @@ class SymmetricFloodAttack(AttackPolicy):
         self.jitter = np.asarray(p.get("jitter", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
         self.rng = rng
 
-    def _signal(self, view, sensor):
+    def _signal(self, k, e, eta, sensor):
         sign = 1.0 if self.rng.random() < 0.5 else -1.0
         mag = self.amp[sensor] + self.jitter[sensor] * self.rng.random()
-        return sign * mag - float(self.c_rows[sensor] @ view.e) - float(view.eta[sensor])
+        return sign * mag - float(self.c_rows[sensor] @ e) - float(eta[sensor])
 
 
 class _ScheduledMixin:
@@ -330,13 +328,13 @@ class BddWorstCaseAttack(AttackPolicy, _ScheduledMixin):
         eps = plan.params.get("epsilon", 1e-6 * sigma)
         self._init_schedule(aware, ell, alpha_des, sigma, eps, rng)
 
-    def _signal(self, view, sensor):
+    def _signal(self, k, e, eta, sensor):
         return attack_worst_case_bdd(
-            view,
+            e, eta,
             self.c_rows[sensor],
             float(self.tau_b[sensor]),
             sensor,
-            saturating=self._slot(view.k),
+            saturating=self._slot(k),
             delta=self._delta(sensor),
         )
 
@@ -358,16 +356,16 @@ class CusumWorstCaseAttack(AttackPolicy, _ScheduledMixin):
         eps = plan.params.get("epsilon", 1e-6 * sigma)
         self._init_schedule(aware, ell, alpha_des, sigma, eps, rng)
 
-    def _signal(self, view, sensor):
+    def _signal(self, k, e, eta, sensor):
         det = self.detector
         return attack_worst_case_cusum(
-            view,
+            e, eta,
             self.c_rows[sensor],
             sensor,
             float(det.bias[sensor]),
             float(det.tau[sensor]),
             float(det.S[sensor]),
-            saturating=self._slot(view.k),
+            saturating=self._slot(k),
             delta=self._delta(sensor),
         )
 

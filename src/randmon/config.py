@@ -30,7 +30,7 @@ UGV_DEFAULT_R = [4e-4, 1e-4, 2.5e-4]
 
 _PLANT_KEYS = {"preset", "params", "ts", "q_diag", "r_diag", "A", "B", "C", "Q", "R"}
 _UGV_PARAM_KEYS = {"mass", "inertia", "width", "roll_resistance", "turn_resistance"}
-_CONTROLLER_KEYS = {"mode", "state_weights", "input_weights", "K", "kr"}
+_CONTROLLER_KEYS = {"mode", "state_weights", "input_weights", "K"}
 _MONITOR_KEYS = {"window", "rate_window", "alpha_des", "alpha_tau"}
 _DETECTOR_KEYS = {"kind", "bias_scale", "tuning_samples", "tuning_seed"}
 _ATTACK_KEYS = {"kind", "sensors", "start", "stop", "params"}
@@ -120,6 +120,17 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _finite_list(value) -> bool:
+    return isinstance(value, list) and all(map(_finite_number, value))
+
+
+def _finite_array(value) -> bool:
+    """A finite number, a list of them, or a rectangular list of such lists."""
+    if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        return len(set(map(len, value))) == 1 and all(map(_finite_list, value))
+    return _finite_list(value if isinstance(value, list) else [value])
+
+
 #: attack parameters that are a spread or a margin (a draw's standard deviation, the
 #: dither below zero), so never negative
 _NONNEGATIVE_ATTACK_PARAMS = ("sigma_a", "epsilon")
@@ -135,7 +146,7 @@ def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, prob
         value = params[key]
         values = value if isinstance(value, list) else [value]
         if isinstance(value, list):
-            ok = n_sensors in (None, len(value)) and all(map(_finite_number, value))
+            ok = n_sensors in (None, len(value)) and _finite_list(value)
         else:
             ok = _finite_number(value)
         if not ok:
@@ -179,14 +190,14 @@ def _validate_plant(spec, problems: list) -> dict:
         if isinstance(params, dict):
             _reject_unknown(params, _UGV_PARAM_KEYS, "plant.params", problems)
             for key, value in params.items():
-                if not isinstance(value, (int, float)) or value <= 0:
-                    problems.append(f"plant.params.{key}: must be a positive number")
+                if not (_finite_number(value) and value > 0):
+                    problems.append(f"plant.params.{key}: must be a finite positive number")
         else:
             problems.append("plant.params: must be an object")
         for diag_key, dim in (("q_diag", 3), ("r_diag", 3)):
             diag = spec.get(diag_key)
-            if diag is not None and (not isinstance(diag, list) or len(diag) != dim):
-                problems.append(f"plant.{diag_key}: must be a list of {dim} variances")
+            if diag is not None and (not _finite_list(diag) or len(diag) != dim):
+                problems.append(f"plant.{diag_key}: must be a list of {dim} finite variances")
         out.setdefault("ts", 0.05)
         out.setdefault("q_diag", list(UGV_DEFAULT_Q))
         out.setdefault("r_diag", list(UGV_DEFAULT_R))
@@ -194,6 +205,8 @@ def _validate_plant(spec, problems: list) -> dict:
         for key in ("A", "B", "C", "Q", "R"):
             if key not in spec:
                 problems.append(f"plant.{key}: required for explicit plants")
+            elif not _finite_array(spec[key]):
+                problems.append(f"plant.{key}: must be a matrix of finite numbers")
         out.setdefault("ts", 1.0)
     return out
 
@@ -225,6 +238,11 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             controller_spec.setdefault("mode", "lqr")
         if controller_spec.get("mode", "lqr") != "lqr":
             problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
+        if "K" in controller_spec and not _finite_array(controller_spec["K"]):
+            problems.append("controller.K: must be a matrix of finite numbers")
+        for key in ("state_weights", "input_weights"):
+            if key in controller_spec and not _finite_list(controller_spec[key]):
+                problems.append(f"controller.{key}: must be a list of finite numbers")
     else:
         problems.append("controller: must be an object")
         controller_spec = {"mode": "lqr"}

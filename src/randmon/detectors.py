@@ -254,24 +254,6 @@ class CusumDetector:
         else:
             self.S = np.atleast_1d(np.asarray(self.S, dtype=float)).copy()
 
-    @classmethod
-    def tuned(
-        cls,
-        sigma,
-        alpha_des: float,
-        bias_scale: float = 1.5,
-        n_samples: int = CUSUM_MIN_SAMPLES,
-        seed: int = 0,
-    ) -> "CusumDetector":
-        """Tune one threshold per sensor with bias = bias_scale * sigma."""
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        bias = bias_scale * sigma
-        tau = np.array([
-            tune_cusum(float(s), float(b), alpha_des, n_samples=n_samples, seed=seed).tau
-            for s, b in zip(sigma, bias)
-        ])
-        return cls(tau=tau, bias=bias, alpha_des=alpha_des)
-
     def step(self, r) -> np.ndarray:
         """Consume one residual vector; returns alarm flags and updates S."""
         r = np.atleast_1d(np.asarray(r, dtype=float))

@@ -93,14 +93,8 @@ class RunArtifacts:
 
 def _build_controller(cfg: ScenarioConfig, plant) -> ControllerGains:
     spec = cfg.controller_spec
-    if "K" in spec:
-        return make_controller(plant, K=np.asarray(spec["K"], dtype=float),
-                               kr=np.asarray(spec["kr"], dtype=float) if "kr" in spec else None)
-    return make_controller(
-        plant,
-        state_weights=spec.get("state_weights"),
-        input_weights=spec.get("input_weights"),
-    )
+    return make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
+                           input_weights=spec.get("input_weights"))
 
 
 def _enabled_tests(cfg: ScenarioConfig) -> tuple:

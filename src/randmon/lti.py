@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
 )
 
 Array = np.ndarray
-AttackSignal = Union[None, Array, Callable[[int, Array, Array], Array]]
+AttackSignal = Optional[Callable[[int, Array, Array], Array]]
 
 _COND_LIMIT = 1e12
 
@@ -198,55 +198,20 @@ def lqr_gain(A, B, Qx, Ru, tol=1e-12, max_iter=100_000) -> Array:
     return -F
 
 
-def zero_reference(m: int) -> Callable[[int], Array]:
-    ref = np.zeros(m)
-
-    def provider(k: int) -> Array:
-        return ref
-
-    return provider
-
-
-def waypoint_reference(schedule) -> Callable[[int], Array]:
-    """Piecewise-constant reference from (start_step, vector) pairs.
-
-    Before the first start step the first vector applies.
-    """
-    points = sorted((int(k), np.asarray(v, dtype=float).ravel()) for k, v in schedule)
-    if not points:
-        raise InvalidParameter("waypoint schedule must not be empty")
-    starts = [k for k, _ in points]
-    vectors = [v for _, v in points]
-
-    def provider(k: int) -> Array:
-        idx = 0
-        for j, start in enumerate(starts):
-            if k >= start:
-                idx = j
-        return vectors[idx]
-
-    return provider
-
-
 @dataclass
 class ControllerGains:
-    """Reference-tracking feedback u = K xhat + kr xref(k).
+    """State feedback u = K xhat on the predicted estimate.
 
-    ``xref`` maps the step index to an m-vector (one entry per input channel).
     Use :func:`make_controller` to construct gains with the closed-loop
     stability check applied.
     """
 
     K: Array
-    kr: Array
-    xref: Callable[[int], Array]
 
 
 def make_controller(
     plant: LtiPlant,
     K=None,
-    kr=None,
-    xref=None,
     state_weights=None,
     input_weights=None,
 ) -> ControllerGains:
@@ -265,14 +230,7 @@ def make_controller(
     rho = spectral_radius(plant.A + plant.B @ K)
     if rho >= 1.0:
         raise InvalidParameter(f"closed loop unstable: rho(A + BK) = {rho:.6f} >= 1")
-    if kr is None:
-        kr = np.eye(plant.m)
-    kr = _matrix(kr, "kr")
-    if kr.shape != (plant.m, plant.m):
-        raise DimensionMismatch(f"kr must be {plant.m}x{plant.m}, got {kr.shape}")
-    if xref is None:
-        xref = zero_reference(plant.m)
-    return ControllerGains(K=K, kr=kr, xref=xref)
+    return ControllerGains(K=K)
 
 
 def _sqrt_psd(M: Array) -> Array:
@@ -331,18 +289,13 @@ class SimState:
     xhat: Array
     e: Array
     r: Array
-    y: Array
-    u: Array
     xi: Array
 
 
 def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array, s: int) -> Array:
     if attack is None:
         return np.zeros(s)
-    if callable(attack):
-        xi = np.asarray(attack(k, e, eta), dtype=float)
-    else:
-        xi = np.asarray(attack, dtype=float)
+    xi = np.asarray(attack(k, e, eta), dtype=float)
     if xi.shape != (s,):
         raise DimensionMismatch(f"attack signal must have shape ({s},), got {xi.shape}")
     return xi
@@ -351,22 +304,18 @@ def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array, s: int) 
 def initial_state(
     plant: LtiPlant,
     kss: KalmanSteadyState,
-    x0=None,
-    xhat0=None,
     noise: Optional[NoiseSource] = None,
     attack: AttackSignal = None,
 ) -> SimState:
-    """State at k = 0, including the initial measurement and residual."""
-    x = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    xhat = x.copy() if xhat0 is None else np.asarray(xhat0, dtype=float).copy()
-    if x.shape != (plant.n,) or xhat.shape != (plant.n,):
-        raise DimensionMismatch("x0 and xhat0 must be length-n vectors")
+    """State at k = 0 (x = xhat = 0), including the initial measurement and residual."""
+    x = np.zeros(plant.n)
+    xhat = x.copy()
     eta = noise.draw_eta() if noise is not None else np.zeros(plant.s)
     e = x - xhat
     xi = _resolve_attack(attack, 0, e, eta, plant.s)
     y = plant.C @ x + eta + xi
     r = y - plant.C @ xhat
-    return SimState(k=0, x=x, xhat=xhat, e=e, r=r, y=y, u=np.zeros(plant.m), xi=xi)
+    return SimState(k=0, x=x, xhat=xhat, e=e, r=r, xi=xi)
 
 
 def step(
@@ -379,14 +328,14 @@ def step(
 ) -> SimState:
     """Advance the closed loop by one step and return the successor state.
 
-    ``attack`` is either None, an s-vector added to the new measurement, or a
-    callable ``(k, e, eta) -> s-vector`` evaluated with the new step index,
-    the new estimation error and the new measurement noise draw (the
-    omniscient-attacker interface).
+    ``attack`` is either None or a callable ``(k, e, eta) -> s-vector``
+    evaluated with the new step index, the new estimation error and the new
+    measurement noise draw (the omniscient-attacker interface); its value is
+    added to the new measurement.
     """
     if state.x.shape != (plant.n,) or state.r.shape != (plant.s,):
         raise DimensionMismatch("state dimensions do not match the plant")
-    u = gains.K @ state.xhat + gains.kr @ gains.xref(state.k)
+    u = gains.K @ state.xhat
     if noise is not None:
         nu, eta = noise.draw()
     else:
@@ -399,8 +348,7 @@ def step(
     xi = _resolve_attack(attack, k_next, e_next, eta, plant.s)
     y_next = plant.C @ x_next + eta + xi
     r_next = y_next - plant.C @ xhat_next
-    return SimState(k=k_next, x=x_next, xhat=xhat_next, e=e_next, r=r_next, y=y_next, u=u,
-                    xi=xi)
+    return SimState(k=k_next, x=x_next, xhat=xhat_next, e=e_next, r=r_next, xi=xi)
 
 
 def simulate(
@@ -410,15 +358,12 @@ def simulate(
     noise: Optional[NoiseSource],
     horizon: int,
     attack: AttackSignal = None,
-    x0=None,
-    xhat0=None,
     on_step: Optional[Callable[[SimState], None]] = None,
 ):
-    """Run ``horizon`` steps and return stacked trajectories.
+    """Run ``horizon`` steps from the zero start and return stacked trajectories.
 
     Returns a dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the
-    applied attack ``xi`` (horizon, s), and the final state. Row k holds the
-    state at step k.
+    applied attack ``xi`` (horizon, s). Row k holds the state at step k.
 
     ``on_step(state)``, when given, is called with each state right after it
     is recorded and before the next step. A detector stepped there has
@@ -427,7 +372,7 @@ def simulate(
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
-    state = initial_state(plant, kss, x0=x0, xhat0=xhat0, noise=noise, attack=attack)
+    state = initial_state(plant, kss, noise=noise, attack=attack)
     xs = np.empty((horizon, plant.n))
     xhats = np.empty((horizon, plant.n))
     rs = np.empty((horizon, plant.s))
@@ -441,7 +386,7 @@ def simulate(
             on_step(state)
         if k + 1 < horizon:
             state = step(plant, kss, gains, state, attack=attack, noise=noise)
-    return {"x": xs, "xhat": xhats, "r": rs, "xi": xis, "final_state": state}
+    return {"x": xs, "xhat": xhats, "r": rs, "xi": xis}
 
 
 # --- zero-order-hold discretization -------------------------------------------------

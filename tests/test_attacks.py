@@ -5,7 +5,6 @@ import pytest
 
 from randmon.attacks import (
     AttackPlan,
-    AttackerView,
     attack_worst_case_bdd,
     attack_worst_case_cusum,
     build_attack_policy,
@@ -98,18 +97,18 @@ def test_schedule_deterministic_under_seed():
 
 def test_bdd_signal_pins_residual():
     c_row = np.array([1.0, 0.5])
-    view = AttackerView(k=3, e=np.array([0.2, -0.1]), eta=np.array([0.03]))
-    xi = attack_worst_case_bdd(view, c_row, 2.0, 0, saturating=None)
-    r = c_row @ view.e + view.eta[0] + xi
+    e, eta = np.array([0.2, -0.1]), np.array([0.03])
+    xi = attack_worst_case_bdd(e, eta, c_row, 2.0, 0, saturating=None)
+    r = c_row @ e + eta[0] + xi
     assert abs(r - 2.0) < 1e-9
     assert r < 2.0  # margin keeps the strict threshold un-crossed
 
 
 def test_bdd_signal_modes():
     c_row = np.array([1.0])
-    view = AttackerView(k=0, e=np.array([0.0]), eta=np.array([0.0]))
-    sat = attack_worst_case_bdd(view, c_row, 2.0, 0, saturating=True, delta=0.001)
-    non = attack_worst_case_bdd(view, c_row, 2.0, 0, saturating=False, delta=0.001)
+    e, eta = np.array([0.0]), np.array([0.0])
+    sat = attack_worst_case_bdd(e, eta, c_row, 2.0, 0, saturating=True, delta=0.001)
+    non = attack_worst_case_bdd(e, eta, c_row, 2.0, 0, saturating=False, delta=0.001)
     assert sat > 0 and abs(sat - (2.0 - 0.001)) < 1e-9
     assert non == -0.001
 
@@ -117,11 +116,11 @@ def test_bdd_signal_modes():
 def test_cusum_signal_holds_statistic():
     c_row = np.array([1.0])
     bias, tau_c = 1.5, 0.8
+    e, eta = np.array([0.05]), np.array([-0.02])
     s = 0.0
-    for k in range(50):
-        view = AttackerView(k=k, e=np.array([0.05]), eta=np.array([-0.02]))
-        xi = attack_worst_case_cusum(view, c_row, 0, bias, tau_c, s, saturating=None)
-        r = c_row @ view.e + view.eta[0] + xi
+    for _ in range(50):
+        xi = attack_worst_case_cusum(e, eta, c_row, 0, bias, tau_c, s, saturating=None)
+        r = c_row @ e + eta[0] + xi
         alarm = s > tau_c
         s = 0.0 if alarm else max(0.0, s + abs(r) - bias)
         assert not alarm
@@ -136,9 +135,8 @@ def test_cusum_policy_reads_live_detector_statistic():
     for S in ([0.0, 0.0], [0.3, 0.7], [0.8, 0.1]):
         cusum.S = np.array(S)
         xi = policy(4, e, eta)
-        view = AttackerView(k=4, e=e, eta=eta)
         for i in range(2):
-            assert xi[i] == attack_worst_case_cusum(view, np.eye(2)[i], i, cusum.bias[i],
+            assert xi[i] == attack_worst_case_cusum(e, eta, np.eye(2)[i], i, cusum.bias[i],
                                                     cusum.tau[i], S[i])
 
 

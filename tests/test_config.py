@@ -200,6 +200,20 @@ def _attack(**entry):
                                     "stop": 400, **entry}]}
 
 
+def _explicit(**plant):
+    return {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[0.1]], "R": [[0.1]],
+                      **plant},
+            "horizon": 1000, "seed": 0}
+
+
+def _ugv(**plant):
+    return {**MINIMAL, "plant": {"preset": "ugv", **plant}}
+
+
+def _controller(**controller):
+    return {**MINIMAL, "controller": controller}
+
+
 MISTYPED = {
     "tuning_seed-str": ({**MINIMAL, "detectors": {"tuning_seed": "abc"}}, "detectors.tuning_seed"),
     "tuning_seed-negative": ({**MINIMAL, "detectors": {"tuning_seed": -1}}, "detectors.tuning_seed"),
@@ -207,12 +221,26 @@ MISTYPED = {
     "start-bool": (_attack(start=True), "attacks[0]: requires integer"),
     "stop-bool": (_attack(start=0, stop=True), "attacks[0]: requires integer"),
     "sensors-bool": (_attack(sensors=[True]), "attacks[0].sensors"),
-    "mode-pid": ({**MINIMAL, "controller": {"mode": "pid"}}, "controller.mode"),
-    "preset-ts-str": ({**MINIMAL, "plant": {"preset": "ugv", "ts": "x"}}, "plant.ts"),
-    "preset-ts-nan": ({**MINIMAL, "plant": {"preset": "ugv", "ts": float("nan")}}, "plant.ts"),
-    "explicit-ts-negative": ({"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[0.1]],
-                                        "R": [[0.1]], "ts": -1.0},
-                              "horizon": 1000, "seed": 0}, "plant.ts"),
+    "mode-pid": (_controller(mode="pid"), "controller.mode"),
+    "preset-ts-str": (_ugv(ts="x"), "plant.ts"),
+    "preset-ts-nan": (_ugv(ts=float("nan")), "plant.ts"),
+    "explicit-ts-negative": (_explicit(ts=-1.0), "plant.ts"),
+    "mass-bool": (_ugv(params={"mass": True}), "plant.params.mass"),
+    "mass-nan": (_ugv(params={"mass": float("nan")}), "plant.params.mass"),
+    "q_diag-str": (_ugv(q_diag=["a", "b", "c"]), "plant.q_diag"),
+    "r_diag-nan": (_ugv(r_diag=[4e-4, float("nan"), 2.5e-4]), "plant.r_diag"),
+    "A-str-entry": (_explicit(A=[["x"]]), "plant.A"),
+    "B-bool": (_explicit(B=[[True]]), "plant.B"),
+    "C-str": (_explicit(C="zz"), "plant.C"),
+    "C-ragged": (_explicit(C=[[1.0], [1.0, 2.0]]), "plant.C"),
+    "Q-nan": (_explicit(Q=[[float("nan")]]), "plant.Q"),
+    "R-inf": (_explicit(R=float("inf")), "plant.R"),
+    "K-str": (_controller(K="nope"), "controller.K"),
+    "K-null-entry": (_controller(K=[[None, 0.0, 0.0], [0.0, 0.0, 0.0]]), "controller.K"),
+    "state_weights-str": (_controller(state_weights=["a", 1.0, 1.0]), "controller.state_weights"),
+    "input_weights-number": (_controller(input_weights=5), "controller.input_weights"),
+    "kr": (_controller(K=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], kr=[[1e9, 3], [2, 5]]),
+           "controller: unknown key 'kr'"),
 }
 
 
@@ -221,3 +249,23 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
     with pytest.raises(ValidationError) as err:
         load_config_dict(raw)
     assert [p for p in err.value.problems if p.startswith(where)] == err.value.problems
+
+
+@pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str"])
+def test_mistyped_field_exits_2(case, tmp_path, capsys):
+    from randmon.cli import main
+
+    raw, where = MISTYPED[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_non_numeric_matrices_reported_together():
+    raw = _explicit(A="a", C=[[1.0], [2.0, 3.0]], Q=[[None]])
+    raw["controller"] = {"K": "nope", "input_weights": [True]}
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(raw)
+    assert sorted(p.split(":")[0] for p in err.value.problems) == [
+        "controller.K", "controller.input_weights", "plant.A", "plant.C", "plant.Q"]

@@ -9,7 +9,7 @@ from randmon.deviation import (
     validate_against_simulation,
 )
 from randmon.errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
-from randmon.lti import ControllerGains, KalmanSteadyState, LtiPlant, zero_reference
+from randmon.lti import ControllerGains, KalmanSteadyState, LtiPlant
 
 
 def scalar_setup(a=0.5, k=-0.3, l=0.4):
@@ -20,7 +20,7 @@ def scalar_setup(a=0.5, k=-0.3, l=0.4):
         Sigma=np.array([[0.02]]),
         sigma=np.array([np.sqrt(0.02)]),
     )
-    gains = ControllerGains(K=np.array([[k]]), kr=np.eye(1), xref=zero_reference(1))
+    gains = ControllerGains(K=np.array([[k]]))
     return plant, kss, gains
 
 
@@ -118,7 +118,7 @@ def test_deviation_limit_warns_when_ill_conditioned():
                      Q=np.eye(2) * 0.01, R=[[0.01]], ts=1.0)
     kss = KalmanSteadyState(P=np.eye(2) * 0.01, L=np.array([[0.1], [0.1]]),
                             Sigma=np.array([[0.03]]), sigma=np.array([np.sqrt(0.03)]))
-    gains = ControllerGains(K=np.array([[-0.4, -0.4]]), kr=np.eye(1), xref=zero_reference(1))
+    gains = ControllerGains(K=np.array([[-0.4, -0.4]]))
     with pytest.warns(IllConditionedWarning):
         pred = deviation_limit(plant, kss, gains, [1.0])
     assert pred.stable

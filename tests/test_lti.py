@@ -21,7 +21,6 @@ from randmon.lti import (
     spectral_radius,
     step,
     ugv_continuous,
-    waypoint_reference,
     zoh_discretize,
 )
 
@@ -169,14 +168,6 @@ def test_make_controller_rejects_unstable_gain(ugv_plant):
         make_controller(ugv_plant, K=np.zeros((2, 3)))  # leaves the heading integrator
 
 
-def test_waypoint_reference():
-    ref = waypoint_reference([(0, [0.0]), (10, [1.0]), (20, [2.0])])
-    assert ref(0)[0] == 0.0
-    assert ref(9)[0] == 0.0
-    assert ref(10)[0] == 1.0
-    assert ref(25)[0] == 2.0
-
-
 # --- stepping -------------------------------------------------------------------------
 
 
@@ -191,7 +182,8 @@ def test_noiseless_consistent_start(ugv_plant, ugv_kss, ugv_gains):
 def test_constant_attack_first_residual(ugv_plant, ugv_kss, ugv_gains):
     c = 0.37
     state = initial_state(ugv_plant, ugv_kss)
-    state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=np.array([c, 0.0, 0.0]))
+    state = step(ugv_plant, ugv_kss, ugv_gains, state,
+                 attack=lambda k, e, eta: np.array([c, 0.0, 0.0]))
     assert state.r[0] == c
     assert state.r[1] == 0.0
 
@@ -217,13 +209,17 @@ def test_error_recursion_identity(ugv_plant, ugv_kss, ugv_gains):
     # e+ must equal (A - LC) e - L (xi + eta) + nu at machine precision
     noise = RecordingNoise(ugv_plant.Q, ugv_plant.R, 99)
     xi = np.array([0.01, -0.02, 0.005])
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=xi)
+
+    def attack(k, e, eta):
+        return xi
+
+    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=attack)
     A, C, L = ugv_plant.A, ugv_plant.C, ugv_kss.L
     for k in range(200):
         prev = state
-        state = step(ugv_plant, ugv_kss, ugv_gains, prev, attack=xi, noise=noise)
+        state = step(ugv_plant, ugv_kss, ugv_gains, prev, attack=attack, noise=noise)
         nu = noise.nus[-1]
-        eta_prev = noise.etas[-2]  # the draw that entered prev.y
+        eta_prev = noise.etas[-2]  # the draw that entered prev.r
         predicted = (A - L @ C) @ prev.e - L @ (xi + eta_prev) + nu
         assert np.abs(state.e - predicted).max() < 1e-12
 
@@ -238,7 +234,7 @@ def test_seeded_runs_bit_reproducible(ugv_plant, ugv_kss, ugv_gains):
 def test_step_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
     state = initial_state(ugv_plant, ugv_kss)
     with pytest.raises(DimensionMismatch):
-        step(ugv_plant, ugv_kss, ugv_gains, state, attack=np.zeros(2))
+        step(ugv_plant, ugv_kss, ugv_gains, state, attack=lambda k, e, eta: np.zeros(2))
 
 
 def test_semidefinite_noise_falls_back_to_eig():
