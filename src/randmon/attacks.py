@@ -10,7 +10,7 @@ that knows e and eta can place the residual anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,9 @@ ATTACK_PARAMS = {
 }
 ATTACK_KINDS = tuple(ATTACK_PARAMS)
 
+#: smallest monitoring window a saturation budget is computed for
+MIN_BUDGET_WINDOW = 20
+
 
 @dataclass
 class SaturationBudget:
@@ -46,7 +49,6 @@ class SaturationBudget:
     """
 
     ell: int
-    alpha_des: float
     gamma: int
     beta: int
 
@@ -63,14 +65,14 @@ def saturation_budget(ell: int, alpha_des: float) -> SaturationBudget:
     smallest gamma whose rank sum clears the lower signed-rank bound; as the
     window grows, beta/ell converges to 1 - sqrt(2)/2.
     """
-    if ell < 20:
-        raise InvalidParameter(f"budget needs a window of at least 20, got {ell}")
+    if ell < MIN_BUDGET_WINDOW:
+        raise InvalidParameter(f"budget needs a window of at least {MIN_BUDGET_WINDOW}, got {ell}")
     omega_minus, _ = wsr_bounds(ell, alpha_des)
     total = 0
     for gamma in range(1, ell + 1):
         total += gamma
         if total > omega_minus:
-            return SaturationBudget(ell=ell, alpha_des=alpha_des, gamma=gamma, beta=ell - gamma)
+            return SaturationBudget(ell=ell, gamma=gamma, beta=ell - gamma)
     raise InfeasibleBudget(
         f"no feasible non-saturating count for ell={ell}, alpha_des={alpha_des}"
     )
@@ -171,203 +173,30 @@ class AttackPlan:
 
 
 class AttackPolicy:
-    """Base class: zero signal outside [start, stop) or for untargeted sensors.
+    """One attack phase: ``signal(k, e, eta, sensor)`` on the plan's sensors in [start, stop).
 
-    Subclasses implement ``_signal(k, e, eta, sensor)``, the attack value of one
-    targeted sensor at an active step.
+    ``signal`` returns the attack value of one targeted sensor at an active
+    step; every other entry of the returned vector is zero. ``budget`` and
+    ``schedule`` are the saturation budget and schedule of the
+    randomness-aware kinds, None for the others. :func:`build_attack_policy`
+    builds the policy of each kind and checks the plan's sensors.
     """
 
-    def __init__(self, plan: AttackPlan, n_sensors: int):
-        for i in plan.sensors:
-            if not 0 <= i < n_sensors:
-                raise InvalidParameter(f"sensor index {i} outside 0..{n_sensors - 1}")
+    def __init__(self, plan: AttackPlan, n_sensors: int, signal: Callable,
+                 budget: Optional[SaturationBudget] = None, schedule: Optional[np.ndarray] = None):
         self.plan = plan
         self.n_sensors = n_sensors
-
-    def active(self, k: int) -> bool:
-        return self.plan.start <= k < self.plan.stop
+        self.signal = signal
+        self.budget = budget
+        self.schedule = schedule
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray) -> np.ndarray:
         xi = np.zeros(self.n_sensors)
-        if not self.active(k):
+        if not self.plan.start <= k < self.plan.stop:
             return xi
         for i in self.plan.sensors:
-            xi[i] = self._signal(k, e, eta, i)
+            xi[i] = self.signal(k, e, eta, i)
         return xi
-
-    def _signal(self, k: int, e: np.ndarray, eta: np.ndarray, sensor: int) -> float:
-        raise NotImplementedError
-
-
-class NoAttack(AttackPolicy):
-    def _signal(self, k, e, eta, sensor):
-        return 0.0
-
-
-class BiasConcentrateAttack(AttackPolicy):
-    """Replace the residual with draws from a shifted, tighter normal.
-
-    The natural residual is cancelled and replaced by N(mu_a, sigma_a^2),
-    which skews the sign/magnitude balance the symmetry monitor watches while
-    staying inside the bad-data threshold. Defaults: mu_a = 0.4*tau_b,
-    sigma_a = 0.2*sigma.
-    """
-
-    def __init__(self, plan, n_sensors, c_rows, sigma, tau_b, rng):
-        super().__init__(plan, n_sensors)
-        self.c_rows = c_rows
-        p = plan.params
-        self.mu = np.asarray(p.get("mu_a", 0.4 * tau_b), dtype=float) * np.ones(n_sensors)
-        self.sd = np.asarray(p.get("sigma_a", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
-        for i in plan.sensors:
-            if self.sd[i] >= sigma[i]:
-                raise InvalidParameter("sigma_a must be below the natural residual deviation")
-            if abs(self.mu[i]) + 3.0 * self.sd[i] > tau_b[i]:
-                raise InvalidParameter(
-                    "bias_concentrate draws would cross the bad-data threshold: "
-                    f"|mu_a| + 3 sigma_a = {abs(self.mu[i]) + 3 * self.sd[i]:.6g} > "
-                    f"{tau_b[i]:.6g}"
-                )
-        self.rng = rng
-
-    def _signal(self, k, e, eta, sensor):
-        target = self.rng.normal(self.mu[sensor], self.sd[sensor])
-        return target - float(self.c_rows[sensor] @ e) - float(eta[sensor])
-
-
-class PatternRunsAttack(AttackPolicy):
-    """Force a fixed {+, +, +, -} sign pattern on residual differences.
-
-    The residual is replaced by a zero-centered sawtooth
-    (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose differences are +a, +a, +a, -3a.
-    The resulting window is symmetric (quiet for the symmetry monitor) and
-    small (quiet for boundary detectors) but has far too few runs.
-    """
-
-    def __init__(self, plan, n_sensors, c_rows, sigma, tau_b, rng=None):
-        super().__init__(plan, n_sensors)
-        self.c_rows = c_rows
-        amp = plan.params.get("amplitude")
-        if amp is None:
-            amp = 0.3 * sigma
-        self.amp = np.asarray(amp, dtype=float) * np.ones(n_sensors)
-        for i in plan.sensors:
-            if 1.5 * self.amp[i] > tau_b[i]:
-                raise InvalidParameter(
-                    f"pattern amplitude {self.amp[i]:.6g} exceeds the bad-data bound"
-                )
-        self._levels = np.array([-1.5, -0.5, 0.5, 1.5])
-
-    def _signal(self, k, e, eta, sensor):
-        phase = (k - self.plan.start) % 4
-        target = self._levels[phase] * self.amp[sensor]
-        return target - float(self.c_rows[sensor] @ e) - float(eta[sensor])
-
-
-class SymmetricFloodAttack(AttackPolicy):
-    """Large-magnitude residuals with random signs and jittered magnitudes.
-
-    Sign-symmetric and serially random, so both randomness monitors stay
-    quiet, while |r| far above the detector bias drives the CUSUM statistic
-    over its threshold. Defaults: amplitude 4*sigma, jitter 0.2*sigma.
-    """
-
-    def __init__(self, plan, n_sensors, c_rows, sigma, rng):
-        super().__init__(plan, n_sensors)
-        self.c_rows = c_rows
-        p = plan.params
-        self.amp = np.asarray(p.get("amplitude", 4.0 * sigma), dtype=float) * np.ones(n_sensors)
-        self.jitter = np.asarray(p.get("jitter", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
-        self.rng = rng
-
-    def _signal(self, k, e, eta, sensor):
-        sign = 1.0 if self.rng.random() < 0.5 else -1.0
-        mag = self.amp[sensor] + self.jitter[sensor] * self.rng.random()
-        return sign * mag - float(self.c_rows[sensor] @ e) - float(eta[sensor])
-
-
-class _ScheduledMixin:
-    """Shared saturation schedule and dither stream for randomness-aware modes."""
-
-    def _init_schedule(self, aware: bool, ell: int, alpha_des: float, sigma, eps, rng):
-        self.aware = aware
-        self.rng = rng
-        if aware:
-            self.budget = saturation_budget(ell, alpha_des)
-            self.schedule = schedule_saturation(self.budget, rng)
-            self.eps = np.asarray(eps, dtype=float) * np.ones(self.n_sensors)
-        else:
-            self.budget = None
-            self.schedule = None
-            self.eps = np.zeros(self.n_sensors)
-
-    def _slot(self, k: int) -> Optional[bool]:
-        if not self.aware:
-            return None
-        return bool(self.schedule[(k - self.plan.start) % self.budget.ell])
-
-    def _delta(self, sensor: int) -> float:
-        if not self.aware:
-            return 0.0
-        return float(self.rng.uniform(0.0, self.eps[sensor]))
-
-
-class BddWorstCaseAttack(AttackPolicy, _ScheduledMixin):
-    """Worst-case stealthy attack against the bad-data detector.
-
-    Detector-only mode pins every residual at the threshold. The
-    randomness-aware mode saturates only on scheduled steps (beta per window)
-    and pushes the residual just below zero elsewhere, staying inside the
-    signed-rank band by construction.
-    """
-
-    def __init__(self, plan, n_sensors, c_rows, sigma, tau_b, aware, ell, alpha_des, rng):
-        super().__init__(plan, n_sensors)
-        self.c_rows = c_rows
-        self.tau_b = tau_b
-        eps = plan.params.get("epsilon", 1e-6 * sigma)
-        self._init_schedule(aware, ell, alpha_des, sigma, eps, rng)
-
-    def _signal(self, k, e, eta, sensor):
-        return attack_worst_case_bdd(
-            e, eta,
-            self.c_rows[sensor],
-            float(self.tau_b[sensor]),
-            sensor,
-            saturating=self._slot(k),
-            delta=self._delta(sensor),
-        )
-
-
-class CusumWorstCaseAttack(AttackPolicy, _ScheduledMixin):
-    """Worst-case stealthy attack against the CUSUM detector.
-
-    The omniscient attacker reads the live statistic ``detector.S`` of the
-    detector it targets. Whoever runs the loop steps that detector on each
-    residual before the next attack value is drawn (``lti.simulate``'s
-    ``on_step``), so the attack for step k + 1 sees S after r[k].
-    Detector-only mode holds the statistic at the threshold with zero alarms.
-    """
-
-    def __init__(self, plan, n_sensors, c_rows, sigma, detector, aware, ell, alpha_des, rng):
-        super().__init__(plan, n_sensors)
-        self.c_rows = c_rows
-        self.detector = detector
-        eps = plan.params.get("epsilon", 1e-6 * sigma)
-        self._init_schedule(aware, ell, alpha_des, sigma, eps, rng)
-
-    def _signal(self, k, e, eta, sensor):
-        det = self.detector
-        return attack_worst_case_cusum(
-            e, eta,
-            self.c_rows[sensor],
-            sensor,
-            float(det.bias[sensor]),
-            float(det.tau[sensor]),
-            float(det.S[sensor]),
-            saturating=self._slot(k),
-            delta=self._delta(sensor),
-        )
 
 
 def build_attack_policy(
@@ -388,32 +217,102 @@ def build_attack_policy(
     per-sensor residual standard deviations. Worst-case kinds require the
     matching detector; scripted kinds need a bad-data threshold for their
     stealth bound (one is derived from alpha_des when no detector is given).
+    Every kind but ``none`` cancels ``C e + eta`` and puts a residual of its
+    choice in its place; every draw comes from one generator seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     sigma = np.asarray(sigma, dtype=float)
     tau_b = bdd.tau if bdd is not None else np.atleast_1d(tune_bdd(sigma, alpha_des))
-    kind = plan.kind
+    kind, p = plan.kind, plan.params
+    if kind not in ATTACK_PARAMS:
+        raise InvalidParameter(f"unknown attack kind {kind!r}")
+    if kind.startswith("worst_case_cusum") and cusum is None:
+        raise InvalidParameter(f"{kind} requires a tuned CUSUM detector")
+    for i in plan.sensors:
+        if not 0 <= i < n_sensors:
+            raise InvalidParameter(f"sensor index {i} outside 0..{n_sensors - 1}")
+
+    def scripted(target):  # target(k, i): the residual left on sensor i at step k
+        def signal(k, e, eta, i):
+            return target(k, i) - float(c_rows[i] @ e) - float(eta[i])
+        return AttackPolicy(plan, n_sensors, signal)
+
     if kind == "none":
-        return NoAttack(plan, n_sensors)
+        return AttackPolicy(plan, n_sensors, lambda k, e, eta, i: 0.0)
+
     if kind == "bias_concentrate":
-        return BiasConcentrateAttack(plan, n_sensors, c_rows, sigma, tau_b, rng)
+        # The residual becomes N(mu_a, sigma_a^2) draws: a shifted, tighter normal
+        # that skews the sign/magnitude balance the symmetry monitor watches while
+        # staying inside the bad-data threshold. Defaults: mu_a = 0.4*tau_b,
+        # sigma_a = 0.2*sigma.
+        mu = np.asarray(p.get("mu_a", 0.4 * tau_b), dtype=float) * np.ones(n_sensors)
+        sd = np.asarray(p.get("sigma_a", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
+        for i in plan.sensors:
+            if sd[i] >= sigma[i]:
+                raise InvalidParameter("sigma_a must be below the natural residual deviation")
+            if abs(mu[i]) + 3.0 * sd[i] > tau_b[i]:
+                raise InvalidParameter(
+                    "bias_concentrate draws would cross the bad-data threshold: "
+                    f"|mu_a| + 3 sigma_a = {abs(mu[i]) + 3 * sd[i]:.6g} > {tau_b[i]:.6g}"
+                )
+        return scripted(lambda k, i: rng.normal(mu[i], sd[i]))
+
     if kind == "pattern_runs":
-        return PatternRunsAttack(plan, n_sensors, c_rows, sigma, tau_b)
+        # A zero-centered sawtooth (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose
+        # differences are +a, +a, +a, -3a: a fixed {+, +, +, -} sign pattern. The
+        # window is symmetric (quiet for the symmetry monitor) and small (quiet for
+        # the boundary detectors) but has far too few runs. Default a = 0.3*sigma.
+        amp = p.get("amplitude")
+        amp = np.asarray(0.3 * sigma if amp is None else amp, dtype=float) * np.ones(n_sensors)
+        for i in plan.sensors:
+            if 1.5 * amp[i] > tau_b[i]:
+                raise InvalidParameter(f"pattern amplitude {amp[i]:.6g} exceeds the bad-data bound")
+        levels = np.array([-1.5, -0.5, 0.5, 1.5])
+        return scripted(lambda k, i: levels[(k - plan.start) % 4] * amp[i])
+
     if kind == "symmetric_flood":
-        return SymmetricFloodAttack(plan, n_sensors, c_rows, sigma, rng)
-    if kind in ("worst_case_bdd", "worst_case_bdd_randaware"):
-        aware = kind.endswith("randaware")
-        return BddWorstCaseAttack(
-            plan, n_sensors, c_rows, sigma, tau_b, aware, ell, alpha_des, rng
-        )
-    if kind in ("worst_case_cusum", "worst_case_cusum_randaware"):
-        if cusum is None:
-            raise InvalidParameter(f"{kind} requires a tuned CUSUM detector")
-        aware = kind.endswith("randaware")
-        return CusumWorstCaseAttack(
-            plan, n_sensors, c_rows, sigma, cusum, aware, ell, alpha_des, rng
-        )
-    raise InvalidParameter(f"unknown attack kind {kind!r}")
+        # Large residuals with random signs and jittered magnitudes: sign-symmetric
+        # and serially random, so both randomness monitors stay quiet, while |r| far
+        # above the detector bias drives the CUSUM over its threshold. Defaults:
+        # amplitude 4*sigma, jitter 0.2*sigma.
+        amp = np.asarray(p.get("amplitude", 4.0 * sigma), dtype=float) * np.ones(n_sensors)
+        jitter = np.asarray(p.get("jitter", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
+
+        def flood(k, i):
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            return sign * (amp[i] + jitter[i] * rng.random())
+        return scripted(flood)
+
+    # The worst-case kinds. Detector-only mode pins every residual just below the
+    # bad-data threshold, or holds the CUSUM statistic at its threshold with zero
+    # alarms. The randomness-aware mode saturates only on the scheduled steps (beta
+    # per window) and elsewhere leaves the residual just below zero (BDD) or at
+    # bias - delta (CUSUM), staying inside the signed-rank band by construction;
+    # delta is a U(0, epsilon) dither, epsilon 1e-6*sigma by default.
+    budget = schedule = None
+    if kind.endswith("_randaware"):
+        budget = saturation_budget(ell, alpha_des)
+        schedule = schedule_saturation(budget, rng)
+        eps = np.asarray(p.get("epsilon", 1e-6 * sigma), dtype=float) * np.ones(n_sensors)
+
+        def dither(k, i):  # the slot is taken before the delta is drawn
+            return bool(schedule[(k - plan.start) % ell]), float(rng.uniform(0.0, eps[i]))
+    else:
+        def dither(k, i):
+            return None, 0.0
+
+    if kind.startswith("worst_case_bdd"):
+        def signal(k, e, eta, i):
+            return attack_worst_case_bdd(e, eta, c_rows[i], float(tau_b[i]), i, *dither(k, i))
+    else:
+        # The attacker reads the live statistic ``cusum.S``. The loop steps the detector
+        # on each residual before the next attack value is drawn (``lti.simulate``'s
+        # ``on_step``), so the attack for step k + 1 sees S after r[k].
+        def signal(k, e, eta, i):
+            return attack_worst_case_cusum(e, eta, c_rows[i], i, float(cusum.bias[i]),
+                                           float(cusum.tau[i]), float(cusum.S[i]),
+                                           *dither(k, i))
+    return AttackPolicy(plan, n_sensors, signal, budget, schedule)
 
 
 class CompositeAttack:

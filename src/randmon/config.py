@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, ATTACK_PARAMS, AttackPlan
+from .attacks import ATTACK_KINDS, ATTACK_PARAMS, MIN_BUDGET_WINDOW, AttackPlan
 from .errors import ParseError, ValidationError
 from .lti import LtiPlant, UgvParams, discretize_ugv
 
@@ -38,6 +38,9 @@ _OUTPUT_KEYS = {"dir", "format"}
 _TOP_KEYS = {"plant", "controller", "monitors", "detectors", "attacks", "horizon", "seed", "output"}
 
 DEFAULT_TUNING_SEED = 7_654_321
+#: default ``monitors.window`` and ``monitors.rate_window``
+DEFAULT_WINDOW = 100
+DEFAULT_HORIZON = 10_000
 
 
 @dataclass
@@ -211,8 +214,27 @@ def _validate_plant(spec, problems: list) -> dict:
     return out
 
 
+def _plant_sizes(spec: dict) -> tuple:
+    """(states, inputs, sensors) of a plant spec, None where the spec does not give one.
+
+    The UGV has 3, 2 and 3. An explicit plant has the rows of ``A``, the columns of
+    ``B`` and the rows of ``C``, read as the plant reads them: a number or a flat
+    list is one row.
+    """
+    if spec.get("preset") is not None:
+        return (3, 2, 3) if spec["preset"] == "ugv" else (None, None, None)
+
+    def shape(key):
+        value = spec.get(key)
+        if not _finite_array(value):
+            return None, None
+        return np.atleast_2d(np.asarray(value, dtype=float)).shape
+
+    return shape("A")[0], shape("B")[1], shape("C")[0]
+
+
 def _validate_alpha(value, where: str, problems: list) -> bool:
-    if not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
+    if not (_finite_number(value) and 0.0 < value < 1.0):
         problems.append(f"{where}: must be a number in (0, 1), got {value!r}")
         return False
     return True
@@ -229,6 +251,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     _reject_unknown(raw, _TOP_KEYS, "top level", problems)
 
     plant_spec = _validate_plant(raw.get("plant", {"preset": "ugv"}), problems)
+    n_states, n_inputs, n_sensors = _plant_sizes(plant_spec)
 
     controller_spec = raw.get("controller", {"mode": "lqr"})
     if isinstance(controller_spec, dict):
@@ -240,9 +263,15 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
         if "K" in controller_spec and not _finite_array(controller_spec["K"]):
             problems.append("controller.K: must be a matrix of finite numbers")
-        for key in ("state_weights", "input_weights"):
-            if key in controller_spec and not _finite_list(controller_spec[key]):
+        for key, dim in (("state_weights", n_states), ("input_weights", n_inputs)):
+            if key not in controller_spec:
+                continue
+            weights = controller_spec[key]
+            if not _finite_list(weights):
                 problems.append(f"controller.{key}: must be a list of finite numbers")
+            elif "K" not in controller_spec and dim is not None and len(weights) != dim:
+                problems.append(f"controller.{key}: must have {dim} entries, one per plant "
+                                f"{key.split('_')[0]}, got {len(weights)}")
     else:
         problems.append("controller: must be an object")
         controller_spec = {"mode": "lqr"}
@@ -252,8 +281,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         problems.append("monitors: must be an object")
         monitors = {}
     _reject_unknown(monitors, _MONITOR_KEYS, "monitors", problems)
-    window = monitors.get("window", 100)
-    rate_window = monitors.get("rate_window", 100)
+    window = monitors.get("window", DEFAULT_WINDOW)
+    rate_window = monitors.get("rate_window", DEFAULT_WINDOW)
     for name, value in (("monitors.window", window), ("monitors.rate_window", rate_window)):
         if not _is_int(value) or value < 2:
             problems.append(f"{name}: must be an integer >= 2")
@@ -277,7 +306,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     alpha_tau = monitors.get("alpha_tau")
     if alpha_tau is None:
         alpha_tau = 3.0 * max(alpha_des.values())
-    if not isinstance(alpha_tau, (int, float)) or not 0.0 < alpha_tau <= 1.0:
+    if not (_finite_number(alpha_tau) and 0.0 < alpha_tau <= 1.0):
         problems.append(f"monitors.alpha_tau: must lie in (0, 1], got {alpha_tau!r}")
 
     detectors = raw.get("detectors", {})
@@ -289,8 +318,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if detector_kind not in ("bdd", "cusum", "both"):
         problems.append(f"detectors.kind: must be bdd, cusum or both, got {detector_kind!r}")
     bias_scale = detectors.get("bias_scale", 1.5)
-    if not isinstance(bias_scale, (int, float)) or bias_scale <= 0:
-        problems.append("detectors.bias_scale: must be positive")
+    if not (_finite_number(bias_scale) and bias_scale > 0):
+        problems.append(f"detectors.bias_scale: must be a finite positive number, got {bias_scale!r}")
     tuning_samples = detectors.get("tuning_samples", 1_000_000)
     if not _is_int(tuning_samples) or tuning_samples < 1_000_000:
         problems.append("detectors.tuning_samples: must be an integer >= 1000000")
@@ -298,7 +327,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if not _is_int(tuning_seed) or tuning_seed < 0:
         problems.append("detectors.tuning_seed: must be a nonnegative integer")
 
-    horizon = raw.get("horizon", 10_000)
+    horizon = raw.get("horizon", DEFAULT_HORIZON)
     if not _is_int(horizon) or horizon < 1:
         problems.append("horizon: must be a positive integer")
     elif _is_int(window) and _is_int(rate_window) and horizon < window + rate_window:
@@ -309,13 +338,6 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         problems.append("seed: must be a nonnegative integer")
-
-    n_sensors = 3 if plant_spec.get("preset") == "ugv" else None
-    if n_sensors is None and "C" in plant_spec:
-        try:
-            n_sensors = len(plant_spec["C"])
-        except TypeError:
-            n_sensors = None
 
     attacks_raw = raw.get("attacks", [])
     plans: list[AttackPlan] = []
@@ -333,6 +355,9 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if kind not in ATTACK_KINDS:
             problems.append(f"{where}.kind: unknown kind {kind!r}")
             continue
+        if kind.endswith("_randaware") and _is_int(window) and window < MIN_BUDGET_WINDOW:
+            problems.append(f"{where}.kind: {kind} needs monitors.window >= "
+                            f"{MIN_BUDGET_WINDOW} for its saturation budget, got {window}")
         sensors = entry.get("sensors", [0])
         if not isinstance(sensors, list) or not all(map(_is_int, sensors)):
             problems.append(f"{where}.sensors: must be a list of integer indices")

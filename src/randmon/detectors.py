@@ -48,12 +48,11 @@ class BadDataDetector:
     """Stateless per-sensor threshold detector: alarm iff |r_i| > tau[i]."""
 
     tau: np.ndarray
-    alpha_des: float
 
     @classmethod
     def tuned(cls, sigma, alpha_des: float) -> "BadDataDetector":
         tau = np.atleast_1d(np.asarray(tune_bdd(sigma, alpha_des), dtype=float))
-        return cls(tau=tau, alpha_des=alpha_des)
+        return cls(tau=tau)
 
     def step(self, r) -> np.ndarray:
         """Alarm flags for one residual vector. Strict inequality: |r| == tau is quiet."""
@@ -131,7 +130,6 @@ def cusum_alarm_fraction(deltas, tau: float) -> float:
 class CusumTuning:
     tau: float
     achieved_rate: float
-    samples: int
     iterations: int
 
 
@@ -186,7 +184,7 @@ def tune_cusum(
     # higher target unreachable and tau = 0 is the best available threshold.
     rate_at_zero = rate(0.0, full=True)
     if rate_at_zero <= alpha_des:
-        return CusumTuning(tau=0.0, achieved_rate=rate_at_zero, samples=n_samples, iterations=1)
+        return CusumTuning(tau=0.0, achieved_rate=rate_at_zero, iterations=1)
 
     # Bracket above.
     lo = 0.0
@@ -225,7 +223,7 @@ def tune_cusum(
                 f"(last rate {r_full:.6g} vs target {alpha_des:.6g})"
             )
     tau, achieved = best
-    return CusumTuning(tau=tau, achieved_rate=achieved, samples=n_samples, iterations=iterations)
+    return CusumTuning(tau=tau, achieved_rate=achieved, iterations=iterations)
 
 
 @dataclass
@@ -239,7 +237,6 @@ class CusumDetector:
 
     tau: np.ndarray
     bias: np.ndarray
-    alpha_des: float
     S: np.ndarray = field(default=None)
 
     def __post_init__(self):

@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import attacks as atk
-from .config import ScenarioConfig, config_hash, build_plant
+from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, ScenarioConfig,
+                     build_plant, config_hash)
 from .detectors import BadDataDetector, CusumDetector, tune_cusum
 from .deviation import deviation_limit, expected_residual
 from .errors import InvalidParameter
@@ -37,8 +38,6 @@ from .monitors import alarm_rate_scan, sir_scan, wsr_scan
 log = logging.getLogger(__name__)
 
 RATE_ASYMPTOTE = 1.0 - math.sqrt(2.0) / 2.0
-
-_TESTS = ("wsr", "sir", "bdd", "cusum")
 
 # Cache of tuned CUSUM thresholds keyed by the exact tuning inputs; tuning is
 # Monte Carlo over >= 1e6 samples and identical inputs recur across sweeps.
@@ -118,7 +117,7 @@ def _build_detectors(cfg: ScenarioConfig, kss) -> tuple:
                              cfg.tuning_samples, cfg.tuning_seed)
             for sig, b in zip(kss.sigma, bias)
         ]
-        cusum = CusumDetector(tau=tau, bias=bias, alpha_des=cfg.alpha_des["cusum"])
+        cusum = CusumDetector(tau=tau, bias=bias)
     return bdd, cusum
 
 
@@ -272,7 +271,7 @@ def _column_table(artifacts: RunArtifacts) -> tuple:
     Each array is ``(horizon, width)``; laid side by side they give the columns.
     """
     table = [("x", artifacts.x), ("xhat", artifacts.xhat), ("r", artifacts.r), ("xi", artifacts.xi)]
-    for t in _TESTS:
+    for t in MONITOR_TESTS:
         if t in artifacts.p:
             table.append((f"{t}_p", artifacts.p[t]))
         if t in artifacts.alarm:
@@ -407,12 +406,12 @@ def _sweep_cell(args):
     raw.setdefault("monitors", {})["alpha_des"] = alpha
     raw.pop("attacks", None)
     if attack_kind != "none":
-        start = raw["monitors"].get("window", 100) * 2
+        start = raw["monitors"].get("window", DEFAULT_WINDOW) * 2
         raw["attacks"] = [{
             "kind": attack_kind,
             "sensors": [0],
             "start": start,
-            "stop": raw.get("horizon", 10_000),
+            "stop": raw.get("horizon", DEFAULT_HORIZON),
         }]
     cfg = load_config_dict(raw)
     artifacts = run_scenario(cfg)

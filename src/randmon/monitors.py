@@ -47,11 +47,10 @@ class WindowBuffer:
     evict the oldest entry.
     """
 
-    def __init__(self, capacity: int, sensor_id: int = 0):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise InvalidParameter(f"window capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.sensor_id = int(sensor_id)
         self._buf = np.empty(self.capacity)
         self._count = 0
         self._head = 0  # index of the oldest entry once full
@@ -295,11 +294,10 @@ class AlarmRateTracker:
     sensor compromised.
     """
 
-    def __init__(self, window: int, alpha_tau: float, alpha_des: float | None = None):
+    def __init__(self, window: int, alpha_tau: float):
         _check_rate_args(window, alpha_tau)
         self.window = int(window)
         self.alpha_tau = float(alpha_tau)
-        self.alpha_des = alpha_des
         self._ring = deque(maxlen=self.window)
         self._true_count = 0
 

@@ -176,7 +176,7 @@ def test_c05_worst_case_stealth(ugv_plant, ugv_kss, ugv_gains):
     sigma0 = float(ugv_kss.sigma[0])
     tuning = tune_cusum(sigma0, 1.5 * sigma0, alpha, seed=3)
     tau_scaled = tuning.tau / sigma0 * ugv_kss.sigma  # recursion scales with sigma
-    cusum = CusumDetector(tau=tau_scaled, bias=1.5 * ugv_kss.sigma, alpha_des=alpha)
+    cusum = CusumDetector(tau=tau_scaled, bias=1.5 * ugv_kss.sigma)
     plan = AttackPlan(kind="worst_case_cusum", sensors=(0,), start=0, stop=horizon + 1)
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  alpha_des=alpha, cusum=cusum, seed=4)

@@ -128,7 +128,7 @@ def test_cusum_signal_holds_statistic():
 
 
 def test_cusum_policy_reads_live_detector_statistic():
-    cusum = CusumDetector(tau=[0.8, 0.9], bias=[1.5, 1.2], alpha_des=0.05)
+    cusum = CusumDetector(tau=[0.8, 0.9], bias=[1.5, 1.2])
     plan = AttackPlan(kind="worst_case_cusum", sensors=(0, 1), start=0, stop=100)
     policy = build_attack_policy(plan, 2, np.eye(2), np.ones(2), cusum=cusum, seed=1)
     e, eta = np.array([0.05, -0.3]), np.array([-0.02, 0.1])
@@ -247,8 +247,7 @@ def test_randaware_bdd_window_stays_inside_wsr_band(ugv_plant, ugv_kss, ugv_gain
 
 def test_worst_case_cusum_stealth_and_mean(ugv_plant, ugv_kss, ugv_gains):
     alpha = 0.05
-    cusum = CusumDetector(tau=[0.01, 0.01, 0.01],
-                          bias=1.5 * ugv_kss.sigma, alpha_des=alpha)
+    cusum = CusumDetector(tau=[0.01, 0.01, 0.01], bias=1.5 * ugv_kss.sigma)
     plan = AttackPlan(kind="worst_case_cusum", sensors=(0,), start=0, stop=5000)
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  alpha_des=alpha, cusum=cusum, seed=9)
@@ -270,7 +269,7 @@ def test_worst_case_cusum_stealth_and_mean(ugv_plant, ugv_kss, ugv_gains):
 
 def test_randaware_cusum_statistic_bounded(ugv_plant, ugv_kss, ugv_gains):
     alpha = 0.05
-    cusum = CusumDetector(tau=[0.02, 0.02, 0.02], bias=1.5 * ugv_kss.sigma, alpha_des=alpha)
+    cusum = CusumDetector(tau=[0.02, 0.02, 0.02], bias=1.5 * ugv_kss.sigma)
     plan = AttackPlan(kind="worst_case_cusum_randaware", sensors=(0,), start=0, stop=5000)
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  ell=100, alpha_des=alpha, cusum=cusum, seed=11)

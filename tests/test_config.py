@@ -241,6 +241,26 @@ MISTYPED = {
     "input_weights-number": (_controller(input_weights=5), "controller.input_weights"),
     "kr": (_controller(K=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], kr=[[1e9, 3], [2, 5]]),
            "controller: unknown key 'kr'"),
+    "alpha_tau-bool": ({**MINIMAL, "monitors": {"alpha_tau": True}}, "monitors.alpha_tau"),
+    "bias_scale-nan": ({**MINIMAL, "detectors": {"bias_scale": float("nan")}},
+                       "detectors.bias_scale"),
+    "bias_scale-inf": ({**MINIMAL, "detectors": {"bias_scale": float("inf")}},
+                       "detectors.bias_scale"),
+    "bias_scale-bool": ({**MINIMAL, "detectors": {"bias_scale": True}}, "detectors.bias_scale"),
+    "randaware-window": ({**_attack(kind="worst_case_bdd_randaware"), "monitors": {"window": 19}},
+                         "attacks[0].kind"),
+    "state_weights-length": (_controller(state_weights=[1, 2]), "controller.state_weights"),
+    "input_weights-length": (_controller(input_weights=[1, 1, 1]), "controller.input_weights"),
+    "explicit-state_weights-length": ({**_explicit(), "controller": {"state_weights": [1, 1]}},
+                                      "controller.state_weights"),
+    "explicit-flat-C-sensor": ({**_explicit(A=[[0.5, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]],
+                                            C=[1.0, 0.0], Q=[[0.1, 0.0], [0.0, 0.1]]),
+                                "attacks": [{"kind": "none", "sensors": [1], "start": 0,
+                                             "stop": 100}]},
+                               "attacks[0].sensors"),
+    "explicit-input_weights-length": ({**_explicit(B=[[1.0, 0.5]]),
+                                       "controller": {"input_weights": [1.0]}},
+                                      "controller.input_weights"),
 }
 
 
@@ -251,7 +271,8 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
     assert [p for p in err.value.problems if p.startswith(where)] == err.value.problems
 
 
-@pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str"])
+@pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str", "bias_scale-nan",
+                                  "randaware-window", "state_weights-length"])
 def test_mistyped_field_exits_2(case, tmp_path, capsys):
     from randmon.cli import main
 
@@ -260,6 +281,12 @@ def test_mistyped_field_exits_2(case, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_sizes_at_their_limits_load():
+    load_config_dict(_controller(state_weights=[1, 2, 3], input_weights=[1, 1]))
+    load_config_dict({**_explicit(B=[[1.0, 0.5]]), "controller": {"input_weights": [1.0, 2.0]}})
+    load_config_dict({**_attack(kind="worst_case_cusum_randaware"), "monitors": {"window": 20}})
 
 
 def test_non_numeric_matrices_reported_together():

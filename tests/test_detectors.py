@@ -79,27 +79,27 @@ def test_half_normal_moments_iid():
 
 
 def test_cusum_step_clamps_at_zero():
-    det = CusumDetector(tau=[1.0], bias=[0.9], alpha_des=0.05)
+    det = CusumDetector(tau=[1.0], bias=[0.9])
     alarm = det.step([0.5])  # |r| < b keeps S at zero
     assert not alarm[0]
     assert det.S[0] == 0.0
 
 
 def test_cusum_step_reset_on_alarm():
-    det = CusumDetector(tau=[1.0], bias=[0.9], alpha_des=0.05, S=[1.1])
+    det = CusumDetector(tau=[1.0], bias=[0.9], S=[1.1])
     alarm = det.step([100.0])  # previous S decides; the new residual is ignored
     assert alarm[0]
     assert det.S[0] == 0.0
 
 
 def test_cusum_step_no_alarm_at_threshold():
-    det = CusumDetector(tau=[1.0], bias=[0.9], alpha_des=0.05, S=[1.0])
+    det = CusumDetector(tau=[1.0], bias=[0.9], S=[1.0])
     assert not det.step([0.0])[0]
 
 
 def test_cusum_linear_ramp():
     b, c, tau = 0.8, 0.25, 10.0
-    det = CusumDetector(tau=[tau], bias=[b], alpha_des=0.05)
+    det = CusumDetector(tau=[tau], bias=[b])
     for k in range(1, 30):
         det.step([b + c])
         if k * c > tau:
@@ -109,7 +109,7 @@ def test_cusum_linear_ramp():
 
 def test_cusum_nonnegative_and_alarm_causality():
     rng = np.random.default_rng(3)
-    det = CusumDetector(tau=[0.8], bias=[0.5], alpha_des=0.05)
+    det = CusumDetector(tau=[0.8], bias=[0.5])
     prev_S = det.S[0]
     for r in rng.normal(0, 1, 5000):
         alarm = det.step([r])[0]
@@ -124,7 +124,7 @@ def test_cusum_determinism():
     stream = rng.normal(0, 1, 2000)
     outs = []
     for _ in range(2):
-        det = CusumDetector(tau=[0.5], bias=[0.6], alpha_des=0.05)
+        det = CusumDetector(tau=[0.5], bias=[0.6])
         outs.append([det.step([r])[0] for r in stream])
     assert outs[0] == outs[1]
 
