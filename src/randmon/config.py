@@ -210,8 +210,37 @@ def _validate_plant(spec, problems: list) -> dict:
                 problems.append(f"plant.{key}: required for explicit plants")
             elif not _finite_array(spec[key]):
                 problems.append(f"plant.{key}: must be a matrix of finite numbers")
+        _validate_plant_shapes(spec, problems)
         out.setdefault("ts", 1.0)
     return out
+
+
+def _shape(value) -> Optional[tuple]:
+    """(rows, columns) of a matrix field read as the plant reads it, None if not numeric.
+
+    A number or a flat list is one row.
+    """
+    if not _finite_array(value):
+        return None
+    return np.atleast_2d(np.asarray(value, dtype=float)).shape
+
+
+def _validate_plant_shapes(spec: dict, problems: list) -> None:
+    """Shapes of an explicit plant's matrices against the states of A and the sensors of C."""
+    A, B, C, Q, R = (_shape(spec.get(key)) for key in ("A", "B", "C", "Q", "R"))
+    checks = []
+    if A is not None:
+        n = A[0]
+        checks += [("A", A, A[1] == n, "must be square"),
+                   ("B", B, B is None or B[0] == n, f"must have one row per state ({n})"),
+                   ("C", C, C is None or C[1] == n, f"must have one column per state ({n})"),
+                   ("Q", Q, Q is None or Q == (n, n), f"must be {n}x{n} (states x states)")]
+    if C is not None:
+        s = C[0]
+        checks.append(("R", R, R is None or R == (s, s), f"must be {s}x{s} (sensors x sensors)"))
+    for key, shape, ok, rule in checks:
+        if not ok:
+            problems.append(f"plant.{key}: {rule}, got {shape[0]}x{shape[1]}")
 
 
 def _plant_sizes(spec: dict) -> tuple:
@@ -224,13 +253,8 @@ def _plant_sizes(spec: dict) -> tuple:
     if spec.get("preset") is not None:
         return (3, 2, 3) if spec["preset"] == "ugv" else (None, None, None)
 
-    def shape(key):
-        value = spec.get(key)
-        if not _finite_array(value):
-            return None, None
-        return np.atleast_2d(np.asarray(value, dtype=float)).shape
-
-    return shape("A")[0], shape("B")[1], shape("C")[0]
+    A, B, C = (_shape(spec.get(key)) or (None, None) for key in ("A", "B", "C"))
+    return A[0], B[1], C[0]
 
 
 def _validate_alpha(value, where: str, problems: list) -> bool:
@@ -261,8 +285,16 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             controller_spec.setdefault("mode", "lqr")
         if controller_spec.get("mode", "lqr") != "lqr":
             problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
-        if "K" in controller_spec and not _finite_array(controller_spec["K"]):
-            problems.append("controller.K: must be a matrix of finite numbers")
+        if "K" in controller_spec:
+            K = _shape(controller_spec["K"])
+            if K is None:
+                problems.append("controller.K: must be a matrix of finite numbers")
+            else:
+                want = (n_inputs if n_inputs is not None else K[0],
+                        n_states if n_states is not None else K[1])
+                if K != want:
+                    problems.append(f"controller.K: must be {want[0]}x{want[1]} (plant inputs x "
+                                    f"states), got {K[0]}x{K[1]}")
         for key, dim in (("state_weights", n_states), ("input_weights", n_inputs)):
             if key not in controller_spec:
                 continue
@@ -355,6 +387,9 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if kind not in ATTACK_KINDS:
             problems.append(f"{where}.kind: unknown kind {kind!r}")
             continue
+        if kind.startswith("worst_case_cusum") and detector_kind == "bdd":
+            problems.append(f"{where}.kind: {kind} needs a CUSUM detector, but "
+                            "detectors.kind is \"bdd\"")
         if kind.endswith("_randaware") and _is_int(window) and window < MIN_BUDGET_WINDOW:
             problems.append(f"{where}.kind: {kind} needs monitors.window >= "
                             f"{MIN_BUDGET_WINDOW} for its saturation budget, got {window}")

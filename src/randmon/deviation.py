@@ -20,7 +20,8 @@ import numpy as np
 
 from .attacks import SaturationBudget
 from .errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
-from .lti import ControllerGains, KalmanSteadyState, LtiPlant, NoiseSource, spectral_radius, simulate
+from .lti import (ControllerGains, KalmanSteadyState, LtiPlant, NoiseSource, _lockstep,
+                  spectral_radius)
 
 _COND_WARN = 1e10
 
@@ -183,15 +184,14 @@ def run_attack_ensemble(
     """Simulate independent seeded runs under an attack policy.
 
     ``policy_factory(run_index)`` builds a fresh policy per run (policies may
-    be stateful). Returns state trajectories with shape (runs, horizon, n).
+    be stateful). The runs advance in lockstep, one step of every run at a
+    time, so policies from the factory must not share mutable state across
+    runs. Only the states are recorded. Returns state trajectories with shape
+    (runs, horizon, n), each run bit-equal to simulating it alone.
     """
     if n_runs < 1:
         raise InvalidParameter("need at least one run")
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
-    out = np.empty((n_runs, horizon, plant.n))
-    for j in range(n_runs):
-        noise = NoiseSource(plant.Q, plant.R, seeds[j])
-        policy = policy_factory(j)
-        result = simulate(plant, kss, gains, noise, horizon, attack=policy)
-        out[j] = result["x"]
-    return out
+    noises = [NoiseSource(plant.Q, plant.R, seed) for seed in seeds]
+    policies = [policy_factory(j) for j in range(n_runs)]
+    return _lockstep(plant, kss, gains, noises, horizon, policies, ("x",))["x"]

@@ -167,9 +167,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rec_cusum_s = np.empty((horizon, s))
         cusum_alarm = np.empty((horizon, s))
 
-    def step_cusum(state):
-        cusum_alarm[state.k] = cusum.step(state.r)
-        rec_cusum_s[state.k] = cusum.S
+    def step_cusum(k, r):
+        cusum_alarm[k] = cusum.step(r)
+        rec_cusum_s[k] = cusum.S
 
     traj = simulate(plant, kss, gains, noise, horizon, attack=combined,
                     on_step=step_cusum if cusum is not None else None)

@@ -19,6 +19,19 @@ Under this convention the estimation error e = x - xhat obeys
 and the stationary residual covariance is R + C P C^T with P the prediction
 error covariance solving the filter Riccati equation. The controller acts on
 the predicted estimate.
+
+Stepping
+--------
+:func:`simulate` (one run) and ``deviation.run_attack_ensemble`` (many
+seeded runs) both call :func:`_lockstep`, which advances every run together.
+The states of all runs are held as ``(runs, n, 1)`` column stacks, so each
+product of the recursions above is one stacked ``@`` call; numpy computes it
+as one matrix-vector product per run, with the same bits as the per-run
+``A @ x``. Each run's noise is drawn and coloured ``CHUNK`` steps at a time
+(:meth:`NoiseSource.block`), from the same Philox stream as per-step
+:meth:`NoiseSource.draw` calls. :func:`initial_state` and :func:`step` are the
+same recursion one run and one step at a time; they serve as the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -40,6 +53,9 @@ Array = np.ndarray
 AttackSignal = Optional[Callable[[int, Array, Array], Array]]
 
 _COND_LIMIT = 1e12
+
+#: Steps of noise each run draws and colours at once in the lockstep kernel.
+CHUNK = 256
 
 
 def _matrix(value, name: str) -> Array:
@@ -273,6 +289,24 @@ class NoiseSource:
         """Measurement noise only, used for the initial output."""
         return self._lr @ self._rng.standard_normal(self._s)
 
+    def block(self, rows: int, initial: bool = False):
+        """Noise of ``rows`` steps as column stacks nu (rows, n, 1) and eta (rows, s, 1).
+
+        The standard normals are those of ``rows`` successive :meth:`draw`
+        calls (n, then s per step), and each step is coloured by the same
+        matrix-vector product, so the values and the generator's final state
+        equal the per-step draws. With ``initial``, row 0 is the zero start:
+        only its eta is drawn, as by :meth:`draw_eta`, and its nu is zero.
+        """
+        n, s = self._n, self._s
+        if initial:
+            z = np.zeros((rows, n + s))
+            z[0, n:] = self._rng.standard_normal(s)
+            z[1:] = self._rng.standard_normal((rows - 1, n + s))
+        else:
+            z = self._rng.standard_normal((rows, n + s))
+        return self._lq @ z[:, :n, None], self._lr @ z[:, n:, None]
+
 
 @dataclass
 class SimState:
@@ -358,35 +392,82 @@ def simulate(
     noise: Optional[NoiseSource],
     horizon: int,
     attack: AttackSignal = None,
-    on_step: Optional[Callable[[SimState], None]] = None,
+    on_step: Optional[Callable[[int, Array], None]] = None,
 ):
     """Run ``horizon`` steps from the zero start and return stacked trajectories.
 
     Returns a dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the
     applied attack ``xi`` (horizon, s). Row k holds the state at step k.
 
-    ``on_step(state)``, when given, is called with each state right after it
-    is recorded and before the next step. A detector stepped there has
-    consumed r[k] when the attack for step k + 1 is synthesised, which is
-    how an attacker reads a live detector statistic.
+    ``on_step(k, r)``, when given, is called with each step index and its
+    residual r[k] right after it is computed and before the next step. A
+    detector stepped there has consumed r[k] when the attack for step k + 1
+    is synthesised, which is how an attacker reads a live detector statistic.
+    """
+    callback = None
+    if on_step is not None:
+        def callback(k, r):
+            on_step(k, r[0])
+    out = _lockstep(plant, kss, gains, [noise], horizon, [attack],
+                    ("x", "xhat", "r", "xi"), callback)
+    return {name: rows[0] for name, rows in out.items()}
+
+
+def _lockstep(
+    plant: LtiPlant,
+    kss: KalmanSteadyState,
+    gains: ControllerGains,
+    noises,
+    horizon: int,
+    attacks,
+    record,
+    on_step: Optional[Callable[[int, Array], None]] = None,
+):
+    """Advance independent runs together for ``horizon`` steps from the zero start.
+
+    Run j draws from ``noises[j]`` (None: noise-free) and is attacked by
+    ``attacks[j]``, called as in :func:`step` with run j's own e and eta.
+    Returns ``{name: (runs, horizon, dim)}`` for each name in ``record``
+    (among x, xhat, r, xi). ``on_step(k, r)`` gets the (runs, s) residuals
+    of step k before step k + 1 is taken. Every product, sum and draw is the
+    one :func:`initial_state` and :func:`step` make, in the same order, so
+    each run is bit-equal to stepping it alone.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
-    state = initial_state(plant, kss, noise=noise, attack=attack)
-    xs = np.empty((horizon, plant.n))
-    xhats = np.empty((horizon, plant.n))
-    rs = np.empty((horizon, plant.s))
-    xis = np.empty((horizon, plant.s))
+    runs, n, s = len(attacks), plant.n, plant.s
+    A, B, C, K, L = plant.A, plant.B, plant.C, gains.K, kss.L
+    dims = {"x": n, "xhat": n, "r": s, "xi": s}
+    out = {name: np.empty((runs, horizon, dims[name])) for name in record}
+    nu = np.zeros((runs, CHUNK, n, 1))
+    eta = np.zeros((runs, CHUNK, s, 1))
+    xi = np.zeros((runs, s, 1))
+    x = np.zeros((runs, n, 1))
+    xhat = x.copy()
+    r = None
     for k in range(horizon):
-        xs[k] = state.x
-        xhats[k] = state.xhat
-        rs[k] = state.r
-        xis[k] = state.xi
+        i = k % CHUNK
+        if i == 0:
+            rows = min(CHUNK, horizon - k)
+            for j, noise in enumerate(noises):
+                if noise is not None:
+                    nu[j, :rows], eta[j, :rows] = noise.block(rows, initial=k == 0)
+        if k > 0:
+            u = K @ xhat
+            drive = B @ u
+            x = A @ x + drive + nu[:, i]
+            xhat = A @ xhat + drive + L @ r
+        e = x - xhat
+        for j, attack in enumerate(attacks):
+            if attack is not None:
+                xi[j, :, 0] = _resolve_attack(attack, k, e[j, :, 0], eta[j, i, :, 0], s)
+        r = C @ x + eta[:, i] + xi - C @ xhat
+        state = {"x": x, "xhat": xhat, "r": r, "xi": xi}
+        for name, rec in out.items():
+            rec[:, k] = state[name][:, :, 0]
         if on_step is not None:
-            on_step(state)
-        if k + 1 < horizon:
-            state = step(plant, kss, gains, state, attack=attack, noise=noise)
-    return {"x": xs, "xhat": xhats, "r": rs, "xi": xis}
+            on_step(k, r[:, :, 0])
+    return out
 
 
 # --- zero-order-hold discretization -------------------------------------------------

@@ -206,6 +206,11 @@ def _explicit(**plant):
             "horizon": 1000, "seed": 0}
 
 
+#: a stable two-state, one-input, one-sensor explicit plant
+TWO_STATES = {"A": [[0.5, 0.1], [0.0, 0.5]], "B": [[1.0], [0.5]], "C": [[1.0, 0.0]],
+              "Q": [[0.1, 0.0], [0.0, 0.1]], "R": [[0.1]]}
+
+
 def _ugv(**plant):
     return {**MINIMAL, "plant": {"preset": "ugv", **plant}}
 
@@ -261,6 +266,18 @@ MISTYPED = {
     "explicit-input_weights-length": ({**_explicit(B=[[1.0, 0.5]]),
                                        "controller": {"input_weights": [1.0]}},
                                       "controller.input_weights"),
+    "cusum-attack-bdd-detector": ({**_attack(kind="worst_case_cusum", start=0),
+                                   "detectors": {"kind": "bdd"}}, "attacks[0].kind"),
+    "cusum-randaware-bdd-detector": ({**_attack(kind="worst_case_cusum_randaware", start=0),
+                                      "detectors": {"kind": "bdd"}}, "attacks[0].kind"),
+    "A-not-square": (_explicit(A=[[0.5, 0.1]]), "plant.A: must be square"),
+    "B-rows": (_explicit(B=[[1.0], [1.0]]), "plant.B"),
+    "C-columns": (_explicit(C=[[1.0, 0.0]]), "plant.C"),
+    "Q-shape": (_explicit(**{**TWO_STATES, "Q": [[0.1]]}), "plant.Q"),
+    "R-shape": (_explicit(R=[[0.1, 0.0], [0.0, 0.1]]), "plant.R"),
+    "K-shape": ({**_explicit(**TWO_STATES), "controller": {"K": [[-0.1, -0.1, 0.0]]}},
+                "controller.K"),
+    "preset-K-shape": (_controller(K=[[-1.0, 0.0], [0.0, -1.0]]), "controller.K"),
 }
 
 
@@ -272,7 +289,9 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
 
 
 @pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str", "bias_scale-nan",
-                                  "randaware-window", "state_weights-length"])
+                                  "randaware-window", "state_weights-length",
+                                  "cusum-attack-bdd-detector", "A-not-square", "Q-shape",
+                                  "K-shape"])
 def test_mistyped_field_exits_2(case, tmp_path, capsys):
     from randmon.cli import main
 
@@ -287,6 +306,23 @@ def test_sizes_at_their_limits_load():
     load_config_dict(_controller(state_weights=[1, 2, 3], input_weights=[1, 1]))
     load_config_dict({**_explicit(B=[[1.0, 0.5]]), "controller": {"input_weights": [1.0, 2.0]}})
     load_config_dict({**_attack(kind="worst_case_cusum_randaware"), "monitors": {"window": 20}})
+    load_config_dict({**_explicit(**TWO_STATES), "controller": {"K": [[-0.1, -0.1]]}})
+
+
+def test_plant_shapes_reported_together():
+    raw = _explicit(A=[[0.5, 0.1]], B=[[1.0], [1.0]], C=[[1.0, 0.0, 0.0]], Q=[[0.1, 0.1]],
+                    R=[[0.1], [0.1]])
+    raw["controller"] = {"K": [[-0.1, 0.0]]}
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(raw)
+    assert err.value.problems == [
+        "plant.A: must be square, got 1x2",
+        "plant.B: must have one row per state (1), got 2x1",
+        "plant.C: must have one column per state (1), got 1x3",
+        "plant.Q: must be 1x1 (states x states), got 1x2",
+        "plant.R: must be 1x1 (sensors x sensors), got 2x1",
+        "controller.K: must be 1x1 (plant inputs x states), got 1x2",
+    ]
 
 
 def test_non_numeric_matrices_reported_together():

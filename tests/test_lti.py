@@ -8,7 +8,11 @@ from randmon.errors import (
     InvalidParameter,
     NonConvergence,
 )
+from randmon.attacks import ATTACK_KINDS, AttackPlan, build_attack_policy
+from randmon.detectors import BadDataDetector, CusumDetector
+from randmon.deviation import run_attack_ensemble
 from randmon.lti import (
+    CHUNK,
     LtiPlant,
     NoiseSource,
     UgvParams,
@@ -244,3 +248,118 @@ def test_semidefinite_noise_falls_back_to_eig():
     draws = np.array([ns.draw()[0] for _ in range(2000)])
     cov = np.cov(draws.T)
     assert np.abs(cov - Q).max() < 2e-5
+
+
+# --- lockstep kernel against the per-step reference -----------------------------------
+
+RECORDED = ("x", "xhat", "r", "xi")
+
+
+def reference_run(plant, kss, gains, noise, horizon, attack=None, on_step=None):
+    """``simulate``'s contract stepped one state at a time with initial_state/step."""
+    state = initial_state(plant, kss, noise=noise, attack=attack)
+    rows = {name: [] for name in RECORDED}
+    for k in range(horizon):
+        for name in RECORDED:
+            rows[name].append(getattr(state, name))
+        if on_step is not None:
+            on_step(k, state.r)
+        if k + 1 < horizon:
+            state = step(plant, kss, gains, state, attack=attack, noise=noise)
+    return {name: np.array(values) for name, values in rows.items()}
+
+
+def attacked_loop(plant, kss, kind, seed=3):
+    """A fresh policy of ``kind`` on sensors 0 and 2, and the on_step that feeds its CUSUM."""
+    cusum = CusumDetector(tau=4.0 * kss.sigma, bias=1.5 * kss.sigma)
+    plan = AttackPlan(kind=kind, sensors=(0, 2), start=40, stop=530)
+    policy = build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=20,
+                                 bdd=BadDataDetector.tuned(kss.sigma, 0.05), cusum=cusum,
+                                 seed=seed)
+    return policy, lambda k, r: cusum.step(r)
+
+
+def assert_same_generator_state(noise, other):
+    np.testing.assert_equal(noise._rng.bit_generator.state, other._rng.bit_generator.state)
+
+
+def assert_bit_equal(got, want):
+    for name in RECORDED:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_lockstep_matches_reference_for_every_attack(kind, ugv_plant, ugv_kss, ugv_gains):
+    horizon = 2 * CHUNK + 60
+    runs = []
+    for _ in range(2):
+        policy, on_step = attacked_loop(ugv_plant, ugv_kss, kind)
+        runs.append((NoiseSource(ugv_plant.Q, ugv_plant.R, 17), policy, on_step))
+    (ref_noise, ref_policy, ref_on_step), (noise, policy, on_step) = runs
+    want = reference_run(ugv_plant, ugv_kss, ugv_gains, ref_noise, horizon, ref_policy,
+                         ref_on_step)
+    got = simulate(ugv_plant, ugv_kss, ugv_gains, noise, horizon, attack=policy,
+                   on_step=on_step)
+    assert_bit_equal(got, want)
+    if kind != "none":
+        assert np.any(want["xi"][40:530] != 0.0)
+
+
+@pytest.mark.parametrize("horizon", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "noise-None"])
+def test_lockstep_matches_reference_at_chunk_edges(horizon, noisy, ugv_plant, ugv_kss,
+                                                    ugv_gains):
+    noises = [NoiseSource(ugv_plant.Q, ugv_plant.R, 23) if noisy else None for _ in range(2)]
+    attack = attacked_loop(ugv_plant, ugv_kss, "bias_concentrate")[0]
+    want = reference_run(ugv_plant, ugv_kss, ugv_gains, noises[0], horizon,
+                         attacked_loop(ugv_plant, ugv_kss, "bias_concentrate")[0])
+    got = simulate(ugv_plant, ugv_kss, ugv_gains, noises[1], horizon, attack=attack)
+    assert_bit_equal(got, want)
+    if noisy:
+        assert_same_generator_state(noises[1], noises[0])
+
+
+def test_lockstep_noise_blocks_equal_per_step_draws(ugv_plant):
+    per_step = NoiseSource(ugv_plant.Q, ugv_plant.R, 5)
+    blocked = NoiseSource(ugv_plant.Q, ugv_plant.R, 5)
+    etas = [per_step.draw_eta()]
+    nus = [np.zeros(ugv_plant.n)]
+    for _ in range(CHUNK + 9):
+        nu, eta = per_step.draw()
+        nus.append(nu)
+        etas.append(eta)
+    first = blocked.block(10, initial=True)
+    second = blocked.block(CHUNK)
+    nu = np.concatenate([first[0], second[0]])[:, :, 0]
+    eta = np.concatenate([first[1], second[1]])[:, :, 0]
+    assert nu.tobytes() == np.array(nus).tobytes()
+    assert eta.tobytes() == np.array(etas).tobytes()
+    assert_same_generator_state(blocked, per_step)
+
+
+def test_lockstep_ensemble_matches_per_run_reference(stable_plant, stable_kss, stable_gains):
+    n_runs, horizon, base_seed = 12, CHUNK + 40, 808
+
+    def factory(j):
+        plan = AttackPlan(kind="worst_case_bdd_randaware", sensors=(0,), start=30, stop=250)
+        return build_attack_policy(plan, 1, stable_plant.C, stable_kss.sigma, ell=20,
+                                   alpha_des=0.05, seed=j)
+
+    got = run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=n_runs,
+                              horizon=horizon, base_seed=base_seed)
+    seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
+    want = np.array([
+        reference_run(stable_plant, stable_kss, stable_gains,
+                      NoiseSource(stable_plant.Q, stable_plant.R, seeds[j]), horizon,
+                      factory(j))["x"]
+        for j in range(n_runs)
+    ])
+    assert got.shape == (n_runs, horizon, stable_plant.n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lockstep_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
+    noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 1)
+    with pytest.raises(DimensionMismatch):
+        simulate(ugv_plant, ugv_kss, ugv_gains, noise, 10, attack=lambda k, e, eta: np.zeros(2))
