@@ -158,7 +158,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         )
         for j, plan in enumerate(cfg.attacks)
     ]
-    combined = atk.CompositeAttack(policies, s)
+    combined = atk.CompositeAttack(policies, s) if policies else None
 
     # Phase 1: the closed loop, with the CUSUM detector consuming r[k] before
     # the attack for step k + 1 reads its statistic.
@@ -293,8 +293,10 @@ def emit_outputs(artifacts: RunArtifacts, fmt: str, path: str) -> str:
     CSV carries a first comment line with schema version, config hash and
     seed, then a header row and one row per step with floats at 17
     significant digits. JSONL holds a meta record, one record per step (NaN
-    encoded as null) and a final summary record. Both read the columns of
-    ``csv_columns`` and stream the rows ``EMIT_CHUNK_ROWS`` at a time.
+    encoded as null, +-inf as Infinity/-Infinity) and a final summary record.
+    Both read the columns of ``csv_columns`` and stream the rows
+    ``EMIT_CHUNK_ROWS`` at a time: each chunk's values fill one per-row
+    template, repeated once per row, and go out in one write.
     """
     if fmt not in ("csv", "jsonl"):
         raise InvalidParameter(f"unknown output format {fmt!r}")
@@ -303,21 +305,25 @@ def emit_outputs(artifacts: RunArtifacts, fmt: str, path: str) -> str:
     meta = {"schema_version": summary.schema_version, "config_hash": summary.config_hash,
             "seed": summary.seed}
     as_csv = fmt == "csv"
+    # "%.17g" % v is format(v, ".17g") and "%r" % v is float.__repr__, which
+    # json.dumps uses for finite floats; no column name needs CSV quoting.
+    if as_csv:
+        row = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    else:
+        row = "{" + ", ".join(['"record": "step"'] + [f"{json.dumps(c)}: %r" for c in cols]) + "}\n"
     with open(path, "w", newline="" if as_csv else None, encoding="utf-8") as handle:
         if as_csv:
             handle.write("# randmon " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-            writer = csv.writer(handle)
-            writer.writerow(cols)
+            handle.write(",".join(cols) + "\r\n")
         else:
             handle.write(json.dumps({"record": "meta", **meta}) + "\n")
         for start in range(0, artifacts.horizon, EMIT_CHUNK_ROWS):
-            rows = np.hstack([a[start:start + EMIT_CHUNK_ROWS] for a in arrays]).tolist()
-            if as_csv:
-                writer.writerows(map(_fmt, row) for row in rows)
-            else:
-                for row in rows:
-                    values = {c: None if v != v else v for c, v in zip(cols, row)}  # NaN -> null
-                    handle.write(json.dumps({"record": "step", **values}) + "\n")
+            block = np.hstack([a[start:start + EMIT_CHUNK_ROWS] for a in arrays])
+            text = (row * block.shape[0]) % tuple(block.ravel().tolist())
+            if not as_csv:  # every value follows ": ", so only the reprs of NaN and +-inf match
+                text = (text.replace(": nan", ": null").replace(": inf", ": Infinity")
+                        .replace(": -inf", ": -Infinity"))
+            handle.write(text)
         if not as_csv:
             handle.write(json.dumps({"record": "summary", **asdict(summary)}) + "\n")
     return path
@@ -426,12 +432,15 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     """Cartesian sweep over desired rates and attack kinds.
 
     Scenarios run in parallel across worker processes; each cell reports the
-    per-test, per-sensor alarm rates of its run.
+    per-test, per-sensor alarm rates of its run. Cells are alpha-major and each
+    worker takes one contiguous block of them, so a worker tunes CUSUM for as
+    few alphas as it can (the tuning cache is per process).
     """
     cells = [(raw_cfg, float(a), kind) for a in alphas for kind in attack_kinds]
     if workers > 1:
+        block = max(1, math.ceil(len(cells) / workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, cells))
+            return list(pool.map(_sweep_cell, cells, chunksize=block))
     return [_sweep_cell(cell) for cell in cells]
 
 

@@ -151,26 +151,34 @@ class KalmanSteadyState:
 
 
 def _riccati_fixed_point(A, C, Q, R, tol=1e-12, max_iter=100_000):
-    """Iterate P -> A P A' - A P C' (R + C P C')^-1 C P A' + Q from P0 = Q."""
+    """Iterate P -> A P A' - A P C' (R + C P C')^-1 C P A' + Q from P0 = Q.
+
+    ``@`` groups left to right, so ``C P`` and ``A P`` are each formed once per
+    iteration and reused; the norms are ``np.linalg.norm``'s own Frobenius
+    form. The iterates are bit-equal to evaluating the formula as written.
+    """
+    solve, isfinite = np.linalg.solve, np.isfinite
+    At, Ct = A.T, C.T
+    floor = np.finfo(float).tiny
     P = Q.copy()
     # Divergence (undetectable unstable modes) is detected explicitly, so the
     # intermediate overflows on that path are expected and silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            S = R + C @ P @ C.T
+            CP, AP = C @ P, A @ P
             try:
-                X = np.linalg.solve(S, C @ P @ A.T)
+                X = solve(R + CP @ Ct, CP @ At)
             except np.linalg.LinAlgError as exc:
                 raise SingularInnovation("innovation covariance is singular") from exc
-            Pn = A @ P @ A.T - A @ P @ C.T @ X + Q
+            Pn = AP @ At - AP @ Ct @ X + Q
             Pn = 0.5 * (Pn + Pn.T)
-            if not np.all(np.isfinite(Pn)):
+            if not isfinite(Pn).all():
                 raise NonConvergence("covariance iteration diverged (undetectable unstable mode?)")
-            step = np.linalg.norm(Pn - P)
-            scale = np.linalg.norm(Pn)
+            d, pn = (Pn - P).ravel(order="K"), Pn.ravel(order="K")
+            step, scale = math.sqrt(d.dot(d)), math.sqrt(pn.dot(pn))
             # Relative step tolerance; the tiny floor only matters for P = 0, and
             # overflowed norms (divergence in progress) must not count as converged.
-            if np.isfinite(step) and np.isfinite(scale) and step <= tol * max(scale, np.finfo(float).tiny):
+            if isfinite(step) and isfinite(scale) and step <= tol * max(scale, floor):
                 return Pn
             P = Pn
     raise NonConvergence(f"Riccati iteration did not converge in {max_iter} iterations")

@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from randmon.config import load_config_dict
 from randmon.errors import InvalidParameter
 from randmon.harness import (
     EMIT_CHUNK_ROWS,
+    _column_table,
     budget_curve,
     csv_columns,
     emit_outputs,
@@ -138,6 +141,65 @@ def test_jsonl_values_round_trip_across_chunks(tmp_path):
         np.testing.assert_array_equal(read[:, j], expected[col], err_msg=col)
 
 
+def reference_emit(artifacts, fmt, path):
+    """The writer emit_outputs replaced: csv.writer with format(v, ".17g"), one json.dumps per row."""
+    cols, arrays = _column_table(artifacts)
+    summary = artifacts.summary
+    meta = {"schema_version": summary.schema_version, "config_hash": summary.config_hash,
+            "seed": summary.seed}
+    as_csv = fmt == "csv"
+    with open(path, "w", newline="" if as_csv else None, encoding="utf-8") as handle:
+        if as_csv:
+            handle.write("# randmon " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+            writer = csv.writer(handle)
+            writer.writerow(cols)
+        else:
+            handle.write(json.dumps({"record": "meta", **meta}) + "\n")
+        for start in range(0, artifacts.horizon, EMIT_CHUNK_ROWS):
+            rows = np.hstack([a[start:start + EMIT_CHUNK_ROWS] for a in arrays]).tolist()
+            if as_csv:
+                writer.writerows([format(v, ".17g") for v in row] for row in rows)
+            else:
+                for row in rows:
+                    values = {c: None if v != v else v for c, v in zip(cols, row)}
+                    handle.write(json.dumps({"record": "step", **values}) + "\n")
+        if not as_csv:
+            handle.write(json.dumps({"record": "summary", **asdict(summary)}) + "\n")
+    return path
+
+
+EDGE_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                        0.1, -0.1, 1 / 3, -2 / 3, 1.0, -7.0, 2.0 ** 53, 1e16, 1e22, 123456789.0])
+
+
+def with_edge_values(artifacts):
+    """The artifacts with EDGE_VALUES cycled through several columns, at a shift per column."""
+    def fill(array, offset):
+        rows, width = array.shape
+        index = np.arange(rows)[:, None] + 5 * np.arange(width) + offset
+        return EDGE_VALUES[index % EDGE_VALUES.size]
+
+    return replace(
+        artifacts,
+        x=fill(artifacts.x, 0),
+        r=fill(artifacts.r, 1),
+        xi=fill(artifacts.xi, 2),
+        p={**artifacts.p, "wsr": fill(artifacts.p["wsr"], 3)},
+        rate={**artifacts.rate, "cusum": fill(artifacts.rate["cusum"], 4)},
+        cusum_s=fill(artifacts.cusum_s, 6),
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_emission_matches_reference_writer(fmt, tmp_path):
+    # the columns left alone keep the run's own values, warm-up NaNs included
+    art = with_edge_values(run_scenario(load_config_dict(
+        {**BASE, "detectors": {"kind": "both"}, "horizon": 6 * EMIT_CHUNK_ROWS + 5})))
+    got = emit_outputs(art, fmt, str(tmp_path / f"got.{fmt}"))
+    want = reference_emit(art, fmt, str(tmp_path / f"want.{fmt}"))
+    assert open(got, "rb").read() == open(want, "rb").read()
+
+
 def test_budget_curve_table(tmp_path):
     alphas = [0.05, 0.1, 0.2]
     ells = [20, 50, 100, 500, 2000]
@@ -237,11 +299,12 @@ def test_sweep_serial_matches_parallel():
         "horizon": 1200,
         "seed": 3,
     }
-    serial = run_sweep(raw, [0.05], ["none", "bias_concentrate"], workers=1)
-    parallel = run_sweep(raw, [0.05], ["none", "bias_concentrate"], workers=2)
+    # 2 alphas x 2 attacks: each of the 2 workers takes a block of 2 cells
+    serial = run_sweep(raw, [0.05, 0.1], ["none", "bias_concentrate"], workers=1)
+    parallel = run_sweep(raw, [0.05, 0.1], ["none", "bias_concentrate"], workers=2)
     assert serial == parallel
-    kinds = {cell["attack"] for cell in serial}
-    assert kinds == {"none", "bias_concentrate"}
+    assert [(cell["alpha_des"], cell["attack"]) for cell in serial] == [
+        (0.05, "none"), (0.05, "bias_concentrate"), (0.1, "none"), (0.1, "bias_concentrate")]
 
 
 # --- command line ------------------------------------------------------------------------

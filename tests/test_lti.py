@@ -16,6 +16,7 @@ from randmon.lti import (
     LtiPlant,
     NoiseSource,
     UgvParams,
+    _riccati_fixed_point,
     discretize_ugv,
     initial_state,
     lqr_gain,
@@ -104,6 +105,41 @@ def test_covariance_validation():
 def test_dimension_validation():
     with pytest.raises(DimensionMismatch):
         LtiPlant(A=[[0.5]], B=[[1.0]], C=[[1.0, 0.0]], Q=[[0.1]], R=[[0.1]], ts=1.0)
+
+
+def riccati_reference(A, C, Q, R, tol=1e-12, max_iter=100_000):
+    """The Riccati fixed point evaluated as written: every product formed anew."""
+    P = Q.copy()
+    for _ in range(max_iter):
+        S = R + C @ P @ C.T
+        X = np.linalg.solve(S, C @ P @ A.T)
+        Pn = A @ P @ A.T - A @ P @ C.T @ X + Q
+        Pn = 0.5 * (Pn + Pn.T)
+        assert np.all(np.isfinite(Pn))
+        step = np.linalg.norm(Pn - P)
+        scale = np.linalg.norm(Pn)
+        if np.isfinite(step) and np.isfinite(scale) and step <= tol * max(scale, np.finfo(float).tiny):
+            return Pn
+        P = Pn
+    raise AssertionError("reference iteration did not converge")
+
+
+# the explicit two-state plant of the golden case explicit_plant_K_worst_case_cusum
+EXPLICIT_PLANT = LtiPlant(A=[[0.9, 0.05], [0.0, 0.8]], B=[[0.5], [1.0]], C=np.eye(2),
+                          Q=np.diag([2e-4, 2e-4]), R=np.diag([4e-4, 1e-4]), ts=0.1)
+
+
+@pytest.mark.parametrize("equation", ["ugv_kalman", "ugv_lqr", "c06_kalman", "explicit_kalman"])
+def test_riccati_shared_products_match_reference(equation, ugv_plant, stable_plant):
+    plant = {"ugv": ugv_plant, "c06": stable_plant, "explicit": EXPLICIT_PLANT}[
+        equation.split("_")[0]]
+    if equation.endswith("lqr"):
+        # the control equation, as make_controller's default identity weights pose it
+        args = (plant.A.T, plant.B.T, np.eye(plant.n), np.eye(plant.m))
+    else:
+        args = (plant.A, plant.C, plant.Q, plant.R)
+    got = _riccati_fixed_point(*args)
+    assert got.tobytes() == riccati_reference(*args).tobytes()
 
 
 # --- spectral radius ------------------------------------------------------------------
