@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RandmonError, np.linalg.LinAlgError) as exc:
+    except (RandmonError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -41,6 +41,8 @@ DEFAULT_TUNING_SEED = 7_654_321
 #: default ``monitors.window`` and ``monitors.rate_window``
 DEFAULT_WINDOW = 100
 DEFAULT_HORIZON = 10_000
+#: largest accepted ``horizon``: far more steps than a run's records could ever hold
+MAX_HORIZON = 10**15
 
 
 @dataclass
@@ -160,30 +162,34 @@ def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, prob
 
 
 def build_plant(spec: dict) -> LtiPlant:
-    """Instantiate the plant from its resolved spec dict."""
+    """Instantiate the plant from its resolved spec dict (``ScenarioConfig.plant_spec``)."""
     if spec.get("preset") == "ugv":
         params = UgvParams(**spec.get("params", {}))
-        ts = spec.get("ts", 0.05)
-        q = np.diag(spec.get("q_diag", UGV_DEFAULT_Q))
-        r = np.diag(spec.get("r_diag", UGV_DEFAULT_R))
-        return discretize_ugv(params, ts, q, r)
+        return discretize_ugv(params, spec["ts"], np.diag(spec["q_diag"]), np.diag(spec["r_diag"]))
     return LtiPlant(
         A=np.asarray(spec["A"], dtype=float),
         B=np.asarray(spec["B"], dtype=float),
         C=np.asarray(spec["C"], dtype=float),
         Q=np.asarray(spec["Q"], dtype=float),
         R=np.asarray(spec["R"], dtype=float),
-        ts=spec.get("ts", 1.0),
+        ts=spec["ts"],
     )
 
 
 def _validate_plant(spec, problems: list) -> dict:
+    """The plant spec with its defaults filled in: ``ts``, and the UGV's noise variances."""
     if not isinstance(spec, dict):
         problems.append("plant: must be an object")
         return {}
     _reject_unknown(spec, _PLANT_KEYS, "plant", problems)
     out = dict(spec)
-    ts = spec.get("ts", 0.05 if spec.get("preset") is not None else 1.0)
+    if spec.get("preset") is not None:
+        out.setdefault("ts", 0.05)
+        out.setdefault("q_diag", list(UGV_DEFAULT_Q))
+        out.setdefault("r_diag", list(UGV_DEFAULT_R))
+    else:
+        out.setdefault("ts", 1.0)
+    ts = out["ts"]
     if not (_finite_number(ts) and ts > 0):
         problems.append(f"plant.ts: must be a finite positive number, got {ts!r}")
     if spec.get("preset") is not None:
@@ -198,12 +204,8 @@ def _validate_plant(spec, problems: list) -> dict:
         else:
             problems.append("plant.params: must be an object")
         for diag_key, dim in (("q_diag", 3), ("r_diag", 3)):
-            diag = spec.get(diag_key)
-            if diag is not None and (not _finite_list(diag) or len(diag) != dim):
+            if not _finite_list(out[diag_key]) or len(out[diag_key]) != dim:
                 problems.append(f"plant.{diag_key}: must be a list of {dim} finite variances")
-        out.setdefault("ts", 0.05)
-        out.setdefault("q_diag", list(UGV_DEFAULT_Q))
-        out.setdefault("r_diag", list(UGV_DEFAULT_R))
     else:
         for key in ("A", "B", "C", "Q", "R"):
             if key not in spec:
@@ -211,7 +213,6 @@ def _validate_plant(spec, problems: list) -> dict:
             elif not _finite_array(spec[key]):
                 problems.append(f"plant.{key}: must be a matrix of finite numbers")
         _validate_plant_shapes(spec, problems)
-        out.setdefault("ts", 1.0)
     return out
 
 
@@ -257,6 +258,16 @@ def _plant_sizes(spec: dict) -> tuple:
     return A[0], B[1], C[0]
 
 
+def _section(raw: dict, name: str, allowed: set, problems: list) -> dict:
+    """``raw[name]``, an object with known keys only; ``{}`` when absent or not an object."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        problems.append(f"{name}: must be an object")
+        return {}
+    _reject_unknown(section, allowed, name, problems)
+    return section
+
+
 def _validate_alpha(value, where: str, problems: list) -> bool:
     if not (_finite_number(value) and 0.0 < value < 1.0):
         problems.append(f"{where}: must be a number in (0, 1), got {value!r}")
@@ -277,42 +288,32 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     plant_spec = _validate_plant(raw.get("plant", {"preset": "ugv"}), problems)
     n_states, n_inputs, n_sensors = _plant_sizes(plant_spec)
 
-    controller_spec = raw.get("controller", {"mode": "lqr"})
-    if isinstance(controller_spec, dict):
-        _reject_unknown(controller_spec, _CONTROLLER_KEYS, "controller", problems)
-        controller_spec = dict(controller_spec)
-        if "K" not in controller_spec:
-            controller_spec.setdefault("mode", "lqr")
-        if controller_spec.get("mode", "lqr") != "lqr":
-            problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
-        if "K" in controller_spec:
-            K = _shape(controller_spec["K"])
-            if K is None:
-                problems.append("controller.K: must be a matrix of finite numbers")
-            else:
-                want = (n_inputs if n_inputs is not None else K[0],
-                        n_states if n_states is not None else K[1])
-                if K != want:
-                    problems.append(f"controller.K: must be {want[0]}x{want[1]} (plant inputs x "
-                                    f"states), got {K[0]}x{K[1]}")
-        for key, dim in (("state_weights", n_states), ("input_weights", n_inputs)):
-            if key not in controller_spec:
-                continue
-            weights = controller_spec[key]
-            if not _finite_list(weights):
-                problems.append(f"controller.{key}: must be a list of finite numbers")
-            elif "K" not in controller_spec and dim is not None and len(weights) != dim:
-                problems.append(f"controller.{key}: must have {dim} entries, one per plant "
-                                f"{key.split('_')[0]}, got {len(weights)}")
-    else:
-        problems.append("controller: must be an object")
-        controller_spec = {"mode": "lqr"}
+    controller_spec = dict(_section(raw, "controller", _CONTROLLER_KEYS, problems))
+    if "K" not in controller_spec:
+        controller_spec.setdefault("mode", "lqr")
+    if controller_spec.get("mode", "lqr") != "lqr":
+        problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
+    if "K" in controller_spec:
+        K = _shape(controller_spec["K"])
+        if K is None:
+            problems.append("controller.K: must be a matrix of finite numbers")
+        else:
+            want = (n_inputs if n_inputs is not None else K[0],
+                    n_states if n_states is not None else K[1])
+            if K != want:
+                problems.append(f"controller.K: must be {want[0]}x{want[1]} (plant inputs x "
+                                f"states), got {K[0]}x{K[1]}")
+    for key, dim in (("state_weights", n_states), ("input_weights", n_inputs)):
+        if key not in controller_spec:
+            continue
+        weights = controller_spec[key]
+        if not _finite_list(weights):
+            problems.append(f"controller.{key}: must be a list of finite numbers")
+        elif "K" not in controller_spec and dim is not None and len(weights) != dim:
+            problems.append(f"controller.{key}: must have {dim} entries, one per plant "
+                            f"{key.split('_')[0]}, got {len(weights)}")
 
-    monitors = raw.get("monitors", {})
-    if not isinstance(monitors, dict):
-        problems.append("monitors: must be an object")
-        monitors = {}
-    _reject_unknown(monitors, _MONITOR_KEYS, "monitors", problems)
+    monitors = _section(raw, "monitors", _MONITOR_KEYS, problems)
     window = monitors.get("window", DEFAULT_WINDOW)
     rate_window = monitors.get("rate_window", DEFAULT_WINDOW)
     for name, value in (("monitors.window", window), ("monitors.rate_window", rate_window)):
@@ -341,11 +342,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if not (_finite_number(alpha_tau) and 0.0 < alpha_tau <= 1.0):
         problems.append(f"monitors.alpha_tau: must lie in (0, 1], got {alpha_tau!r}")
 
-    detectors = raw.get("detectors", {})
-    if not isinstance(detectors, dict):
-        problems.append("detectors: must be an object")
-        detectors = {}
-    _reject_unknown(detectors, _DETECTOR_KEYS, "detectors", problems)
+    detectors = _section(raw, "detectors", _DETECTOR_KEYS, problems)
     detector_kind = detectors.get("kind", "both")
     if detector_kind not in ("bdd", "cusum", "both"):
         problems.append(f"detectors.kind: must be bdd, cusum or both, got {detector_kind!r}")
@@ -362,6 +359,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     horizon = raw.get("horizon", DEFAULT_HORIZON)
     if not _is_int(horizon) or horizon < 1:
         problems.append("horizon: must be a positive integer")
+    elif horizon > MAX_HORIZON:
+        problems.append(f"horizon: must be <= {MAX_HORIZON}, got {horizon}")
     elif _is_int(window) and _is_int(rate_window) and horizon < window + rate_window:
         problems.append(
             f"horizon: must be >= window + rate_window = {window + rate_window}, got {horizon}"
@@ -423,11 +422,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             AttackPlan(kind=kind, sensors=tuple(sensors), start=start, stop=stop, params=params)
         )
 
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        problems.append("output: must be an object")
-        output = {}
-    _reject_unknown(output, _OUTPUT_KEYS, "output", problems)
+    output = _section(raw, "output", _OUTPUT_KEYS, problems)
     output_format = output.get("format", "csv")
     if output_format not in ("csv", "jsonl"):
         problems.append(f"output.format: must be csv or jsonl, got {output_format!r}")

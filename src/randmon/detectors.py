@@ -23,6 +23,11 @@ CUSUM_MIN_SAMPLES = 1_000_000
 #: steps per block of the block-parallel kernel in cusum_alarm_fraction
 CUSUM_BLOCK = 256
 
+#: tune_cusum's tolerance on the achieved rate relative to alpha_des, and its cap on
+#: bracketing doublings and on bisections
+CUSUM_REL_TOL = 0.05
+CUSUM_MAX_ITER = 60
+
 
 def tune_bdd(sigma, alpha_des: float):
     """Threshold with two-sided exceedance probability alpha_des under N(0, sigma^2).
@@ -139,13 +144,11 @@ def tune_cusum(
     alpha_des: float,
     n_samples: int = CUSUM_MIN_SAMPLES,
     seed: int = 0,
-    rel_tol: float = 0.05,
-    max_iter: int = 60,
 ) -> CusumTuning:
     """Monte Carlo threshold search for a target CUSUM false-alarm rate.
 
     Simulates the recursion on i.i.d. |N(0, sigma^2)| inputs and bisects tau
-    until the empirical alarm rate is within ``rel_tol`` relative of
+    until the empirical alarm rate is within ``CUSUM_REL_TOL`` relative of
     alpha_des. The increments |r| - b are drawn once into one float64 array;
     bracketing and early bisection run on a view of its first 1/8, and
     candidate thresholds are confirmed on the full stream. Each rate is
@@ -154,7 +157,7 @@ def tune_cusum(
 
     Raises ``InvalidBias`` when bias <= sqrt(2/pi)*sigma (no downward drift
     under clean data) and ``NonConvergence`` if the search exhausts
-    ``max_iter`` bisections.
+    ``CUSUM_MAX_ITER`` bisections.
     """
     if sigma <= 0.0:
         raise InvalidParameter("sigma must be positive")
@@ -174,7 +177,7 @@ def tune_cusum(
     deltas_full *= sigma
     deltas_full -= bias
     deltas_coarse = deltas_full[: max(1, n_samples // 8)]
-    tol = rel_tol * alpha_des
+    tol = CUSUM_REL_TOL * alpha_des
 
     def rate(tau: float, full: bool) -> float:
         return cusum_alarm_fraction(deltas_full if full else deltas_coarse, tau)
@@ -193,11 +196,11 @@ def tune_cusum(
     while rate(hi, full=False) > alpha_des:
         hi *= 2.0
         iterations += 1
-        if iterations > max_iter:
+        if iterations > CUSUM_MAX_ITER:
             raise NonConvergence("could not bracket the CUSUM threshold")
 
     best = None
-    for _ in range(max_iter):
+    for _ in range(CUSUM_MAX_ITER):
         iterations += 1
         mid = 0.5 * (lo + hi)
         r_coarse = rate(mid, full=False)

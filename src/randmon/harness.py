@@ -28,12 +28,12 @@ import numpy as np
 
 from . import attacks as atk
 from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, ScenarioConfig,
-                     build_plant, config_hash)
+                     build_plant, config_hash, load_config_dict)
 from .detectors import BadDataDetector, CusumDetector, tune_cusum
 from .deviation import deviation_limit, expected_residual
 from .errors import InvalidParameter
-from .lti import ControllerGains, NoiseSource, make_controller, simulate, solve_dare
-from .monitors import alarm_rate_scan, sir_scan, wsr_scan
+from .lti import NoiseSource, make_controller, simulate, solve_dare
+from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ _cusum_cache: dict = {}
 
 
 def _tuned_cusum_tau(sigma: float, bias: float, alpha: float, n_samples: int, seed: int) -> float:
-    key = (round(sigma, 15), round(bias, 15), round(alpha, 15), n_samples, seed)
+    key = (sigma, bias, alpha, n_samples, seed)
     if key not in _cusum_cache:
         tuning = tune_cusum(sigma, bias, alpha, n_samples=n_samples, seed=seed)
         log.info(
@@ -90,12 +90,6 @@ class RunArtifacts:
         return self.k.shape[0]
 
 
-def _build_controller(cfg: ScenarioConfig, plant) -> ControllerGains:
-    spec = cfg.controller_spec
-    return make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
-                           input_weights=spec.get("input_weights"))
-
-
 def _enabled_tests(cfg: ScenarioConfig) -> tuple:
     tests = ["wsr", "sir"]
     if cfg.detector_kind in ("bdd", "both"):
@@ -105,8 +99,13 @@ def _enabled_tests(cfg: ScenarioConfig) -> tuple:
     return tuple(tests)
 
 
-def _build_detectors(cfg: ScenarioConfig, kss) -> tuple:
-    """The bad-data and CUSUM detectors a config enables; None where disabled."""
+def _set_up(cfg: ScenarioConfig) -> tuple:
+    """The plant, its steady-state filter and the detectors calibrated from it.
+
+    Returns ``(plant, kss, bdd, cusum)``; a detector the config disables is None.
+    """
+    plant = build_plant(cfg.plant_spec)
+    kss = solve_dare(plant)
     tests = _enabled_tests(cfg)
     bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"]) if "bdd" in tests else None
     cusum = None
@@ -118,7 +117,7 @@ def _build_detectors(cfg: ScenarioConfig, kss) -> tuple:
             for sig, b in zip(kss.sigma, bias)
         ]
         cusum = CusumDetector(tau=tau, bias=bias)
-    return bdd, cusum
+    return plant, kss, bdd, cusum
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
@@ -132,16 +131,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     pure observers of the residual stream; the plant trajectory does not
     depend on them.
     """
-    plant = build_plant(cfg.plant_spec)
-    kss = solve_dare(plant)
-    gains = _build_controller(cfg, plant)
+    plant, kss, bdd, cusum = _set_up(cfg)
+    spec = cfg.controller_spec
+    gains = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
+                            input_weights=spec.get("input_weights"))
     s, horizon = plant.s, cfg.horizon
     tests = _enabled_tests(cfg)
 
     master = np.random.SeedSequence(cfg.seed)
     noise_seed, attack_root = master.spawn(2)
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
-    bdd, cusum = _build_detectors(cfg, kss)
 
     attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
     policies = [
@@ -383,11 +382,7 @@ def write_budget_curve(rows, path: str) -> str:
 
 def tuned_thresholds(cfg: ScenarioConfig) -> dict:
     """Detector thresholds and monitor bounds for a config, for `randmon tune`."""
-    from .monitors import sir_bounds, wsr_bounds
-
-    plant = build_plant(cfg.plant_spec)
-    kss = solve_dare(plant)
-    bdd, cusum = _build_detectors(cfg, kss)
+    _, kss, bdd, cusum = _set_up(cfg)
     out = {
         "sigma": kss.sigma.tolist(),
         "wsr_bounds": list(wsr_bounds(cfg.window, cfg.alpha_des["wsr"])),
@@ -406,8 +401,6 @@ def tuned_thresholds(cfg: ScenarioConfig) -> dict:
 
 def _sweep_cell(args):
     raw_cfg, alpha, attack_kind = args
-    from .config import load_config_dict
-
     raw = json.loads(json.dumps(raw_cfg))
     raw.setdefault("monitors", {})["alpha_des"] = alpha
     raw.pop("attacks", None)

@@ -54,6 +54,13 @@ AttackSignal = Optional[Callable[[int, Array, Array], Array]]
 
 _COND_LIMIT = 1e12
 
+#: Stopping rule of the Riccati fixed-point iteration: relative step, iteration cap.
+RICCATI_TOL = 1e-12
+RICCATI_MAX_ITER = 100_000
+#: Stopping rule of the matrix exponential's Taylor series: relative term size, term cap.
+EXPM_TOL = 1e-15
+EXPM_MAX_TERMS = 80
+
 #: Steps of noise each run draws and colours at once in the lockstep kernel.
 CHUNK = 256
 
@@ -90,8 +97,9 @@ class LtiPlant:
     """Discrete plant x+ = A x + B u + nu, y = C x + eta, with noise covariances.
 
     Construction validates shapes, symmetry and positive semidefiniteness of Q
-    and R, and runs the filter Riccati iteration once; a plant on which that
-    iteration cannot converge (e.g. an undetectable unstable mode) is rejected.
+    and R. Whether the filter can be stabilized is left to :func:`solve_dare`,
+    which every simulation and score needs first: it rejects a plant on which
+    the Riccati iteration cannot converge (e.g. an undetectable unstable mode).
     """
 
     A: Array
@@ -120,7 +128,6 @@ class LtiPlant:
             raise DimensionMismatch(f"R must be {self.C.shape[0]}x{self.C.shape[0]}")
         if not self.ts > 0.0:
             raise InvalidParameter(f"sample period must be positive, got {self.ts}")
-        solve_dare(self)  # reject plants the filter cannot stabilize
 
     @property
     def n(self) -> int:
@@ -150,7 +157,7 @@ class KalmanSteadyState:
     sigma: Array
 
 
-def _riccati_fixed_point(A, C, Q, R, tol=1e-12, max_iter=100_000):
+def _riccati_fixed_point(A, C, Q, R):
     """Iterate P -> A P A' - A P C' (R + C P C')^-1 C P A' + Q from P0 = Q.
 
     ``@`` groups left to right, so ``C P`` and ``A P`` are each formed once per
@@ -164,7 +171,7 @@ def _riccati_fixed_point(A, C, Q, R, tol=1e-12, max_iter=100_000):
     # Divergence (undetectable unstable modes) is detected explicitly, so the
     # intermediate overflows on that path are expected and silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(RICCATI_MAX_ITER):
             CP, AP = C @ P, A @ P
             try:
                 X = solve(R + CP @ Ct, CP @ At)
@@ -178,10 +185,10 @@ def _riccati_fixed_point(A, C, Q, R, tol=1e-12, max_iter=100_000):
             step, scale = math.sqrt(d.dot(d)), math.sqrt(pn.dot(pn))
             # Relative step tolerance; the tiny floor only matters for P = 0, and
             # overflowed norms (divergence in progress) must not count as converged.
-            if isfinite(step) and isfinite(scale) and step <= tol * max(scale, floor):
+            if isfinite(step) and isfinite(scale) and step <= RICCATI_TOL * max(scale, floor):
                 return Pn
             P = Pn
-    raise NonConvergence(f"Riccati iteration did not converge in {max_iter} iterations")
+    raise NonConvergence(f"Riccati iteration did not converge in {RICCATI_MAX_ITER} iterations")
 
 
 def solve_dare(plant: LtiPlant) -> KalmanSteadyState:
@@ -207,7 +214,7 @@ def solve_dare(plant: LtiPlant) -> KalmanSteadyState:
     return KalmanSteadyState(P=P, L=L, Sigma=Sigma, sigma=np.sqrt(diag))
 
 
-def lqr_gain(A, B, Qx, Ru, tol=1e-12, max_iter=100_000) -> Array:
+def lqr_gain(A, B, Qx, Ru) -> Array:
     """State-feedback gain K with u = K x such that A + B K is stable.
 
     Solves the control Riccati equation through the same fixed-point kernel
@@ -217,7 +224,7 @@ def lqr_gain(A, B, Qx, Ru, tol=1e-12, max_iter=100_000) -> Array:
     B = _matrix(B, "B")
     Qx = _check_covariance(_matrix(Qx, "Qx"), "Qx")
     Ru = _check_covariance(_matrix(Ru, "Ru"), "Ru")
-    P = _riccati_fixed_point(A.T, B.T, Qx, Ru, tol=tol, max_iter=max_iter)
+    P = _riccati_fixed_point(A.T, B.T, Qx, Ru)
     F = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ A)
     return -F
 
@@ -481,7 +488,7 @@ def _lockstep(
 # --- zero-order-hold discretization -------------------------------------------------
 
 
-def _expm(M: Array, tol: float = 1e-15, max_terms: int = 80) -> Array:
+def _expm(M: Array) -> Array:
     """Matrix exponential by scaling-and-squaring on a truncated Taylor series."""
     M = np.asarray(M, dtype=float)
     norm = np.linalg.norm(M, 1)
@@ -489,10 +496,10 @@ def _expm(M: Array, tol: float = 1e-15, max_terms: int = 80) -> Array:
     A = M / (2.0 ** squarings)
     result = np.eye(M.shape[0])
     term = np.eye(M.shape[0])
-    for j in range(1, max_terms + 1):
+    for j in range(1, EXPM_MAX_TERMS + 1):
         term = term @ A / j
         result = result + term
-        if np.linalg.norm(term, 1) <= tol * max(1.0, np.linalg.norm(result, 1)):
+        if np.linalg.norm(term, 1) <= EXPM_TOL * max(1.0, np.linalg.norm(result, 1)):
             break
     else:
         raise NonConvergence("matrix exponential series did not converge")

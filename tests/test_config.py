@@ -302,6 +302,12 @@ def test_mistyped_field_exits_2(case, tmp_path, capsys):
     assert where in capsys.readouterr().err
 
 
+def test_null_noise_diagonal_rejected_at_load():
+    with pytest.raises(ValidationError) as err:
+        load_config_dict({**MINIMAL, "plant": {"preset": "ugv", "q_diag": None}})
+    assert err.value.problems == ["plant.q_diag: must be a list of 3 finite variances"]
+
+
 def test_sizes_at_their_limits_load():
     load_config_dict(_controller(state_weights=[1, 2, 3], input_weights=[1, 1]))
     load_config_dict({**_explicit(B=[[1.0, 0.5]]), "controller": {"input_weights": [1.0, 2.0]}})

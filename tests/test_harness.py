@@ -9,8 +9,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from randmon import harness, lti
 from randmon.attacks import saturation_budget
 from randmon.config import load_config_dict
+from randmon.detectors import tune_cusum
 from randmon.errors import InvalidParameter
 from randmon.harness import (
     EMIT_CHUNK_ROWS,
@@ -349,6 +351,51 @@ def test_cli_runtime_error_exit_code(tmp_path):
     result = run_cli("run", "--config", str(cfg_path))
     assert result.returncode == 3
     assert "runtime error" in result.stderr
+
+
+@pytest.mark.parametrize("horizon, code, message", [
+    (10**15, 3, "runtime error"),  # valid, but its records fail to allocate at once
+    (10**15 + 1, 2, "config error"),
+])
+def test_cli_horizon_beyond_memory(tmp_path, horizon, code, message):
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps({**BASE, "horizon": horizon}))
+    result = run_cli("run", "--config", str(cfg_path))
+    assert result.returncode == code
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_set_up_solves_each_riccati_equation_once(monkeypatch):
+    calls = []
+    solve = lti._riccati_fixed_point
+    monkeypatch.setattr(lti, "_riccati_fixed_point", lambda *a: calls.append(1) or solve(*a))
+
+    def solves(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    cfg = load_config_dict({**BASE, "horizon": 200})
+    assert solves(run_scenario, cfg) == 2  # the filter and the LQR gain
+    assert solves(tuned_thresholds, cfg) == 1  # the filter
+    assert solves(lti.LtiPlant, [[0.5]], [[1.0]], [[1.0]], [[1.0]], [[1.0]]) == 0
+
+
+def test_cusum_tuning_cache_tells_tiny_sigmas_apart(monkeypatch):
+    # Both residual sigmas are below 5e-16, so they agree to 15 decimals.
+    monkeypatch.setattr(harness, "_cusum_cache", {})
+    cfgs = [load_config_dict({
+        "plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[q]], "R": [[q]]},
+        "detectors": {"kind": "cusum"},
+        "horizon": 200,
+    }) for q in (1e-34, 4e-34)]
+    tuned_thresholds(cfgs[0])
+    cfg = cfgs[1]
+    sigma = solve_dare(build_plant(cfg.plant_spec)).sigma[0]
+    direct = tune_cusum(sigma, cfg.bias_scale * sigma, cfg.alpha_des["cusum"],
+                        n_samples=cfg.tuning_samples, seed=cfg.tuning_seed)
+    assert tuned_thresholds(cfg)["cusum_tau"] == [direct.tau]
 
 
 def test_cli_budget(tmp_path):

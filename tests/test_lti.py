@@ -90,8 +90,8 @@ def test_dare_ugv_sigma_psd(ugv_plant, ugv_kss):
 def test_undetectable_plant_rejected():
     # unstable mode invisible to the sensor: covariance iteration diverges
     with pytest.raises(NonConvergence):
-        LtiPlant(A=[[1.2, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]], C=[[0.0, 1.0]],
-                 Q=np.eye(2) * 0.1, R=[[0.1]], ts=1.0)
+        solve_dare(LtiPlant(A=[[1.2, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]], C=[[0.0, 1.0]],
+                            Q=np.eye(2) * 0.1, R=[[0.1]], ts=1.0))
 
 
 def test_covariance_validation():
