@@ -305,9 +305,9 @@ def build_attack_policy(
         def signal(k, e, eta, i):
             return attack_worst_case_bdd(e, eta, c_rows[i], float(tau_b[i]), i, *dither(k, i))
     else:
-        # The attacker reads the live statistic ``cusum.S``. The loop steps the detector
-        # on each residual before the next attack value is drawn (``lti.simulate``'s
-        # ``on_step``), so the attack for step k + 1 sees S after r[k].
+        # The attacker reads the live statistic ``cusum.S``. A run with this attack steps
+        # the detector on each residual before the next attack value is drawn
+        # (``lti.simulate``'s ``on_step``), so the attack for step k + 1 sees S after r[k].
         def signal(k, e, eta, i):
             return attack_worst_case_cusum(e, eta, c_rows[i], i, float(cusum.bias[i]),
                                            float(cusum.tau[i]), float(cusum.S[i]),

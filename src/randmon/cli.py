@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .config import config_hash, load_config
+from .config import config_hash, load_config, read_config
 from .errors import ConfigError, RandmonError
 from .harness import (
     budget_curve,
@@ -75,9 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, quiet: bool) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, seed=args.seed)
     if args.out is not None:
         cfg.output_dir = args.out
     if args.format is not None:
@@ -114,8 +112,7 @@ def _cmd_budget(args, quiet: bool) -> int:
 
 
 def _cmd_sweep(args, quiet: bool) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = read_config(args.config)
     kinds = [k for k in args.attacks.split(",") if k]
     results = run_sweep(raw, args.alphas, kinds, workers=args.workers)
     path = write_sweep(results, args.out)

@@ -449,15 +449,20 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path) -> ScenarioConfig:
-    """Read, parse and validate a JSON scenario file."""
+def read_config(path):
+    """Read and parse a JSON scenario file, unvalidated; ``ParseError`` if it cannot."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
+    """Read, parse and validate a JSON scenario file; ``seed`` overrides its seed."""
+    raw = read_config(path)
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     return load_config_dict(raw)

@@ -65,51 +65,55 @@ class BadDataDetector:
         return np.abs(r) > self.tau
 
 
-def _cusum_step(s: float, d: float, tau: float) -> tuple:
+def _cusum_step(s: float, x: float, bias: float, tau: float) -> tuple:
     """One step of the scalar recursion: the next statistic and 1 if it alarmed."""
     if s > tau:
         return 0.0, 1
-    s += d
+    s = (s + x) - bias
     return (0.0 if s < 0.0 else s), 0
 
 
-def cusum_alarm_fraction(deltas, tau: float) -> float:
-    """Alarm fraction of the CUSUM recursion over a fixed increment stream.
+def cusum_alarm_fraction(x, tau: float, bias: float = 0.0, out=None) -> float:
+    """Alarm fraction of the CUSUM recursion ``S = max(0, (S + x) - bias)`` over a stream.
 
-    ``deltas`` (a list or a 1-D array) holds |r| - b per step. The statistic
-    from the previous step is tested first: above tau it resets to zero and
-    alarms (the current increment is not consumed); otherwise it accumulates,
-    clamped at zero.
+    ``x`` (a list or a 1-D array) holds one input per step: |r| for a detector,
+    or |r| - b with ``bias`` 0 for tuning (``x - 0.0`` is ``x``, so it is
+    skipped). The previous statistic is tested first: above tau it resets to
+    zero and alarms, without consuming x; otherwise it accumulates, clamped at
+    zero. ``out``, if given, receives S after every step; the alarm at step k is
+    ``S[k - 1] > tau``, with S zero before step 0.
 
-    The stream is cut into blocks of ``CUSUM_BLOCK`` steps, and numpy runs the
-    recursion on all blocks side by side, each starting from zero. Every step
-    is the scalar recursion's own float64 operations (test, add, clamp,
-    reset), so a block whose true entry statistic is zero is exact. For a
-    block entered with a nonzero statistic, the true and the zero-started
-    statistic are stepped together in Python until they are equal; from there
-    on they take the same comparisons, so only the alarms over the walked
-    steps differ. A block that ends before they meet hands its true statistic
-    to the next one, and the tail after the last full block is walked alone.
-    The count is therefore the scalar recursion's own, also for non-finite
-    increments (NaN never compares equal, so it is walked to the end).
+    numpy runs the recursion on all ``CUSUM_BLOCK``-step blocks side by side,
+    each from zero, with the scalar recursion's own float64 operations. A block
+    entered with a nonzero statistic steps its true and zero-started statistic
+    together in Python until they are equal (from there on they agree), or
+    hands the true one to the next block; the tail is walked alone. Alarms and
+    S are therefore the scalar recursion's own, also for non-finite inputs
+    (NaN never compares equal, so it is walked to the end).
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise InvalidParameter("tau must be nonnegative")
-    d = np.asarray(deltas, dtype=float)
-    n = d.size
+    x = np.asarray(x, dtype=float)
+    n = x.size
     if n == 0:
         raise InvalidParameter("empty increment stream")
     n_blocks = n // CUSUM_BLOCK
-    blocks = d[: n_blocks * CUSUM_BLOCK].reshape(n_blocks, CUSUM_BLOCK)
+    full = n_blocks * CUSUM_BLOCK
+    blocks = x[:full].reshape(n_blocks, CUSUM_BLOCK)
+    record = None if out is None else out[:full].reshape(n_blocks, CUSUM_BLOCK)  # 1-D: a view
     s = np.zeros(n_blocks)
     alarms = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for column in blocks.T:
+        for j, column in enumerate(blocks.T):
             alarm = s > tau
             alarms += int(np.count_nonzero(alarm))
             s += column
+            if bias != 0.0:
+                s -= bias
             np.maximum(s, 0.0, out=s)
             s[alarm] = 0.0
+            if record is not None:
+                record[:, j] = s
 
     carry = 0.0
     for k, end in enumerate(s.tolist()):
@@ -117,17 +121,21 @@ def cusum_alarm_fraction(deltas, tau: float) -> float:
             carry = end
             continue
         true_s, zero_s = carry, 0.0
-        for x in map(float, blocks[k]):  # converted lazily: most walks are a few steps
+        for j, v in enumerate(map(float, blocks[k])):  # converted lazily: most walks are short
             if true_s == zero_s:
                 true_s = end
                 break
-            true_s, true_alarm = _cusum_step(true_s, x, tau)
-            zero_s, zero_alarm = _cusum_step(zero_s, x, tau)
+            true_s, true_alarm = _cusum_step(true_s, v, bias, tau)
+            zero_s, zero_alarm = _cusum_step(zero_s, v, bias, tau)
             alarms += true_alarm - zero_alarm
+            if record is not None:
+                record[k, j] = true_s
         carry = true_s
-    for x in d[n_blocks * CUSUM_BLOCK:].tolist():
-        carry, alarm = _cusum_step(carry, x, tau)
+    for k, v in enumerate(x[full:].tolist(), full):
+        carry, alarm = _cusum_step(carry, v, bias, tau)
         alarms += alarm
+        if out is not None:
+            out[k] = carry
     return alarms / n
 
 
@@ -235,7 +243,8 @@ class CusumDetector:
 
     The statistic from the previous step is tested before accumulating: above
     tau it resets to zero and the alarm fires for that step. Equality with tau
-    does not alarm.
+    does not alarm. A run scores the detector after the loop with
+    ``cusum_alarm_fraction``; ``step`` is the live view an attacker reads.
     """
 
     tau: np.ndarray
@@ -247,7 +256,7 @@ class CusumDetector:
         self.bias = np.atleast_1d(np.asarray(self.bias, dtype=float))
         if self.tau.shape != self.bias.shape:
             raise InvalidParameter("tau and bias must have matching shapes")
-        if np.any(self.tau < 0.0):
+        if not np.all(self.tau >= 0.0):
             raise InvalidParameter("tau must be nonnegative")
         if self.S is None:
             self.S = np.zeros_like(self.tau)

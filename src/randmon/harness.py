@@ -6,12 +6,12 @@ and attack randomness does not perturb the noise sequence.
 
 A run has two phases. The first is ``lti.simulate``: it steps the closed
 loop (plant, estimator, controller, attack) and records the trajectory, the
-residuals and the applied attack. The CUSUM detector is stepped inside it,
-through simulate's ``on_step`` callback, because the CUSUM worst-case attack
-reads the detector's live statistic. The second phase scores the recorded
-residual array: the two window tests, the bad-data detector and the sliding
-alarm rates of all four tests, over all steps at once. Nothing in the loop
-reads those, so the split leaves every output byte unchanged.
+residuals and the applied attack. Only a run whose CUSUM worst-case attack
+reads the live detector steps it there, in simulate's ``on_step`` callback.
+The second phase scores the recorded residual array: the window tests, the
+boundary detectors and the sliding alarm rates of all four tests, over all
+steps at once, with the live detector's float operations, so the split leaves
+every output byte unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import attacks as atk
 from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, ScenarioConfig,
                      build_plant, config_hash, load_config_dict)
-from .detectors import BadDataDetector, CusumDetector, tune_cusum
+from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit, expected_residual
 from .errors import InvalidParameter
 from .lti import NoiseSource, make_controller, simulate, solve_dare
@@ -123,13 +123,13 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario and return its artifacts.
 
-    Deterministic for a given config and seed. Phase 1 is ``lti.simulate``
-    with the CUSUM detector stepped in its ``on_step`` callback, since the
-    CUSUM worst-case attack reads the detector's statistic each step. Phase 2
-    scores the recorded ``(horizon, s)`` residuals with ``wsr_scan``,
-    ``sir_scan``, the bad-data threshold and ``alarm_rate_scan``. Monitors are
-    pure observers of the residual stream; the plant trajectory does not
-    depend on them.
+    Deterministic for a given config and seed. Phase 1 is ``lti.simulate``;
+    when a CUSUM worst-case attack reads the detector's statistic, the live
+    detector is stepped in its ``on_step`` callback. Phase 2 scores the
+    recorded ``(horizon, s)`` residuals with ``wsr_scan``, ``sir_scan``, the
+    bad-data threshold, ``cusum_alarm_fraction`` and ``alarm_rate_scan``.
+    Monitors are pure observers of the residual stream; the plant trajectory
+    does not depend on them.
     """
     plant, kss, bdd, cusum = _set_up(cfg)
     spec = cfg.controller_spec
@@ -159,19 +159,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     ]
     combined = atk.CompositeAttack(policies, s) if policies else None
 
-    # Phase 1: the closed loop, with the CUSUM detector consuming r[k] before
-    # the attack for step k + 1 reads its statistic.
-    rec_cusum_s = cusum_alarm = None
-    if cusum is not None:
-        rec_cusum_s = np.empty((horizon, s))
-        cusum_alarm = np.empty((horizon, s))
-
-    def step_cusum(k, r):
-        cusum_alarm[k] = cusum.step(r)
-        rec_cusum_s[k] = cusum.S
-
+    # Phase 1: the closed loop. A live CUSUM detector consumes r[k] before the
+    # attack for step k + 1 reads its statistic.
+    live = any(plan.kind.startswith("worst_case_cusum") for plan in cfg.attacks)
     traj = simulate(plant, kss, gains, noise, horizon, attack=combined,
-                    on_step=step_cusum if cusum is not None else None)
+                    on_step=(lambda k, r: cusum.step(r)) if live else None)
     rec_x, rec_r = traj["x"], traj["r"]
 
     # Phase 2: score the recorded residuals. Degenerate windows (all zeros,
@@ -182,8 +174,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rec_p[t], rec_alarm[t] = scan(rec_r, cfg.window, cfg.alpha_des[t])
     if bdd is not None:
         rec_alarm["bdd"] = bdd.step(rec_r).astype(float)
-    if cusum is not None:
-        rec_alarm["cusum"] = cusum_alarm
+    rec_cusum_s = None
+    if cusum is not None:  # S[k] after step k; the alarm at step k is S[k - 1] > tau
+        rec_cusum_s = np.empty((horizon, s))
+        for i, (tau, bias) in enumerate(zip(cusum.tau.tolist(), cusum.bias.tolist())):
+            cusum_alarm_fraction(np.abs(rec_r[:, i]), tau, bias, out=rec_cusum_s[:, i])
+        rec_alarm["cusum"] = np.zeros((horizon, s))
+        rec_alarm["cusum"][1:] = rec_cusum_s[:-1] > cusum.tau
 
     rec_rate, rates, verdicts, compromised, final_rate = {}, {}, {}, {}, {}
     for t in tests:

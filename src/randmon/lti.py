@@ -418,6 +418,7 @@ def simulate(
     residual r[k] right after it is computed and before the next step. A
     detector stepped there has consumed r[k] when the attack for step k + 1
     is synthesised, which is how an attacker reads a live detector statistic.
+    Pass it only for such an attack: recorded residuals are scored afterwards.
     """
     callback = None
     if on_step is not None:

@@ -165,6 +165,30 @@ def test_bad_attack_param_is_config_error_exit(tmp_path, capsys):
     assert "attacks[0].params.mu_a" in capsys.readouterr().err
 
 
+def test_negative_seed_override_is_config_error_exit(tmp_path, capsys):
+    from randmon.cli import main
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(MINIMAL))
+    assert main(["run", "--config", str(path), "--seed", "-1", "--quiet"]) == 2
+    assert "seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert load_config(path, seed=7).seed == 7
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("content", [None, b'{"plant": ', b"\xff\xfe{}"])
+def test_unreadable_config_is_config_error_exit(command, content, tmp_path, capsys):
+    from randmon.cli import main
+
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_sigma_a_rejected_at_load(tmp_path, capsys):
     from randmon.cli import main
 

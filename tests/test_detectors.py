@@ -196,6 +196,59 @@ def test_cusum_alarm_fraction_non_finite_stream_is_silent():
             assert got == scalar_cusum_fraction(deltas.tolist(), tau)
 
 
+def test_cusum_threshold_rejects_nan_and_keeps_inf():
+    with pytest.raises(InvalidParameter, match="tau must be nonnegative"):
+        CusumDetector(tau=[0.5, math.nan], bias=[1.0, 1.0])
+    with pytest.raises(InvalidParameter, match="tau must be nonnegative"):
+        cusum_alarm_fraction([0.5] * 3, math.nan)
+    assert not CusumDetector(tau=[math.inf], bias=[0.0]).step([1e308])[0]
+    assert cusum_alarm_fraction([1e308] * 3, math.inf) == 0.0
+
+
+# --- the kernel's statistic against the live detector ------------------------------------
+
+
+@st.composite
+def residual_streams(draw):
+    """Residual rows with per-sensor bias and tau, some specials, at and around block edges."""
+    n = draw(st.one_of(
+        st.builds(lambda k, off: max(1, k * CUSUM_BLOCK + off),
+                  st.integers(0, 4), st.sampled_from((-1, 0, 1))),
+        st.integers(1, 5 * CUSUM_BLOCK),
+    ))
+    s = draw(st.integers(1, 3))
+    tau = draw(st.lists(st.sampled_from((0.0, 0.3, 2.0, 40.0, math.inf)), min_size=s, max_size=s))
+    # E|r| is 0.798 for unit residuals: biases 0.79 and 0.8 give excursions that
+    # outlast a block, so the fix-up walks carry S across block edges
+    bias = draw(st.lists(st.sampled_from((0.0, 0.5, 0.79, 0.8, 1.5)), min_size=s, max_size=s))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, s))
+    specials = st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 1e308, -1e308))
+    for k, i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, s - 1),
+                                               specials), max_size=6)):
+        r[k, i] = value
+    return r, tau, bias
+
+
+@settings(max_examples=200, deadline=None)
+@given(residual_streams())
+def test_cusum_kernel_statistic_matches_detector_steps(stream):
+    r, tau, bias = stream
+    det = CusumDetector(tau=tau, bias=bias)
+    want_s, want_alarm = np.empty_like(r), np.empty(r.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k, row in enumerate(r):
+            want_alarm[k] = det.step(row)
+            want_s[k] = det.S
+    got_s = np.full_like(r, -1.0)  # each sensor's out is a strided column
+    for i in range(r.shape[1]):
+        fraction = cusum_alarm_fraction(np.abs(r[:, i]), tau[i], bias[i], out=got_s[:, i])
+        assert fraction == np.count_nonzero(want_alarm[:, i]) / r.shape[0]
+    got_alarm = np.zeros(r.shape, dtype=bool)
+    got_alarm[1:] = got_s[:-1] > det.tau
+    assert got_s.tobytes() == want_s.tobytes()
+    assert got_alarm.tobytes() == want_alarm.tobytes()
+
+
 # --- cusum tuning -------------------------------------------------------------------------
 
 

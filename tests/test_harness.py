@@ -5,14 +5,15 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from randmon import harness, lti
 from randmon.attacks import saturation_budget
-from randmon.config import load_config_dict
-from randmon.detectors import tune_cusum
+from randmon.config import load_config_dict, read_config
+from randmon.detectors import CusumDetector, tune_cusum
 from randmon.errors import InvalidParameter
 from randmon.harness import (
     EMIT_CHUNK_ROWS,
@@ -28,6 +29,8 @@ from randmon.harness import (
 )
 from randmon.lti import NoiseSource, simulate, solve_dare, make_controller
 from randmon.config import build_plant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = {
     "plant": {"preset": "ugv"},
@@ -307,6 +310,37 @@ def test_sweep_serial_matches_parallel():
     assert serial == parallel
     assert [(cell["alpha_des"], cell["attack"]) for cell in serial] == [
         (0.05, "none"), (0.05, "bias_concentrate"), (0.1, "none"), (0.1, "bias_concentrate")]
+
+
+@pytest.fixture
+def live_cusum_steps(monkeypatch):
+    """Every ``CusumDetector.step`` call's statistic, in call order."""
+    recorded = []
+    real_step = CusumDetector.step
+
+    def counted(self, r):
+        alarm = real_step(self, r)
+        recorded.append(self.S.copy())
+        return alarm
+
+    monkeypatch.setattr(CusumDetector, "step", counted)
+    return recorded
+
+
+@pytest.mark.parametrize("name", ["ugv_noattack", "ugv_stealthy_randaware", "ugv_three_phase"])
+def test_shipped_configs_step_no_live_cusum(name, live_cusum_steps):
+    raw = read_config(CONFIGS / f"{name}.json")
+    art = run_scenario(load_config_dict({**raw, "horizon": 1200}))
+    assert art.cusum_s is not None and live_cusum_steps == []
+
+
+def test_cusum_attack_steps_the_live_detector_once_per_step(live_cusum_steps):
+    raw = {**BASE, "detectors": {"kind": "both"}, "horizon": 1500,
+           "attacks": [{"kind": "worst_case_cusum", "sensors": [0, 2], "start": 300}]}
+    art = run_scenario(load_config_dict(raw))
+    assert len(live_cusum_steps) == art.horizon
+    assert np.array(live_cusum_steps).tobytes() == art.cusum_s.tobytes()
+    assert art.xi[300:, 0].any()
 
 
 # --- command line ------------------------------------------------------------------------
