@@ -11,8 +11,6 @@ from .attacks import (
     ATTACK_KINDS,
     AttackPlan,
     SaturationBudget,
-    attack_worst_case_bdd,
-    attack_worst_case_cusum,
     build_attack_policy,
     saturation_budget,
     schedule_saturation,
@@ -28,7 +26,6 @@ from .detectors import (
 from .deviation import (
     DeviationPrediction,
     deviation_limit,
-    expected_residual,
     run_attack_ensemble,
     validate_against_simulation,
 )

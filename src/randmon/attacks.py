@@ -99,55 +99,6 @@ def schedule_saturation(budget: SaturationBudget, rng: np.random.Generator) -> n
     return out
 
 
-def attack_worst_case_bdd(
-    e: np.ndarray,
-    eta: np.ndarray,
-    c_row: np.ndarray,
-    tau_b: float,
-    sensor: int,
-    saturating: Optional[bool] = None,
-    delta: float = 0.0,
-) -> float:
-    """Attack value for one sensor against the bad-data detector.
-
-    ``e`` and ``eta`` are this step's estimation error and measurement noise.
-    With ``saturating=None`` (detector-only mode) the residual is pinned just
-    below tau_b every step. In randomness-aware mode, saturating steps pin the
-    residual at tau_b - delta and non-saturating steps at -delta.
-    """
-    base = -float(c_row @ e) - float(eta[sensor])
-    pinned = tau_b * (1.0 - THRESHOLD_MARGIN)
-    if saturating is None or saturating:
-        return base + pinned - delta
-    return base - delta
-
-
-def attack_worst_case_cusum(
-    e: np.ndarray,
-    eta: np.ndarray,
-    c_row: np.ndarray,
-    sensor: int,
-    bias: float,
-    tau_c: float,
-    s_prev: float,
-    saturating: Optional[bool] = None,
-    delta: float = 0.0,
-) -> float:
-    """Attack value for one sensor against the CUSUM detector.
-
-    ``e`` and ``eta`` are as for :func:`attack_worst_case_bdd`. Detector-only
-    mode drives the statistic to the threshold on the first step and holds it
-    there (the same expression covers both phases given the live statistic).
-    Randomness-aware non-saturating steps leave a residual of bias - delta,
-    which keeps the statistic from accumulating.
-    """
-    base = -float(c_row @ e) - float(eta[sensor])
-    held = tau_c * (1.0 - THRESHOLD_MARGIN)
-    if saturating is None or saturating:
-        return base + bias - s_prev + held - delta
-    return base + bias - delta
-
-
 @dataclass
 class AttackPlan:
     """Declarative description of one attack phase.
@@ -176,18 +127,21 @@ class AttackPolicy:
     """One attack phase: ``signal(k, e, eta, sensor)`` on the plan's sensors in [start, stop).
 
     ``signal`` returns the attack value of one targeted sensor at an active
-    step; every other entry of the returned vector is zero. ``budget`` and
-    ``schedule`` are the saturation budget and schedule of the
-    randomness-aware kinds, None for the others. :func:`build_attack_policy`
-    builds the policy of each kind and checks the plan's sensors.
+    step; every other entry of the returned vector is zero. ``forcing`` is
+    the mean residual a worst-case kind forces on each sensor (zero on clean
+    sensors), the input of ``deviation.deviation_limit``; it is None for the
+    scripted kinds and for a bad-data kind without a configured detector.
+    ``schedule`` is the saturation schedule of the randomness-aware kinds,
+    None for the others. :func:`build_attack_policy` builds the policy of
+    each kind and checks the plan's sensors.
     """
 
     def __init__(self, plan: AttackPlan, n_sensors: int, signal: Callable,
-                 budget: Optional[SaturationBudget] = None, schedule: Optional[np.ndarray] = None):
+                 forcing: Optional[np.ndarray] = None, schedule: Optional[np.ndarray] = None):
         self.plan = plan
         self.n_sensors = n_sensors
         self.signal = signal
-        self.budget = budget
+        self.forcing = forcing
         self.schedule = schedule
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -214,15 +168,16 @@ def build_attack_policy(
     """Instantiate the policy for a plan against the configured detectors.
 
     ``c_rows`` is the plant output matrix (one row per sensor); ``sigma`` the
-    per-sensor residual standard deviations. Worst-case kinds require the
-    matching detector; scripted kinds need a bad-data threshold for their
-    stealth bound (one is derived from alpha_des when no detector is given).
+    per-sensor residual standard deviations. The CUSUM kinds require the
+    detector; the bad-data kinds and the scripted kinds' stealth bounds use
+    the bad-data threshold, derived from alpha_des when no detector is given.
     Every kind but ``none`` cancels ``C e + eta`` and puts a residual of its
     choice in its place; every draw comes from one generator seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     sigma = np.asarray(sigma, dtype=float)
-    tau_b = bdd.tau if bdd is not None else np.atleast_1d(tune_bdd(sigma, alpha_des))
+    tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau
+    tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
     kind, p = plan.kind, plan.params
     if kind not in ATTACK_PARAMS:
         raise InvalidParameter(f"unknown attack kind {kind!r}")
@@ -284,35 +239,54 @@ def build_attack_policy(
         return scripted(flood)
 
     # The worst-case kinds. Detector-only mode pins every residual just below the
-    # bad-data threshold, or holds the CUSUM statistic at its threshold with zero
-    # alarms. The randomness-aware mode saturates only on the scheduled steps (beta
-    # per window) and elsewhere leaves the residual just below zero (BDD) or at
-    # bias - delta (CUSUM), staying inside the signed-rank band by construction;
-    # delta is a U(0, epsilon) dither, epsilon 1e-6*sigma by default.
-    budget = schedule = None
+    # bad-data threshold, or holds the CUSUM statistic just below its threshold: the
+    # attacker reads the live ``cusum.S``, which a run steps on each residual before
+    # the next attack value is drawn (``lti.simulate``'s ``on_step``). The
+    # randomness-aware mode saturates only on the scheduled steps (beta per window)
+    # and elsewhere leaves the residual at -delta (BDD) or bias - delta (CUSUM),
+    # inside the signed-rank band by construction; delta is a U(0, epsilon) dither,
+    # epsilon 1e-6*sigma by default. The forcing is the mean residual this leaves:
+    # the BDD threshold, times beta/ell if only the saturating steps sit there, or
+    # the CUSUM bias in both modes.
+    schedule = None
     if kind.endswith("_randaware"):
         budget = saturation_budget(ell, alpha_des)
         schedule = schedule_saturation(budget, rng)
         eps = np.asarray(p.get("epsilon", 1e-6 * sigma), dtype=float) * np.ones(n_sensors)
 
-        def dither(k, i):  # the slot is taken before the delta is drawn
-            return bool(schedule[(k - plan.start) % ell]), float(rng.uniform(0.0, eps[i]))
-    else:
-        def dither(k, i):
-            return None, 0.0
-
     if kind.startswith("worst_case_bdd"):
-        def signal(k, e, eta, i):
-            return attack_worst_case_bdd(e, eta, c_rows[i], float(tau_b[i]), i, *dither(k, i))
+        pinned = (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()
+        level = tau_b if schedule is None else tau_b * budget.ratio
+        if bdd is None:  # a derived threshold, not one a detector in the loop uses
+            level = None
+
+        def saturated(base, i):
+            return base + pinned[i]
+
+        def resting(base, i):
+            return base
     else:
-        # The attacker reads the live statistic ``cusum.S``. A run with this attack steps
-        # the detector on each residual before the next attack value is drawn
-        # (``lti.simulate``'s ``on_step``), so the attack for step k + 1 sees S after r[k].
+        bias, held = cusum.bias.tolist(), (cusum.tau * (1.0 - THRESHOLD_MARGIN)).tolist()
+        level = cusum.bias
+
+        def saturated(base, i):
+            return base + bias[i] - float(cusum.S[i]) + held[i]
+
+        def resting(base, i):
+            return base + bias[i]
+
+    if schedule is not None:
         def signal(k, e, eta, i):
-            return attack_worst_case_cusum(e, eta, c_rows[i], i, float(cusum.bias[i]),
-                                           float(cusum.tau[i]), float(cusum.S[i]),
-                                           *dither(k, i))
-    return AttackPolicy(plan, n_sensors, signal, budget, schedule)
+            pin = saturated if schedule[(k - plan.start) % ell] else resting
+            delta = float(rng.uniform(0.0, eps[i]))
+            return pin(-float(c_rows[i] @ e) - float(eta[i]), i) - delta
+    else:
+        def signal(k, e, eta, i):
+            return saturated(-float(c_rows[i] @ e) - float(eta[i]), i)
+
+    attacked = np.isin(np.arange(n_sensors), plan.sensors)
+    forcing = None if level is None else np.where(attacked, level, 0.0)
+    return AttackPolicy(plan, n_sensors, signal, forcing, schedule)
 
 
 class CompositeAttack:

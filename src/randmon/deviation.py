@@ -18,42 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import SaturationBudget
 from .errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
 from .lti import (ControllerGains, KalmanSteadyState, LtiPlant, NoiseSource, _lockstep,
                   spectral_radius)
 
 _COND_WARN = 1e10
-
-
-def expected_residual(
-    detector_kind: str,
-    level,
-    budget: Optional[SaturationBudget],
-    sensors,
-    n_sensors: int,
-) -> np.ndarray:
-    """Mean residual a worst-case stealthy attack forces on each sensor.
-
-    ``level`` is the bad-data threshold for ``detector_kind`` 'bdd' and the
-    CUSUM bias for 'cusum'; ``budget`` is the randomness-aware attack's
-    saturation budget, or None for the detector-only attack. Pinning the
-    bad-data residual forces the threshold, or threshold * beta/ell when only
-    the saturating steps sit there and the rest at zero. Holding the CUSUM
-    statistic forces the bias in both variants: each held step leaves b, each
-    non-saturating step b - delta. Clean sensors get zero.
-    """
-    if detector_kind not in ("bdd", "cusum"):
-        raise InvalidParameter(f"unknown detector kind {detector_kind!r}")
-    level = np.atleast_1d(np.asarray(level, dtype=float)) * np.ones(n_sensors)
-    if detector_kind == "bdd" and budget is not None:
-        level = level * budget.ratio
-    out = np.zeros(n_sensors)
-    for i in sensors:
-        if not 0 <= i < n_sensors:
-            raise InvalidParameter(f"sensor index {i} outside 0..{n_sensors - 1}")
-        out[i] = level[i]
-    return out
 
 
 @dataclass
@@ -81,6 +50,9 @@ def deviation_limit(
     expected_r,
 ) -> DeviationPrediction:
     """Solve the equilibrium offset for a given expected residual vector.
+
+    ``expected_r`` is the mean residual the attack forces on each sensor; a
+    worst-case policy carries it as ``AttackPolicy.forcing``.
 
     Uses two linear solves (never explicit inverses). Condition numbers of
     both solve matrices are reported; past 1e10 an IllConditionedWarning is

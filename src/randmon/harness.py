@@ -30,7 +30,7 @@ from . import attacks as atk
 from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, ScenarioConfig,
                      build_plant, config_hash, load_config_dict)
 from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
-from .deviation import deviation_limit, expected_residual
+from .deviation import deviation_limit
 from .errors import InvalidParameter
 from .lti import NoiseSource, make_controller, simulate, solve_dare
 from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
@@ -203,7 +203,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         verdict_steps=verdicts,
         compromised=compromised,
         final_sliding_rate=final_rate,
-        deviation=_deviation_report(cfg, plant, kss, gains, policies, bdd, cusum, rec_x),
+        deviation=_deviation_report(cfg, plant, kss, gains, policies, rec_x),
     )
     return RunArtifacts(
         config=cfg,
@@ -220,31 +220,26 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     )
 
 
-def _deviation_report(cfg, plant, kss, gains, policies, bdd, cusum, x):
+def _deviation_report(cfg, plant, kss, gains, policies, x):
     """Predicted vs measured mean state offset for the first worst-case phase.
 
-    The predicted forcing is ``deviation.expected_residual`` of the attack.
-    Nothing is reported when a bad-data attack runs without the bad-data
-    detector (its threshold then is not a configured one); the prediction is
-    None when the open loop has no finite limit.
+    The predicted forcing is the policy's ``forcing``. Nothing is reported
+    when it is None, a bad-data attack run without the bad-data detector (its
+    threshold then is not a configured one); the prediction is None when the
+    open loop has no finite limit.
     """
     for policy, plan in zip(policies, cfg.attacks):
         if not plan.kind.startswith("worst_case"):
             continue
-        if plan.kind.startswith("worst_case_cusum"):
-            detector_kind, level = "cusum", cusum.bias
-        elif bdd is not None:
-            detector_kind, level = "bdd", bdd.tau
-        else:
+        if policy.forcing is None:
             return None
-        er = expected_residual(detector_kind, level, policy.budget, plan.sensors, plant.s)
-        pred = deviation_limit(plant, kss, gains, er)
+        pred = deviation_limit(plant, kss, gains, policy.forcing)
         settle = plan.start + 4 * cfg.window
         stop = min(plan.stop, cfg.horizon)
         measured = x[settle:stop].mean(axis=0).tolist() if settle < stop else None
         return {
             "attack": plan.kind,
-            "expected_residual": er.tolist(),
+            "expected_residual": policy.forcing.tolist(),
             "stable": pred.stable,
             "predicted": pred.delta.tolist() if pred.delta is not None else None,
             "measured": measured,
@@ -396,37 +391,49 @@ def tuned_thresholds(cfg: ScenarioConfig) -> dict:
 # --- sweeps -------------------------------------------------------------------------
 
 
-def _sweep_cell(args):
-    raw_cfg, alpha, attack_kind = args
+def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> ScenarioConfig:
+    """The base config at one desired rate, under one attack on sensor 0 from two windows in.
+
+    A base whose top level or ``monitors`` is not an object is validated as it
+    is, so the sweep reports the config error ``randmon run`` gives for it.
+    """
     raw = json.loads(json.dumps(raw_cfg))
-    raw.setdefault("monitors", {})["alpha_des"] = alpha
-    raw.pop("attacks", None)
-    if attack_kind != "none":
-        start = raw["monitors"].get("window", DEFAULT_WINDOW) * 2
-        raw["attacks"] = [{
-            "kind": attack_kind,
-            "sensors": [0],
-            "start": start,
-            "stop": raw.get("horizon", DEFAULT_HORIZON),
-        }]
-    cfg = load_config_dict(raw)
-    artifacts = run_scenario(cfg)
+    monitors = raw.get("monitors", {}) if isinstance(raw, dict) else None
+    if isinstance(monitors, dict):
+        raw["monitors"] = {**monitors, "alpha_des": alpha}
+        raw.pop("attacks", None)
+        if attack_kind != "none":
+            window = monitors.get("window", DEFAULT_WINDOW)
+            raw["attacks"] = [{
+                "kind": attack_kind,
+                "sensors": [0],
+                "start": 2 * window if type(window) is int else 0,
+                "stop": raw.get("horizon", DEFAULT_HORIZON),
+            }]
+    return load_config_dict(raw)
+
+
+def _sweep_cell(args):
+    cfg, alpha, attack_kind = args
     return {
         "alpha_des": alpha,
         "attack": attack_kind,
-        "alarm_rate": artifacts.summary.alarm_rate,
+        "alarm_rate": run_scenario(cfg).summary.alarm_rate,
     }
 
 
 def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     """Cartesian sweep over desired rates and attack kinds.
 
-    Scenarios run in parallel across worker processes; each cell reports the
-    per-test, per-sensor alarm rates of its run. Cells are alpha-major and each
-    worker takes one contiguous block of them, so a worker tunes CUSUM for as
-    few alphas as it can (the tuning cache is per process).
+    Every cell's config is validated up front, so a config error stops the
+    sweep before any scenario runs. Scenarios run in parallel across worker
+    processes; each cell reports the per-test, per-sensor alarm rates of its
+    run. Cells are alpha-major and each worker takes one contiguous block of
+    them, so a worker tunes CUSUM for as few alphas as it can (the tuning
+    cache is per process).
     """
-    cells = [(raw_cfg, float(a), kind) for a in alphas for kind in attack_kinds]
+    cells = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
+             for a in alphas for kind in attack_kinds]
     if workers > 1:
         block = max(1, math.ceil(len(cells) / workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -375,13 +375,13 @@ def _scan(r, ell: int, alpha_des: float, batch, test, degenerate):
         return p, alarm
     for i in range(r.shape[1]):
         col_p, col_alarm = p[ell - 1:, i], alarm[ell - 1:, i]
-        exact, z = batch(r[:, i], ell)
+        fallback, z = batch(r[:, i], ell)
         # one two_sided_p per distinct z: rank sums and runs counts take few values
         distinct, inverse = np.unique(z, return_inverse=True)
-        col_p[~exact] = np.array([two_sided_p(float(v)) for v in distinct])[inverse.ravel()]
-        col_alarm[~exact] = col_p[~exact] < alpha_des
+        col_p[~fallback] = np.array([two_sided_p(float(v)) for v in distinct])[inverse.ravel()]
+        col_alarm[~fallback] = col_p[~fallback] < alpha_des
         windows = sliding_window_view(r[:, i], ell)
-        for a in np.flatnonzero(exact):
+        for a in np.flatnonzero(fallback):
             try:
                 outcome = test(windows[a], alpha_des)
                 col_p[a], col_alarm[a] = outcome.p, outcome.alarm
@@ -392,9 +392,9 @@ def _scan(r, ell: int, alpha_des: float, batch, test, degenerate):
 
 def _wsr_batch(column, ell: int):
     windows = sliding_window_view(column, ell)
-    exact = np.ones(windows.shape[0], dtype=bool)
+    fallback = np.ones(windows.shape[0], dtype=bool)
     if ell < WSR_MIN_EFFECTIVE:
-        return exact, np.empty(0)
+        return fallback, np.empty(0)
     w_plus = np.empty(windows.shape[0], dtype=np.int64)
     ranks = np.arange(1, ell + 1)
     chunk = max(1, SCAN_CHUNK_VALUES // ell)
@@ -404,13 +404,13 @@ def _wsr_batch(column, ell: int):
         order = np.argsort(mag, axis=1, kind="stable")
         mag = np.take_along_axis(mag, order, axis=1)
         # zeros sort first; inf and NaN sort last
-        exact[a:a + chunk] = ((mag[:, 0] == 0.0) | ~np.isfinite(mag[:, -1])
-                              | (mag[:, 1:] == mag[:, :-1]).any(axis=1))
+        fallback[a:a + chunk] = ((mag[:, 0] == 0.0) | ~np.isfinite(mag[:, -1])
+                                 | (mag[:, 1:] == mag[:, :-1]).any(axis=1))
         w_plus[a:a + chunk] = np.take_along_axis(win > 0.0, order, axis=1) @ ranks
-    w_plus = w_plus[~exact]
+    w_plus = w_plus[~fallback]
     w_min = np.minimum(w_plus, ell * (ell + 1) // 2 - w_plus).astype(float)
     mean, var = wsr_moments(ell)
-    return exact, (w_min - mean) / math.sqrt(var)
+    return fallback, (w_min - mean) / math.sqrt(var)
 
 
 def _sir_batch(column, ell: int):
@@ -420,12 +420,12 @@ def _sir_batch(column, ell: int):
     # window a holds the differences d[a:a+m] and the sign changes c[a:a+m-1]
     d = np.diff(column)
     bad = _prefix_sum((d == 0.0) | ~np.isfinite(d))
-    exact = bad[m:] != bad[:-m]
+    fallback = bad[m:] != bad[:-m]
     sign = np.sign(d)
     changes = _prefix_sum(sign[1:] != sign[:-1])
     n_runs = 1 + changes[m - 1:] - changes[:1 - m]
     mean, var = runs_moments(m + 1)
-    return exact, (n_runs[~exact] - mean) / math.sqrt(var)
+    return fallback, (n_runs[~fallback] - mean) / math.sqrt(var)
 
 
 def alarm_rate_scan(flags, window: int, alpha_tau: float):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from randmon.attacks import (
+    THRESHOLD_MARGIN,
     AttackPlan,
-    attack_worst_case_bdd,
-    attack_worst_case_cusum,
     build_attack_policy,
     saturation_budget,
     schedule_saturation,
@@ -96,35 +95,41 @@ def test_schedule_deterministic_under_seed():
 
 
 def test_bdd_signal_pins_residual():
-    c_row = np.array([1.0, 0.5])
+    c_rows = np.array([[1.0, 0.5]])
     e, eta = np.array([0.2, -0.1]), np.array([0.03])
-    xi = attack_worst_case_bdd(e, eta, c_row, 2.0, 0, saturating=None)
-    r = c_row @ e + eta[0] + xi
+    plan = AttackPlan(kind="worst_case_bdd", sensors=(0,))
+    policy = build_attack_policy(plan, 1, c_rows, np.ones(1), bdd=BadDataDetector(tau=[2.0]))
+    xi = policy(0, e, eta)[0]
+    r = c_rows[0] @ e + eta[0] + xi
     assert abs(r - 2.0) < 1e-9
     assert r < 2.0  # margin keeps the strict threshold un-crossed
 
 
 def test_bdd_signal_modes():
-    c_row = np.array([1.0])
     e, eta = np.array([0.0]), np.array([0.0])
-    sat = attack_worst_case_bdd(e, eta, c_row, 2.0, 0, saturating=True, delta=0.001)
-    non = attack_worst_case_bdd(e, eta, c_row, 2.0, 0, saturating=False, delta=0.001)
-    assert sat > 0 and abs(sat - (2.0 - 0.001)) < 1e-9
-    assert non == -0.001
+    eps = 0.002
+    plan = AttackPlan(kind="worst_case_bdd_randaware", sensors=(0,), params={"epsilon": eps})
+    policy = build_attack_policy(plan, 1, np.eye(1), np.ones(1), ell=20,
+                                 bdd=BadDataDetector(tau=[2.0]), seed=3)
+    assert policy.schedule.any() and not policy.schedule.all()
+    for k in range(40):
+        xi = policy(k, e, eta)[0]
+        if policy.schedule[k % 20]:  # saturating: the threshold less the dither
+            assert 0 < 2.0 - xi <= eps + 1e-9
+        else:  # non-saturating: minus the dither
+            assert -eps <= xi <= 0.0
 
 
 def test_cusum_signal_holds_statistic():
-    c_row = np.array([1.0])
-    bias, tau_c = 1.5, 0.8
+    c_rows = np.array([[1.0]])
+    cusum = CusumDetector(tau=[0.8], bias=[1.5])
+    plan = AttackPlan(kind="worst_case_cusum", sensors=(0,))
+    policy = build_attack_policy(plan, 1, c_rows, np.ones(1), cusum=cusum)
     e, eta = np.array([0.05]), np.array([-0.02])
-    s = 0.0
-    for _ in range(50):
-        xi = attack_worst_case_cusum(e, eta, c_row, 0, bias, tau_c, s, saturating=None)
-        r = c_row @ e + eta[0] + xi
-        alarm = s > tau_c
-        s = 0.0 if alarm else max(0.0, s + abs(r) - bias)
-        assert not alarm
-        assert abs(s - tau_c) < 1e-9  # held at the threshold from the first step
+    for k in range(50):
+        r = c_rows[0] @ e + eta[0] + policy(k, e, eta)[0]
+        assert not cusum.step([r])[0]
+        assert abs(cusum.S[0] - cusum.tau[0]) < 1e-9  # held at the threshold from the first step
 
 
 def test_cusum_policy_reads_live_detector_statistic():
@@ -136,8 +141,9 @@ def test_cusum_policy_reads_live_detector_statistic():
         cusum.S = np.array(S)
         xi = policy(4, e, eta)
         for i in range(2):
-            assert xi[i] == attack_worst_case_cusum(e, eta, np.eye(2)[i], i, cusum.bias[i],
-                                                    cusum.tau[i], S[i])
+            base = -e[i] - eta[i]
+            held = cusum.tau[i] * (1.0 - THRESHOLD_MARGIN)
+            assert xi[i] == base + cusum.bias[i] - S[i] + held
 
 
 # --- attack plans and policies -----------------------------------------------------------

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from randmon.attacks import AttackPlan, build_attack_policy, saturation_budget
+from randmon.detectors import BadDataDetector, CusumDetector
 from randmon.deviation import (
     deviation_limit,
-    expected_residual,
     run_attack_ensemble,
     validate_against_simulation,
 )
@@ -24,40 +24,48 @@ def scalar_setup(a=0.5, k=-0.3, l=0.4):
     return plant, kss, gains
 
 
-# --- expected residual -------------------------------------------------------------------
+# --- forcing of the worst-case policies --------------------------------------------------
+
+
+def forcing(kind, sensors, n_sensors, *, tau=None, bias=None, ell=100):
+    """``forcing`` of a worst-case policy against a BDD of threshold ``tau`` or a
+    CUSUM of bias ``bias`` (threshold 1)."""
+    bdd = None if tau is None else BadDataDetector(tau=np.ones(n_sensors) * tau)
+    cusum = None if bias is None else CusumDetector(tau=np.ones(n_sensors),
+                                                    bias=np.ones(n_sensors) * bias)
+    plan = AttackPlan(kind=kind, sensors=sensors)
+    return build_attack_policy(plan, n_sensors, np.eye(n_sensors), np.ones(n_sensors),
+                               ell=ell, alpha_des=0.05, bdd=bdd, cusum=cusum).forcing
 
 
 def test_expected_residual_clean_sensors():
-    budget = saturation_budget(100, 0.05)
-    out = expected_residual("bdd", [1.0, 2.0, 3.0], budget, sensors=[], n_sensors=3)
+    out = forcing("worst_case_bdd_randaware", (), 3, tau=[1.0, 2.0, 3.0])
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
 def test_expected_residual_product():
-    budget = saturation_budget(100, 0.05)
-    budget.beta, budget.gamma = 29, 71
-    out = expected_residual("bdd", 2.0, budget, sensors=[0], n_sensors=2)
-    assert abs(out[0] - 0.58) < 1e-12
+    ratio = saturation_budget(100, 0.05).ratio
+    out = forcing("worst_case_bdd_randaware", (0,), 2, tau=2.0)
+    assert out[0] == 2.0 * ratio
     assert out[1] == 0.0
 
 
 def test_expected_residual_limit():
-    budget = saturation_budget(50_000, 0.05)
-    out = expected_residual("bdd", 1.0, budget, sensors=[0], n_sensors=1)
+    out = forcing("worst_case_bdd_randaware", (0,), 1, tau=1.0, ell=50_000)
     assert abs(out[0] - (1.0 - np.sqrt(2.0) / 2.0)) < 0.005
     # holding the CUSUM statistic leaves a residual at the bias, whatever the budget
-    for b in (budget, None):
-        assert expected_residual("cusum", 0.7, b, sensors=[0], n_sensors=1)[0] == 0.7
+    for kind in ("worst_case_cusum", "worst_case_cusum_randaware"):
+        assert forcing(kind, (0,), 1, bias=0.7)[0] == 0.7
     # the detector-only bad-data attack pins the full threshold
-    assert expected_residual("bdd", 2.0, None, sensors=[0], n_sensors=1)[0] == 2.0
+    assert forcing("worst_case_bdd", (0,), 1, tau=2.0)[0] == 2.0
 
 
 def test_expected_residual_validation():
-    budget = saturation_budget(100, 0.05)
+    # a bad-data attack without a configured detector, and the scripted kinds
+    for kind in ("worst_case_bdd", "worst_case_bdd_randaware", "pattern_runs", "none"):
+        assert forcing(kind, (0,), 1) is None
     with pytest.raises(InvalidParameter):
-        expected_residual("bad", 1.0, budget, sensors=[0], n_sensors=1)
-    with pytest.raises(InvalidParameter):
-        expected_residual("bdd", 1.0, budget, sensors=[5], n_sensors=1)
+        forcing("worst_case_bdd", (5,), 1, tau=1.0)
 
 
 # --- deviation limit ---------------------------------------------------------------------
@@ -104,12 +112,12 @@ def test_deviation_limit_unstable_open_loop(ugv_plant, ugv_kss, ugv_gains):
 
 def test_deviation_limit_shared_kernel_for_cusum():
     plant, kss, gains = scalar_setup()
-    budget = saturation_budget(100, 0.05)
-    er_b = expected_residual("bdd", 2.0, budget, sensors=[0], n_sensors=1)
-    er_c = expected_residual("cusum", 0.7, budget, sensors=[0], n_sensors=1)
+    ratio = saturation_budget(100, 0.05).ratio
+    er_b = forcing("worst_case_bdd_randaware", (0,), 1, tau=2.0)
+    er_c = forcing("worst_case_cusum_randaware", (0,), 1, bias=0.7)
     db = deviation_limit(plant, kss, gains, er_b).delta
     dc = deviation_limit(plant, kss, gains, er_c).delta
-    np.testing.assert_allclose(dc, db * (0.7 / (2.0 * budget.ratio)), atol=1e-12)
+    np.testing.assert_allclose(dc, db * (0.7 / (2.0 * ratio)), atol=1e-12)
 
 
 def test_deviation_limit_warns_when_ill_conditioned():

@@ -14,7 +14,7 @@ from randmon import harness, lti
 from randmon.attacks import saturation_budget
 from randmon.config import load_config_dict, read_config
 from randmon.detectors import CusumDetector, tune_cusum
-from randmon.errors import InvalidParameter
+from randmon.errors import InvalidParameter, ValidationError
 from randmon.harness import (
     EMIT_CHUNK_ROWS,
     _column_table,
@@ -286,6 +286,16 @@ def test_deviation_summary_unstable_open_loop(base_artifacts):
     assert dev["predicted"] is None
 
 
+def test_deviation_summary_absent_for_bdd_attack_without_bdd():
+    # against a CUSUM-only loop the bad-data attack pins a derived threshold, not a
+    # configured one, so it predicts nothing
+    cfg = load_config_dict({**BASE, "detectors": {"kind": "cusum"}, "horizon": 1200,
+                            "attacks": [{"kind": "worst_case_bdd", "sensors": [0], "start": 300}]})
+    art = run_scenario(cfg)
+    assert art.xi[300:, 0].any()
+    assert art.summary.deviation is None
+
+
 def test_tuned_thresholds_report():
     cfg = load_config_dict({**BASE, "detectors": {"kind": "both"}})
     out = tuned_thresholds(cfg)
@@ -310,6 +320,13 @@ def test_sweep_serial_matches_parallel():
     assert serial == parallel
     assert [(cell["alpha_des"], cell["attack"]) for cell in serial] == [
         (0.05, "none"), (0.05, "bias_concentrate"), (0.1, "none"), (0.1, "bias_concentrate")]
+
+
+def test_sweep_config_error_raised_before_fan_out():
+    # a ValidationError that crossed from a worker would arrive with its message garbled
+    with pytest.raises(ValidationError) as info:
+        run_sweep(dict(BASE), [0.05], ["none", "bogus"], workers=2)
+    assert str(info.value) == "attacks[0].kind: unknown kind 'bogus'"
 
 
 @pytest.fixture
@@ -372,6 +389,22 @@ def test_cli_config_error_exit_code(tmp_path):
     result = run_cli("run", "--config", str(cfg_path))
     assert result.returncode == 2
     assert "config error" in result.stderr
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1], "top level: must be an object"),
+    ({"monitors": []}, "monitors: must be an object"),
+    ({"monitors": {"window": None}}, "monitors.window: must be an integer >= 2"),
+], ids=["top-level-list", "monitors-list", "window-null"])
+def test_cli_sweep_reports_the_config_error_run_reports(tmp_path, raw, message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    run = run_cli("run", "--config", str(cfg_path))
+    sweep = run_cli("sweep", "--config", str(cfg_path), "--attacks", "pattern_runs,none",
+                    "--out", str(tmp_path / "sweep.csv"))
+    assert run.returncode == sweep.returncode == 2
+    assert sweep.stderr == run.stderr == f"config error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):
