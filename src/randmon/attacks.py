@@ -179,8 +179,6 @@ def build_attack_policy(
     tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau
     tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
     kind, p = plan.kind, plan.params
-    if kind not in ATTACK_PARAMS:
-        raise InvalidParameter(f"unknown attack kind {kind!r}")
     if kind.startswith("worst_case_cusum") and cusum is None:
         raise InvalidParameter(f"{kind} requires a tuned CUSUM detector")
     for i in plan.sensors:

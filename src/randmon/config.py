@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .attacks import ATTACK_KINDS, ATTACK_PARAMS, MIN_BUDGET_WINDOW, AttackPlan
+from .detectors import CUSUM_MIN_SAMPLES
 from .errors import ParseError, ValidationError
 from .lti import LtiPlant, UgvParams, discretize_ugv
 
@@ -176,11 +177,16 @@ def build_plant(spec: dict) -> LtiPlant:
     )
 
 
-def _validate_plant(spec, problems: list) -> dict:
-    """The plant spec with its defaults filled in: ``ts``, and the UGV's noise variances."""
+def _validate_plant(spec, problems: list) -> tuple:
+    """The plant spec with ``ts`` and the UGV's noise variances filled in, and its sizes.
+
+    The sizes are (states, inputs, sensors): 3, 2 and 3 for the UGV; the rows of ``A``,
+    the columns of ``B`` and the rows of ``C`` (each read once, by ``_shape``) for an
+    explicit plant; None where the spec does not give one.
+    """
     if not isinstance(spec, dict):
         problems.append("plant: must be an object")
-        return {}
+        return {}, (None, None, None)
     _reject_unknown(spec, _PLANT_KEYS, "plant", problems)
     out = dict(spec)
     if spec.get("preset") is not None:
@@ -206,29 +212,15 @@ def _validate_plant(spec, problems: list) -> dict:
         for diag_key, dim in (("q_diag", 3), ("r_diag", 3)):
             if not _finite_list(out[diag_key]) or len(out[diag_key]) != dim:
                 problems.append(f"plant.{diag_key}: must be a list of {dim} finite variances")
-    else:
-        for key in ("A", "B", "C", "Q", "R"):
-            if key not in spec:
-                problems.append(f"plant.{key}: required for explicit plants")
-            elif not _finite_array(spec[key]):
-                problems.append(f"plant.{key}: must be a matrix of finite numbers")
-        _validate_plant_shapes(spec, problems)
-    return out
+        return out, ((3, 2, 3) if spec["preset"] == "ugv" else (None, None, None))
 
-
-def _shape(value) -> Optional[tuple]:
-    """(rows, columns) of a matrix field read as the plant reads it, None if not numeric.
-
-    A number or a flat list is one row.
-    """
-    if not _finite_array(value):
-        return None
-    return np.atleast_2d(np.asarray(value, dtype=float)).shape
-
-
-def _validate_plant_shapes(spec: dict, problems: list) -> None:
-    """Shapes of an explicit plant's matrices against the states of A and the sensors of C."""
-    A, B, C, Q, R = (_shape(spec.get(key)) for key in ("A", "B", "C", "Q", "R"))
+    shapes = {key: _shape(spec.get(key)) for key in ("A", "B", "C", "Q", "R")}
+    for key, shape in shapes.items():
+        if key not in spec:
+            problems.append(f"plant.{key}: required for explicit plants")
+        elif shape is None:
+            problems.append(f"plant.{key}: must be a matrix of finite numbers")
+    A, B, C, Q, R = shapes.values()
     checks = []
     if A is not None:
         n = A[0]
@@ -242,20 +234,17 @@ def _validate_plant_shapes(spec: dict, problems: list) -> None:
     for key, shape, ok, rule in checks:
         if not ok:
             problems.append(f"plant.{key}: {rule}, got {shape[0]}x{shape[1]}")
+    return out, (A and A[0], B and B[1], C and C[0])  # a shape is a non-empty tuple
 
 
-def _plant_sizes(spec: dict) -> tuple:
-    """(states, inputs, sensors) of a plant spec, None where the spec does not give one.
+def _shape(value) -> Optional[tuple]:
+    """(rows, columns) of a matrix field read as the plant reads it, None if not numeric.
 
-    The UGV has 3, 2 and 3. An explicit plant has the rows of ``A``, the columns of
-    ``B`` and the rows of ``C``, read as the plant reads them: a number or a flat
-    list is one row.
+    A number or a flat list is one row.
     """
-    if spec.get("preset") is not None:
-        return (3, 2, 3) if spec["preset"] == "ugv" else (None, None, None)
-
-    A, B, C = (_shape(spec.get(key)) or (None, None) for key in ("A", "B", "C"))
-    return A[0], B[1], C[0]
+    if not _finite_array(value):
+        return None
+    return np.atleast_2d(np.asarray(value, dtype=float)).shape
 
 
 def _section(raw: dict, name: str, allowed: set, problems: list) -> dict:
@@ -285,8 +274,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         raise ValidationError(["top level: must be an object"])
     _reject_unknown(raw, _TOP_KEYS, "top level", problems)
 
-    plant_spec = _validate_plant(raw.get("plant", {"preset": "ugv"}), problems)
-    n_states, n_inputs, n_sensors = _plant_sizes(plant_spec)
+    plant_spec, (n_states, n_inputs, n_sensors) = _validate_plant(
+        raw.get("plant", {"preset": "ugv"}), problems)
 
     controller_spec = dict(_section(raw, "controller", _CONTROLLER_KEYS, problems))
     if "K" not in controller_spec:
@@ -349,9 +338,9 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     bias_scale = detectors.get("bias_scale", 1.5)
     if not (_finite_number(bias_scale) and bias_scale > 0):
         problems.append(f"detectors.bias_scale: must be a finite positive number, got {bias_scale!r}")
-    tuning_samples = detectors.get("tuning_samples", 1_000_000)
-    if not _is_int(tuning_samples) or tuning_samples < 1_000_000:
-        problems.append("detectors.tuning_samples: must be an integer >= 1000000")
+    tuning_samples = detectors.get("tuning_samples", CUSUM_MIN_SAMPLES)
+    if not _is_int(tuning_samples) or tuning_samples < CUSUM_MIN_SAMPLES:
+        problems.append(f"detectors.tuning_samples: must be an integer >= {CUSUM_MIN_SAMPLES}")
     tuning_seed = detectors.get("tuning_seed", DEFAULT_TUNING_SEED)
     if not _is_int(tuning_seed) or tuning_seed < 0:
         problems.append("detectors.tuning_seed: must be a nonnegative integer")
@@ -423,6 +412,9 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         )
 
     output = _section(raw, "output", _OUTPUT_KEYS, problems)
+    output_dir = output.get("dir")
+    if not (output_dir is None or isinstance(output_dir, str)):
+        problems.append(f"output.dir: must be a string or null, got {output_dir!r}")
     output_format = output.get("format", "csv")
     if output_format not in ("csv", "jsonl"):
         problems.append(f"output.format: must be csv or jsonl, got {output_format!r}")
@@ -444,7 +436,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         attacks=plans,
         horizon=horizon,
         seed=seed,
-        output_dir=output.get("dir"),
+        output_dir=output_dir,
         output_format=output_format,
     )
 

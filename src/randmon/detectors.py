@@ -40,11 +40,7 @@ def tune_bdd(sigma, alpha_des: float):
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig <= 0.0):
         raise InvalidParameter("sigma must be positive")
-    if alpha_des == 1.0:
-        z = 0.0
-    else:
-        z = std_normal_quantile(1.0 - alpha_des / 2.0)
-    tau = sig * z
+    tau = sig * std_normal_quantile(1.0 - alpha_des / 2.0)
     return float(tau) if np.isscalar(sigma) or tau.ndim == 0 else tau
 
 
@@ -264,9 +260,9 @@ class CusumDetector:
             self.S = np.atleast_1d(np.asarray(self.S, dtype=float)).copy()
 
     def step(self, r) -> np.ndarray:
-        """Consume one residual vector; returns alarm flags and updates S."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        alarm = self.S > self.tau
-        accumulated = np.maximum(0.0, self.S + np.abs(r) - self.bias)
-        self.S = np.where(alarm, 0.0, accumulated)
-        return alarm
+        """One ``_cusum_step`` per sensor on |r| (broadcast to S); updates S, returns the alarms."""
+        abs_r = np.broadcast_to(np.abs(np.asarray(r, dtype=float)), self.S.shape)
+        S, alarm = zip(*map(_cusum_step, self.S.tolist(), abs_r.tolist(),
+                            self.bias.tolist(), self.tau.tolist()))
+        self.S = np.array(S)
+        return np.array(alarm, dtype=bool)

@@ -17,6 +17,7 @@ every output byte unchanged.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -27,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import attacks as atk
-from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, ScenarioConfig,
-                     build_plant, config_hash, load_config_dict)
+from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERSION,
+                     ScenarioConfig, build_plant, config_hash, load_config_dict)
 from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
 from .errors import InvalidParameter
@@ -39,21 +40,16 @@ log = logging.getLogger(__name__)
 
 RATE_ASYMPTOTE = 1.0 - math.sqrt(2.0) / 2.0
 
-# Cache of tuned CUSUM thresholds keyed by the exact tuning inputs; tuning is
-# Monte Carlo over >= 1e6 samples and identical inputs recur across sweeps.
-_cusum_cache: dict = {}
-
-
+# Tuned CUSUM thresholds are cached by the exact tuning inputs; tuning is Monte
+# Carlo over >= 1e6 samples and identical inputs recur across sweeps.
+@functools.lru_cache(maxsize=None)
 def _tuned_cusum_tau(sigma: float, bias: float, alpha: float, n_samples: int, seed: int) -> float:
-    key = (sigma, bias, alpha, n_samples, seed)
-    if key not in _cusum_cache:
-        tuning = tune_cusum(sigma, bias, alpha, n_samples=n_samples, seed=seed)
-        log.info(
-            "tuned cusum: sigma=%.6g bias=%.6g alpha=%.4g -> tau=%.6g (rate %.5f)",
-            sigma, bias, alpha, tuning.tau, tuning.achieved_rate,
-        )
-        _cusum_cache[key] = tuning.tau
-    return _cusum_cache[key]
+    tuning = tune_cusum(sigma, bias, alpha, n_samples=n_samples, seed=seed)
+    log.info(
+        "tuned cusum: sigma=%.6g bias=%.6g alpha=%.4g -> tau=%.6g (rate %.5f)",
+        sigma, bias, alpha, tuning.tau, tuning.achieved_rate,
+    )
+    return tuning.tau
 
 
 @dataclass
@@ -195,7 +191,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         final_rate[t] = final.tolist()
 
     summary = RunSummary(
-        schema_version=1,
+        schema_version=SCHEMA_VERSION,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
         horizon=horizon,

@@ -492,7 +492,10 @@ def _lockstep(
 def _expm(M: Array) -> Array:
     """Matrix exponential by scaling-and-squaring on a truncated Taylor series."""
     M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M, 1)
+    with np.errstate(over="ignore"):  # an overflowed norm is raised below
+        norm = np.linalg.norm(M, 1)
+    if not math.isfinite(norm):
+        raise NonConvergence(f"matrix exponential of a matrix with 1-norm {norm}")
     squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
     A = M / (2.0 ** squarings)
     result = np.eye(M.shape[0])

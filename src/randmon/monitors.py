@@ -51,32 +51,18 @@ class WindowBuffer:
         if capacity < 1:
             raise InvalidParameter(f"window capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._buf = np.empty(self.capacity)
-        self._count = 0
-        self._head = 0  # index of the oldest entry once full
+        self._buf = deque(maxlen=self.capacity)
 
     def push(self, value: float) -> None:
-        if self._count < self.capacity:
-            self._buf[self._count] = value
-            self._count += 1
-        else:
-            self._buf[self._head] = value
-            self._head = (self._head + 1) % self.capacity
+        self._buf.append(float(value))
 
     @property
     def full(self) -> bool:
-        return self._count == self.capacity
-
-    def __len__(self) -> int:
-        return self._count
+        return len(self._buf) == self.capacity
 
     def values(self) -> np.ndarray:
         """Window contents in arrival order."""
-        if self._count < self.capacity:
-            return self._buf[: self._count].copy()
-        if self._head == 0:
-            return self._buf.copy()
-        return np.concatenate([self._buf[self._head:], self._buf[: self._head]])
+        return np.array(self._buf, dtype=float)
 
 
 @dataclass

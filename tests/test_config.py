@@ -1,6 +1,12 @@
+import copy
 import json
+import math
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randmon.config import (
     config_hash,
@@ -302,6 +308,9 @@ MISTYPED = {
     "K-shape": ({**_explicit(**TWO_STATES), "controller": {"K": [[-0.1, -0.1, 0.0]]}},
                 "controller.K"),
     "preset-K-shape": (_controller(K=[[-1.0, 0.0], [0.0, -1.0]]), "controller.K"),
+    "output-dir-bool": ({**MINIMAL, "output": {"dir": True}}, "output.dir"),
+    "output-dir-number": ({**MINIMAL, "output": {"dir": 1.5}}, "output.dir"),
+    "output-dir-list": ({**MINIMAL, "output": {"dir": ["out"]}}, "output.dir"),
 }
 
 
@@ -315,6 +324,7 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
 @pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str", "bias_scale-nan",
                                   "randaware-window", "state_weights-length",
                                   "cusum-attack-bdd-detector", "A-not-square", "Q-shape",
+                                  "output-dir-bool",
                                   "K-shape"])
 def test_mistyped_field_exits_2(case, tmp_path, capsys):
     from randmon.cli import main
@@ -362,3 +372,87 @@ def test_non_numeric_matrices_reported_together():
         load_config_dict(raw)
     assert sorted(p.split(":")[0] for p in err.value.problems) == [
         "controller.K", "controller.input_weights", "plant.A", "plant.C", "plant.Q"]
+
+
+def test_huge_sample_time_is_runtime_error_exit(tmp_path, capsys):
+    from randmon.cli import main
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**MINIMAL, "plant": {"preset": "ugv", "ts": 1e308}}))
+    assert main(["run", "--config", str(path), "--quiet"]) == 3
+    assert "runtime error:" in capsys.readouterr().err
+
+
+# --- fuzzed shipped configs ----------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+
+#: what a fuzzed field may become: each JSON type, signed zeros, NaN, infinities, huge
+FUZZ_VALUES = (True, False, "", "x", [], [1.0], [[1.0]], {}, {"x": 1}, None,
+               0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308)
+#: fields the shipped configs leave at their defaults
+OPTIONAL_FIELDS = (("plant", "ts"), ("plant", "params"), ("plant", "params", "mass"),
+                   ("plant", "q_diag"), ("plant", "r_diag"), ("monitors", "alpha_tau"),
+                   ("detectors", "tuning_seed"), ("controller",), ("controller", "K"),
+                   ("controller", "state_weights"), ("controller", "input_weights"),
+                   ("attacks", 0, "params"))
+#: fields that set the length of a run, left alone so each example stays short
+RUN_LENGTH = (("horizon",), ("monitors",), ("monitors", "window"), ("monitors", "rate_window"),
+              ("detectors", "tuning_samples"))
+
+
+def _fields(node, path=()):
+    """The path of every field under a parsed JSON object, parents before children."""
+    if not isinstance(node, (dict, list)):
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _put(raw, path, value) -> None:
+    """Set the field at ``path``, making missing objects on the way.
+
+    Skipped where an earlier change left a value with no fields on the way.
+    """
+    node = raw
+    try:
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+        node[path[-1]] = value
+    except (TypeError, IndexError):
+        pass
+
+
+FIELDS = {name: [path for path in (*_fields(raw), *OPTIONAL_FIELDS)
+                 if path not in RUN_LENGTH and (path[:2] != ("attacks", 0) or raw["attacks"])]
+          for name, raw in SHIPPED.items()}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    raw = json.loads(json.dumps(SHIPPED[name]))
+    raw["horizon"] = 400
+    raw["monitors"].update(window=30, rate_window=30)
+    for _ in range(draw(st.integers(1, 2))):
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))  # each change its own object
+        _put(raw, draw(st.sampled_from(FIELDS[name])), value)
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_configs())
+def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
+    from randmon.cli import main
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a run writes to its config's own output.dir
+        try:
+            with open("scenario.json", "w", encoding="utf-8") as handle:
+                json.dump(raw, handle)
+            assert main(["run", "--config", "scenario.json", "--quiet"]) in (0, 2, 3)
+        finally:
+            os.chdir(cwd)

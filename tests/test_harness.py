@@ -451,7 +451,7 @@ def test_set_up_solves_each_riccati_equation_once(monkeypatch):
 
 def test_cusum_tuning_cache_tells_tiny_sigmas_apart(monkeypatch):
     # Both residual sigmas are below 5e-16, so they agree to 15 decimals.
-    monkeypatch.setattr(harness, "_cusum_cache", {})
+    harness._tuned_cusum_tau.cache_clear()
     cfgs = [load_config_dict({
         "plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[q]], "R": [[q]]},
         "detectors": {"kind": "cusum"},
@@ -463,6 +463,22 @@ def test_cusum_tuning_cache_tells_tiny_sigmas_apart(monkeypatch):
     direct = tune_cusum(sigma, cfg.bias_scale * sigma, cfg.alpha_des["cusum"],
                         n_samples=cfg.tuning_samples, seed=cfg.tuning_seed)
     assert tuned_thresholds(cfg)["cusum_tau"] == [direct.tau]
+
+
+def test_run_after_tune_reuses_the_tuned_cusum_thresholds(monkeypatch):
+    # The benchmark's set-up tunes a config, then runs it.
+    calls = []
+    monkeypatch.setattr(harness, "tune_cusum",
+                        lambda *a, **k: calls.append(a) or tune_cusum(*a, **k))
+    harness._tuned_cusum_tau.cache_clear()
+    cfg = load_config_dict({**BASE, "detectors": {"kind": "cusum"}, "horizon": 200})
+    tau = tuned_thresholds(cfg)["cusum_tau"]
+    assert len(calls) == 3  # one per sensor
+    calls.clear()
+    art = run_scenario(cfg)
+    assert calls == []
+    assert art.cusum_s is not None
+    assert tuned_thresholds(cfg)["cusum_tau"] == tau and calls == []
 
 
 def test_cli_budget(tmp_path):

@@ -7,6 +7,7 @@ from randmon.errors import (
     DimensionMismatch,
     InvalidParameter,
     NonConvergence,
+    RandmonError,
 )
 from randmon.attacks import ATTACK_KINDS, AttackPlan, build_attack_policy
 from randmon.detectors import BadDataDetector, CusumDetector
@@ -186,6 +187,12 @@ def test_zoh_matches_taylor_series():
         expm = expm + term
         term = term @ (Ac * ts) / (j + 1)
     assert np.abs(Ad - expm).max() < 1e-9
+
+
+def test_discretize_huge_sample_time_raises():
+    # The 1-norm of the scaled augmented matrix overflows to inf.
+    with pytest.raises(RandmonError):
+        discretize_ugv(UgvParams(), 1e308, np.eye(3) * 1e-5, np.eye(3) * 1e-4)
 
 
 def test_ugv_rejects_bad_params():
