@@ -33,7 +33,6 @@ from .errors import RandmonError
 from .gaussian import std_normal_cdf, std_normal_quantile, two_sided_p
 from .harness import RunArtifacts, budget_curve, emit_outputs, run_scenario, run_sweep
 from .lti import (
-    ControllerGains,
     KalmanSteadyState,
     LtiPlant,
     NoiseSource,

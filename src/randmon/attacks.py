@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
-from .errors import InfeasibleBudget, InvalidParameter
+from .errors import InvalidParameter
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -68,14 +68,9 @@ def saturation_budget(ell: int, alpha_des: float) -> SaturationBudget:
     if ell < MIN_BUDGET_WINDOW:
         raise InvalidParameter(f"budget needs a window of at least {MIN_BUDGET_WINDOW}, got {ell}")
     omega_minus, _ = wsr_bounds(ell, alpha_des)
-    total = 0
-    for gamma in range(1, ell + 1):
-        total += gamma
-        if total > omega_minus:
-            return SaturationBudget(ell=ell, gamma=gamma, beta=ell - gamma)
-    raise InfeasibleBudget(
-        f"no feasible non-saturating count for ell={ell}, alpha_des={alpha_des}"
-    )
+    # omega_minus <= ell(ell+1)/4 < ell(ell+1)/2, so gamma = ell always clears it
+    gamma = next(g for g in range(1, ell + 1) if g * (g + 1) // 2 > omega_minus)
+    return SaturationBudget(ell=ell, gamma=gamma, beta=ell - gamma)
 
 
 def schedule_saturation(budget: SaturationBudget, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .config import config_hash, load_config, read_config
-from .errors import ConfigError, RandmonError
+from .errors import ConfigError, DomainError, InvalidParameter, RandmonError, ValidationError
 from .harness import (
     budget_curve,
     emit_outputs,
@@ -104,7 +104,10 @@ def _cmd_tune(args, quiet: bool) -> int:
 
 
 def _cmd_budget(args, quiet: bool) -> int:
-    rows = budget_curve(args.alphas, args.ells)
+    try:
+        rows = budget_curve(args.alphas, args.ells)
+    except (DomainError, InvalidParameter) as exc:  # an --alphas or --ells entry out of range
+        raise ValidationError([str(exc)]) from exc
     path = write_budget_curve(rows, args.out)
     if not quiet:
         print(f"wrote {path}")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .attacks import ATTACK_KINDS, ATTACK_PARAMS, MIN_BUDGET_WINDOW, AttackPlan
 from .detectors import CUSUM_MIN_SAMPLES
-from .errors import ParseError, ValidationError
-from .lti import LtiPlant, UgvParams, discretize_ugv
+from .errors import InvalidParameter, ParseError, ValidationError
+from .lti import LtiPlant, UgvParams, _check_covariance, discretize_ugv
 
 SCHEMA_VERSION = 1
 
@@ -105,10 +105,6 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def serialize_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
-
-
 def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list) -> None:
     for key in mapping:
         if key not in allowed:
@@ -162,6 +158,14 @@ def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, prob
             problems.append(f"{where}.{key}: must be >= 0; got {value!r}")
 
 
+def _check_psd(matrix, where: str, name: str, problems: list) -> None:
+    """Report a square ``matrix`` that ``lti._check_covariance`` rejects (asymmetric, not PSD)."""
+    try:
+        _check_covariance(np.atleast_2d(np.asarray(matrix, dtype=float)), name)
+    except InvalidParameter as exc:
+        problems.append(f"{where}: {exc}")
+
+
 def build_plant(spec: dict) -> LtiPlant:
     """Instantiate the plant from its resolved spec dict (``ScenarioConfig.plant_spec``)."""
     if spec.get("preset") == "ugv":
@@ -212,6 +216,9 @@ def _validate_plant(spec, problems: list) -> tuple:
         for diag_key, dim in (("q_diag", 3), ("r_diag", 3)):
             if not _finite_list(out[diag_key]) or len(out[diag_key]) != dim:
                 problems.append(f"plant.{diag_key}: must be a list of {dim} finite variances")
+            else:
+                _check_psd(np.diag(out[diag_key]), f"plant.{diag_key}", f"diag({diag_key})",
+                           problems)
         return out, ((3, 2, 3) if spec["preset"] == "ugv" else (None, None, None))
 
     shapes = {key: _shape(spec.get(key)) for key in ("A", "B", "C", "Q", "R")}
@@ -234,6 +241,9 @@ def _validate_plant(spec, problems: list) -> tuple:
     for key, shape, ok, rule in checks:
         if not ok:
             problems.append(f"plant.{key}: {rule}, got {shape[0]}x{shape[1]}")
+    for key, shape in (("Q", Q), ("R", R)):
+        if shape is not None and shape[0] == shape[1]:
+            _check_psd(spec[key], f"plant.{key}", key, problems)
     return out, (A and A[0], B and B[1], C and C[0])  # a shape is a non-empty tuple
 
 
@@ -301,6 +311,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         elif "K" not in controller_spec and dim is not None and len(weights) != dim:
             problems.append(f"controller.{key}: must have {dim} entries, one per plant "
                             f"{key.split('_')[0]}, got {len(weights)}")
+        elif "K" not in controller_spec and weights:
+            _check_psd(np.diag(weights), f"controller.{key}", f"diag({key})", problems)
 
     monitors = _section(raw, "monitors", _MONITOR_KEYS, problems)
     window = monitors.get("window", DEFAULT_WINDOW)

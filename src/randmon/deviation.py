@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
-from .lti import (ControllerGains, KalmanSteadyState, LtiPlant, NoiseSource, _lockstep,
-                  spectral_radius)
+from .lti import KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, spectral_radius
 
 _COND_WARN = 1e10
 
@@ -36,7 +35,6 @@ class DeviationPrediction:
 
     delta: Optional[np.ndarray]
     est_error_limit: Optional[np.ndarray]
-    expected_residual: np.ndarray
     stable: bool
     rho_open: float
     rho_closed: float
@@ -46,7 +44,7 @@ class DeviationPrediction:
 def deviation_limit(
     plant: LtiPlant,
     kss: KalmanSteadyState,
-    gains: ControllerGains,
+    K: np.ndarray,
     expected_r,
 ) -> DeviationPrediction:
     """Solve the equilibrium offset for a given expected residual vector.
@@ -61,20 +59,13 @@ def deviation_limit(
     er = np.asarray(expected_r, dtype=float).ravel()
     if er.shape != (plant.s,):
         raise InvalidParameter(f"expected residual must have length {plant.s}")
-    A, B, K, L = plant.A, plant.B, gains.K, kss.L
+    A, B, L = plant.A, plant.B, kss.L
     rho_open = spectral_radius(A)
     rho_closed = spectral_radius(A + B @ K)
     stable = rho_open < 1.0 and rho_closed < 1.0
     if not stable:
-        return DeviationPrediction(
-            delta=None,
-            est_error_limit=None,
-            expected_residual=er,
-            stable=False,
-            rho_open=rho_open,
-            rho_closed=rho_closed,
-            condition_report={},
-        )
+        return DeviationPrediction(delta=None, est_error_limit=None, stable=False,
+                                   rho_open=rho_open, rho_closed=rho_closed, condition_report={})
     I = np.eye(plant.n)
     M1 = I - A
     M2 = I - A - B @ K
@@ -88,7 +79,6 @@ def deviation_limit(
     return DeviationPrediction(
         delta=delta,
         est_error_limit=e_inf,
-        expected_residual=er,
         stable=True,
         rho_open=rho_open,
         rho_closed=rho_closed,
@@ -100,10 +90,7 @@ def deviation_limit(
 class DeviationValidation:
     ensemble_mean: np.ndarray
     ensemble_stderr: np.ndarray
-    predicted: Optional[np.ndarray]
     relative_error: Optional[np.ndarray]
-    n_runs: int
-    steps_averaged: int
 
 
 def validate_against_simulation(
@@ -134,20 +121,13 @@ def validate_against_simulation(
     else:
         denom = np.where(np.abs(prediction.delta) > 0.0, np.abs(prediction.delta), 1.0)
         rel = np.abs(mean - prediction.delta) / denom
-    return DeviationValidation(
-        ensemble_mean=mean,
-        ensemble_stderr=stderr,
-        predicted=prediction.delta,
-        relative_error=rel,
-        n_runs=n_runs,
-        steps_averaged=steps - burn_in,
-    )
+    return DeviationValidation(ensemble_mean=mean, ensemble_stderr=stderr, relative_error=rel)
 
 
 def run_attack_ensemble(
     plant: LtiPlant,
     kss: KalmanSteadyState,
-    gains: ControllerGains,
+    K: np.ndarray,
     policy_factory,
     n_runs: int,
     horizon: int,
@@ -166,4 +146,4 @@ def run_attack_ensemble(
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
     noises = [NoiseSource(plant.Q, plant.R, seed) for seed in seeds]
     policies = [policy_factory(j) for j in range(n_runs)]
-    return _lockstep(plant, kss, gains, noises, horizon, policies, ("x",))["x"]
+    return _lockstep(plant, kss, K, noises, horizon, policies, ("x",))["x"]

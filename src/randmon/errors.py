@@ -37,10 +37,6 @@ class InvalidBias(RandmonError, ValueError):
     """CUSUM bias too small for the statistic to drift down under clean data."""
 
 
-class InfeasibleBudget(RandmonError):
-    """No feasible split of saturating and non-saturating steps exists."""
-
-
 class InsufficientEnsemble(RandmonError, ValueError):
     """Too few simulation runs for an ensemble statistic."""
 

@@ -86,15 +86,6 @@ class RunArtifacts:
         return self.k.shape[0]
 
 
-def _enabled_tests(cfg: ScenarioConfig) -> tuple:
-    tests = ["wsr", "sir"]
-    if cfg.detector_kind in ("bdd", "both"):
-        tests.append("bdd")
-    if cfg.detector_kind in ("cusum", "both"):
-        tests.append("cusum")
-    return tuple(tests)
-
-
 def _set_up(cfg: ScenarioConfig) -> tuple:
     """The plant, its steady-state filter and the detectors calibrated from it.
 
@@ -102,10 +93,10 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
-    tests = _enabled_tests(cfg)
-    bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"]) if "bdd" in tests else None
-    cusum = None
-    if "cusum" in tests:
+    bdd = cusum = None
+    if cfg.detector_kind in ("bdd", "both"):
+        bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"])
+    if cfg.detector_kind in ("cusum", "both"):
         bias = cfg.bias_scale * kss.sigma
         tau = [
             _tuned_cusum_tau(float(sig), float(b), cfg.alpha_des["cusum"],
@@ -129,10 +120,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """
     plant, kss, bdd, cusum = _set_up(cfg)
     spec = cfg.controller_spec
-    gains = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
-                            input_weights=spec.get("input_weights"))
+    K = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
+                        input_weights=spec.get("input_weights"))
     s, horizon = plant.s, cfg.horizon
-    tests = _enabled_tests(cfg)
 
     master = np.random.SeedSequence(cfg.seed)
     noise_seed, attack_root = master.spawn(2)
@@ -158,7 +148,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     # Phase 1: the closed loop. A live CUSUM detector consumes r[k] before the
     # attack for step k + 1 reads its statistic.
     live = any(plan.kind.startswith("worst_case_cusum") for plan in cfg.attacks)
-    traj = simulate(plant, kss, gains, noise, horizon, attack=combined,
+    traj = simulate(plant, kss, K, noise, horizon, attack=combined,
                     on_step=(lambda k, r: cusum.step(r)) if live else None)
     rec_x, rec_r = traj["x"], traj["r"]
 
@@ -178,8 +168,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rec_alarm["cusum"] = np.zeros((horizon, s))
         rec_alarm["cusum"][1:] = rec_cusum_s[:-1] > cusum.tau
 
+    # rec_alarm holds the enabled tests in MONITOR_TESTS order, the summary's key order
     rec_rate, rates, verdicts, compromised, final_rate = {}, {}, {}, {}, {}
-    for t in tests:
+    for t in rec_alarm:
         first = min(cfg.window - 1, horizon) if t in rec_p else 0
         flags = rec_alarm[t][first:]
         rec_rate[t] = np.full((horizon, s), np.nan)
@@ -199,7 +190,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         verdict_steps=verdicts,
         compromised=compromised,
         final_sliding_rate=final_rate,
-        deviation=_deviation_report(cfg, plant, kss, gains, policies, rec_x),
+        deviation=_deviation_report(cfg, plant, kss, K, policies, rec_x),
     )
     return RunArtifacts(
         config=cfg,
@@ -216,7 +207,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     )
 
 
-def _deviation_report(cfg, plant, kss, gains, policies, x):
+def _deviation_report(cfg, plant, kss, K, policies, x):
     """Predicted vs measured mean state offset for the first worst-case phase.
 
     The predicted forcing is the policy's ``forcing``. Nothing is reported
@@ -229,7 +220,7 @@ def _deviation_report(cfg, plant, kss, gains, policies, x):
             continue
         if policy.forcing is None:
             return None
-        pred = deviation_limit(plant, kss, gains, policy.forcing)
+        pred = deviation_limit(plant, kss, K, policy.forcing)
         settle = plan.start + 4 * cfg.window
         stop = min(plan.stop, cfg.horizon)
         measured = x[settle:stop].mean(axis=0).tolist() if settle < stop else None
@@ -269,11 +260,6 @@ def _column_table(artifacts: RunArtifacts) -> tuple:
     return names, [artifacts.k[:, None]] + [array for _, array in table]
 
 
-def csv_columns(artifacts: RunArtifacts) -> list:
-    """Fixed column order for the CSV contract (documented in the README)."""
-    return _column_table(artifacts)[0]
-
-
 def emit_outputs(artifacts: RunArtifacts, fmt: str, path: str) -> str:
     """Write artifacts as CSV or JSONL; returns the path written.
 
@@ -281,7 +267,7 @@ def emit_outputs(artifacts: RunArtifacts, fmt: str, path: str) -> str:
     seed, then a header row and one row per step with floats at 17
     significant digits. JSONL holds a meta record, one record per step (NaN
     encoded as null, +-inf as Infinity/-Infinity) and a final summary record.
-    Both read the columns of ``csv_columns`` and stream the rows
+    Both read the columns of ``_column_table`` and stream the rows
     ``EMIT_CHUNK_ROWS`` at a time: each chunk's values fill one per-row
     template, repeated once per row, and go out in one write.
     """
@@ -430,8 +416,10 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     """
     cells = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
              for a in alphas for kind in attack_kinds]
+    # a fork-started pool starts all its workers at the first submit
+    workers = min(workers, len(cells))
     if workers > 1:
-        block = max(1, math.ceil(len(cells) / workers))
+        block = math.ceil(len(cells) / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, cells, chunksize=block))
     return [_sweep_cell(cell) for cell in cells]

@@ -229,24 +229,13 @@ def lqr_gain(A, B, Qx, Ru) -> Array:
     return -F
 
 
-@dataclass
-class ControllerGains:
-    """State feedback u = K xhat on the predicted estimate.
-
-    Use :func:`make_controller` to construct gains with the closed-loop
-    stability check applied.
-    """
-
-    K: Array
-
-
 def make_controller(
     plant: LtiPlant,
     K=None,
     state_weights=None,
     input_weights=None,
-) -> ControllerGains:
-    """Build controller gains for a plant, checking rho(A + B K) < 1.
+) -> Array:
+    """The gain K of the state feedback u = K xhat, checking rho(A + B K) < 1.
 
     Either pass K explicitly or let it be designed from LQR weights
     (identity weights by default).
@@ -261,7 +250,7 @@ def make_controller(
     rho = spectral_radius(plant.A + plant.B @ K)
     if rho >= 1.0:
         raise InvalidParameter(f"closed loop unstable: rho(A + BK) = {rho:.6f} >= 1")
-    return ControllerGains(K=K)
+    return K
 
 
 def _sqrt_psd(M: Array) -> Array:
@@ -370,7 +359,7 @@ def initial_state(
 def step(
     plant: LtiPlant,
     kss: KalmanSteadyState,
-    gains: ControllerGains,
+    K: Array,
     state: SimState,
     attack: AttackSignal = None,
     noise: Optional[NoiseSource] = None,
@@ -384,7 +373,7 @@ def step(
     """
     if state.x.shape != (plant.n,) or state.r.shape != (plant.s,):
         raise DimensionMismatch("state dimensions do not match the plant")
-    u = gains.K @ state.xhat
+    u = K @ state.xhat
     if noise is not None:
         nu, eta = noise.draw()
     else:
@@ -403,7 +392,7 @@ def step(
 def simulate(
     plant: LtiPlant,
     kss: KalmanSteadyState,
-    gains: ControllerGains,
+    K: Array,
     noise: Optional[NoiseSource],
     horizon: int,
     attack: AttackSignal = None,
@@ -424,7 +413,7 @@ def simulate(
     if on_step is not None:
         def callback(k, r):
             on_step(k, r[0])
-    out = _lockstep(plant, kss, gains, [noise], horizon, [attack],
+    out = _lockstep(plant, kss, K, [noise], horizon, [attack],
                     ("x", "xhat", "r", "xi"), callback)
     return {name: rows[0] for name, rows in out.items()}
 
@@ -432,7 +421,7 @@ def simulate(
 def _lockstep(
     plant: LtiPlant,
     kss: KalmanSteadyState,
-    gains: ControllerGains,
+    K: Array,
     noises,
     horizon: int,
     attacks,
@@ -452,7 +441,7 @@ def _lockstep(
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
     runs, n, s = len(attacks), plant.n, plant.s
-    A, B, C, K, L = plant.A, plant.B, plant.C, gains.K, kss.L
+    A, B, C, L = plant.A, plant.B, plant.C, kss.L
     dims = {"x": n, "xhat": n, "r": s, "xi": s}
     out = {name: np.empty((runs, horizon, dims[name])) for name in record}
     nu = np.zeros((runs, CHUNK, n, 1))

@@ -43,8 +43,8 @@ SCAN_CHUNK_VALUES = 1 << 15
 class WindowBuffer:
     """Fixed-capacity sliding window of residual scalars, oldest first.
 
-    Monitors only produce verdicts once the buffer is full; pushes after that
-    evict the oldest entry.
+    Once the buffer is full, pushes evict the oldest entry; ``values()`` is
+    then a window for ``wsr_test`` and ``sir_test``.
     """
 
     def __init__(self, capacity: int):
@@ -107,14 +107,6 @@ def wsr_moments(ell: int):
     return mean, var
 
 
-def _window_values(window) -> np.ndarray:
-    if isinstance(window, WindowBuffer):
-        if not window.full:
-            raise InvalidParameter("monitor window is not full yet")
-        return window.values()
-    return np.asarray(window, dtype=float).ravel()
-
-
 @dataclass
 class WsrOutcome:
     w_plus: float
@@ -134,8 +126,7 @@ def wsr_test(window, alpha_des: float) -> WsrOutcome:
     when p < alpha_des.
     """
     _check_alpha(alpha_des)
-    values = _window_values(window)
-    sr = signed_ranks(values)
+    sr = signed_ranks(window)
     w_plus = float(sr.ranks[sr.values > 0.0].sum())
     w_minus = float(sr.ranks[sr.values < 0.0].sum())
     ell = sr.ell_eff
@@ -217,8 +208,7 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
     or a tie was seen.
     """
     _check_alpha(alpha_des)
-    values = _window_values(window)
-    d = np.diff(values)
+    d = np.diff(np.asarray(window, dtype=float).ravel())
     nonzero = d != 0.0
     tie_alarm = bool(np.any(~nonzero))
     d = d[nonzero]

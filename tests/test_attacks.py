@@ -32,14 +32,16 @@ def test_budget_brute_force_window_25():
 
 
 def test_budget_exact_over_grid():
-    for alpha in (0.01, 0.05, 0.1, 0.2):
-        for ell in range(20, 201):
+    # alpha = 1 puts omega_minus at its largest, the null mean ell(ell+1)/4
+    for alpha in (1e-12, 0.01, 0.05, 0.1, 0.2, 1.0):
+        for ell in range(20, 501):
             budget = saturation_budget(ell, alpha)
             omega_minus, _ = wsr_bounds(ell, alpha)
             ranks = np.arange(1, ell + 1)
             sums = np.cumsum(ranks)
+            assert sums[-1] > omega_minus  # gamma = ell is always feasible
             expected_gamma = int(np.argmax(sums > omega_minus)) + 1
-            assert budget.gamma == expected_gamma
+            assert (budget.gamma, budget.beta) == (expected_gamma, ell - expected_gamma)
 
 
 def test_budget_limit_large_window():

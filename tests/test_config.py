@@ -12,7 +12,6 @@ from randmon.config import (
     config_hash,
     load_config,
     load_config_dict,
-    serialize_config,
 )
 from randmon.errors import ParseError, ValidationError
 
@@ -110,7 +109,7 @@ def test_round_trip_and_stable_hash(tmp_path):
     raw = dict(MINIMAL)
     raw["attacks"] = [{"kind": "pattern_runs", "sensors": [0], "start": 200, "stop": 900}]
     cfg = load_config_dict(raw)
-    text = serialize_config(cfg)
+    text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
     cfg2 = load_config_dict(json.loads(text))
     assert cfg2.to_dict() == cfg.to_dict()
     assert config_hash(cfg2) == config_hash(cfg)
@@ -311,6 +310,13 @@ MISTYPED = {
     "output-dir-bool": ({**MINIMAL, "output": {"dir": True}}, "output.dir"),
     "output-dir-number": ({**MINIMAL, "output": {"dir": 1.5}}, "output.dir"),
     "output-dir-list": ({**MINIMAL, "output": {"dir": ["out"]}}, "output.dir"),
+    "q_diag-negative": (_ugv(q_diag=[1e-5, -1e-6, 1e-5]), "plant.q_diag"),
+    "r_diag-negative": (_ugv(r_diag=[4e-4, 1e-4, -2.5e-4]), "plant.r_diag"),
+    "state_weights-negative": (_controller(state_weights=[1, -1, 1]), "controller.state_weights"),
+    "input_weights-negative": (_controller(input_weights=[1, -2]), "controller.input_weights"),
+    "Q-asymmetric": (_explicit(**{**TWO_STATES, "Q": [[0.1, 0.05], [0.0, 0.1]]}), "plant.Q"),
+    "Q-not-psd": (_explicit(**{**TWO_STATES, "Q": [[0.1, 0.2], [0.2, 0.1]]}), "plant.Q"),
+    "R-negative": (_explicit(R=[[-0.1]]), "plant.R"),
 }
 
 
@@ -324,8 +330,8 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
 @pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str", "bias_scale-nan",
                                   "randaware-window", "state_weights-length",
                                   "cusum-attack-bdd-detector", "A-not-square", "Q-shape",
-                                  "output-dir-bool",
-                                  "K-shape"])
+                                  "output-dir-bool", "K-shape", "r_diag-negative",
+                                  "state_weights-negative", "Q-asymmetric"])
 def test_mistyped_field_exits_2(case, tmp_path, capsys):
     from randmon.cli import main
 

@@ -9,7 +9,7 @@ from randmon.deviation import (
     validate_against_simulation,
 )
 from randmon.errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
-from randmon.lti import ControllerGains, KalmanSteadyState, LtiPlant
+from randmon.lti import KalmanSteadyState, LtiPlant
 
 
 def scalar_setup(a=0.5, k=-0.3, l=0.4):
@@ -20,8 +20,7 @@ def scalar_setup(a=0.5, k=-0.3, l=0.4):
         Sigma=np.array([[0.02]]),
         sigma=np.array([np.sqrt(0.02)]),
     )
-    gains = ControllerGains(K=np.array([[k]]))
-    return plant, kss, gains
+    return plant, kss, np.array([[k]])
 
 
 # --- forcing of the worst-case policies --------------------------------------------------
@@ -72,8 +71,8 @@ def test_expected_residual_validation():
 
 
 def test_deviation_limit_scalar_hand_solved():
-    plant, kss, gains = scalar_setup()
-    pred = deviation_limit(plant, kss, gains, [1.0])
+    plant, kss, K = scalar_setup()
+    pred = deviation_limit(plant, kss, K, [1.0])
     # hand solution: |e_inf| = 0.4/0.5 = 0.8, delta = (-0.3*0.8)/(1-0.5+0.3) = -0.3
     assert pred.stable
     assert abs(abs(pred.est_error_limit[0]) - 0.8) < 1e-12
@@ -81,24 +80,24 @@ def test_deviation_limit_scalar_hand_solved():
 
 
 def test_deviation_limit_fixed_point():
-    plant, kss, gains = scalar_setup()
-    pred = deviation_limit(plant, kss, gains, [1.0])
-    A, B, K, L = plant.A, plant.B, gains.K, kss.L
+    plant, kss, K = scalar_setup()
+    pred = deviation_limit(plant, kss, K, [1.0])
+    A, B, L = plant.A, plant.B, kss.L
     e, d = pred.est_error_limit, pred.delta
     np.testing.assert_allclose(A @ e - L @ [1.0], e, atol=1e-10)
     np.testing.assert_allclose((A + B @ K) @ d - B @ K @ e, d, atol=1e-10)
 
 
 def test_deviation_limit_zero_forcing():
-    plant, kss, gains = scalar_setup()
-    pred = deviation_limit(plant, kss, gains, [0.0])
+    plant, kss, K = scalar_setup()
+    pred = deviation_limit(plant, kss, K, [0.0])
     assert pred.delta[0] == 0.0
 
 
 def test_deviation_limit_linearity():
-    plant, kss, gains = scalar_setup()
-    one = deviation_limit(plant, kss, gains, [1.0]).delta
-    two = deviation_limit(plant, kss, gains, [2.0]).delta
+    plant, kss, K = scalar_setup()
+    one = deviation_limit(plant, kss, K, [1.0]).delta
+    two = deviation_limit(plant, kss, K, [2.0]).delta
     np.testing.assert_allclose(two, 2.0 * one, atol=1e-12)
 
 
@@ -111,12 +110,12 @@ def test_deviation_limit_unstable_open_loop(ugv_plant, ugv_kss, ugv_gains):
 
 
 def test_deviation_limit_shared_kernel_for_cusum():
-    plant, kss, gains = scalar_setup()
+    plant, kss, K = scalar_setup()
     ratio = saturation_budget(100, 0.05).ratio
     er_b = forcing("worst_case_bdd_randaware", (0,), 1, tau=2.0)
     er_c = forcing("worst_case_cusum_randaware", (0,), 1, bias=0.7)
-    db = deviation_limit(plant, kss, gains, er_b).delta
-    dc = deviation_limit(plant, kss, gains, er_c).delta
+    db = deviation_limit(plant, kss, K, er_b).delta
+    dc = deviation_limit(plant, kss, K, er_c).delta
     np.testing.assert_allclose(dc, db * (0.7 / (2.0 * ratio)), atol=1e-12)
 
 
@@ -126,9 +125,9 @@ def test_deviation_limit_warns_when_ill_conditioned():
                      Q=np.eye(2) * 0.01, R=[[0.01]], ts=1.0)
     kss = KalmanSteadyState(P=np.eye(2) * 0.01, L=np.array([[0.1], [0.1]]),
                             Sigma=np.array([[0.03]]), sigma=np.array([np.sqrt(0.03)]))
-    gains = ControllerGains(K=np.array([[-0.4, -0.4]]))
+    K = np.array([[-0.4, -0.4]])
     with pytest.warns(IllConditionedWarning):
-        pred = deviation_limit(plant, kss, gains, [1.0])
+        pred = deviation_limit(plant, kss, K, [1.0])
     assert pred.stable
     assert np.all(np.isfinite(pred.delta))
 

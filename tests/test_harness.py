@@ -19,7 +19,6 @@ from randmon.harness import (
     EMIT_CHUNK_ROWS,
     _column_table,
     budget_curve,
-    csv_columns,
     emit_outputs,
     read_run_csv,
     run_scenario,
@@ -76,9 +75,9 @@ def test_monitors_do_not_perturb_plant():
     art = run_scenario(cfg)
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
-    gains = make_controller(plant)
+    K = make_controller(plant)
     noise_seed = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    bare = simulate(plant, kss, gains, NoiseSource(plant.Q, plant.R, noise_seed), cfg.horizon)
+    bare = simulate(plant, kss, K, NoiseSource(plant.Q, plant.R, noise_seed), cfg.horizon)
     np.testing.assert_array_equal(art.x, bare["x"])
     np.testing.assert_array_equal(art.r, bare["r"])
     np.testing.assert_array_equal(art.xhat, bare["xhat"])
@@ -90,7 +89,7 @@ def test_csv_round_trip(tmp_path, base_artifacts):
     meta, cols, data = read_run_csv(path)
     assert meta["config_hash"] == base_artifacts.summary.config_hash
     assert int(meta["seed"]) == base_artifacts.summary.seed
-    assert cols == csv_columns(base_artifacts)
+    assert cols == _column_table(base_artifacts)[0]
     assert data.shape[0] == base_artifacts.horizon
     # alarm rates recomputed from the re-ingested rows equal the summary
     for test in ("wsr", "sir", "bdd"):
@@ -131,7 +130,7 @@ def test_jsonl_values_round_trip_across_chunks(tmp_path):
     records = map(json.loads, (tmp_path / "run.jsonl").read_text(encoding="utf-8").splitlines())
     steps = [r for r in records if r["record"] == "step"]
     assert len(steps) == art.horizon
-    cols = csv_columns(art)
+    cols = _column_table(art)[0]
     assert all(list(step)[1:] == cols for step in steps)
     read = np.array([[np.nan if step[c] is None else step[c] for c in cols] for step in steps])
     expected = {"k": art.k}
@@ -322,6 +321,32 @@ def test_sweep_serial_matches_parallel():
         (0.05, "none"), (0.05, "bias_concentrate"), (0.1, "none"), (0.1, "bias_concentrate")]
 
 
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    # A fork-started pool starts max_workers processes at the first submit; this
+    # serial stand-in records the pool size and starts none.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize):
+            return map(fn, cells)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_sweep_cell", lambda cell: cell[1:])
+    kinds = ["none", "pattern_runs", "bias_concentrate"]
+    assert run_sweep(dict(BASE), [0.05, 0.1], kinds, workers=64) == [
+        (a, kind) for a in (0.05, 0.1) for kind in kinds]
+    assert sizes == [6]
+
+
 def test_sweep_config_error_raised_before_fan_out():
     # a ValidationError that crossed from a worker would arrive with its message garbled
     with pytest.raises(ValidationError) as info:
@@ -487,6 +512,18 @@ def test_cli_budget(tmp_path):
     assert result.returncode == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 cells
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--ells", "5"], "budget needs a window of at least 20, got 5"),
+    (["--alphas", "1.5"], "alpha_des must lie in (0, 1], got 1.5"),
+], ids=["ell-below-20", "alpha-above-1"])
+def test_cli_budget_bad_argument_is_a_config_error(tmp_path, args, message):
+    out = tmp_path / "budget.csv"
+    result = run_cli("budget", *args, "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_tune(tmp_path):
