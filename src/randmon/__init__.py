@@ -39,7 +39,6 @@ from .lti import (
     SimState,
     UgvParams,
     discretize_ugv,
-    initial_state,
     lqr_gain,
     make_controller,
     simulate,

@@ -458,10 +458,10 @@ def read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, a huge int, deep nesting
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:

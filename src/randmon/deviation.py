@@ -37,8 +37,6 @@ class DeviationPrediction:
     est_error_limit: Optional[np.ndarray]
     stable: bool
     rho_open: float
-    rho_closed: float
-    condition_report: dict
 
 
 def deviation_limit(
@@ -52,20 +50,19 @@ def deviation_limit(
     ``expected_r`` is the mean residual the attack forces on each sensor; a
     worst-case policy carries it as ``AttackPolicy.forcing``.
 
-    Uses two linear solves (never explicit inverses). Condition numbers of
-    both solve matrices are reported; past 1e10 an IllConditionedWarning is
-    emitted but the result is still returned.
+    Uses two linear solves (never explicit inverses). When the condition
+    number of either solve matrix passes 1e10 an IllConditionedWarning is
+    emitted, but the result is still returned.
     """
     er = np.asarray(expected_r, dtype=float).ravel()
     if er.shape != (plant.s,):
         raise InvalidParameter(f"expected residual must have length {plant.s}")
     A, B, L = plant.A, plant.B, kss.L
     rho_open = spectral_radius(A)
-    rho_closed = spectral_radius(A + B @ K)
-    stable = rho_open < 1.0 and rho_closed < 1.0
+    stable = rho_open < 1.0 and spectral_radius(A + B @ K) < 1.0
     if not stable:
         return DeviationPrediction(delta=None, est_error_limit=None, stable=False,
-                                   rho_open=rho_open, rho_closed=rho_closed, condition_report={})
+                                   rho_open=rho_open)
     I = np.eye(plant.n)
     M1 = I - A
     M2 = I - A - B @ K
@@ -81,8 +78,6 @@ def deviation_limit(
         est_error_limit=e_inf,
         stable=True,
         rho_open=rho_open,
-        rho_closed=rho_closed,
-        condition_report=cond,
     )
 
 

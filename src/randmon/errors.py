@@ -59,6 +59,9 @@ class ValidationError(ConfigError):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
+    def __reduce__(self):  # a sweep worker's error is pickled back whole, not as its message
+        return type(self), (self.problems,)
+
 
 class IllConditionedWarning(UserWarning):
     """A linear solve was performed on a badly conditioned matrix."""

@@ -1,8 +1,8 @@
 """Standard normal CDF and quantile with no dependencies beyond the stdlib.
 
-The CDF goes through ``math.erfc`` so both tails keep full precision. The
-quantile uses Acklam's rational approximation polished by one Newton step,
-which lands well below 1e-9 absolute error everywhere we evaluate it.
+The CDF goes through ``math.erfc`` so both tails keep full precision. The quantile
+uses Acklam's lower-tail and central fits polished by one Newton step (well below
+1e-9 absolute error); p > 1 - 0.02425 returns -quantile(1 - p), with 1 - p exact.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ def _acklam(p: float) -> float:
         q = math.sqrt(-2.0 * math.log(p))
         return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
     q = p - 0.5
     r = q * q
     return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
@@ -59,6 +55,8 @@ def std_normal_quantile(p: float) -> float:
     """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1)."""
     if not 0.0 < p < 1.0 or math.isnan(p):
         raise DomainError(f"quantile argument must lie in (0, 1), got {p!r}")
+    if p > 1.0 - _P_LOW:  # the upper tail by symmetry; 1 - p is exact for p >= 0.5
+        return -std_normal_quantile(1.0 - p)
     x = _acklam(p)
     # One Newton step against the erfc-based CDF; skipped where the pdf
     # underflows (|x| huge), where the rational tail fit is already tight.

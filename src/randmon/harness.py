@@ -32,7 +32,7 @@ from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERS
                      ScenarioConfig, build_plant, config_hash, load_config_dict)
 from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ValidationError
 from .lti import NoiseSource, make_controller, simulate, solve_dare
 from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
 
@@ -69,7 +69,6 @@ class RunSummary:
 class RunArtifacts:
     """Per-step records plus the summary for one scenario run."""
 
-    config: ScenarioConfig
     summary: RunSummary
     k: np.ndarray
     x: np.ndarray
@@ -128,21 +127,26 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     noise_seed, attack_root = master.spawn(2)
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
 
+    # a plan whose parameters break its stealth bound is a config error, each one reported
     attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
-    policies = [
-        atk.build_attack_policy(
-            plan,
-            s,
-            plant.C,
-            kss.sigma,
-            ell=cfg.window,
-            alpha_des=cfg.alpha_des["wsr"],
-            bdd=bdd,
-            cusum=cusum,
-            seed=attack_seeds[j],
-        )
-        for j, plan in enumerate(cfg.attacks)
-    ]
+    policies, problems = [], []
+    for j, plan in enumerate(cfg.attacks):
+        try:
+            policies.append(atk.build_attack_policy(
+                plan,
+                s,
+                plant.C,
+                kss.sigma,
+                ell=cfg.window,
+                alpha_des=cfg.alpha_des["wsr"],
+                bdd=bdd,
+                cusum=cusum,
+                seed=attack_seeds[j],
+            ))
+        except InvalidParameter as exc:
+            problems.append(f"attacks[{j}]: {exc}")
+    if problems:
+        raise ValidationError(problems)
     combined = atk.CompositeAttack(policies, s) if policies else None
 
     # Phase 1: the closed loop. A live CUSUM detector consumes r[k] before the
@@ -193,7 +197,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         deviation=_deviation_report(cfg, plant, kss, K, policies, rec_x),
     )
     return RunArtifacts(
-        config=cfg,
         summary=summary,
         k=np.arange(horizon),
         x=rec_x,

@@ -29,9 +29,9 @@ product of the recursions above is one stacked ``@`` call; numpy computes it
 as one matrix-vector product per run, with the same bits as the per-run
 ``A @ x``. Each run's noise is drawn and coloured ``CHUNK`` steps at a time
 (:meth:`NoiseSource.block`), from the same Philox stream as per-step
-:meth:`NoiseSource.draw` calls. :func:`initial_state` and :func:`step` are the
-same recursion one run and one step at a time; they serve as the reference
-the kernel is tested against.
+:meth:`NoiseSource.draw` calls. :func:`step` is the same recursion one run and
+one step at a time, starting from ``state=None`` at the zero start; it is the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -339,54 +339,43 @@ def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array, s: int) 
     return xi
 
 
-def initial_state(
-    plant: LtiPlant,
-    kss: KalmanSteadyState,
-    noise: Optional[NoiseSource] = None,
-    attack: AttackSignal = None,
-) -> SimState:
-    """State at k = 0 (x = xhat = 0), including the initial measurement and residual."""
-    x = np.zeros(plant.n)
-    xhat = x.copy()
-    eta = noise.draw_eta() if noise is not None else np.zeros(plant.s)
-    e = x - xhat
-    xi = _resolve_attack(attack, 0, e, eta, plant.s)
-    y = plant.C @ x + eta + xi
-    r = y - plant.C @ xhat
-    return SimState(k=0, x=x, xhat=xhat, e=e, r=r, xi=xi)
-
-
 def step(
     plant: LtiPlant,
     kss: KalmanSteadyState,
     K: Array,
-    state: SimState,
+    state: Optional[SimState] = None,
     attack: AttackSignal = None,
     noise: Optional[NoiseSource] = None,
 ) -> SimState:
     """Advance the closed loop by one step and return the successor state.
 
-    ``attack`` is either None or a callable ``(k, e, eta) -> s-vector``
-    evaluated with the new step index, the new estimation error and the new
-    measurement noise draw (the omniscient-attacker interface); its value is
-    added to the new measurement.
+    ``state=None`` takes step 0 from the zero start (x = xhat = 0), where only
+    the measurement noise is drawn. ``attack`` is either None or a callable
+    ``(k, e, eta) -> s-vector`` evaluated with the new step index, the new
+    estimation error and the new measurement noise draw (the
+    omniscient-attacker interface); its value is added to the new measurement.
     """
-    if state.x.shape != (plant.n,) or state.r.shape != (plant.s,):
-        raise DimensionMismatch("state dimensions do not match the plant")
-    u = K @ state.xhat
-    if noise is not None:
-        nu, eta = noise.draw()
+    if state is None:
+        k = 0
+        x = np.zeros(plant.n)
+        xhat = x.copy()
+        eta = noise.draw_eta() if noise is not None else np.zeros(plant.s)
     else:
-        nu, eta = np.zeros(plant.n), np.zeros(plant.s)
-    drive = plant.B @ u
-    x_next = plant.A @ state.x + drive + nu
-    xhat_next = plant.A @ state.xhat + drive + kss.L @ state.r
-    e_next = x_next - xhat_next
-    k_next = state.k + 1
-    xi = _resolve_attack(attack, k_next, e_next, eta, plant.s)
-    y_next = plant.C @ x_next + eta + xi
-    r_next = y_next - plant.C @ xhat_next
-    return SimState(k=k_next, x=x_next, xhat=xhat_next, e=e_next, r=r_next, xi=xi)
+        if state.x.shape != (plant.n,) or state.r.shape != (plant.s,):
+            raise DimensionMismatch("state dimensions do not match the plant")
+        u = K @ state.xhat
+        if noise is not None:
+            nu, eta = noise.draw()
+        else:
+            nu, eta = np.zeros(plant.n), np.zeros(plant.s)
+        drive = plant.B @ u
+        k = state.k + 1
+        x = plant.A @ state.x + drive + nu
+        xhat = plant.A @ state.xhat + drive + kss.L @ state.r
+    e = x - xhat
+    xi = _resolve_attack(attack, k, e, eta, plant.s)
+    r = plant.C @ x + eta + xi - plant.C @ xhat
+    return SimState(k=k, x=x, xhat=xhat, e=e, r=r, xi=xi)
 
 
 def simulate(
@@ -435,8 +424,8 @@ def _lockstep(
     Returns ``{name: (runs, horizon, dim)}`` for each name in ``record``
     (among x, xhat, r, xi). ``on_step(k, r)`` gets the (runs, s) residuals
     of step k before step k + 1 is taken. Every product, sum and draw is the
-    one :func:`initial_state` and :func:`step` make, in the same order, so
-    each run is bit-equal to stepping it alone.
+    one :func:`step` makes, in the same order, so each run is bit-equal to
+    stepping it alone.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")

@@ -21,7 +21,7 @@ from randmon.deviation import (
     validate_against_simulation,
 )
 from randmon.harness import emit_outputs, run_scenario
-from randmon.lti import NoiseSource, initial_state, simulate, step
+from randmon.lti import NoiseSource, simulate, step
 from randmon.monitors import (
     runs_moments,
     sir_bounds,
@@ -163,7 +163,7 @@ def test_c05_worst_case_stealth(ugv_plant, ugv_kss, ugv_gains):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  alpha_des=alpha, bdd=bdd, seed=1)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 2)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     alarms = 0
     max_gap = 0.0
     for _ in range(horizon):
@@ -181,7 +181,7 @@ def test_c05_worst_case_stealth(ugv_plant, ugv_kss, ugv_gains):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  alpha_des=alpha, cusum=cusum, seed=4)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 5)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     alarms = 0
     max_gap = 0.0
     for k in range(horizon):

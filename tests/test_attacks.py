@@ -12,7 +12,7 @@ from randmon.attacks import (
 )
 from randmon.detectors import BadDataDetector, CusumDetector
 from randmon.errors import InvalidParameter
-from randmon.lti import NoiseSource, initial_state, step
+from randmon.lti import NoiseSource, step
 from randmon.monitors import wsr_bounds, wsr_test
 
 RATE_LIMIT = 1.0 - math.sqrt(2.0) / 2.0
@@ -173,10 +173,14 @@ def test_none_policy_zero_vector(ugv_plant, ugv_kss):
     assert not policy(0, np.zeros(3), np.zeros(3)).any()
 
 
-def test_bias_concentrate_rejects_threshold_violations(ugv_plant, ugv_kss):
-    plan = AttackPlan(kind="bias_concentrate", sensors=(0,),
-                      params={"mu_a": 10.0, "sigma_a": 0.001})
-    with pytest.raises(InvalidParameter):
+@pytest.mark.parametrize("kind, params, message", [
+    ("bias_concentrate", {"mu_a": 10.0, "sigma_a": 0.001}, "would cross the bad-data threshold"),
+    ("bias_concentrate", {"sigma_a": 5.0}, "sigma_a must be below"),
+    ("pattern_runs", {"amplitude": 5.0}, "exceeds the bad-data bound"),
+], ids=["mu_a-bound", "sigma_a-deviation", "pattern-amplitude"])
+def test_bias_concentrate_rejects_threshold_violations(kind, params, message, ugv_plant, ugv_kss):
+    plan = AttackPlan(kind=kind, sensors=(0,), params=params)
+    with pytest.raises(InvalidParameter, match=message):
         build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma, alpha_des=0.05, seed=0)
 
 
@@ -184,7 +188,7 @@ def test_pattern_attack_forces_signs(ugv_plant, ugv_kss, ugv_gains):
     plan = AttackPlan(kind="pattern_runs", sensors=(0,), start=0, stop=10_000)
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma, alpha_des=0.05, seed=1)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 2)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     rs = [state.r[0]]
     for _ in range(200):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
@@ -206,7 +210,7 @@ def test_worst_case_bdd_stealth_closed_loop(ugv_plant, ugv_kss, ugv_gains):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  alpha_des=alpha, bdd=bdd, seed=3)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 4)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     alarms = 0
     for _ in range(2000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
@@ -223,7 +227,7 @@ def test_randaware_bdd_mean_residual_matches_budget(ugv_plant, ugv_kss, ugv_gain
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  ell=ell, alpha_des=alpha, bdd=bdd, seed=5)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 6)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     rs = []
     for _ in range(20_000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
@@ -243,7 +247,7 @@ def test_randaware_bdd_window_stays_inside_wsr_band(ugv_plant, ugv_kss, ugv_gain
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  ell=ell, alpha_des=alpha, bdd=bdd, seed=7)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 8)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     rs = []
     for _ in range(3000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
@@ -260,7 +264,7 @@ def test_worst_case_cusum_stealth_and_mean(ugv_plant, ugv_kss, ugv_gains):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  alpha_des=alpha, cusum=cusum, seed=9)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 10)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     alarms = 0
     rs = []
     for _ in range(3000):
@@ -282,7 +286,7 @@ def test_randaware_cusum_statistic_bounded(ugv_plant, ugv_kss, ugv_gains):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  ell=100, alpha_des=alpha, cusum=cusum, seed=11)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 12)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     alarms = 0
     rs = []
     for _ in range(3000):
@@ -304,7 +308,7 @@ def test_schedule_epsilon_sign_structure(ugv_plant, ugv_kss, ugv_gains):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma,
                                  ell=ell, alpha_des=alpha, bdd=bdd, seed=13)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 14)
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=policy)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
     eps = 1e-6 * ugv_kss.sigma[0]
     for _ in range(500):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)

@@ -180,8 +180,13 @@ def test_negative_seed_override_is_config_error_exit(tmp_path, capsys):
     assert load_config(path, seed=7).seed == 7
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("content", [None, b'{"plant": ', b"\xff\xfe{}"])
+@pytest.mark.parametrize("command", ["run", "tune", "sweep"])
+@pytest.mark.parametrize("content", [
+    None, b'{"plant": ', b"\xff\xfe{}",
+    # past Python's limit on the digits of an integer read from a string
+    pytest.param(b'{"horizon": ' + b"1" * 5000 + b"}", id="5000-digit-int"),
+    pytest.param(b'{"plant": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", id="nested-200000-deep"),
+])
 def test_unreadable_config_is_config_error_exit(command, content, tmp_path, capsys):
     from randmon.cli import main
 
@@ -189,7 +194,8 @@ def test_unreadable_config_is_config_error_exit(command, content, tmp_path, caps
     if content is not None:
         path.write_bytes(content)
     out = tmp_path / "sweep.csv"
-    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    args = [] if command == "tune" else ["--out", str(out)]
+    assert main([command, "--config", str(path), *args, "--quiet"]) == 2
     assert str(path) in capsys.readouterr().err
     assert not out.exists()
 
@@ -317,6 +323,21 @@ MISTYPED = {
     "Q-asymmetric": (_explicit(**{**TWO_STATES, "Q": [[0.1, 0.05], [0.0, 0.1]]}), "plant.Q"),
     "Q-not-psd": (_explicit(**{**TWO_STATES, "Q": [[0.1, 0.2], [0.2, 0.1]]}), "plant.Q"),
     "R-negative": (_explicit(R=[[-0.1]]), "plant.R"),
+    "alpha_des-unknown-test": ({**MINIMAL, "monitors": {"alpha_des": {"wsr": 0.05, "ks": 0.1}}},
+                               "monitors.alpha_des: unknown test 'ks'"),
+    "tuning_samples-small": ({**MINIMAL, "detectors": {"tuning_samples": 10}},
+                             "detectors.tuning_samples"),
+    "tuning_samples-float": ({**MINIMAL, "detectors": {"tuning_samples": 1e6}},
+                             "detectors.tuning_samples"),
+    "horizon-zero": ({**MINIMAL, "horizon": 0}, "horizon: must be a positive integer"),
+    "horizon-negative": ({**MINIMAL, "horizon": -5}, "horizon: must be a positive integer"),
+    "horizon-float": ({**MINIMAL, "horizon": 1.5}, "horizon: must be a positive integer"),
+    "params-list": (_attack(params=[0.1]), "attacks[0].params: must be an object"),
+    "params-str": (_attack(params="x"), "attacks[0].params: must be an object"),
+    # integers beyond the float range
+    "ts-huge-int": (_ugv(ts=10**400), "plant.ts"),
+    "state_weights-huge-int": (_controller(state_weights=[10**400, 1, 1]),
+                               "controller.state_weights"),
 }
 
 
@@ -331,7 +352,11 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
                                   "randaware-window", "state_weights-length",
                                   "cusum-attack-bdd-detector", "A-not-square", "Q-shape",
                                   "output-dir-bool", "K-shape", "r_diag-negative",
-                                  "state_weights-negative", "Q-asymmetric"])
+                                  "state_weights-negative", "Q-asymmetric",
+                                  "alpha_des-unknown-test", "tuning_samples-small",
+                                  "tuning_samples-float", "horizon-zero", "horizon-negative",
+                                  "horizon-float", "params-list", "params-str", "ts-huge-int",
+                                  "state_weights-huge-int"])
 def test_mistyped_field_exits_2(case, tmp_path, capsys):
     from randmon.cli import main
 
@@ -378,6 +403,24 @@ def test_non_numeric_matrices_reported_together():
         load_config_dict(raw)
     assert sorted(p.split(":")[0] for p in err.value.problems) == [
         "controller.K", "controller.input_weights", "plant.A", "plant.C", "plant.Q"]
+
+
+def test_stealth_bound_violations_are_one_config_error(tmp_path, capsys):
+    from randmon.cli import main
+
+    raw = {**SHIPPED["ugv_noattack"], "horizon": 400,
+           "monitors": {"window": 30, "rate_window": 30, "alpha_des": 0.05},
+           "attacks": [{"kind": "pattern_runs", "sensors": [0], "start": 100, "stop": 300,
+                        "params": {"amplitude": 5.0}},
+                       {"kind": "bias_concentrate", "sensors": [1], "start": 100, "stop": 300,
+                        "params": {"sigma_a": 5.0}}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: attacks[0]: pattern amplitude 5 exceeds the bad-data bound; "
+        "attacks[1]: sigma_a must be below the natural residual deviation\n")
+    assert not list(tmp_path.glob("run_*"))
 
 
 def test_huge_sample_time_is_runtime_error_exit(tmp_path, capsys):

@@ -348,10 +348,21 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
 
 
 def test_sweep_config_error_raised_before_fan_out():
-    # a ValidationError that crossed from a worker would arrive with its message garbled
     with pytest.raises(ValidationError) as info:
         run_sweep(dict(BASE), [0.05], ["none", "bogus"], workers=2)
     assert str(info.value) == "attacks[0].kind: unknown kind 'bogus'"
+
+
+def test_sweep_worker_reports_stealth_bound_violation_whole():
+    # at alpha 0.5 the default bias_concentrate draws would cross the bad-data threshold
+    raw = {**BASE, "horizon": 400, "monitors": {"window": 30, "rate_window": 30, "alpha_tau": 1.0}}
+    with pytest.raises(ValidationError) as serial:
+        run_sweep(raw, [0.5, 0.6], ["bias_concentrate"], workers=1)
+    with pytest.raises(ValidationError) as parallel:
+        run_sweep(raw, [0.5, 0.6], ["bias_concentrate"], workers=2)
+    assert parallel.value.problems == serial.value.problems
+    assert str(parallel.value) == str(serial.value)
+    assert str(serial.value).startswith("attacks[0]: bias_concentrate draws would cross")
 
 
 @pytest.fixture

@@ -17,9 +17,9 @@ from randmon.lti import (
     LtiPlant,
     NoiseSource,
     UgvParams,
+    _expm,
     _riccati_fixed_point,
     discretize_ugv,
-    initial_state,
     lqr_gain,
     make_controller,
     simulate,
@@ -189,6 +189,31 @@ def test_zoh_matches_taylor_series():
     assert np.abs(Ad - expm).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_expm_matches_scipy_past_the_squaring_threshold(n):
+    # 1-norms of 0.5 to 50: the ones above 1 are scaled down and squared back
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(n)
+    for norm in np.geomspace(0.5, 50.0, 12):
+        M = rng.standard_normal((n, n))
+        M *= norm / np.linalg.norm(M, 1)
+        want = expm(M)
+        assert np.abs(_expm(M) - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("ts", [2.0, 20.0, 200.0])
+def test_zoh_matches_scipy_at_long_sample_times(ts):
+    from scipy.linalg import expm
+
+    Ac, Bc = ugv_continuous(UgvParams())
+    Ad, Bd = zoh_discretize(Ac, Bc, ts)
+    aug = np.zeros((5, 5))
+    aug[:3, :3], aug[:3, 3:] = Ac, Bc
+    want = expm(aug * ts)
+    assert np.abs(np.hstack([Ad, Bd]) - want[:3]).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_discretize_huge_sample_time_raises():
     # The 1-norm of the scaled augmented matrix overflows to inf.
     with pytest.raises(RandmonError):
@@ -219,7 +244,7 @@ def test_make_controller_rejects_unstable_gain(ugv_plant):
 
 
 def test_noiseless_consistent_start(ugv_plant, ugv_kss, ugv_gains):
-    state = initial_state(ugv_plant, ugv_kss)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None)
     for _ in range(20):
         state = step(ugv_plant, ugv_kss, ugv_gains, state)
         assert np.abs(state.r).max() == 0.0
@@ -228,7 +253,7 @@ def test_noiseless_consistent_start(ugv_plant, ugv_kss, ugv_gains):
 
 def test_constant_attack_first_residual(ugv_plant, ugv_kss, ugv_gains):
     c = 0.37
-    state = initial_state(ugv_plant, ugv_kss)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None)
     state = step(ugv_plant, ugv_kss, ugv_gains, state,
                  attack=lambda k, e, eta: np.array([c, 0.0, 0.0]))
     assert state.r[0] == c
@@ -260,7 +285,7 @@ def test_error_recursion_identity(ugv_plant, ugv_kss, ugv_gains):
     def attack(k, e, eta):
         return xi
 
-    state = initial_state(ugv_plant, ugv_kss, noise=noise, attack=attack)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=attack, noise=noise)
     A, C, L = ugv_plant.A, ugv_plant.C, ugv_kss.L
     for k in range(200):
         prev = state
@@ -279,7 +304,7 @@ def test_seeded_runs_bit_reproducible(ugv_plant, ugv_kss, ugv_gains):
 
 
 def test_step_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
-    state = initial_state(ugv_plant, ugv_kss)
+    state = step(ugv_plant, ugv_kss, ugv_gains, None)
     with pytest.raises(DimensionMismatch):
         step(ugv_plant, ugv_kss, ugv_gains, state, attack=lambda k, e, eta: np.zeros(2))
 
@@ -299,16 +324,15 @@ RECORDED = ("x", "xhat", "r", "xi")
 
 
 def reference_run(plant, kss, gains, noise, horizon, attack=None, on_step=None):
-    """``simulate``'s contract stepped one state at a time with initial_state/step."""
-    state = initial_state(plant, kss, noise=noise, attack=attack)
+    """``simulate``'s contract stepped one state at a time with ``step``."""
+    state = None
     rows = {name: [] for name in RECORDED}
     for k in range(horizon):
+        state = step(plant, kss, gains, state, attack=attack, noise=noise)
         for name in RECORDED:
             rows[name].append(getattr(state, name))
         if on_step is not None:
             on_step(k, state.r)
-        if k + 1 < horizon:
-            state = step(plant, kss, gains, state, attack=attack, noise=noise)
     return {name: np.array(values) for name, values in rows.items()}
 
 
