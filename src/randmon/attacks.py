@@ -1,15 +1,17 @@
 """Sensor attack synthesis: scripted corruptions and worst-case stealthy policies.
 
 All policies implement the omniscient-attacker stepping protocol used by
-``lti.step``: called as ``policy(k, e, eta)`` with the new step index, the new
-estimation error and the new measurement noise draw, returning the attack
-vector added to that step's measurement. Since r = C e + eta + xi, an attacker
-that knows e and eta can place the residual anywhere.
+``lti.step``: called as ``policy(k, e, eta, r_prev)`` with the new step index,
+the new estimation error, the new measurement noise draw and the previous
+step's residual (None at step 0), returning the attack vector added to that
+step's measurement. Since r = C e + eta + xi, an attacker that knows e and eta
+can place the residual anywhere; one that holds the CUSUM statistic steps its
+own copy of the detector on every residual it is handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -127,19 +129,26 @@ class AttackPolicy:
     sensors), the input of ``deviation.deviation_limit``; it is None for the
     scripted kinds and for a bad-data kind without a configured detector.
     ``schedule`` is the saturation schedule of the randomness-aware kinds,
-    None for the others. :func:`build_attack_policy` builds the policy of
-    each kind and checks the plan's sensors.
+    None for the others. ``cusum`` is the CUSUM kinds' own detector, stepped
+    on every residual handed in, at active steps or not, before ``signal``
+    reads its statistic; None for the others. :func:`build_attack_policy`
+    builds the policy of each kind and checks the plan's sensors.
     """
 
     def __init__(self, plan: AttackPlan, n_sensors: int, signal: Callable,
-                 forcing: Optional[np.ndarray] = None, schedule: Optional[np.ndarray] = None):
+                 forcing: Optional[np.ndarray] = None, schedule: Optional[np.ndarray] = None,
+                 cusum: Optional[CusumDetector] = None):
         self.plan = plan
         self.n_sensors = n_sensors
         self.signal = signal
         self.forcing = forcing
         self.schedule = schedule
+        self.cusum = cusum
 
-    def __call__(self, k: int, e: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
+                 r_prev: Optional[np.ndarray]) -> np.ndarray:
+        if self.cusum is not None and r_prev is not None:
+            self.cusum.step(r_prev)
         xi = np.zeros(self.n_sensors)
         if not self.plan.start <= k < self.plan.stop:
             return xi
@@ -164,10 +173,12 @@ def build_attack_policy(
 
     ``c_rows`` is the plant output matrix (one row per sensor); ``sigma`` the
     per-sensor residual standard deviations. The CUSUM kinds require the
-    detector; the bad-data kinds and the scripted kinds' stealth bounds use
-    the bad-data threshold, derived from alpha_des when no detector is given.
-    Every kind but ``none`` cancels ``C e + eta`` and puts a residual of its
-    choice in its place; every draw comes from one generator seeded by ``seed``.
+    tuned detector and step a copy of it (tau, bias and S), so ``cusum``
+    itself is never changed; the bad-data kinds and the scripted kinds'
+    stealth bounds use the bad-data threshold, derived from alpha_des when no
+    detector is given. Every kind but ``none`` cancels ``C e + eta`` and puts a
+    residual of its choice in its place; every draw comes from one generator
+    seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     sigma = np.asarray(sigma, dtype=float)
@@ -233,8 +244,8 @@ def build_attack_policy(
 
     # The worst-case kinds. Detector-only mode pins every residual just below the
     # bad-data threshold, or holds the CUSUM statistic just below its threshold: the
-    # attacker reads the live ``cusum.S``, which a run steps on each residual before
-    # the next attack value is drawn (``lti.simulate``'s ``on_step``). The
+    # policy steps its own copy of the detector on each previous residual, as the
+    # defender's detector steps on it, and reads that S. The
     # randomness-aware mode saturates only on the scheduled steps (beta per window)
     # and elsewhere leaves the residual at -delta (BDD) or bias - delta (CUSUM),
     # inside the signed-rank band by construction; delta is a U(0, epsilon) dither,
@@ -247,6 +258,7 @@ def build_attack_policy(
         schedule = schedule_saturation(budget, rng)
         eps = np.asarray(p.get("epsilon", 1e-6 * sigma), dtype=float) * np.ones(n_sensors)
 
+    own = None  # the CUSUM kinds' own detector
     if kind.startswith("worst_case_bdd"):
         pinned = (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = tau_b if schedule is None else tau_b * budget.ratio
@@ -259,11 +271,12 @@ def build_attack_policy(
         def resting(base, i):
             return base
     else:
+        own = replace(cusum)  # a copy: __post_init__ copies S
         bias, held = cusum.bias.tolist(), (cusum.tau * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = cusum.bias
 
         def saturated(base, i):
-            return base + bias[i] - float(cusum.S[i]) + held[i]
+            return base + bias[i] - float(own.S[i]) + held[i]
 
         def resting(base, i):
             return base + bias[i]
@@ -279,7 +292,7 @@ def build_attack_policy(
 
     attacked = np.isin(np.arange(n_sensors), plan.sensors)
     forcing = None if level is None else np.where(attacked, level, 0.0)
-    return AttackPolicy(plan, n_sensors, signal, forcing, schedule)
+    return AttackPolicy(plan, n_sensors, signal, forcing, schedule, own)
 
 
 class CompositeAttack:
@@ -289,8 +302,9 @@ class CompositeAttack:
         self.policies = list(policies)
         self.n_sensors = n_sensors
 
-    def __call__(self, k: int, e: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
+                 r_prev: Optional[np.ndarray]) -> np.ndarray:
         xi = np.zeros(self.n_sensors)
         for policy in self.policies:
-            xi += policy(k, e, eta)
+            xi += policy(k, e, eta, r_prev)
         return xi

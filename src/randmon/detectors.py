@@ -240,7 +240,8 @@ class CusumDetector:
     The statistic from the previous step is tested before accumulating: above
     tau it resets to zero and the alarm fires for that step. Equality with tau
     does not alarm. A run scores the detector after the loop with
-    ``cusum_alarm_fraction``; ``step`` is the live view an attacker reads.
+    ``cusum_alarm_fraction``; ``step`` takes one residual at a time, as a
+    CUSUM worst-case attack steps its own copy of the tuned detector.
     """
 
     tau: np.ndarray

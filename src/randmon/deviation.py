@@ -133,7 +133,9 @@ def run_attack_ensemble(
     ``policy_factory(run_index)`` builds a fresh policy per run (policies may
     be stateful). The runs advance in lockstep, one step of every run at a
     time, so policies from the factory must not share mutable state across
-    runs. Only the states are recorded. Returns state trajectories with shape
+    runs. Policies that ``build_attack_policy`` builds from one shared CUSUM
+    detector are safe: each steps its own copy on its own run's residuals.
+    Only the states are recorded. Returns state trajectories with shape
     (runs, horizon, n), each run bit-equal to simulating it alone.
     """
     if n_runs < 1:

@@ -6,12 +6,12 @@ and attack randomness does not perturb the noise sequence.
 
 A run has two phases. The first is ``lti.simulate``: it steps the closed
 loop (plant, estimator, controller, attack) and records the trajectory, the
-residuals and the applied attack. Only a run whose CUSUM worst-case attack
-reads the live detector steps it there, in simulate's ``on_step`` callback.
-The second phase scores the recorded residual array: the window tests, the
-boundary detectors and the sliding alarm rates of all four tests, over all
-steps at once, with the live detector's float operations, so the split leaves
-every output byte unchanged.
+residuals and the applied attack. A CUSUM worst-case attack steps its own copy
+of the tuned detector on each residual it is handed; nothing else steps a
+detector in the loop. The second phase scores the recorded residual array:
+the window tests, the boundary detectors and the sliding alarm rates of all
+four tests, over all steps at once, with the detectors' own float operations,
+so the split leaves every output byte unchanged.
 """
 
 from __future__ import annotations
@@ -86,9 +86,11 @@ class RunArtifacts:
 
 
 def _set_up(cfg: ScenarioConfig) -> tuple:
-    """The plant, its steady-state filter and the detectors calibrated from it.
+    """The plant, its steady-state filter, the detectors calibrated from it and the attacks.
 
-    Returns ``(plant, kss, bdd, cusum)``; a detector the config disables is None.
+    Returns ``(plant, kss, bdd, cusum, policies, noise_seed)``; a detector the
+    config disables is None. A plan whose parameters break its stealth bound
+    is a config error: every such plan is reported in one ``ValidationError``.
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
@@ -103,57 +105,43 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
             for sig, b in zip(kss.sigma, bias)
         ]
         cusum = CusumDetector(tau=tau, bias=bias)
-    return plant, kss, bdd, cusum
+
+    noise_seed, attack_root = np.random.SeedSequence(cfg.seed).spawn(2)
+    attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
+    policies, problems = [], []
+    for j, plan in enumerate(cfg.attacks):
+        try:
+            policies.append(atk.build_attack_policy(
+                plan, plant.s, plant.C, kss.sigma, ell=cfg.window,
+                alpha_des=cfg.alpha_des["wsr"], bdd=bdd, cusum=cusum, seed=attack_seeds[j]))
+        except InvalidParameter as exc:
+            problems.append(f"attacks[{j}]: {exc}")
+    if problems:
+        raise ValidationError(problems)
+    return plant, kss, bdd, cusum, policies, noise_seed
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario and return its artifacts.
 
     Deterministic for a given config and seed. Phase 1 is ``lti.simulate``;
-    when a CUSUM worst-case attack reads the detector's statistic, the live
-    detector is stepped in its ``on_step`` callback. Phase 2 scores the
-    recorded ``(horizon, s)`` residuals with ``wsr_scan``, ``sir_scan``, the
-    bad-data threshold, ``cusum_alarm_fraction`` and ``alarm_rate_scan``.
-    Monitors are pure observers of the residual stream; the plant trajectory
-    does not depend on them.
+    a CUSUM worst-case attack there steps its own copy of the tuned detector
+    on each previous residual. Phase 2 scores the recorded ``(horizon, s)``
+    residuals with ``wsr_scan``, ``sir_scan``, the bad-data threshold,
+    ``cusum_alarm_fraction`` and ``alarm_rate_scan``. Monitors are pure
+    observers of the residual stream; the plant trajectory does not depend on
+    them.
     """
-    plant, kss, bdd, cusum = _set_up(cfg)
+    plant, kss, bdd, cusum, policies, noise_seed = _set_up(cfg)
     spec = cfg.controller_spec
     K = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
                         input_weights=spec.get("input_weights"))
     s, horizon = plant.s, cfg.horizon
 
-    master = np.random.SeedSequence(cfg.seed)
-    noise_seed, attack_root = master.spawn(2)
+    # Phase 1: the closed loop.
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
-
-    # a plan whose parameters break its stealth bound is a config error, each one reported
-    attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
-    policies, problems = [], []
-    for j, plan in enumerate(cfg.attacks):
-        try:
-            policies.append(atk.build_attack_policy(
-                plan,
-                s,
-                plant.C,
-                kss.sigma,
-                ell=cfg.window,
-                alpha_des=cfg.alpha_des["wsr"],
-                bdd=bdd,
-                cusum=cusum,
-                seed=attack_seeds[j],
-            ))
-        except InvalidParameter as exc:
-            problems.append(f"attacks[{j}]: {exc}")
-    if problems:
-        raise ValidationError(problems)
     combined = atk.CompositeAttack(policies, s) if policies else None
-
-    # Phase 1: the closed loop. A live CUSUM detector consumes r[k] before the
-    # attack for step k + 1 reads its statistic.
-    live = any(plan.kind.startswith("worst_case_cusum") for plan in cfg.attacks)
-    traj = simulate(plant, kss, K, noise, horizon, attack=combined,
-                    on_step=(lambda k, r: cusum.step(r)) if live else None)
+    traj = simulate(plant, kss, K, noise, horizon, attack=combined)
     rec_x, rec_r = traj["x"], traj["r"]
 
     # Phase 2: score the recorded residuals. Degenerate windows (all zeros,
@@ -358,8 +346,8 @@ def write_budget_curve(rows, path: str) -> str:
 
 
 def tuned_thresholds(cfg: ScenarioConfig) -> dict:
-    """Detector thresholds and monitor bounds for a config, for `randmon tune`."""
-    _, kss, bdd, cusum = _set_up(cfg)
+    """Detector thresholds and monitor bounds for `randmon tune`; it rejects what a run rejects."""
+    _, kss, bdd, cusum, _, _ = _set_up(cfg)
     out = {
         "sigma": kss.sigma.tolist(),
         "wsr_bounds": list(wsr_bounds(cfg.window, cfg.alpha_des["wsr"])),

@@ -29,9 +29,11 @@ product of the recursions above is one stacked ``@`` call; numpy computes it
 as one matrix-vector product per run, with the same bits as the per-run
 ``A @ x``. Each run's noise is drawn and coloured ``CHUNK`` steps at a time
 (:meth:`NoiseSource.block`), from the same Philox stream as per-step
-:meth:`NoiseSource.draw` calls. :func:`step` is the same recursion one run and
-one step at a time, starting from ``state=None`` at the zero start; it is the
-reference the kernel is tested against.
+:meth:`NoiseSource.draw` calls. Each run's attack is called with that run's
+step index, e, eta and previous residual, so an attacker that tracks a
+detector statistic steps it itself. :func:`step` is the same recursion one run
+and one step at a time, starting from ``state=None`` at the zero start; it is
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
 )
 
 Array = np.ndarray
-AttackSignal = Optional[Callable[[int, Array, Array], Array]]
+AttackSignal = Optional[Callable[[int, Array, Array, Optional[Array]], Array]]
 
 _COND_LIMIT = 1e12
 
@@ -330,10 +332,11 @@ class SimState:
     xi: Array
 
 
-def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array, s: int) -> Array:
+def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array,
+                    r_prev: Optional[Array], s: int) -> Array:
     if attack is None:
         return np.zeros(s)
-    xi = np.asarray(attack(k, e, eta), dtype=float)
+    xi = np.asarray(attack(k, e, eta, r_prev), dtype=float)
     if xi.shape != (s,):
         raise DimensionMismatch(f"attack signal must have shape ({s},), got {xi.shape}")
     return xi
@@ -351,15 +354,17 @@ def step(
 
     ``state=None`` takes step 0 from the zero start (x = xhat = 0), where only
     the measurement noise is drawn. ``attack`` is either None or a callable
-    ``(k, e, eta) -> s-vector`` evaluated with the new step index, the new
-    estimation error and the new measurement noise draw (the
-    omniscient-attacker interface); its value is added to the new measurement.
+    ``(k, e, eta, r_prev) -> s-vector`` evaluated with the new step index, the
+    new estimation error, the new measurement noise draw and the previous
+    step's residual (None at step 0): the omniscient-attacker interface. Its
+    value is added to the new measurement.
     """
     if state is None:
         k = 0
         x = np.zeros(plant.n)
         xhat = x.copy()
         eta = noise.draw_eta() if noise is not None else np.zeros(plant.s)
+        r_prev = None
     else:
         if state.x.shape != (plant.n,) or state.r.shape != (plant.s,):
             raise DimensionMismatch("state dimensions do not match the plant")
@@ -372,8 +377,9 @@ def step(
         k = state.k + 1
         x = plant.A @ state.x + drive + nu
         xhat = plant.A @ state.xhat + drive + kss.L @ state.r
+        r_prev = state.r
     e = x - xhat
-    xi = _resolve_attack(attack, k, e, eta, plant.s)
+    xi = _resolve_attack(attack, k, e, eta, r_prev, plant.s)
     r = plant.C @ x + eta + xi - plant.C @ xhat
     return SimState(k=k, x=x, xhat=xhat, e=e, r=r, xi=xi)
 
@@ -385,25 +391,13 @@ def simulate(
     noise: Optional[NoiseSource],
     horizon: int,
     attack: AttackSignal = None,
-    on_step: Optional[Callable[[int, Array], None]] = None,
 ):
     """Run ``horizon`` steps from the zero start and return stacked trajectories.
 
     Returns a dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the
     applied attack ``xi`` (horizon, s). Row k holds the state at step k.
-
-    ``on_step(k, r)``, when given, is called with each step index and its
-    residual r[k] right after it is computed and before the next step. A
-    detector stepped there has consumed r[k] when the attack for step k + 1
-    is synthesised, which is how an attacker reads a live detector statistic.
-    Pass it only for such an attack: recorded residuals are scored afterwards.
     """
-    callback = None
-    if on_step is not None:
-        def callback(k, r):
-            on_step(k, r[0])
-    out = _lockstep(plant, kss, K, [noise], horizon, [attack],
-                    ("x", "xhat", "r", "xi"), callback)
+    out = _lockstep(plant, kss, K, [noise], horizon, [attack], ("x", "xhat", "r", "xi"))
     return {name: rows[0] for name, rows in out.items()}
 
 
@@ -415,15 +409,13 @@ def _lockstep(
     horizon: int,
     attacks,
     record,
-    on_step: Optional[Callable[[int, Array], None]] = None,
 ):
     """Advance independent runs together for ``horizon`` steps from the zero start.
 
     Run j draws from ``noises[j]`` (None: noise-free) and is attacked by
-    ``attacks[j]``, called as in :func:`step` with run j's own e and eta.
-    Returns ``{name: (runs, horizon, dim)}`` for each name in ``record``
-    (among x, xhat, r, xi). ``on_step(k, r)`` gets the (runs, s) residuals
-    of step k before step k + 1 is taken. Every product, sum and draw is the
+    ``attacks[j]``, called as in :func:`step` with run j's own e, eta and
+    previous residual. Returns ``{name: (runs, horizon, dim)}`` for each name
+    in ``record`` (among x, xhat, r, xi). Every product, sum and draw is the
     one :func:`step` makes, in the same order, so each run is bit-equal to
     stepping it alone.
     """
@@ -438,7 +430,7 @@ def _lockstep(
     xi = np.zeros((runs, s, 1))
     x = np.zeros((runs, n, 1))
     xhat = x.copy()
-    r = None
+    r, r_prev = None, [None] * runs  # r_prev[j]: run j's previous residual
     for k in range(horizon):
         i = k % CHUNK
         if i == 0:
@@ -454,13 +446,12 @@ def _lockstep(
         e = x - xhat
         for j, attack in enumerate(attacks):
             if attack is not None:
-                xi[j, :, 0] = _resolve_attack(attack, k, e[j, :, 0], eta[j, i, :, 0], s)
+                xi[j, :, 0] = _resolve_attack(attack, k, e[j, :, 0], eta[j, i, :, 0], r_prev[j], s)
         r = C @ x + eta[:, i] + xi - C @ xhat
+        r_prev = r[:, :, 0]
         state = {"x": x, "xhat": xhat, "r": r, "xi": xi}
         for name, rec in out.items():
             rec[:, k] = state[name][:, :, 0]
-        if on_step is not None:
-            on_step(k, r[:, :, 0])
     return out
 
 

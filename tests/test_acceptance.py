@@ -182,7 +182,7 @@ def test_c05_worst_case_stealth(ugv_plant, ugv_kss, ugv_gains):
                                  alpha_des=alpha, cusum=cusum, seed=4)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 5)
     state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
-    alarms = 0
+    alarms = int(cusum.step(state.r)[0])
     max_gap = 0.0
     for k in range(horizon):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)

@@ -101,7 +101,7 @@ def test_bdd_signal_pins_residual():
     e, eta = np.array([0.2, -0.1]), np.array([0.03])
     plan = AttackPlan(kind="worst_case_bdd", sensors=(0,))
     policy = build_attack_policy(plan, 1, c_rows, np.ones(1), bdd=BadDataDetector(tau=[2.0]))
-    xi = policy(0, e, eta)[0]
+    xi = policy(0, e, eta, None)[0]
     r = c_rows[0] @ e + eta[0] + xi
     assert abs(r - 2.0) < 1e-9
     assert r < 2.0  # margin keeps the strict threshold un-crossed
@@ -115,7 +115,7 @@ def test_bdd_signal_modes():
                                  bdd=BadDataDetector(tau=[2.0]), seed=3)
     assert policy.schedule.any() and not policy.schedule.all()
     for k in range(40):
-        xi = policy(k, e, eta)[0]
+        xi = policy(k, e, eta, None)[0]
         if policy.schedule[k % 20]:  # saturating: the threshold less the dither
             assert 0 < 2.0 - xi <= eps + 1e-9
         else:  # non-saturating: minus the dither
@@ -128,20 +128,20 @@ def test_cusum_signal_holds_statistic():
     plan = AttackPlan(kind="worst_case_cusum", sensors=(0,))
     policy = build_attack_policy(plan, 1, c_rows, np.ones(1), cusum=cusum)
     e, eta = np.array([0.05]), np.array([-0.02])
+    r = None
     for k in range(50):
-        r = c_rows[0] @ e + eta[0] + policy(k, e, eta)[0]
-        assert not cusum.step([r])[0]
+        r = np.array([c_rows[0] @ e + eta[0] + policy(k, e, eta, r)[0]])
+        assert not cusum.step(r)[0]
         assert abs(cusum.S[0] - cusum.tau[0]) < 1e-9  # held at the threshold from the first step
 
 
 def test_cusum_policy_reads_live_detector_statistic():
-    cusum = CusumDetector(tau=[0.8, 0.9], bias=[1.5, 1.2])
     plan = AttackPlan(kind="worst_case_cusum", sensors=(0, 1), start=0, stop=100)
-    policy = build_attack_policy(plan, 2, np.eye(2), np.ones(2), cusum=cusum, seed=1)
     e, eta = np.array([0.05, -0.3]), np.array([-0.02, 0.1])
     for S in ([0.0, 0.0], [0.3, 0.7], [0.8, 0.1]):
-        cusum.S = np.array(S)
-        xi = policy(4, e, eta)
+        cusum = CusumDetector(tau=[0.8, 0.9], bias=[1.5, 1.2], S=S)
+        policy = build_attack_policy(plan, 2, np.eye(2), np.ones(2), cusum=cusum, seed=1)
+        xi = policy(4, e, eta, None)
         for i in range(2):
             base = -e[i] - eta[i]
             held = cusum.tau[i] * (1.0 - THRESHOLD_MARGIN)
@@ -163,14 +163,14 @@ def test_policy_inactive_outside_window(ugv_plant, ugv_kss):
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma, seed=0)
     e = np.zeros(3)
     eta = np.zeros(3)
-    assert not policy(4, e, eta).any()
-    assert policy(5, e, eta)[0] != 0.0
-    assert not policy(10, e, eta).any()
+    assert not policy(4, e, eta, None).any()
+    assert policy(5, e, eta, None)[0] != 0.0
+    assert not policy(10, e, eta, None).any()
 
 
 def test_none_policy_zero_vector(ugv_plant, ugv_kss):
     policy = build_attack_policy(AttackPlan(kind="none"), 3, ugv_plant.C, ugv_kss.sigma, seed=0)
-    assert not policy(0, np.zeros(3), np.zeros(3)).any()
+    assert not policy(0, np.zeros(3), np.zeros(3), None).any()
 
 
 @pytest.mark.parametrize("kind, params, message", [
@@ -265,7 +265,7 @@ def test_worst_case_cusum_stealth_and_mean(ugv_plant, ugv_kss, ugv_gains):
                                  alpha_des=alpha, cusum=cusum, seed=9)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 10)
     state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
-    alarms = 0
+    alarms = int(cusum.step(state.r)[0])
     rs = []
     for _ in range(3000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)
@@ -287,7 +287,7 @@ def test_randaware_cusum_statistic_bounded(ugv_plant, ugv_kss, ugv_gains):
                                  ell=100, alpha_des=alpha, cusum=cusum, seed=11)
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 12)
     state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=policy, noise=noise)
-    alarms = 0
+    alarms = int(cusum.step(state.r)[0])
     rs = []
     for _ in range(3000):
         state = step(ugv_plant, ugv_kss, ugv_gains, state, attack=policy, noise=noise)

@@ -12,6 +12,7 @@ import pytest
 
 from randmon import harness, lti
 from randmon.attacks import saturation_budget
+from randmon.cli import main
 from randmon.config import load_config_dict, read_config
 from randmon.detectors import CusumDetector, tune_cusum
 from randmon.errors import InvalidParameter, ValidationError
@@ -391,8 +392,9 @@ def test_cusum_attack_steps_the_live_detector_once_per_step(live_cusum_steps):
     raw = {**BASE, "detectors": {"kind": "both"}, "horizon": 1500,
            "attacks": [{"kind": "worst_case_cusum", "sensors": [0, 2], "start": 300}]}
     art = run_scenario(load_config_dict(raw))
-    assert len(live_cusum_steps) == art.horizon
-    assert np.array(live_cusum_steps).tobytes() == art.cusum_s.tobytes()
+    # no attack reads the last residual
+    assert len(live_cusum_steps) == art.horizon - 1
+    assert np.array(live_cusum_steps).tobytes() == art.cusum_s[:-1].tobytes()
     assert art.xi[300:, 0].any()
 
 
@@ -544,6 +546,17 @@ def test_cli_tune(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert "bdd_tau" in payload
+
+
+def test_cli_tune_rejects_the_config_run_rejects(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({**BASE, "attacks": [
+        {"kind": "pattern_runs", "sensors": [0], "params": {"amplitude": 5.0}}]}))
+    message = "config error: attacks[0]: pattern amplitude 5 exceeds the bad-data bound\n"
+    for command in ("tune", "run"):
+        assert main([command, "--config", str(cfg_path), "--quiet"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -10,7 +10,7 @@ from randmon.errors import (
     RandmonError,
 )
 from randmon.attacks import ATTACK_KINDS, AttackPlan, build_attack_policy
-from randmon.detectors import BadDataDetector, CusumDetector
+from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from randmon.deviation import run_attack_ensemble
 from randmon.lti import (
     CHUNK,
@@ -255,7 +255,7 @@ def test_constant_attack_first_residual(ugv_plant, ugv_kss, ugv_gains):
     c = 0.37
     state = step(ugv_plant, ugv_kss, ugv_gains, None)
     state = step(ugv_plant, ugv_kss, ugv_gains, state,
-                 attack=lambda k, e, eta: np.array([c, 0.0, 0.0]))
+                 attack=lambda k, e, eta, r_prev: np.array([c, 0.0, 0.0]))
     assert state.r[0] == c
     assert state.r[1] == 0.0
 
@@ -282,7 +282,7 @@ def test_error_recursion_identity(ugv_plant, ugv_kss, ugv_gains):
     noise = RecordingNoise(ugv_plant.Q, ugv_plant.R, 99)
     xi = np.array([0.01, -0.02, 0.005])
 
-    def attack(k, e, eta):
+    def attack(k, e, eta, r_prev):
         return xi
 
     state = step(ugv_plant, ugv_kss, ugv_gains, None, attack=attack, noise=noise)
@@ -306,7 +306,7 @@ def test_seeded_runs_bit_reproducible(ugv_plant, ugv_kss, ugv_gains):
 def test_step_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
     state = step(ugv_plant, ugv_kss, ugv_gains, None)
     with pytest.raises(DimensionMismatch):
-        step(ugv_plant, ugv_kss, ugv_gains, state, attack=lambda k, e, eta: np.zeros(2))
+        step(ugv_plant, ugv_kss, ugv_gains, state, attack=lambda k, e, eta, r_prev: np.zeros(2))
 
 
 def test_semidefinite_noise_falls_back_to_eig():
@@ -323,27 +323,24 @@ def test_semidefinite_noise_falls_back_to_eig():
 RECORDED = ("x", "xhat", "r", "xi")
 
 
-def reference_run(plant, kss, gains, noise, horizon, attack=None, on_step=None):
+def reference_run(plant, kss, gains, noise, horizon, attack=None):
     """``simulate``'s contract stepped one state at a time with ``step``."""
     state = None
     rows = {name: [] for name in RECORDED}
-    for k in range(horizon):
+    for _ in range(horizon):
         state = step(plant, kss, gains, state, attack=attack, noise=noise)
         for name in RECORDED:
             rows[name].append(getattr(state, name))
-        if on_step is not None:
-            on_step(k, state.r)
     return {name: np.array(values) for name, values in rows.items()}
 
 
 def attacked_loop(plant, kss, kind, seed=3):
-    """A fresh policy of ``kind`` on sensors 0 and 2, and the on_step that feeds its CUSUM."""
+    """A fresh policy of ``kind`` on sensors 0 and 2."""
     cusum = CusumDetector(tau=4.0 * kss.sigma, bias=1.5 * kss.sigma)
     plan = AttackPlan(kind=kind, sensors=(0, 2), start=40, stop=530)
-    policy = build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=20,
-                                 bdd=BadDataDetector.tuned(kss.sigma, 0.05), cusum=cusum,
-                                 seed=seed)
-    return policy, lambda k, r: cusum.step(r)
+    return build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=20,
+                               bdd=BadDataDetector.tuned(kss.sigma, 0.05), cusum=cusum,
+                               seed=seed)
 
 
 def assert_same_generator_state(noise, other):
@@ -359,15 +356,11 @@ def assert_bit_equal(got, want):
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 def test_lockstep_matches_reference_for_every_attack(kind, ugv_plant, ugv_kss, ugv_gains):
     horizon = 2 * CHUNK + 60
-    runs = []
-    for _ in range(2):
-        policy, on_step = attacked_loop(ugv_plant, ugv_kss, kind)
-        runs.append((NoiseSource(ugv_plant.Q, ugv_plant.R, 17), policy, on_step))
-    (ref_noise, ref_policy, ref_on_step), (noise, policy, on_step) = runs
-    want = reference_run(ugv_plant, ugv_kss, ugv_gains, ref_noise, horizon, ref_policy,
-                         ref_on_step)
-    got = simulate(ugv_plant, ugv_kss, ugv_gains, noise, horizon, attack=policy,
-                   on_step=on_step)
+    ref_noise, noise = (NoiseSource(ugv_plant.Q, ugv_plant.R, 17) for _ in range(2))
+    want = reference_run(ugv_plant, ugv_kss, ugv_gains, ref_noise, horizon,
+                         attacked_loop(ugv_plant, ugv_kss, kind))
+    got = simulate(ugv_plant, ugv_kss, ugv_gains, noise, horizon,
+                   attack=attacked_loop(ugv_plant, ugv_kss, kind))
     assert_bit_equal(got, want)
     if kind != "none":
         assert np.any(want["xi"][40:530] != 0.0)
@@ -378,9 +371,9 @@ def test_lockstep_matches_reference_for_every_attack(kind, ugv_plant, ugv_kss, u
 def test_lockstep_matches_reference_at_chunk_edges(horizon, noisy, ugv_plant, ugv_kss,
                                                     ugv_gains):
     noises = [NoiseSource(ugv_plant.Q, ugv_plant.R, 23) if noisy else None for _ in range(2)]
-    attack = attacked_loop(ugv_plant, ugv_kss, "bias_concentrate")[0]
+    attack = attacked_loop(ugv_plant, ugv_kss, "bias_concentrate")
     want = reference_run(ugv_plant, ugv_kss, ugv_gains, noises[0], horizon,
-                         attacked_loop(ugv_plant, ugv_kss, "bias_concentrate")[0])
+                         attacked_loop(ugv_plant, ugv_kss, "bias_concentrate"))
     got = simulate(ugv_plant, ugv_kss, ugv_gains, noises[1], horizon, attack=attack)
     assert_bit_equal(got, want)
     if noisy:
@@ -405,28 +398,43 @@ def test_lockstep_noise_blocks_equal_per_step_draws(ugv_plant):
     assert_same_generator_state(blocked, per_step)
 
 
-def test_lockstep_ensemble_matches_per_run_reference(stable_plant, stable_kss, stable_gains):
+@pytest.mark.parametrize("kind", ["worst_case_bdd_randaware", "worst_case_cusum",
+                                  "worst_case_cusum_randaware"])
+def test_lockstep_ensemble_matches_per_run_reference(kind, stable_plant, stable_kss,
+                                                     stable_gains):
     n_runs, horizon, base_seed = 12, CHUNK + 40, 808
+    start, stop = 30, 250
+    sigma = float(stable_kss.sigma[0])
+    cusum = CusumDetector(tau=tune_cusum(sigma, 1.5 * sigma, 0.05).tau, bias=1.5 * sigma)
 
-    def factory(j):
-        plan = AttackPlan(kind="worst_case_bdd_randaware", sensors=(0,), start=30, stop=250)
+    def factory(j):  # every run's policy from the one tuned detector
+        plan = AttackPlan(kind=kind, sensors=(0,), start=start, stop=stop)
         return build_attack_policy(plan, 1, stable_plant.C, stable_kss.sigma, ell=20,
-                                   alpha_des=0.05, seed=j)
+                                   alpha_des=0.05, cusum=cusum, seed=j)
 
     got = run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=n_runs,
                               horizon=horizon, base_seed=base_seed)
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
-    want = np.array([
+    want = [
         reference_run(stable_plant, stable_kss, stable_gains,
                       NoiseSource(stable_plant.Q, stable_plant.R, seeds[j]), horizon,
-                      factory(j))["x"]
+                      factory(j))
         for j in range(n_runs)
-    ])
+    ]
     assert got.shape == (n_runs, horizon, stable_plant.n)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.array([run["x"] for run in want]).tobytes()
+    if kind.startswith("worst_case_cusum"):
+        # The alarm at step k + 1 is S[k] > tau. Each attacked step's S stays at or
+        # below tau, so no attacked residual raises an alarm (the alarm at `start`
+        # itself is decided by the clean S[start - 1]).
+        for run in want:
+            S = np.empty(horizon)
+            cusum_alarm_fraction(np.abs(run["r"][:, 0]), cusum.tau[0], cusum.bias[0], out=S)
+            assert not np.any(S[start:stop] > cusum.tau[0])
+    assert cusum.S.tolist() == [0.0]
 
 
 def test_lockstep_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 1)
     with pytest.raises(DimensionMismatch):
-        simulate(ugv_plant, ugv_kss, ugv_gains, noise, 10, attack=lambda k, e, eta: np.zeros(2))
+        simulate(ugv_plant, ugv_kss, ugv_gains, noise, 10, attack=lambda k, e, eta, r_prev: np.zeros(2))
