@@ -5,8 +5,8 @@ All policies implement the omniscient-attacker stepping protocol used by
 the new estimation error, the new measurement noise draw and the previous
 step's residual (None at step 0), returning the attack vector added to that
 step's measurement. Since r = C e + eta + xi, an attacker that knows e and eta
-can place the residual anywhere; one that holds the CUSUM statistic steps its
-own copy of the detector on every residual it is handed.
+can cancel ``C e + eta`` and place the residual anywhere; one that holds the
+CUSUM statistic steps its own copy of the detector on every residual it is handed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from .monitors import wsr_bounds
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
 #: so float rounding cannot push it over a strict inequality.
 THRESHOLD_MARGIN = 1e-12
+
+#: cap on what no stealth bound caps, ``symmetric_flood``'s |amplitude| + |jitter|
+#: and epsilon: summed over ``config.MAX_HORIZON`` steps, 1e150 stays finite.
+MAX_ATTACK_MAGNITUDE = 1e150
 
 #: attack kind -> the ``AttackPlan.params`` keys its policy reads
 ATTACK_PARAMS = {
@@ -121,25 +125,24 @@ class AttackPlan:
 
 
 class AttackPolicy:
-    """One attack phase: ``signal(k, e, eta, sensor)`` on the plan's sensors in [start, stop).
+    """One attack phase: ``signal(k, ce, eta_i, sensor)`` on the plan's sensors in [start, stop).
 
-    ``signal`` returns the attack value of one targeted sensor at an active
-    step; every other entry of the returned vector is zero. ``forcing`` is
-    the mean residual a worst-case kind forces on each sensor (zero on clean
-    sensors), the input of ``deviation.deviation_limit``; it is None for the
-    scripted kinds and for a bad-data kind without a configured detector.
-    ``schedule`` is the saturation schedule of the randomness-aware kinds,
-    None for the others. ``cusum`` is the CUSUM kinds' own detector, stepped
-    on every residual handed in, at active steps or not, before ``signal``
-    reads its statistic; None for the others. :func:`build_attack_policy`
-    builds the policy of each kind and checks the plan's sensors.
+    At an active step the policy reads ``ce``, entry i of ``C e``, and ``eta[i]`` of
+    each targeted sensor once; ``signal`` returns the attack value that cancels
+    them, and every other entry is zero. ``forcing`` is the mean residual a
+    worst-case kind forces on each sensor (zero on clean sensors), the input of
+    ``deviation.deviation_limit``; None for the scripted kinds and for a
+    bad-data kind without a configured detector. ``schedule`` is the
+    randomness-aware kinds' saturation schedule. ``cusum`` is the CUSUM kinds'
+    own detector, stepped on every residual handed in, at active steps or not,
+    before ``signal`` reads its statistic. The other kinds leave both None.
     """
 
-    def __init__(self, plan: AttackPlan, n_sensors: int, signal: Callable,
+    def __init__(self, plan: AttackPlan, c_rows: np.ndarray, signal: Callable,
                  forcing: Optional[np.ndarray] = None, schedule: Optional[np.ndarray] = None,
                  cusum: Optional[CusumDetector] = None):
         self.plan = plan
-        self.n_sensors = n_sensors
+        self.c_rows = c_rows
         self.signal = signal
         self.forcing = forcing
         self.schedule = schedule
@@ -149,11 +152,11 @@ class AttackPolicy:
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
         if self.cusum is not None and r_prev is not None:
             self.cusum.step(r_prev)
-        xi = np.zeros(self.n_sensors)
+        xi = np.zeros(len(self.c_rows))
         if not self.plan.start <= k < self.plan.stop:
             return xi
         for i in self.plan.sensors:
-            xi[i] = self.signal(k, e, eta, i)
+            xi[i] = self.signal(k, float(self.c_rows[i] @ e), float(eta[i]), i)
         return xi
 
 
@@ -172,57 +175,61 @@ def build_attack_policy(
     """Instantiate the policy for a plan against the configured detectors.
 
     ``c_rows`` is the plant output matrix (one row per sensor); ``sigma`` the
-    per-sensor residual standard deviations. The CUSUM kinds require the
-    tuned detector and step a copy of it (tau, bias and S), so ``cusum``
-    itself is never changed; the bad-data kinds and the scripted kinds'
-    stealth bounds use the bad-data threshold, derived from alpha_des when no
-    detector is given. Every kind but ``none`` cancels ``C e + eta`` and puts a
-    residual of its choice in its place; every draw comes from one generator
-    seeded by ``seed``.
+    per-sensor residual standard deviations. A missing or None parameter takes
+    its default; flood and dither sizes above :data:`MAX_ATTACK_MAGNITUDE` are
+    rejected. The CUSUM kinds step a copy of the tuned ``cusum`` (tau, bias
+    and S); the bad-data kinds and the scripted stealth bounds use the bad-data
+    threshold, derived from alpha_des when no detector is given. A scripted
+    kind leaves ``target - ce - eta_i``; a worst-case kind takes
+    ``v = -ce - eta_i``, adds the CUSUM bias, on a saturating step sets
+    ``v = (v - S) + pinned`` (S = 0.0 for BDD: exact) and subtracts the
+    randomness-aware dither. Every draw comes from one generator seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     sigma = np.asarray(sigma, dtype=float)
     tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau
     tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
-    kind, p = plan.kind, plan.params
+    kind = plan.kind
     if kind.startswith("worst_case_cusum") and cusum is None:
         raise InvalidParameter(f"{kind} requires a tuned CUSUM detector")
     for i in plan.sensors:
         if not 0 <= i < n_sensors:
             raise InvalidParameter(f"sensor index {i} outside 0..{n_sensors - 1}")
 
+    def param(key, default):  # one value per sensor; None means the default
+        value = plan.params.get(key)
+        return np.asarray(default if value is None else value, dtype=float) * np.ones(n_sensors)
+
+    def bounded(name, size):  # size(i) sums Python floats: overflow is inf, not a warning
+        if any(size(i) > MAX_ATTACK_MAGNITUDE for i in plan.sensors):
+            raise InvalidParameter(f"{name} exceeds {MAX_ATTACK_MAGNITUDE:g}")
+
     def scripted(target):  # target(k, i): the residual left on sensor i at step k
-        def signal(k, e, eta, i):
-            return target(k, i) - float(c_rows[i] @ e) - float(eta[i])
-        return AttackPolicy(plan, n_sensors, signal)
+        return AttackPolicy(plan, c_rows, lambda k, ce, eta_i, i: target(k, i) - ce - eta_i)
 
     if kind == "none":
-        return AttackPolicy(plan, n_sensors, lambda k, e, eta, i: 0.0)
+        return AttackPolicy(plan, c_rows, lambda k, ce, eta_i, i: 0.0)
 
     if kind == "bias_concentrate":
         # The residual becomes N(mu_a, sigma_a^2) draws: a shifted, tighter normal
         # that skews the sign/magnitude balance the symmetry monitor watches while
-        # staying inside the bad-data threshold. Defaults: mu_a = 0.4*tau_b,
-        # sigma_a = 0.2*sigma.
-        mu = np.asarray(p.get("mu_a", 0.4 * tau_b), dtype=float) * np.ones(n_sensors)
-        sd = np.asarray(p.get("sigma_a", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
+        # staying inside the bad-data threshold.
+        mu, sd = param("mu_a", 0.4 * tau_b), param("sigma_a", 0.2 * sigma)
         for i in plan.sensors:
             if sd[i] >= sigma[i]:
                 raise InvalidParameter("sigma_a must be below the natural residual deviation")
             if abs(mu[i]) + 3.0 * sd[i] > tau_b[i]:
                 raise InvalidParameter(
                     "bias_concentrate draws would cross the bad-data threshold: "
-                    f"|mu_a| + 3 sigma_a = {abs(mu[i]) + 3 * sd[i]:.6g} > {tau_b[i]:.6g}"
-                )
+                    f"|mu_a| + 3 sigma_a = {abs(mu[i]) + 3 * sd[i]:.6g} > {tau_b[i]:.6g}")
         return scripted(lambda k, i: rng.normal(mu[i], sd[i]))
 
     if kind == "pattern_runs":
         # A zero-centered sawtooth (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose
         # differences are +a, +a, +a, -3a: a fixed {+, +, +, -} sign pattern. The
         # window is symmetric (quiet for the symmetry monitor) and small (quiet for
-        # the boundary detectors) but has far too few runs. Default a = 0.3*sigma.
-        amp = p.get("amplitude")
-        amp = np.asarray(0.3 * sigma if amp is None else amp, dtype=float) * np.ones(n_sensors)
+        # the boundary detectors) but has far too few runs.
+        amp = param("amplitude", 0.3 * sigma)
         for i in plan.sensors:
             if 1.5 * amp[i] > tau_b[i]:
                 raise InvalidParameter(f"pattern amplitude {amp[i]:.6g} exceeds the bad-data bound")
@@ -232,10 +239,9 @@ def build_attack_policy(
     if kind == "symmetric_flood":
         # Large residuals with random signs and jittered magnitudes: sign-symmetric
         # and serially random, so both randomness monitors stay quiet, while |r| far
-        # above the detector bias drives the CUSUM over its threshold. Defaults:
-        # amplitude 4*sigma, jitter 0.2*sigma.
-        amp = np.asarray(p.get("amplitude", 4.0 * sigma), dtype=float) * np.ones(n_sensors)
-        jitter = np.asarray(p.get("jitter", 0.2 * sigma), dtype=float) * np.ones(n_sensors)
+        # above the detector bias drives the CUSUM over its threshold.
+        amp, jitter = param("amplitude", 4.0 * sigma), param("jitter", 0.2 * sigma)
+        bounded("|amplitude| + |jitter|", lambda i: abs(float(amp[i])) + abs(float(jitter[i])))
 
         def flood(k, i):
             sign = 1.0 if rng.random() < 0.5 else -1.0
@@ -243,56 +249,40 @@ def build_attack_policy(
         return scripted(flood)
 
     # The worst-case kinds. Detector-only mode pins every residual just below the
-    # bad-data threshold, or holds the CUSUM statistic just below its threshold: the
-    # policy steps its own copy of the detector on each previous residual, as the
-    # defender's detector steps on it, and reads that S. The
-    # randomness-aware mode saturates only on the scheduled steps (beta per window)
-    # and elsewhere leaves the residual at -delta (BDD) or bias - delta (CUSUM),
-    # inside the signed-rank band by construction; delta is a U(0, epsilon) dither,
-    # epsilon 1e-6*sigma by default. The forcing is the mean residual this leaves:
-    # the BDD threshold, times beta/ell if only the saturating steps sit there, or
-    # the CUSUM bias in both modes.
-    schedule = None
+    # bad-data threshold, or holds the CUSUM statistic S (of the policy's own copy,
+    # stepped on each previous residual as the defender's is) just below its
+    # threshold. The randomness-aware mode saturates only on the scheduled steps
+    # (beta per window) and elsewhere leaves the residual at -delta (BDD) or
+    # bias - delta (CUSUM), inside the signed-rank band; delta ~ U(0, epsilon). The
+    # forcing is the mean residual this leaves: the BDD threshold, times beta/ell if
+    # only the saturating steps sit there, or the CUSUM bias.
+    schedule = bias = own = None  # own: the CUSUM kinds' own detector
     if kind.endswith("_randaware"):
         budget = saturation_budget(ell, alpha_des)
         schedule = schedule_saturation(budget, rng)
-        eps = np.asarray(p.get("epsilon", 1e-6 * sigma), dtype=float) * np.ones(n_sensors)
-
-    own = None  # the CUSUM kinds' own detector
+        eps = param("epsilon", 1e-6 * sigma)
+        bounded("epsilon", lambda i: abs(float(eps[i])))
     if kind.startswith("worst_case_bdd"):
         pinned = (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = tau_b if schedule is None else tau_b * budget.ratio
         if bdd is None:  # a derived threshold, not one a detector in the loop uses
             level = None
-
-        def saturated(base, i):
-            return base + pinned[i]
-
-        def resting(base, i):
-            return base
     else:
         own = replace(cusum)  # a copy: __post_init__ copies S
-        bias, held = cusum.bias.tolist(), (cusum.tau * (1.0 - THRESHOLD_MARGIN)).tolist()
+        bias, pinned = cusum.bias.tolist(), (cusum.tau * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = cusum.bias
 
-        def saturated(base, i):
-            return base + bias[i] - float(own.S[i]) + held[i]
-
-        def resting(base, i):
-            return base + bias[i]
-
-    if schedule is not None:
-        def signal(k, e, eta, i):
-            pin = saturated if schedule[(k - plan.start) % ell] else resting
-            delta = float(rng.uniform(0.0, eps[i]))
-            return pin(-float(c_rows[i] @ e) - float(eta[i]), i) - delta
-    else:
-        def signal(k, e, eta, i):
-            return saturated(-float(c_rows[i] @ e) - float(eta[i]), i)
+    def signal(k, ce, eta_i, i):
+        v = -ce - eta_i
+        if bias is not None:
+            v = v + bias[i]
+        if schedule is None or schedule[(k - plan.start) % ell]:
+            v = (v - (0.0 if own is None else float(own.S[i]))) + pinned[i]
+        return v if schedule is None else v - float(rng.uniform(0.0, eps[i]))
 
     attacked = np.isin(np.arange(n_sensors), plan.sensors)
     forcing = None if level is None else np.where(attacked, level, 0.0)
-    return AttackPolicy(plan, n_sensors, signal, forcing, schedule, own)
+    return AttackPolicy(plan, c_rows, signal, forcing, schedule, own)
 
 
 class CompositeAttack:

@@ -40,10 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = argparse.ArgumentParser(
-        prog="randmon",
-        description="Residual randomness monitoring and sensor-attack simulation",
-        parents=[common],
-    )
+        prog="randmon", description="Residual randomness monitoring and sensor-attack simulation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", parents=[common], help="run one scenario from a config file")

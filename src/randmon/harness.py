@@ -297,19 +297,6 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def read_run_csv(path: str):
-    """Read back an emitted CSV; returns (meta dict, column names, data array)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if not header.startswith("# randmon"):
-            raise InvalidParameter(f"{path} is not a randmon run CSV")
-        meta = dict(part.split("=", 1) for part in header[2:].split()[1:])
-        reader = csv.reader(handle)
-        cols = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return meta, cols, np.asarray(rows)
-
-
 # --- derived tables -----------------------------------------------------------------
 
 

@@ -184,6 +184,25 @@ def test_bias_concentrate_rejects_threshold_violations(kind, params, message, ug
         build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma, alpha_des=0.05, seed=0)
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("bias_concentrate", "mu_a"), ("bias_concentrate", "sigma_a"), ("pattern_runs", "amplitude"),
+    ("symmetric_flood", "amplitude"), ("symmetric_flood", "jitter"),
+    ("worst_case_bdd_randaware", "epsilon"), ("worst_case_cusum_randaware", "epsilon"),
+])
+def test_null_param_means_default(kind, key, ugv_plant, ugv_kss):
+    cusum = CusumDetector(tau=5.0 * ugv_kss.sigma, bias=0.5 * ugv_kss.sigma)
+
+    def attack(params):
+        plan = AttackPlan(kind=kind, sensors=(0, 2), params=params)
+        policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma, ell=20,
+                                     cusum=cusum, seed=3)
+        rng = np.random.default_rng(0)
+        return np.array([policy(k, rng.normal(size=ugv_plant.A.shape[0]),
+                                rng.normal(size=3), None) for k in range(40)])
+
+    np.testing.assert_array_equal(attack({key: None}), attack({}))
+
+
 def test_pattern_attack_forces_signs(ugv_plant, ugv_kss, ugv_gains):
     plan = AttackPlan(kind="pattern_runs", sensors=(0,), start=0, stop=10_000)
     policy = build_attack_policy(plan, 3, ugv_plant.C, ugv_kss.sigma, alpha_des=0.05, seed=1)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from randmon.harness import (
     _column_table,
     budget_curve,
     emit_outputs,
-    read_run_csv,
     run_scenario,
     run_sweep,
     tuned_thresholds,
@@ -87,7 +87,12 @@ def test_monitors_do_not_perturb_plant():
 
 def test_csv_round_trip(tmp_path, base_artifacts):
     path = emit_outputs(base_artifacts, "csv", str(tmp_path / "run.csv"))
-    meta, cols, data = read_run_csv(path)
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().split()
+        assert header[:2] == ["#", "randmon"]
+        meta = dict(part.split("=", 1) for part in header[2:])
+        cols, *rows = csv.reader(handle)
+    data = np.array(rows, dtype=float)
     assert meta["config_hash"] == base_artifacts.summary.config_hash
     assert int(meta["seed"]) == base_artifacts.summary.seed
     assert cols == _column_table(base_artifacts)[0]
@@ -559,6 +564,31 @@ def test_cli_tune_rejects_the_config_run_rejects(tmp_path, capsys):
         assert (out.out, out.err) == ("", message)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("symmetric_flood", {"amplitude": 1e308, "jitter": 1e308}, "|amplitude| + |jitter|"),
+    ("worst_case_bdd_randaware", {"epsilon": 1e308}, "epsilon"),
+], ids=["flood", "epsilon"])
+def test_cli_rejects_attack_magnitude_no_stealth_bound_caps(kind, params, message, tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({**BASE, "attacks": [
+        {"kind": kind, "sensors": [0], "params": params}]}))
+    for command in ("tune", "run"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check itself overflows nothing
+            assert main([command, "--config", str(cfg_path), "--quiet"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"config error: attacks[0]: {message} exceeds 1e+150\n")
+
+
+def test_cli_quiet_goes_after_the_command(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(dict(BASE)))
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "run", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quiet" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_cli_closed_stdout_exits_zero(tmp_path, unbuffered):
     # The reader is gone before the first line arrives, as it is for every line
@@ -580,14 +610,14 @@ def test_cli_closed_stdout_exits_zero(tmp_path, unbuffered):
     assert result.stderr == ""
 
 
-# A flood of 1e308-sized residuals overflows to inf within the first window;
-# the signed-rank test must reject the window rather than rank the inf or NaN.
+# A worst-case attack leaves the filter blind, so on this open-loop unstable plant
+# the estimation error grows as 10^k and overflows to inf within the horizon; the
+# signed-rank test must reject the window rather than rank the inf or NaN.
 OVERFLOW = {
-    "plant": {"preset": "ugv"},
+    "plant": {"A": [[10.0]], "B": [[1.0]], "C": [[1.0]], "Q": [[0.1]], "R": [[0.1]]},
     "horizon": 600,
     "seed": 5,
-    "attacks": [{"kind": "symmetric_flood", "sensors": [0], "start": 200, "stop": 600,
-                 "params": {"amplitude": 1e308, "jitter": 1e308}}],
+    "attacks": [{"kind": "worst_case_bdd", "sensors": [0], "start": 200, "stop": 600}],
 }
 
 
