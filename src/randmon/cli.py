@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -77,9 +78,10 @@ def _cmd_run(args, quiet: bool) -> int:
         cfg.output_dir = args.out
     if args.format is not None:
         cfg.output_format = args.format
+    if cfg.output_dir:  # an unusable output location fails before the run, not after
+        os.makedirs(cfg.output_dir, exist_ok=True)
     artifacts = run_scenario(cfg)
     if cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         name = f"run_{config_hash(cfg)}_{cfg.seed}.{cfg.output_format}"
         path = emit_outputs(artifacts, cfg.output_format, os.path.join(cfg.output_dir, name))
         if not quiet:
@@ -100,7 +102,17 @@ def _cmd_tune(args, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _check_output_file(path: str) -> None:
+    """Raise before any work if ``path`` is a directory or lies in a missing one."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such output directory", folder)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
+
+
 def _cmd_budget(args, quiet: bool) -> int:
+    _check_output_file(args.out)
     try:
         rows = budget_curve(args.alphas, args.ells)
     except (DomainError, InvalidParameter) as exc:  # an --alphas or --ells entry out of range
@@ -113,6 +125,7 @@ def _cmd_budget(args, quiet: bool) -> int:
 
 def _cmd_sweep(args, quiet: bool) -> int:
     raw = read_config(args.config)
+    _check_output_file(args.out)
     kinds = [k for k in args.attacks.split(",") if k]
     results = run_sweep(raw, args.alphas, kinds, workers=args.workers)
     path = write_sweep(results, args.out)
@@ -134,7 +147,7 @@ def main(argv=None) -> int:
         # an error. Point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError here is an unwritable output location
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RandmonError, np.linalg.LinAlgError, MemoryError) as exc:

@@ -317,9 +317,11 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     monitors = _section(raw, "monitors", _MONITOR_KEYS, problems)
     window = monitors.get("window", DEFAULT_WINDOW)
     rate_window = monitors.get("rate_window", DEFAULT_WINDOW)
-    for name, value in (("monitors.window", window), ("monitors.rate_window", rate_window)):
-        if not _is_int(value) or value < 2:
-            problems.append(f"{name}: must be an integer >= 2")
+    # the runs test needs two differences per window
+    for name, value, least in (("monitors.window", window, 3),
+                               ("monitors.rate_window", rate_window, 2)):
+        if not _is_int(value) or value < least:
+            problems.append(f"{name}: must be an integer >= {least}")
 
     alpha_raw = monitors.get("alpha_des", 0.05)
     alpha_des: dict = {}
@@ -425,8 +427,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
 
     output = _section(raw, "output", _OUTPUT_KEYS, problems)
     output_dir = output.get("dir")
-    if not (output_dir is None or isinstance(output_dir, str)):
-        problems.append(f"output.dir: must be a string or null, got {output_dir!r}")
+    if not (output_dir is None or isinstance(output_dir, str) and "\0" not in output_dir):
+        problems.append(f"output.dir: must be a path string or null, got {output_dir!r}")
     output_format = output.get("format", "csv")
     if output_format not in ("csv", "jsonl"):
         problems.append(f"output.format: must be csv or jsonl, got {output_format!r}")

@@ -8,7 +8,7 @@ fires when the p-value drops below the desired false-alarm rate.
 
 ``wsr_scan``, ``sir_scan`` and ``alarm_rate_scan`` score a whole recorded
 residual array at once, with the same bytes as running ``wsr_test``,
-``sir_test`` and ``AlarmRateTracker`` window by window.
+``sir_test`` and ``AlarmRateTracker`` window by window, at any window length.
 """
 
 from __future__ import annotations
@@ -130,15 +130,7 @@ def wsr_test(window, alpha_des: float) -> WsrOutcome:
     w_plus = float(sr.ranks[sr.values > 0.0].sum())
     w_minus = float(sr.ranks[sr.values < 0.0].sum())
     ell = sr.ell_eff
-    small = ell < WSR_MIN_EFFECTIVE
-    if small:
-        warnings.warn(
-            f"signed-rank window has only {ell} nonzero values; normal "
-            "approximation is unreliable below "
-            f"{WSR_MIN_EFFECTIVE}",
-            SmallSampleWarning,
-            stacklevel=2,
-        )
+    small = _small_sample("signed-rank", ell, "values", WSR_MIN_EFFECTIVE)
     mean, var = wsr_moments(ell)
     w_min = w_plus if w_plus <= w_minus else w_minus
     z = (w_min - mean) / math.sqrt(var)
@@ -208,7 +200,10 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
     or a tie was seen.
     """
     _check_alpha(alpha_des)
-    d = np.diff(np.asarray(window, dtype=float).ravel())
+    window = np.asarray(window, dtype=float).ravel()
+    if not np.all(np.isfinite(window)):
+        raise InvalidParameter("window contains non-finite values")
+    d = np.diff(window)
     nonzero = d != 0.0
     tie_alarm = bool(np.any(~nonzero))
     d = d[nonzero]
@@ -217,14 +212,7 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
         raise DegenerateWindow(
             f"only {m} nonzero residual differences remain; need at least 2"
         )
-    small = m < SIR_MIN_DIFFERENCES
-    if small:
-        warnings.warn(
-            f"runs window has only {m} nonzero differences; normal "
-            f"approximation is unreliable below {SIR_MIN_DIFFERENCES}",
-            SmallSampleWarning,
-            stacklevel=2,
-        )
+    small = _small_sample("runs", m, "differences", SIR_MIN_DIFFERENCES)
     n_runs = count_runs(np.sign(d))
     mean, var = runs_moments(m + 1)
     z = (n_runs - mean) / math.sqrt(var)
@@ -248,6 +236,15 @@ def sir_bounds(ell_prime: int, alpha_des: float):
     mean, var = runs_moments(ell_prime + 1)
     half = abs(std_normal_quantile(alpha_des / 2.0)) * math.sqrt(var)
     return mean - half, mean + half
+
+
+def _small_sample(test: str, n: int, counted: str, minimum: int) -> bool:
+    """Whether ``n`` is below ``minimum``; if so, warn at the caller of the test that asks."""
+    if n >= minimum:
+        return False
+    warnings.warn(f"{test} window has only {n} nonzero {counted}; normal approximation "
+                  f"is unreliable below {minimum}", SmallSampleWarning, stacklevel=3)
+    return True
 
 
 def _check_alpha(alpha_des: float) -> None:
@@ -312,9 +309,9 @@ def wsr_scan(r, ell: int, alpha_des: float):
     window of zeros alarms with a NaN p-value. Windows of distinct, nonzero,
     finite magnitudes are ranked by a stable argsort in chunks: their ranks
     are exactly 1..ell, so W+ is an integer sum and z and p carry the bytes
-    ``wsr_test`` gives. Every other window, and every window below
-    ``WSR_MIN_EFFECTIVE``, goes through ``wsr_test`` itself, with its
-    warnings and its error on non-finite values.
+    ``wsr_test`` gives; below ``WSR_MIN_EFFECTIVE`` each column warns once.
+    Every other window goes through ``wsr_test`` itself, with its warnings
+    and its error on non-finite values.
     """
     return _scan(r, ell, alpha_des, _wsr_batch, wsr_test, EmptyAfterZeroRemoval)
 
@@ -325,9 +322,9 @@ def sir_scan(r, ell: int, alpha_des: float):
     Returns ``(p, alarm)`` as ``wsr_scan`` does; a window with fewer than two
     nonzero differences alarms with a NaN p-value. Where every difference in
     a window is nonzero and finite, the runs count is 1 plus a difference of
-    prefix sums of sign changes. Windows with a zero (tied) or non-finite
-    difference, and every window below ``SIR_MIN_DIFFERENCES``, go through
-    ``sir_test`` itself.
+    prefix sums of sign changes; below ``SIR_MIN_DIFFERENCES`` differences each
+    column warns once. Windows with a zero (tied) or non-finite difference, and
+    windows of fewer than three values, go through ``sir_test`` itself.
     """
     return _scan(r, ell, alpha_des, _sir_batch, sir_test, DegenerateWindow)
 
@@ -369,8 +366,7 @@ def _scan(r, ell: int, alpha_des: float, batch, test, degenerate):
 def _wsr_batch(column, ell: int):
     windows = sliding_window_view(column, ell)
     fallback = np.ones(windows.shape[0], dtype=bool)
-    if ell < WSR_MIN_EFFECTIVE:
-        return fallback, np.empty(0)
+    _small_sample("signed-rank", ell, "values", WSR_MIN_EFFECTIVE)
     w_plus = np.empty(windows.shape[0], dtype=np.int64)
     ranks = np.arange(1, ell + 1)
     chunk = max(1, SCAN_CHUNK_VALUES // ell)
@@ -391,8 +387,9 @@ def _wsr_batch(column, ell: int):
 
 def _sir_batch(column, ell: int):
     m = ell - 1
-    if m < SIR_MIN_DIFFERENCES:
+    if m < 2:  # no sign changes to count
         return np.ones(column.shape[0] - m, dtype=bool), np.empty(0)
+    _small_sample("runs", m, "differences", SIR_MIN_DIFFERENCES)
     # window a holds the differences d[a:a+m] and the sign changes c[a:a+m-1]
     d = np.diff(column)
     bad = _prefix_sum((d == 0.0) | ~np.isfinite(d))

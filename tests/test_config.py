@@ -200,6 +200,18 @@ def test_unreadable_config_is_config_error_exit(command, content, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "tune", "sweep"])
+def test_window_of_two_is_config_error_exit(command, tmp_path, capsys):
+    from randmon.cli import main
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**MINIMAL, "monitors": {"window": 2, "rate_window": 2}}))
+    args = [] if command == "tune" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(path), *args, "--quiet"]) == 2
+    # the runs test needs two differences per window; the rate window may still be 2
+    assert capsys.readouterr().err == "config error: monitors.window: must be an integer >= 3\n"
+
+
 def test_negative_sigma_a_rejected_at_load(tmp_path, capsys):
     from randmon.cli import main
 
@@ -314,6 +326,7 @@ MISTYPED = {
                 "controller.K"),
     "preset-K-shape": (_controller(K=[[-1.0, 0.0], [0.0, -1.0]]), "controller.K"),
     "output-dir-bool": ({**MINIMAL, "output": {"dir": True}}, "output.dir"),
+    "output-dir-nul": ({**MINIMAL, "output": {"dir": "out\0put"}}, "output.dir"),
     "output-dir-number": ({**MINIMAL, "output": {"dir": 1.5}}, "output.dir"),
     "output-dir-list": ({**MINIMAL, "output": {"dir": ["out"]}}, "output.dir"),
     "q_diag-negative": (_ugv(q_diag=[1e-5, -1e-6, 1e-5]), "plant.q_diag"),
@@ -351,8 +364,8 @@ def test_mistyped_scalar_rejected_at_load(raw, where):
 @pytest.mark.parametrize("case", ["kr", "mass-nan", "q_diag-str", "C-str", "bias_scale-nan",
                                   "randaware-window", "state_weights-length",
                                   "cusum-attack-bdd-detector", "A-not-square", "Q-shape",
-                                  "output-dir-bool", "K-shape", "r_diag-negative",
-                                  "state_weights-negative", "Q-asymmetric",
+                                  "output-dir-bool", "output-dir-nul", "K-shape",
+                                  "r_diag-negative", "state_weights-negative", "Q-asymmetric",
                                   "alpha_des-unknown-test", "tuning_samples-small",
                                   "tuning_samples-float", "horizon-zero", "horizon-negative",
                                   "horizon-float", "params-list", "params-str", "ts-huge-int",
@@ -377,6 +390,7 @@ def test_sizes_at_their_limits_load():
     load_config_dict(_controller(state_weights=[1, 2, 3], input_weights=[1, 1]))
     load_config_dict({**_explicit(B=[[1.0, 0.5]]), "controller": {"input_weights": [1.0, 2.0]}})
     load_config_dict({**_attack(kind="worst_case_cusum_randaware"), "monitors": {"window": 20}})
+    load_config_dict({**MINIMAL, "monitors": {"window": 3, "rate_window": 2}})
     load_config_dict({**_explicit(**TWO_STATES), "controller": {"K": [[-0.1, -0.1]]}})
 
 

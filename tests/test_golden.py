@@ -3,8 +3,8 @@
 Each run is written as CSV and as JSONL and both files are hashed. Any change
 to the simulated trajectory, the monitor p-values, the alarm flags, the
 sliding rates or the summary changes a digest. One run uses a window below
-the signed-rank test's small-sample size, so every window takes the
-per-window path with its warnings. Another runs an explicit two-state plant
+the signed-rank test's small-sample size, which the batch scan scores and
+warns about once per sensor. Another runs an explicit two-state plant
 under an explicit feedback gain ``controller.K`` instead of the UGV preset and
 its LQR design.
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randmon import harness, lti
+from randmon import cli, harness, lti
 from randmon.attacks import saturation_budget
 from randmon.cli import main
 from randmon.config import load_config_dict, read_config
@@ -437,7 +437,7 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("raw, message", [
     ([1], "top level: must be an object"),
     ({"monitors": []}, "monitors: must be an object"),
-    ({"monitors": {"window": None}}, "monitors.window: must be an integer >= 2"),
+    ({"monitors": {"window": None}}, "monitors.window: must be an integer >= 3"),
 ], ids=["top-level-list", "monitors-list", "window-null"])
 def test_cli_sweep_reports_the_config_error_run_reports(tmp_path, raw, message):
     cfg_path = tmp_path / "bad.json"
@@ -542,6 +542,28 @@ def test_cli_budget_bad_argument_is_a_config_error(tmp_path, args, message):
     assert result.returncode == 2
     assert result.stderr == f"config error: {message}\n"
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command computed before checking its output location")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "budget"])
+def test_cli_unwritable_output_exits_2_before_any_work(command, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(dict(BASE)))
+    for module, name in ((harness, "run_scenario"), (cli, "run_scenario"),
+                         (cli, "budget_curve")):
+        monkeypatch.setattr(module, name, _no_work)
+    # run's --out is a directory, here an existing file; the others' is a file in a
+    # missing directory, or a directory
+    outs = [cfg_path] if command == "run" else [tmp_path / "missing" / "out.csv", tmp_path]
+    args = [] if command == "budget" else ["--config", str(cfg_path)]
+    for out in outs:
+        assert main([command, *args, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_tune(tmp_path):

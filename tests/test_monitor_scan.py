@@ -5,7 +5,9 @@
 p-value), and ``alarm_rate_scan`` the rates of an ``AlarmRateTracker`` fed the
 same verdicts. The residual columns carry exact zeros, mirrored (tied)
 magnitudes, equal neighbours and flat stretches, so both the batch path and
-the per-window fallback are exercised, often inside one column.
+the per-window fallback are exercised, often inside one column. Window lengths
+run from 1 up, across both tests' small-sample sizes, which the batch path
+scores too.
 """
 
 import math
@@ -17,7 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randmon import monitors
-from randmon.errors import DegenerateWindow, EmptyAfterZeroRemoval, InvalidParameter
+from randmon.errors import (
+    DegenerateWindow,
+    EmptyAfterZeroRemoval,
+    InvalidParameter,
+    SmallSampleWarning,
+)
 from randmon.monitors import (
     AlarmRateTracker,
     alarm_rate_scan,
@@ -30,7 +37,7 @@ from randmon.monitors import (
 
 @st.composite
 def residual_columns(draw):
-    ell = draw(st.integers(2, 40))
+    ell = draw(st.integers(1, 40))
     steps = ell + draw(st.integers(0, 60))
     seed = draw(st.integers(0, 2**32 - 1))
     r = np.random.default_rng(seed).standard_normal((steps, 2))
@@ -122,11 +129,38 @@ def test_scan_long_column_with_ties_matches_per_window_tests():
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_wsr_scan_rejects_non_finite_window(bad):
+@pytest.mark.parametrize("scan", [wsr_scan, sir_scan], ids=["wsr_scan", "sir_scan"])
+def test_scans_reject_non_finite_window(scan, bad):
     r = np.random.default_rng(0).standard_normal((300, 1))
     r[250, 0] = bad
     with pytest.raises(InvalidParameter, match="non-finite"):
-        wsr_scan(r, 100, 0.05)
+        scan(r, 100, 0.05)
+
+
+def test_sir_test_rejects_non_finite_window():
+    window = np.random.default_rng(0).standard_normal(40)
+    window[17] = np.nan
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        sir_test(window, 0.05)
+
+
+@pytest.mark.parametrize("ell", [3, 12, 19, 25])
+def test_short_tie_free_windows_take_the_batch_path(ell):
+    """Below the small-sample sizes a clean column reaches neither per-window test."""
+    r = np.random.default_rng(ell).standard_normal((200, 2))
+    assert (r != 0.0).all() and len(np.unique(np.abs(r))) == r.size
+    assert (np.diff(r, axis=0) != 0.0).all()
+    never = mock.Mock(side_effect=AssertionError("per-window test called"))
+    with mock.patch.object(monitors, "wsr_test", never), \
+            mock.patch.object(monitors, "sir_test", never):
+        for scan, minimum in ((wsr_scan, monitors.WSR_MIN_EFFECTIVE),
+                              (sir_scan, monitors.SIR_MIN_DIFFERENCES + 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                p, _ = scan(r, ell, 0.05)
+            assert not np.isnan(p[ell - 1:]).any()
+            small = [w for w in caught if issubclass(w.category, SmallSampleWarning)]
+            assert len(small) == (r.shape[1] if ell < minimum else 0)
 
 
 def test_scans_before_first_full_window():
