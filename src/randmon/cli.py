@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import config_hash, load_config, read_config
-from .errors import ConfigError, DomainError, InvalidParameter, RandmonError, ValidationError
+from .errors import InvalidParameter, RandmonError, ValidationError
 from .harness import (
     budget_curve,
     emit_outputs,
@@ -115,7 +115,7 @@ def _cmd_budget(args, quiet: bool) -> int:
     _check_output_file(args.out)
     try:
         rows = budget_curve(args.alphas, args.ells)
-    except (DomainError, InvalidParameter) as exc:  # an --alphas or --ells entry out of range
+    except InvalidParameter as exc:  # an --alphas or --ells entry out of range
         raise ValidationError([str(exc)]) from exc
     path = write_budget_curve(rows, args.out)
     if not quiet:
@@ -124,6 +124,8 @@ def _cmd_budget(args, quiet: bool) -> int:
 
 
 def _cmd_sweep(args, quiet: bool) -> int:
+    if args.workers < 1:
+        raise ValidationError([f"--workers: must be >= 1, got {args.workers}"])
     raw = read_config(args.config)
     _check_output_file(args.out)
     kinds = [k for k in args.attacks.split(",") if k]
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
         # an error. Point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ConfigError, OSError) as exc:  # an OSError here is an unwritable output location
+    except (ValidationError, OSError) as exc:  # an OSError here is an unwritable output location
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RandmonError, np.linalg.LinAlgError, MemoryError) as exc:

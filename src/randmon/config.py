@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .attacks import ATTACK_KINDS, ATTACK_PARAMS, MIN_BUDGET_WINDOW, AttackPlan
-from .detectors import CUSUM_MIN_SAMPLES
-from .errors import InvalidParameter, ParseError, ValidationError
-from .lti import LtiPlant, UgvParams, _check_covariance, discretize_ugv
+from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR
+from .errors import InvalidParameter, ValidationError
+from .lti import LtiPlant, UgvParams, _check_covariance, discretize_ugv, make_controller
 
 SCHEMA_VERSION = 1
 
@@ -302,6 +302,12 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             if K != want:
                 problems.append(f"controller.K: must be {want[0]}x{want[1]} (plant inputs x "
                                 f"states), got {K[0]}x{K[1]}")
+        if not problems:  # the given gain must stabilise the plant
+            plant = build_plant(plant_spec)  # outside the try: a ZOH overflow is a runtime error
+            try:
+                make_controller(plant, K=controller_spec["K"])
+            except InvalidParameter as exc:
+                problems.append(f"controller.K: {exc}")
     for key, dim in (("state_weights", n_states), ("input_weights", n_inputs)):
         if key not in controller_spec:
             continue
@@ -352,6 +358,9 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     bias_scale = detectors.get("bias_scale", 1.5)
     if not (_finite_number(bias_scale) and bias_scale > 0):
         problems.append(f"detectors.bias_scale: must be a finite positive number, got {bias_scale!r}")
+    elif detector_kind in ("cusum", "both") and bias_scale <= HALF_NORMAL_MEAN_FACTOR:
+        problems.append(f"detectors.bias_scale: must exceed sqrt(2/pi) = "
+                        f"{HALF_NORMAL_MEAN_FACTOR:.6g} for a CUSUM detector, got {bias_scale!r}")
     tuning_samples = detectors.get("tuning_samples", CUSUM_MIN_SAMPLES)
     if not _is_int(tuning_samples) or tuning_samples < CUSUM_MIN_SAMPLES:
         problems.append(f"detectors.tuning_samples: must be an integer >= {CUSUM_MIN_SAMPLES}")
@@ -398,6 +407,9 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         sensors = entry.get("sensors", [0])
         if not isinstance(sensors, list) or not all(map(_is_int, sensors)):
             problems.append(f"{where}.sensors: must be a list of integer indices")
+            continue
+        if not sensors or len(set(sensors)) < len(sensors):
+            problems.append(f"{where}.sensors: must name each attacked sensor once, got {sensors}")
             continue
         if n_sensors is not None:
             for i in sensors:
@@ -456,14 +468,14 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
 
 
 def read_config(path):
-    """Read and parse a JSON scenario file, unvalidated; ``ParseError`` if it cannot."""
+    """Read and parse a JSON scenario file, unvalidated; ``ValidationError`` if it cannot."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ValidationError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
     except (OSError, ValueError, RecursionError) as exc:  # bad bytes, a huge int, deep nesting
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError([f"cannot read {path}: {exc}"]) from exc
 
 
 def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:

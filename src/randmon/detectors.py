@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidBias, InvalidParameter, NonConvergence
+from .errors import InvalidParameter, NonConvergence
 from .gaussian import std_normal_quantile
 
 HALF_NORMAL_MEAN_FACTOR = math.sqrt(2.0 / math.pi)
@@ -36,7 +36,7 @@ def tune_bdd(sigma, alpha_des: float):
     threshold (always alarms). Accepts scalars or arrays of sigma.
     """
     if not 0.0 < alpha_des <= 1.0:
-        raise DomainError(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
+        raise InvalidParameter(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig <= 0.0):
         raise InvalidParameter("sigma must be positive")
@@ -159,16 +159,16 @@ def tune_cusum(
     ``cusum_alarm_fraction``'s exact count, so the search takes the same steps
     and returns the same tau as a scalar loop over the same stream.
 
-    Raises ``InvalidBias`` when bias <= sqrt(2/pi)*sigma (no downward drift
+    Raises ``InvalidParameter`` when bias <= sqrt(2/pi)*sigma (no downward drift
     under clean data) and ``NonConvergence`` if the search exhausts
     ``CUSUM_MAX_ITER`` bisections.
     """
     if sigma <= 0.0:
         raise InvalidParameter("sigma must be positive")
     if not 0.0 < alpha_des < 1.0:
-        raise DomainError(f"alpha_des must lie in (0, 1), got {alpha_des!r}")
+        raise InvalidParameter(f"alpha_des must lie in (0, 1), got {alpha_des!r}")
     if bias <= HALF_NORMAL_MEAN_FACTOR * sigma:
-        raise InvalidBias(
+        raise InvalidParameter(
             f"bias {bias} must exceed E|r| = sqrt(2/pi)*sigma = "
             f"{HALF_NORMAL_MEAN_FACTOR * sigma:.6g}"
         )

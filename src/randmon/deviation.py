@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
+from .errors import IllConditionedWarning, InvalidParameter
 from .lti import KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, spectral_radius
 
 _COND_WARN = 1e10
@@ -105,7 +105,7 @@ def validate_against_simulation(
         raise InvalidParameter("trajectories must have shape (runs, steps, n)")
     n_runs, steps, _ = traj.shape
     if n_runs < 10:
-        raise InsufficientEnsemble(f"need at least 10 runs, got {n_runs}")
+        raise InvalidParameter(f"need at least 10 runs, got {n_runs}")
     if not 0 <= burn_in < steps:
         raise InvalidParameter(f"burn_in {burn_in} outside the trajectory length {steps}")
     per_run = traj[:, burn_in:, :].mean(axis=1)

@@ -14,15 +14,7 @@ class SingularInnovation(RandmonError):
 
 
 class InvalidParameter(RandmonError, ValueError):
-    """A physical or statistical parameter is outside its valid range."""
-
-
-class DimensionMismatch(RandmonError, ValueError):
-    """Matrix or vector dimensions are inconsistent."""
-
-
-class DomainError(RandmonError, ValueError):
-    """Argument outside the mathematical domain of a function."""
+    """An argument has the wrong shape or a value outside its valid range."""
 
 
 class EmptyAfterZeroRemoval(RandmonError, ValueError):
@@ -33,24 +25,8 @@ class DegenerateWindow(RandmonError, ValueError):
     """Too few usable samples remain in a window to run a test."""
 
 
-class InvalidBias(RandmonError, ValueError):
-    """CUSUM bias too small for the statistic to drift down under clean data."""
-
-
-class InsufficientEnsemble(RandmonError, ValueError):
-    """Too few simulation runs for an ensemble statistic."""
-
-
-class ConfigError(RandmonError):
-    """Base class for scenario configuration problems."""
-
-
-class ParseError(ConfigError):
-    """Configuration file could not be parsed."""
-
-
-class ValidationError(ConfigError):
-    """Configuration parsed but violated one or more invariants.
+class ValidationError(RandmonError):
+    """A scenario configuration could not be read or violated one or more invariants.
 
     ``problems`` lists every violation found, not just the first.
     """

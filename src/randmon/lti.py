@@ -44,12 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonConvergence,
-    SingularInnovation,
-)
+from .errors import InvalidParameter, NonConvergence, SingularInnovation
 
 Array = np.ndarray
 AttackSignal = Optional[Callable[[int, Array, Array, Optional[Array]], Array]]
@@ -76,7 +71,7 @@ def _matrix(value, name: str) -> Array:
 
 def _check_covariance(M: Array, name: str) -> Array:
     if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got {M.shape}")
+        raise InvalidParameter(f"{name} must be square, got {M.shape}")
     scale = max(1.0, float(np.abs(M).max()))
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-10 * scale):
         raise InvalidParameter(f"{name} must be symmetric")
@@ -90,7 +85,7 @@ def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of a square matrix."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"spectral radius needs a square matrix, got {M.shape}")
+        raise InvalidParameter(f"spectral radius needs a square matrix, got {M.shape}")
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
@@ -119,15 +114,15 @@ class LtiPlant:
         self.R = _check_covariance(_matrix(self.R, "R"), "R")
         n = self.A.shape[0]
         if self.A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {self.A.shape}")
+            raise InvalidParameter(f"A must be square, got {self.A.shape}")
         if self.B.shape[0] != n:
-            raise DimensionMismatch(f"B must have {n} rows, got {self.B.shape}")
+            raise InvalidParameter(f"B must have {n} rows, got {self.B.shape}")
         if self.C.shape[1] != n:
-            raise DimensionMismatch(f"C must have {n} columns, got {self.C.shape}")
+            raise InvalidParameter(f"C must have {n} columns, got {self.C.shape}")
         if self.Q.shape != (n, n):
-            raise DimensionMismatch(f"Q must be {n}x{n}, got {self.Q.shape}")
+            raise InvalidParameter(f"Q must be {n}x{n}, got {self.Q.shape}")
         if self.R.shape != (self.C.shape[0],) * 2:
-            raise DimensionMismatch(f"R must be {self.C.shape[0]}x{self.C.shape[0]}")
+            raise InvalidParameter(f"R must be {self.C.shape[0]}x{self.C.shape[0]}")
         if not self.ts > 0.0:
             raise InvalidParameter(f"sample period must be positive, got {self.ts}")
 
@@ -248,7 +243,7 @@ def make_controller(
         K = lqr_gain(plant.A, plant.B, Qx, Ru)
     K = _matrix(K, "K")
     if K.shape != (plant.m, plant.n):
-        raise DimensionMismatch(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+        raise InvalidParameter(f"K must be {plant.m}x{plant.n}, got {K.shape}")
     rho = spectral_radius(plant.A + plant.B @ K)
     if rho >= 1.0:
         raise InvalidParameter(f"closed loop unstable: rho(A + BK) = {rho:.6f} >= 1")
@@ -338,7 +333,7 @@ def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array,
         return np.zeros(s)
     xi = np.asarray(attack(k, e, eta, r_prev), dtype=float)
     if xi.shape != (s,):
-        raise DimensionMismatch(f"attack signal must have shape ({s},), got {xi.shape}")
+        raise InvalidParameter(f"attack signal must have shape ({s},), got {xi.shape}")
     return xi
 
 
@@ -367,7 +362,7 @@ def step(
         r_prev = None
     else:
         if state.x.shape != (plant.n,) or state.r.shape != (plant.s,):
-            raise DimensionMismatch("state dimensions do not match the plant")
+            raise InvalidParameter("state dimensions do not match the plant")
         u = K @ state.xhat
         if noise is not None:
             nu, eta = noise.draw()

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DegenerateWindow,
-    DomainError,
-    EmptyAfterZeroRemoval,
-    InvalidParameter,
-    SmallSampleWarning,
-)
+from .errors import DegenerateWindow, EmptyAfterZeroRemoval, InvalidParameter, SmallSampleWarning
 from .gaussian import std_normal_quantile, two_sided_p
 
 #: below these effective sizes the normal approximations degrade; tests still
@@ -249,7 +243,7 @@ def _small_sample(test: str, n: int, counted: str, minimum: int) -> bool:
 
 def _check_alpha(alpha_des: float) -> None:
     if not 0.0 < alpha_des <= 1.0:
-        raise DomainError(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
+        raise InvalidParameter(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
 
 
 def _check_rate_args(window: int, alpha_tau: float) -> None:

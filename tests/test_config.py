@@ -13,7 +13,7 @@ from randmon.config import (
     load_config,
     load_config_dict,
 )
-from randmon.errors import ParseError, ValidationError
+from randmon.errors import ValidationError
 
 MINIMAL = {"plant": {"preset": "ugv"}, "horizon": 1000, "seed": 1}
 
@@ -122,13 +122,13 @@ def test_round_trip_and_stable_hash(tmp_path):
 def test_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"plant": {"preset": "ugv",}}')
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match=r"broken\.json:1:28: Expecting property name") as err:
         load_config(path)
     assert "broken.json" in str(err.value)
 
 
 def test_missing_file_is_parse_error(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match=r"^cannot read .*absent\.json: \[Errno 2\] "):
         load_config(tmp_path / "absent.json")
 
 

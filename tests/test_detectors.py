@@ -16,7 +16,7 @@ from randmon.detectors import (
     tune_bdd,
     tune_cusum,
 )
-from randmon.errors import DomainError, InvalidBias, InvalidParameter
+from randmon.errors import InvalidParameter
 from randmon.lti import solve_dare
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,9 +38,9 @@ def test_tune_bdd_scaling():
 
 
 def test_tune_bdd_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParameter, match=r"^alpha_des must lie in \(0, 1\], got 0\.0$"):
         tune_bdd(1.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParameter, match=r"^alpha_des must lie in \(0, 1\], got 1\.5$"):
         tune_bdd(1.0, 1.5)
     with pytest.raises(InvalidParameter):
         tune_bdd(-1.0, 0.05)
@@ -253,7 +253,8 @@ def test_cusum_kernel_statistic_matches_detector_steps(stream):
 
 
 def test_tune_cusum_invalid_bias():
-    with pytest.raises(InvalidBias):
+    message = r"^bias 0\.5 must exceed E\|r\| = sqrt\(2/pi\)\*sigma = 0\.797885$"
+    with pytest.raises(InvalidParameter, match=message):
         tune_cusum(1.0, 0.5, 0.05)  # below sqrt(2/pi)
 
 

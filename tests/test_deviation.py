@@ -8,7 +8,7 @@ from randmon.deviation import (
     run_attack_ensemble,
     validate_against_simulation,
 )
-from randmon.errors import IllConditionedWarning, InsufficientEnsemble, InvalidParameter
+from randmon.errors import IllConditionedWarning, InvalidParameter
 from randmon.lti import KalmanSteadyState, LtiPlant
 
 
@@ -137,7 +137,7 @@ def test_deviation_limit_warns_when_ill_conditioned():
 
 def test_validate_requires_enough_runs():
     pred = deviation_limit(*scalar_setup(), [1.0])
-    with pytest.raises(InsufficientEnsemble):
+    with pytest.raises(InvalidParameter, match=r"^need at least 10 runs, got 5$"):
         validate_against_simulation(pred, np.zeros((5, 100, 1)), burn_in=10)
 
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from randmon.errors import DomainError
+from randmon.errors import InvalidParameter
 from randmon.gaussian import std_normal_cdf, std_normal_quantile, two_sided_p
 
 
@@ -50,7 +51,8 @@ def test_quantile_cdf_round_trip():
 
 def test_quantile_domain():
     for bad in (0.0, 1.0, -0.3, 1.7, float("nan")):
-        with pytest.raises(DomainError):
+        message = rf"^quantile argument must lie in \(0, 1\), got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidParameter, match=message):
             std_normal_quantile(bad)
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -545,7 +546,7 @@ def test_cli_budget_bad_argument_is_a_config_error(tmp_path, args, message):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("the command computed before checking its output location")
+    raise AssertionError("the command computed before it rejected its input")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "budget"])
@@ -564,6 +565,53 @@ def test_cli_unwritable_output_exits_2_before_any_work(command, tmp_path, monkey
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def _exits_2_before_any_work(raw, commands, message, tmp_path, monkeypatch, capsys, *extra):
+    """Each command exits 2 with ``message`` on stderr and nothing on stdout, set-up untouched."""
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(raw))
+    for module, name in ((harness, "run_scenario"), (cli, "run_scenario"), (harness, "_set_up")):
+        monkeypatch.setattr(module, name, _no_work)
+    sweep_csv = tmp_path / "sweep.csv"
+    for command in commands:
+        args = ["--out", str(sweep_csv)] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_path), *args, *extra, "--quiet"]) == 2
+        assert tuple(capsys.readouterr()) == ("", f"config error: {message}\n")
+    assert not sweep_csv.exists()
+
+
+def test_cli_unstable_explicit_gain_is_a_config_error(tmp_path, monkeypatch, capsys):
+    raw = {**BASE, "controller": {"K": [[100, 0, 0], [0, 0, 0]]}}
+    message = "controller.K: closed loop unstable: rho(A + BK) = 1.469112 >= 1"
+    _exits_2_before_any_work(raw, ("run", "tune", "sweep"), message, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("kind", ["cusum", "both"])
+@pytest.mark.parametrize("bias_scale", [0.5, math.sqrt(2.0 / math.pi)], ids=["0.5", "sqrt(2/pi)"])
+def test_cli_cusum_bias_scale_at_most_half_normal_mean_is_a_config_error(
+        kind, bias_scale, tmp_path, monkeypatch, capsys):
+    raw = {**BASE, "detectors": {"kind": kind, "bias_scale": bias_scale}}
+    message = (f"detectors.bias_scale: must exceed sqrt(2/pi) = 0.797885 for a CUSUM detector, "
+               f"got {bias_scale!r}")
+    _exits_2_before_any_work(raw, ("run", "tune", "sweep"), message, tmp_path, monkeypatch, capsys)
+    load_config_dict({**raw, "detectors": {"kind": "bdd", "bias_scale": bias_scale}})
+
+
+@pytest.mark.parametrize("sensors", [[0, 0], []], ids=["repeated", "empty"])
+def test_cli_attack_sensor_list_empty_or_repeated_is_a_config_error(
+        sensors, tmp_path, monkeypatch, capsys):
+    raw = {**BASE, "attacks": [{"kind": "bias_concentrate", "sensors": sensors}]}
+    message = f"attacks[0].sensors: must name each attacked sensor once, got {sensors}"
+    # a sweep replaces the base config's attacks, so only run and tune read this list
+    _exits_2_before_any_work(raw, ("run", "tune"), message, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_cli_sweep_workers_below_one_is_a_config_error(workers, tmp_path, monkeypatch, capsys):
+    message = f"--workers: must be >= 1, got {workers}"
+    _exits_2_before_any_work(dict(BASE), ("sweep",), message, tmp_path, monkeypatch, capsys,
+                             "--workers", str(workers))
 
 
 def test_cli_tune(tmp_path):

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randmon.errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonConvergence,
-    RandmonError,
-)
+from randmon.errors import InvalidParameter, NonConvergence, RandmonError
 from randmon.attacks import ATTACK_KINDS, AttackPlan, build_attack_policy
 from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from randmon.deviation import run_attack_ensemble
@@ -104,7 +99,7 @@ def test_covariance_validation():
 
 
 def test_dimension_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParameter, match=r"^C must have 1 columns, got \(1, 2\)$"):
         LtiPlant(A=[[0.5]], B=[[1.0]], C=[[1.0, 0.0]], Q=[[0.1]], R=[[0.1]], ts=1.0)
 
 
@@ -305,7 +300,7 @@ def test_seeded_runs_bit_reproducible(ugv_plant, ugv_kss, ugv_gains):
 
 def test_step_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
     state = step(ugv_plant, ugv_kss, ugv_gains, None)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParameter, match=r"^attack signal must have shape \(3,\), got \(2,\)$"):
         step(ugv_plant, ugv_kss, ugv_gains, state, attack=lambda k, e, eta, r_prev: np.zeros(2))
 
 
@@ -436,5 +431,5 @@ def test_lockstep_ensemble_matches_per_run_reference(kind, stable_plant, stable_
 
 def test_lockstep_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
     noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParameter, match=r"^attack signal must have shape \(3,\), got \(2,\)$"):
         simulate(ugv_plant, ugv_kss, ugv_gains, noise, 10, attack=lambda k, e, eta, r_prev: np.zeros(2))

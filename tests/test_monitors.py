@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -9,8 +10,8 @@ import scipy.stats as st
 
 from randmon.errors import (
     DegenerateWindow,
-    DomainError,
     EmptyAfterZeroRemoval,
+    InvalidParameter,
     SmallSampleWarning,
 )
 from randmon.monitors import (
@@ -272,9 +273,10 @@ def test_sir_small_sample_flag():
 def test_alpha_domain_checks():
     vals = np.random.default_rng(10).normal(0, 1, 30)
     for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(DomainError):
+        message = rf"^alpha_des must lie in \(0, 1\], got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidParameter, match=message):
             wsr_test(vals, bad)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameter, match=message):
             sir_test(vals, bad)
 
 
