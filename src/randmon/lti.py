@@ -244,9 +244,11 @@ def make_controller(
     K = _matrix(K, "K")
     if K.shape != (plant.m, plant.n):
         raise InvalidParameter(f"K must be {plant.m}x{plant.n}, got {K.shape}")
-    rho = spectral_radius(plant.A + plant.B @ K)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loop is unstable
+        closed = plant.A + plant.B @ K
+    rho = spectral_radius(closed) if np.isfinite(closed).all() else math.inf
     if rho >= 1.0:
-        raise InvalidParameter(f"closed loop unstable: rho(A + BK) = {rho:.6f} >= 1")
+        raise InvalidParameter(f"closed loop unstable: rho(A + BK) = {rho:#.7g} >= 1")
     return K
 
 

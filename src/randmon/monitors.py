@@ -8,7 +8,8 @@ fires when the p-value drops below the desired false-alarm rate.
 
 ``wsr_scan``, ``sir_scan`` and ``alarm_rate_scan`` score a whole recorded
 residual array at once, with the same bytes as running ``wsr_test``,
-``sir_test`` and ``AlarmRateTracker`` window by window, at any window length.
+``sir_test`` and ``AlarmRateTracker`` window by window. They call none of
+them: every window, of any length and with any ties or zeros, is batched.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .gaussian import std_normal_quantile, two_sided_p
 WSR_MIN_EFFECTIVE = 20
 SIR_MIN_DIFFERENCES = 25
 
-#: residual values per argsort call in ``wsr_scan`` (a chunk holds
+#: residual values per comparison block of ``wsr_scan``'s slide (a block holds
 #: SCAN_CHUNK_VALUES // window windows), which bounds its scratch memory
 SCAN_CHUNK_VALUES = 1 << 15
 
@@ -124,7 +125,7 @@ def wsr_test(window, alpha_des: float) -> WsrOutcome:
     w_plus = float(sr.ranks[sr.values > 0.0].sum())
     w_minus = float(sr.ranks[sr.values < 0.0].sum())
     ell = sr.ell_eff
-    small = _small_sample("signed-rank", ell, "values", WSR_MIN_EFFECTIVE)
+    small = _small_sample("signed-rank", [ell], "values", WSR_MIN_EFFECTIVE)
     mean, var = wsr_moments(ell)
     w_min = w_plus if w_plus <= w_minus else w_minus
     z = (w_min - mean) / math.sqrt(var)
@@ -206,7 +207,7 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
         raise DegenerateWindow(
             f"only {m} nonzero residual differences remain; need at least 2"
         )
-    small = _small_sample("runs", m, "differences", SIR_MIN_DIFFERENCES)
+    small = _small_sample("runs", [m], "differences", SIR_MIN_DIFFERENCES)
     n_runs = count_runs(np.sign(d))
     mean, var = runs_moments(m + 1)
     z = (n_runs - mean) / math.sqrt(var)
@@ -232,13 +233,13 @@ def sir_bounds(ell_prime: int, alpha_des: float):
     return mean - half, mean + half
 
 
-def _small_sample(test: str, n: int, counted: str, minimum: int) -> bool:
-    """Whether ``n`` is below ``minimum``; if so, warn at the caller of the test that asks."""
-    if n >= minimum:
-        return False
-    warnings.warn(f"{test} window has only {n} nonzero {counted}; normal approximation "
-                  f"is unreliable below {minimum}", SmallSampleWarning, stacklevel=3)
-    return True
+def _small_sample(test: str, sizes, counted: str, minimum: int) -> bool:
+    """Whether a size in ``sizes`` is below ``minimum``; warn once for each such nonzero size."""
+    small = sorted({n for n in sizes if 0 < n < minimum})
+    for n in small:
+        warnings.warn(f"{test} window has only {n} nonzero {counted}; normal approximation "
+                      f"is unreliable below {minimum}", SmallSampleWarning, stacklevel=3)
+    return bool(small)
 
 
 def _check_alpha(alpha_des: float) -> None:
@@ -300,35 +301,35 @@ def wsr_scan(r, ell: int, alpha_des: float):
 
     Returns ``(p, alarm)`` shaped like ``r``: row k scores the window ending
     at step k, rows before ``ell - 1`` are NaN, alarms are 0/1 floats, and a
-    window of zeros alarms with a NaN p-value. Windows of distinct, nonzero,
-    finite magnitudes are ranked by a stable argsort in chunks: their ranks
-    are exactly 1..ell, so W+ is an integer sum and z and p carry the bytes
-    ``wsr_test`` gives; below ``WSR_MIN_EFFECTIVE`` each column warns once.
-    Every other window goes through ``wsr_test`` itself, with its warnings
-    and its error on non-finite values.
+    window of zeros alarms with a NaN p-value. Twice W+ is the integer
+    2 #{i <= j: r_i + r_j > 0} + #{i < j: r_i + r_j = 0} over the window's
+    nonzero values (positive Walsh averages, a half count per zero sum): twice
+    ``wsr_test``'s midrank sum, with ties and dropped zeros. The first window
+    is counted from one sort, and each later one adds the pairs of its
+    incoming value and drops those of the outgoing one, in blocks of
+    ``SCAN_CHUNK_VALUES`` values.
     """
-    return _scan(r, ell, alpha_des, _wsr_batch, wsr_test, EmptyAfterZeroRemoval)
+    return _scan(r, ell, alpha_des, _wsr_batch)
 
 
 def sir_scan(r, ell: int, alpha_des: float):
     """``sir_test`` on every full window of each column of ``r`` (steps x sensors).
 
-    Returns ``(p, alarm)`` as ``wsr_scan`` does; a window with fewer than two
-    nonzero differences alarms with a NaN p-value. Where every difference in
-    a window is nonzero and finite, the runs count is 1 plus a difference of
-    prefix sums of sign changes; below ``SIR_MIN_DIFFERENCES`` differences each
-    column warns once. Windows with a zero (tied) or non-finite difference, and
-    windows of fewer than three values, go through ``sir_test`` itself.
+    Returns ``(p, alarm)`` as ``wsr_scan`` does. A window's runs count is 1
+    plus a difference of prefix sums of sign changes over the column's nonzero
+    differences. A zero difference alarms (the tie alarm) and keeps the p-value;
+    under two nonzero differences, a window alarms with a NaN p-value.
     """
-    return _scan(r, ell, alpha_des, _sir_batch, sir_test, DegenerateWindow)
+    return _scan(r, ell, alpha_des, _sir_batch)
 
 
-def _scan(r, ell: int, alpha_des: float, batch, test, degenerate):
-    """Score every full window of each column of ``r``.
+def _scan(r, ell: int, alpha_des: float, batch):
+    """Score every full window of each column of ``r``, one ``batch`` call per column.
 
-    ``batch(column, ell)`` returns the windows it cannot take and the
-    z-scores of the others; ``test`` runs on each window it cannot take, and
-    a ``degenerate`` window alarms with p = NaN.
+    ``batch(column, ell)`` returns the distinct z-scores (NaN: no statistic),
+    whether each alarms whatever its p-value and each window's index into
+    them, and warns once per distinct effective size below the small-sample
+    size. A non-finite value raises before any window is scored.
     """
     _check_alpha(alpha_des)
     if ell < 1:
@@ -336,63 +337,62 @@ def _scan(r, ell: int, alpha_des: float, batch, test, degenerate):
     r = np.asarray(r, dtype=float)
     if r.ndim != 2:
         raise InvalidParameter(f"residuals must be a (steps, sensors) array, got shape {r.shape}")
-    p = np.full(r.shape, np.nan)
-    alarm = np.full(r.shape, np.nan)
+    p, alarm = np.full(r.shape, np.nan), np.full(r.shape, np.nan)
     if r.shape[0] < ell:
         return p, alarm
+    if not np.isfinite(r).all():
+        raise InvalidParameter("window contains non-finite values")
     for i in range(r.shape[1]):
-        col_p, col_alarm = p[ell - 1:, i], alarm[ell - 1:, i]
-        fallback, z = batch(r[:, i], ell)
+        z, forced, inverse = batch(r[:, i], ell)
         # one two_sided_p per distinct z: rank sums and runs counts take few values
-        distinct, inverse = np.unique(z, return_inverse=True)
-        col_p[~fallback] = np.array([two_sided_p(float(v)) for v in distinct])[inverse.ravel()]
-        col_alarm[~fallback] = col_p[~fallback] < alpha_des
-        windows = sliding_window_view(r[:, i], ell)
-        for a in np.flatnonzero(fallback):
-            try:
-                outcome = test(windows[a], alpha_des)
-                col_p[a], col_alarm[a] = outcome.p, outcome.alarm
-            except degenerate:
-                col_p[a], col_alarm[a] = math.nan, True
+        p_z = np.array([two_sided_p(float(v)) for v in z])
+        p[ell - 1:, i], alarm[ell - 1:, i] = p_z[inverse], ((p_z < alpha_des) | forced)[inverse]
     return p, alarm
 
 
 def _wsr_batch(column, ell: int):
-    windows = sliding_window_view(column, ell)
-    fallback = np.ones(windows.shape[0], dtype=bool)
-    _small_sample("signed-rank", ell, "values", WSR_MIN_EFFECTIVE)
-    w_plus = np.empty(windows.shape[0], dtype=np.int64)
-    ranks = np.arange(1, ell + 1)
+    nonzero = _prefix_sum(column != 0.0)
+    n = nonzero[ell:] - nonzero[:-ell]
+    # a NaN in place of each zero fails every comparison, so it pairs with nothing
+    v = np.where(column == 0.0, np.nan, column)
+    head = np.sort(v[:ell])[:n[0]]
+    below, upto = np.searchsorted(head, -head, "left"), np.searchsorted(head, -head, "right")
+    twice_w = np.empty(n.size, dtype=np.int64)
+    # the ordered pairs count each i < j twice, and the diagonal needs a second count
+    twice_w[0] = (np.sum(2 * n[0] - below - upto) + 2 * np.count_nonzero(head > 0.0)) // 2
+    windows = sliding_window_view(v, ell)
     chunk = max(1, SCAN_CHUNK_VALUES // ell)
-    for a in range(0, windows.shape[0], chunk):
-        win = windows[a:a + chunk]
-        mag = np.abs(win)
-        order = np.argsort(mag, axis=1, kind="stable")
-        mag = np.take_along_axis(mag, order, axis=1)
-        # zeros sort first; inf and NaN sort last
-        fallback[a:a + chunk] = ((mag[:, 0] == 0.0) | ~np.isfinite(mag[:, -1])
-                                 | (mag[:, 1:] == mag[:, :-1]).any(axis=1))
-        w_plus[a:a + chunk] = np.take_along_axis(win > 0.0, order, axis=1) @ ranks
-    w_plus = w_plus[~fallback]
-    w_min = np.minimum(w_plus, ell * (ell + 1) // 2 - w_plus).astype(float)
-    mean, var = wsr_moments(ell)
-    return fallback, (w_min - mean) / math.sqrt(var)
+    for a in range(0, n.size - 1, chunk):
+        b = min(a + chunk, n.size - 1)
+        twice_w[a + 1:b + 1] = _pairs(windows[a + 1:b + 1], -1) - _pairs(windows[a:b], 0)
+    twice_w = np.cumsum(twice_w)
+    _small_sample("signed-rank", n[n < WSR_MIN_EFFECTIVE].tolist(), "values", WSR_MIN_EFFECTIVE)
+    mean, var = wsr_moments(np.where(n > 0, n, np.nan))  # a window of zeros has no statistic
+    w_min = np.minimum(twice_w, n * (n + 1) - twice_w) / 2.0
+    z, inverse = np.unique((w_min - mean) / np.sqrt(var), return_inverse=True)
+    return z, np.isnan(z), inverse
+
+
+def _pairs(windows, at: int):
+    """2 #{j: w_j > -w_at} + #{j: w_j = -w_at} for each window w: the pairs of w_at in twice W+."""
+    x = -windows[:, at, None]
+    return np.count_nonzero(windows > x, axis=1) + np.count_nonzero(windows >= x, axis=1)
 
 
 def _sir_batch(column, ell: int):
-    m = ell - 1
-    if m < 2:  # no sign changes to count
-        return np.ones(column.shape[0] - m, dtype=bool), np.empty(0)
-    _small_sample("runs", m, "differences", SIR_MIN_DIFFERENCES)
-    # window a holds the differences d[a:a+m] and the sign changes c[a:a+m-1]
     d = np.diff(column)
-    bad = _prefix_sum((d == 0.0) | ~np.isfinite(d))
-    fallback = bad[m:] != bad[:-m]
-    sign = np.sign(d)
-    changes = _prefix_sum(sign[1:] != sign[:-1])
-    n_runs = 1 + changes[m - 1:] - changes[:1 - m]
-    mean, var = runs_moments(m + 1)
-    return fallback, (n_runs[~fallback] - mean) / math.sqrt(var)
+    nonzero = d != 0.0
+    # window a holds the nonzero differences lo..hi-1 of the column, in order
+    count = _prefix_sum(nonzero)
+    lo, hi = count[:count.size - ell + 1], count[ell - 1:]
+    up = (d > 0.0)[nonzero]
+    changes = _prefix_sum(np.diff(up, append=up[-1:]))  # up.size + 1 entries: lo reaches up.size
+    # the sign changes and m = hi - lo < ell of a window in one integer, scored once each
+    codes, inverse = np.unique((changes[hi - 1] - changes[lo]) * ell + hi - lo, return_inverse=True)
+    n_changes, m = np.divmod(codes, ell)
+    _small_sample("runs", m[m >= 2].tolist(), "differences", SIR_MIN_DIFFERENCES)
+    mean, var = runs_moments(np.where(m >= 2, m + 1.0, np.nan))  # under two, no statistic
+    return (n_changes + 1 - mean) / np.sqrt(var), m < max(2, ell - 1), inverse
 
 
 def alarm_rate_scan(flags, window: int, alpha_tau: float):

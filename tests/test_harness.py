@@ -582,9 +582,15 @@ def _exits_2_before_any_work(raw, commands, message, tmp_path, monkeypatch, caps
 
 
 def test_cli_unstable_explicit_gain_is_a_config_error(tmp_path, monkeypatch, capsys):
-    raw = {**BASE, "controller": {"K": [[100, 0, 0], [0, 0, 0]]}}
-    message = "controller.K: closed loop unstable: rho(A + BK) = 1.469112 >= 1"
-    _exits_2_before_any_work(raw, ("run", "tune", "sweep"), message, tmp_path, monkeypatch, capsys)
+    scalar_plant = {"A": [[0.5]], "B": [[10]], "C": [[1]], "Q": [[1]], "R": [[1]]}
+    for raw, rho in (
+            ({**BASE, "controller": {"K": [[100, 0, 0], [0, 0, 0]]}}, "1.469112"),
+            ({**BASE, "controller": {"K": [[1e308, 1e308, 0], [0, 0, 0]]}}, "5.424947e+305"),
+            # B K overflows: no RuntimeWarning, and the closed loop counts as unstable
+            ({**BASE, "plant": scalar_plant, "controller": {"K": [[1e308]]}}, "inf")):
+        message = f"controller.K: closed loop unstable: rho(A + BK) = {rho} >= 1"
+        _exits_2_before_any_work(raw, ("run", "tune", "sweep"), message, tmp_path, monkeypatch,
+                                 capsys)
 
 
 @pytest.mark.parametrize("kind", ["cusum", "both"])

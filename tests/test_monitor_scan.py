@@ -4,10 +4,9 @@
 ``sir_test`` over the same windows (a degenerate window alarming with a NaN
 p-value), and ``alarm_rate_scan`` the rates of an ``AlarmRateTracker`` fed the
 same verdicts. The residual columns carry exact zeros, mirrored (tied)
-magnitudes, equal neighbours and flat stretches, so both the batch path and
-the per-window fallback are exercised, often inside one column. Window lengths
-run from 1 up, across both tests' small-sample sizes, which the batch path
-scores too.
+magnitudes, equal neighbours and flat stretches, which the scans score in the
+same batch as every other window, without calling the per-window tests. Window
+lengths run from 1 up, across both tests' small-sample sizes.
 """
 
 import math
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randmon import monitors
+from randmon.config import load_config_dict
 from randmon.errors import (
     DegenerateWindow,
     EmptyAfterZeroRemoval,
@@ -33,6 +33,9 @@ from randmon.monitors import (
     wsr_scan,
     wsr_test,
 )
+from randmon.harness import run_scenario
+
+SCANS = ((wsr_scan, wsr_test, EmptyAfterZeroRemoval), (sir_scan, sir_test, DegenerateWindow))
 
 
 @st.composite
@@ -71,6 +74,11 @@ def per_window(test, degenerate, r, ell, alpha_des):
             except degenerate:
                 p[k, i], alarm[k, i] = math.nan, True
     return p, alarm
+
+
+def no_per_window_tests():
+    never = mock.Mock(side_effect=AssertionError("per-window test called"))
+    return mock.patch.multiple(monitors, wsr_test=never, sir_test=never)
 
 
 def tracker_rates(flags, window, alpha_tau):
@@ -150,9 +158,7 @@ def test_short_tie_free_windows_take_the_batch_path(ell):
     r = np.random.default_rng(ell).standard_normal((200, 2))
     assert (r != 0.0).all() and len(np.unique(np.abs(r))) == r.size
     assert (np.diff(r, axis=0) != 0.0).all()
-    never = mock.Mock(side_effect=AssertionError("per-window test called"))
-    with mock.patch.object(monitors, "wsr_test", never), \
-            mock.patch.object(monitors, "sir_test", never):
+    with no_per_window_tests():
         for scan, minimum in ((wsr_scan, monitors.WSR_MIN_EFFECTIVE),
                               (sir_scan, monitors.SIR_MIN_DIFFERENCES + 1)):
             with warnings.catch_warnings(record=True) as caught:
@@ -161,6 +167,87 @@ def test_short_tie_free_windows_take_the_batch_path(ell):
             assert not np.isnan(p[ell - 1:]).any()
             small = [w for w in caught if issubclass(w.category, SmallSampleWarning)]
             assert len(small) == (r.shape[1] if ell < minimum else 0)
+
+
+def assert_scans_match_per_window(scanned, r, ell, alpha_des):
+    for (p, alarm), (_, test, degenerate) in zip(scanned, SCANS):
+        p_ref, alarm_ref = per_window(test, degenerate, r, ell, alpha_des)
+        assert p.tobytes() == p_ref.tobytes()
+        assert alarm.tobytes() == alarm_ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=residual_columns(), alpha_des=st.sampled_from((0.05, 0.2)))
+def test_tied_and_zero_windows_never_reach_the_per_window_tests(case, alpha_des):
+    ell, r = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with no_per_window_tests():
+            scanned = [scan(r, ell, alpha_des) for scan, _, _ in SCANS]
+        assert_scans_match_per_window(scanned, r, ell, alpha_des)
+
+
+@pytest.mark.parametrize("kind", ["worst_case_bdd", "worst_case_cusum"])
+def test_worst_case_run_scores_its_tied_windows_in_the_batch(kind):
+    """A detector-only worst-case attack pins sensor 0's residual, so its windows tie."""
+    cfg = load_config_dict({"plant": {"preset": "ugv"}, "detectors": {"kind": "both"},
+                            "attacks": [{"kind": kind, "sensors": [0], "start": 150}],
+                            "horizon": 400, "seed": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with no_per_window_tests():
+            artifacts = run_scenario(cfg)
+        for t, (_, test, degenerate) in zip(("wsr", "sir"), SCANS):
+            p_ref, alarm_ref = per_window(test, degenerate, artifacts.r, cfg.window,
+                                          cfg.alpha_des[t])
+            assert artifacts.p[t].tobytes() == p_ref.tobytes()
+            assert artifacts.alarm[t].tobytes() == alarm_ref.tobytes()
+    assert (np.diff(artifacts.r[150:, 0]) == 0.0).any()
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["ell=steps", "ell=steps-1"])
+def test_window_as_long_as_the_column_matches_per_window_tests(short):
+    r = np.random.default_rng(11).standard_normal((500, 2))
+    r[[5, 77, 300], 0] = 0.0
+    r[10:20, 0] = -r[30:40, 0]
+    r[50:60, 1] = r[49, 1]
+    r[100:110, 1] = -r[200:210, 1]
+    r[0, 0], r[-1, 1] = -r[250, 0], -r[3, 1]  # the slide drops or adds a zero sum
+    ell = r.shape[0] - short
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_scans_match_per_window([scan(r, ell, 0.05) for scan, _, _ in SCANS], r, ell, 0.05)
+
+
+def test_wsr_scan_of_two_million_values_carries_wsr_test_bytes():
+    """(n^2 + n)(2n + 1) overflows int64 at this size; z and p must not."""
+    r = np.random.default_rng(5).standard_normal((2_000_000, 1))
+    r[::1000, 0] = 0.0
+    r[1::1000, 0] = -r[2::1000, 0]
+    p, alarm = wsr_scan(r, r.shape[0], 0.05)
+    outcome = wsr_test(r[:, 0], 0.05)
+    assert outcome.ell_eff > 1_700_000
+    assert p[-1].tobytes() == np.float64(outcome.p).tobytes()
+    assert alarm[-1, 0] == outcome.alarm
+
+
+@pytest.mark.parametrize("scan, test, degenerate", SCANS, ids=["wsr", "sir"])
+def test_small_windows_warn_once_per_distinct_size(scan, test, degenerate):
+    r = np.random.default_rng(8).standard_normal((400, 1))
+    r[150:240, 0] = 0.0  # windows over this stretch keep from 10 to 100 nonzero values
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k in range(99, r.shape[0]):
+            try:
+                test(r[k - 99:k + 1, 0], 0.05)
+            except degenerate:
+                pass
+        expected = {str(w.message) for w in caught if issubclass(w.category, SmallSampleWarning)}
+        caught.clear()
+        scan(r, 100, 0.05)
+    got = [str(w.message) for w in caught if issubclass(w.category, SmallSampleWarning)]
+    assert len(expected) > 1
+    assert sorted(got) == sorted(expected)
 
 
 def test_scans_before_first_full_window():
