@@ -1,12 +1,17 @@
 """Sensor attack synthesis: scripted corruptions and worst-case stealthy policies.
 
-All policies implement the omniscient-attacker stepping protocol used by
-``lti.step``: called as ``policy(k, e, eta, r_prev)`` with the new step index,
-the new estimation error, the new measurement noise draw and the previous
-step's residual (None at step 0), returning the attack vector added to that
-step's measurement. Since r = C e + eta + xi, an attacker that knows e and eta
-can cancel ``C e + eta`` and place the residual anywhere; one that holds the
-CUSUM statistic steps its own copy of the detector on every residual it is handed.
+All policies implement the omniscient-attacker stepping protocol: called as
+``policy(k, e, eta, r_prev)`` with the new step index, the new estimation
+error, the new measurement noise draw and the previous step's residual (None
+at step 0), returning the attack added to that step's measurement. ``lti.step``
+hands one run's vectors and gets (s,) back; the lockstep kernel behind
+``lti.simulate`` and ``deviation.run_attack_ensemble`` hands the stacks of all
+its runs, (R, n) and (R, s), once per step, and gets (R, s) back. A policy
+joined from R one-run policies (:meth:`AttackPolicy.stack`) keeps each run's
+generator, schedule and CUSUM statistic. Since r = C e + eta + xi, an attacker
+that knows e and eta can cancel ``C e + eta`` and place the residual anywhere;
+one that holds the CUSUM statistic steps its own copy of the detector on every
+residual it is handed.
 """
 
 from __future__ import annotations
@@ -125,39 +130,151 @@ class AttackPlan:
 
 
 class AttackPolicy:
-    """One attack phase: ``signal(k, ce, eta_i, sensor)`` on the plan's sensors in [start, stop).
+    """One attack phase over a stack of runs: ``signal`` on the plan's sensors in [start, stop).
 
-    At an active step the policy reads ``ce``, entry i of ``C e``, and ``eta[i]`` of
-    each targeted sensor once; ``signal`` returns the attack value that cancels
-    them, and every other entry is zero. ``forcing`` is the mean residual a
-    worst-case kind forces on each sensor (zero on clean sensors), the input of
-    ``deviation.deviation_limit``; None for the scripted kinds and for a
-    bad-data kind without a configured detector. ``schedule`` is the
-    randomness-aware kinds' saturation schedule. ``cusum`` is the CUSUM kinds'
-    own detector, stepped on every residual handed in, at active steps or not,
-    before ``signal`` reads its statistic. The other kinds leave both None.
+    Called as ``policy(k, e, eta, r_prev)`` with the stacks e (R, n), eta (R, s)
+    and r_prev (R, s) (None at step 0) of R runs, it returns their attacks
+    (R, s); called with one run's vectors, as by ``lti.step``, it returns (s,).
+    At an active step the policy computes ``ce``, column i of ``C e``, of each
+    targeted sensor once, as ``(c_rows[i][None, None] @ e[:, :, None])[:, 0, 0]``:
+    one row against each run's column, which carries each run's own
+    ``float(c_rows[i] @ e)`` bits (a stacked ``C @ e`` does not).
+    ``signal(policy, k, ce, eta[:, i], i)`` returns the attack values that
+    cancel them, float operation for float operation as one run alone would,
+    and every other entry is zero; ``consts`` holds the per-sensor constants it
+    reads. A stack of one run takes ``ce`` and ``eta[0, i]`` as Python floats,
+    ``ce`` from that very per-run product: numpy's cost per call on 1-element
+    arrays is several times the arithmetic.
+
+    Each run keeps its own state: ``rngs`` holds one generator per run, drawn
+    once per run, sensor and active step where the kind draws. ``schedule`` is
+    the randomness-aware kinds' saturation schedule, (ell,) for one run and
+    (ell, R) for a stack. ``cusum`` is the CUSUM kinds' own detector, with S
+    of shape (s,) or (R, s), stepped on every residual handed in, at active
+    steps or not, before ``signal`` reads its statistic. The other kinds leave
+    both None. ``forcing`` is the mean residual a worst-case kind forces on each
+    sensor (zero on clean sensors), the input of ``deviation.deviation_limit``;
+    None for the scripted kinds and for a bad-data kind without a configured
+    detector.
     """
 
-    def __init__(self, plan: AttackPlan, c_rows: np.ndarray, signal: Callable,
-                 forcing: Optional[np.ndarray] = None, schedule: Optional[np.ndarray] = None,
-                 cusum: Optional[CusumDetector] = None):
+    def __init__(self, plan: AttackPlan, c_rows: np.ndarray, signal: Callable, consts: tuple,
+                 rngs: Sequence[np.random.Generator], forcing: Optional[np.ndarray] = None,
+                 schedule: Optional[np.ndarray] = None, cusum: Optional[CusumDetector] = None):
         self.plan = plan
         self.c_rows = c_rows
         self.signal = signal
+        self.consts = consts
+        self.rngs = list(rngs)
         self.forcing = forcing
         self.schedule = schedule
         self.cusum = cusum
 
+    @classmethod
+    def stack(cls, policies: Sequence["AttackPolicy"]) -> "AttackPolicy":
+        """One policy for the runs of ``policies``, in order, each keeping its own state.
+
+        The policies must be distinct objects of one kind and plan, with equal
+        ``c_rows``, constants and CUSUM detector settings, as a factory that
+        calls :func:`build_attack_policy` with only the seed changing builds
+        them. ``forcing`` is run 0's.
+        """
+        first = policies[0]
+        if len(policies) == 1:  # its state is one run's already
+            return first
+
+        def shared(p):
+            return [p.c_rows, *p.consts] + ([] if p.cusum is None else [p.cusum.tau, p.cusum.bias])
+
+        for j, p in enumerate(policies):
+            if not isinstance(p, AttackPolicy):
+                raise InvalidParameter(
+                    f"run {j}'s attack is a {type(p).__name__}, run 0's an AttackPolicy")
+            same = (p.signal is first.signal and p.plan == first.plan
+                    and np.shape(p.schedule) == np.shape(first.schedule)
+                    and all(np.array_equal(a, b) for a, b in zip(shared(p), shared(first))))
+            if not same:
+                raise InvalidParameter(
+                    f"run {j}'s attack policy cannot share a stack with run 0's: "
+                    "the runs need one plan, C and detector, with only the seed differing")
+            for i, other in enumerate(policies[:j]):
+                if other is p:
+                    raise InvalidParameter(f"runs {i} and {j} share one attack policy object; "
+                                           "each run needs its own")
+        schedule = None if first.schedule is None else np.array([p.schedule for p in policies]).T
+        cusum = None if first.cusum is None else replace(
+            first.cusum, S=np.array([p.cusum.S for p in policies]))
+        return cls(first.plan, first.c_rows, first.signal, first.consts,
+                   [rng for p in policies for rng in p.rngs], first.forcing, schedule, cusum)
+
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
+        one_run = e.ndim == 1  # one run's vectors, as lti.step hands them: a stack of one
+        if one_run:
+            e, eta, r_prev = e[None], eta[None], None if r_prev is None else r_prev[None]
         if self.cusum is not None and r_prev is not None:
-            self.cusum.step(r_prev)
-        xi = np.zeros(len(self.c_rows))
-        if not self.plan.start <= k < self.plan.stop:
-            return xi
-        for i in self.plan.sensors:
-            xi[i] = self.signal(k, float(self.c_rows[i] @ e), float(eta[i]), i)
-        return xi
+            self.cusum.step(r_prev.reshape(self.cusum.S.shape))  # a one-run policy's S is (s,)
+        xi = np.zeros((len(eta), len(self.c_rows)))
+        if self.plan.start <= k < self.plan.stop:
+            if len(e) == 1:  # Python floats cost far less than 1-element arrays
+                for i in self.plan.sensors:
+                    xi[0, i] = self.signal(self, k, float(self.c_rows[i] @ e[0]),
+                                           float(eta[0, i]), i)
+            else:
+                e = e[:, :, None]
+                for i in self.plan.sensors:
+                    xi[:, i] = self.signal(self, k, (self.c_rows[i][None, None] @ e)[:, 0, 0],
+                                           eta[:, i], i)
+        return xi[0] if one_run else xi
+
+
+def _each_run(policy: AttackPolicy, draw: Callable, *args):
+    """``draw(rng, *args)`` once per run, from each run's own generator; one run's as a float."""
+    if len(policy.rngs) == 1:
+        return draw(policy.rngs[0], *args)
+    return np.array([draw(rng, *args) for rng in policy.rngs])
+
+
+def _no_signal(p, k, ce, eta, i):
+    return 0.0
+
+
+def _bias_concentrate(p, k, ce, eta, i):
+    mu, sd = p.consts
+    return _each_run(p, np.random.Generator.normal, mu[i], sd[i]) - ce - eta
+
+
+def _pattern_runs(p, k, ce, eta, i):
+    (amp,) = p.consts
+    return (-1.5, -0.5, 0.5, 1.5)[(k - p.plan.start) % 4] * amp[i] - ce - eta
+
+
+def _symmetric_flood(p, k, ce, eta, i):
+    amp, jitter = p.consts
+
+    def flood(rng):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return sign * (amp[i] + jitter[i] * rng.random())
+    return _each_run(p, flood) - ce - eta
+
+
+def _worst_case(p, k, ce, eta, i):
+    """``((((-ce - eta) + bias) - S) + pinned) - delta``; bias, S and delta where the kind has them.
+
+    ``S`` is subtracted and ``pinned`` added on saturating steps only (every
+    step without a schedule); the dither delta ~ U(0, epsilon) is drawn on
+    every active step of a randomness-aware kind.
+    """
+    bias, pinned, eps = p.consts
+    v = -ce - eta
+    if bias is not None:
+        v = v + bias[i]
+    held = (v if p.cusum is None else v - p.cusum.S[..., i]) + pinned[i]
+    if p.schedule is None:
+        return held
+    saturating = p.schedule[(k - p.plan.start) % len(p.schedule)]  # a bool, or (R,) for a stack
+    v = np.where(saturating, held, v) if saturating.ndim else (held if saturating else v)
+    return v - _each_run(p, np.random.Generator.uniform, 0.0, eps[i])
 
 
 def build_attack_policy(
@@ -186,6 +303,7 @@ def build_attack_policy(
     randomness-aware dither. Every draw comes from one generator seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
+    c_rows = np.asarray(c_rows, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau
     tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
@@ -204,11 +322,11 @@ def build_attack_policy(
         if any(size(i) > MAX_ATTACK_MAGNITUDE for i in plan.sensors):
             raise InvalidParameter(f"{name} exceeds {MAX_ATTACK_MAGNITUDE:g}")
 
-    def scripted(target):  # target(k, i): the residual left on sensor i at step k
-        return AttackPolicy(plan, c_rows, lambda k, ce, eta_i, i: target(k, i) - ce - eta_i)
+    def scripted(signal, *consts):  # a scripted kind's signal leaves target - ce - eta
+        return AttackPolicy(plan, c_rows, signal, consts, [rng])
 
     if kind == "none":
-        return AttackPolicy(plan, c_rows, lambda k, ce, eta_i, i: 0.0)
+        return scripted(_no_signal)
 
     if kind == "bias_concentrate":
         # The residual becomes N(mu_a, sigma_a^2) draws: a shifted, tighter normal
@@ -222,7 +340,7 @@ def build_attack_policy(
                 raise InvalidParameter(
                     "bias_concentrate draws would cross the bad-data threshold: "
                     f"|mu_a| + 3 sigma_a = {abs(mu[i]) + 3 * sd[i]:.6g} > {tau_b[i]:.6g}")
-        return scripted(lambda k, i: rng.normal(mu[i], sd[i]))
+        return scripted(_bias_concentrate, mu, sd)
 
     if kind == "pattern_runs":
         # A zero-centered sawtooth (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose
@@ -233,8 +351,7 @@ def build_attack_policy(
         for i in plan.sensors:
             if 1.5 * amp[i] > tau_b[i]:
                 raise InvalidParameter(f"pattern amplitude {amp[i]:.6g} exceeds the bad-data bound")
-        levels = np.array([-1.5, -0.5, 0.5, 1.5])
-        return scripted(lambda k, i: levels[(k - plan.start) % 4] * amp[i])
+        return scripted(_pattern_runs, amp)
 
     if kind == "symmetric_flood":
         # Large residuals with random signs and jittered magnitudes: sign-symmetric
@@ -242,11 +359,7 @@ def build_attack_policy(
         # above the detector bias drives the CUSUM over its threshold.
         amp, jitter = param("amplitude", 4.0 * sigma), param("jitter", 0.2 * sigma)
         bounded("|amplitude| + |jitter|", lambda i: abs(float(amp[i])) + abs(float(jitter[i])))
-
-        def flood(k, i):
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            return sign * (amp[i] + jitter[i] * rng.random())
-        return scripted(flood)
+        return scripted(_symmetric_flood, amp, jitter)
 
     # The worst-case kinds. Detector-only mode pins every residual just below the
     # bad-data threshold, or holds the CUSUM statistic S (of the policy's own copy,
@@ -256,7 +369,7 @@ def build_attack_policy(
     # bias - delta (CUSUM), inside the signed-rank band; delta ~ U(0, epsilon). The
     # forcing is the mean residual this leaves: the BDD threshold, times beta/ell if
     # only the saturating steps sit there, or the CUSUM bias.
-    schedule = bias = own = None  # own: the CUSUM kinds' own detector
+    schedule = bias = own = eps = None  # own: the CUSUM kinds' own detector
     if kind.endswith("_randaware"):
         budget = saturation_budget(ell, alpha_des)
         schedule = schedule_saturation(budget, rng)
@@ -272,29 +385,38 @@ def build_attack_policy(
         bias, pinned = cusum.bias.tolist(), (cusum.tau * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = cusum.bias
 
-    def signal(k, ce, eta_i, i):
-        v = -ce - eta_i
-        if bias is not None:
-            v = v + bias[i]
-        if schedule is None or schedule[(k - plan.start) % ell]:
-            v = (v - (0.0 if own is None else float(own.S[i]))) + pinned[i]
-        return v if schedule is None else v - float(rng.uniform(0.0, eps[i]))
-
     attacked = np.isin(np.arange(n_sensors), plan.sensors)
     forcing = None if level is None else np.where(attacked, level, 0.0)
-    return AttackPolicy(plan, c_rows, signal, forcing, schedule, own)
+    return AttackPolicy(plan, c_rows, _worst_case, (bias, pinned, eps), [rng], forcing,
+                        schedule, own)
 
 
 class CompositeAttack:
-    """Sum of several policies."""
+    """Sum of several policies, over the same stack of runs.
+
+    Called as an :class:`AttackPolicy` is, with stacks or with one run's
+    vectors; the phases are summed in order onto zeros.
+    """
 
     def __init__(self, policies: Sequence[AttackPolicy], n_sensors: int):
         self.policies = list(policies)
         self.n_sensors = n_sensors
 
+    @classmethod
+    def stack(cls, composites: Sequence["CompositeAttack"]) -> "CompositeAttack":
+        """One composite for the runs of ``composites``, stacked phase by phase."""
+        first = composites[0]
+        for j, c in enumerate(composites):
+            if not (isinstance(c, CompositeAttack) and c.n_sensors == first.n_sensors
+                    and len(c.policies) == len(first.policies)):
+                raise InvalidParameter(f"run {j}'s attack cannot share a stack with run 0's "
+                                       "CompositeAttack: the runs need the same phases")
+        phases = zip(*(c.policies for c in composites))
+        return cls([AttackPolicy.stack(runs) for runs in phases], first.n_sensors)
+
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
-        xi = np.zeros(self.n_sensors)
+        xi = np.zeros((*eta.shape[:-1], self.n_sensors))
         for policy in self.policies:
             xi += policy(k, e, eta, r_prev)
         return xi

@@ -69,6 +69,22 @@ def _cusum_step(s: float, x: float, bias: float, tau: float) -> tuple:
     return (0.0 if s < 0.0 else s), 0
 
 
+def _cusum_advance(s: np.ndarray, x, bias, tau) -> np.ndarray:
+    """``_cusum_step`` on every entry of ``s`` at once, in place; returns the alarms.
+
+    Each entry takes the scalar recursion's own float64 operations (the sum
+    is computed and then discarded where the statistic alarmed). ``bias`` None
+    skips the subtraction, which is exact for a zero bias.
+    """
+    alarm = s > tau
+    s += x
+    if bias is not None:
+        s -= bias
+    np.maximum(s, 0.0, out=s)
+    s[alarm] = 0.0
+    return alarm
+
+
 def cusum_alarm_fraction(x, tau: float, bias: float = 0.0, out=None) -> float:
     """Alarm fraction of the CUSUM recursion ``S = max(0, (S + x) - bias)`` over a stream.
 
@@ -101,13 +117,8 @@ def cusum_alarm_fraction(x, tau: float, bias: float = 0.0, out=None) -> float:
     alarms = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j, column in enumerate(blocks.T):
-            alarm = s > tau
+            alarm = _cusum_advance(s, column, None if bias == 0.0 else bias, tau)
             alarms += int(np.count_nonzero(alarm))
-            s += column
-            if bias != 0.0:
-                s -= bias
-            np.maximum(s, 0.0, out=s)
-            s[alarm] = 0.0
             if record is not None:
                 record[:, j] = s
 
@@ -261,9 +272,10 @@ class CusumDetector:
             self.S = np.atleast_1d(np.asarray(self.S, dtype=float)).copy()
 
     def step(self, r) -> np.ndarray:
-        """One ``_cusum_step`` per sensor on |r| (broadcast to S); updates S, returns the alarms."""
-        abs_r = np.broadcast_to(np.abs(np.asarray(r, dtype=float)), self.S.shape)
-        S, alarm = zip(*map(_cusum_step, self.S.tolist(), abs_r.tolist(),
-                            self.bias.tolist(), self.tau.tolist()))
-        self.S = np.array(S)
-        return np.array(alarm, dtype=bool)
+        """One ``_cusum_step`` per entry of S on |r|; updates S in place, returns the alarms.
+
+        S is (s,) for one run or (R, s) for a stack of runs, as a stacked CUSUM
+        attack keeps it; r broadcasts to it.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, not a warning
+            return _cusum_advance(self.S, np.abs(np.asarray(r, dtype=float)), self.bias, self.tau)

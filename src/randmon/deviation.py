@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .attacks import AttackPolicy, CompositeAttack
 from .errors import IllConditionedWarning, InvalidParameter
 from .lti import KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, spectral_radius
 
@@ -130,17 +131,27 @@ def run_attack_ensemble(
 ) -> np.ndarray:
     """Simulate independent seeded runs under an attack policy.
 
-    ``policy_factory(run_index)`` builds a fresh policy per run (policies may
-    be stateful). The runs advance in lockstep, one step of every run at a
-    time, so policies from the factory must not share mutable state across
-    runs. Policies that ``build_attack_policy`` builds from one shared CUSUM
-    detector are safe: each steps its own copy on its own run's residuals.
-    Only the states are recorded. Returns state trajectories with shape
-    (runs, horizon, n), each run bit-equal to simulating it alone.
+    ``policy_factory(run_index)`` builds a fresh policy per run: an
+    ``AttackPolicy`` or ``CompositeAttack`` for every run, or None for every
+    run (no attack). The runs advance in lockstep under one policy joined
+    from theirs (``stack``) and called once per step, so the policies must
+    differ only in their seed, as ``build_attack_policy`` builds them, also
+    from one shared CUSUM detector; each run keeps its own generator,
+    schedule and statistic. A factory that returns one object for two runs,
+    or policies that cannot be joined, raises ``InvalidParameter``. Only the
+    states are recorded. Returns state trajectories with shape (runs,
+    horizon, n), each run bit-equal to simulating it alone.
     """
     if n_runs < 1:
         raise InvalidParameter("need at least one run")
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
     noises = [NoiseSource(plant.Q, plant.R, seed) for seed in seeds]
     policies = [policy_factory(j) for j in range(n_runs)]
-    return _lockstep(plant, kss, K, noises, horizon, policies, ("x",))["x"]
+    if all(policy is None for policy in policies):
+        attack = None
+    elif isinstance(policies[0], (AttackPolicy, CompositeAttack)):
+        attack = type(policies[0]).stack(policies)
+    else:
+        raise InvalidParameter("policy_factory must return an AttackPolicy or CompositeAttack "
+                               f"(or None for every run), got {type(policies[0]).__name__}")
+    return _lockstep(plant, kss, K, noises, horizon, attack, ("x",))["x"]

@@ -29,11 +29,14 @@ product of the recursions above is one stacked ``@`` call; numpy computes it
 as one matrix-vector product per run, with the same bits as the per-run
 ``A @ x``. Each run's noise is drawn and coloured ``CHUNK`` steps at a time
 (:meth:`NoiseSource.block`), from the same Philox stream as per-step
-:meth:`NoiseSource.draw` calls. Each run's attack is called with that run's
-step index, e, eta and previous residual, so an attacker that tracks a
-detector statistic steps it itself. :func:`step` is the same recursion one run
-and one step at a time, starting from ``state=None`` at the zero start; it is
-the reference the kernel is tested against.
+:meth:`NoiseSource.draw` calls. The attack is called once per step for all
+runs, with the step index and the runs' stacked e, eta and previous
+residuals, and returns every run's attack, so an attacker that tracks a
+detector statistic steps each run's copy itself. An ``AttackPolicy`` computes
+each run's ``C e`` as one C row against that run's column, the per-run
+product's bits. :func:`step` is the same recursion one run and one step at a
+time, starting from ``state=None`` at the zero start, with an attack called on
+that run's vectors; it is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .attacks import AttackPolicy, CompositeAttack
 from .errors import InvalidParameter, NonConvergence, SingularInnovation
 
 Array = np.ndarray
@@ -391,10 +395,19 @@ def simulate(
 ):
     """Run ``horizon`` steps from the zero start and return stacked trajectories.
 
-    Returns a dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the
-    applied attack ``xi`` (horizon, s). Row k holds the state at step k.
+    ``attack`` is called as in :func:`step`. An ``AttackPolicy`` or
+    ``CompositeAttack`` is handed the kernel's one-run stacks; any other
+    callable is handed their one row and checked for shape (s,). Returns a
+    dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the applied
+    attack ``xi`` (horizon, s). Row k holds the state at step k.
     """
-    out = _lockstep(plant, kss, K, [noise], horizon, [attack], ("x", "xhat", "r", "xi"))
+    if attack is not None and not isinstance(attack, (AttackPolicy, CompositeAttack)):
+        one_run = attack
+
+        def attack(k, e, eta, r_prev):
+            r_prev = None if r_prev is None else r_prev[0]
+            return _resolve_attack(one_run, k, e[0], eta[0], r_prev, plant.s)[None]
+    out = _lockstep(plant, kss, K, [noise], horizon, attack, ("x", "xhat", "r", "xi"))
     return {name: rows[0] for name, rows in out.items()}
 
 
@@ -404,21 +417,24 @@ def _lockstep(
     K: Array,
     noises,
     horizon: int,
-    attacks,
+    attack,
     record,
 ):
     """Advance independent runs together for ``horizon`` steps from the zero start.
 
-    Run j draws from ``noises[j]`` (None: noise-free) and is attacked by
-    ``attacks[j]``, called as in :func:`step` with run j's own e, eta and
-    previous residual. Returns ``{name: (runs, horizon, dim)}`` for each name
-    in ``record`` (among x, xhat, r, xi). Every product, sum and draw is the
-    one :func:`step` makes, in the same order, so each run is bit-equal to
-    stepping it alone.
+    Run j draws from ``noises[j]`` (None: noise-free). ``attack`` (None: no
+    attack) is called once per step for all runs, as
+    ``attack(k, e, eta, r_prev)`` with the runs' stacked e (runs, n), eta
+    (runs, s) and previous residuals (runs, s) (None at step 0), and returns
+    their attacks as one float array (runs, s); row j acts for run j alone,
+    and only the shape is checked. Returns
+    ``{name: (runs, horizon, dim)}`` for each name in ``record`` (among x,
+    xhat, r, xi). Every product, sum and draw is the one :func:`step` makes,
+    in the same order, so each run is bit-equal to stepping it alone.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
-    runs, n, s = len(attacks), plant.n, plant.s
+    runs, n, s = len(noises), plant.n, plant.s
     A, B, C, L = plant.A, plant.B, plant.C, kss.L
     dims = {"x": n, "xhat": n, "r": s, "xi": s}
     out = {name: np.empty((runs, horizon, dims[name])) for name in record}
@@ -427,7 +443,7 @@ def _lockstep(
     xi = np.zeros((runs, s, 1))
     x = np.zeros((runs, n, 1))
     xhat = x.copy()
-    r, r_prev = None, [None] * runs  # r_prev[j]: run j's previous residual
+    r = r_prev = None
     for k in range(horizon):
         i = k % CHUNK
         if i == 0:
@@ -441,9 +457,12 @@ def _lockstep(
             x = A @ x + drive + nu[:, i]
             xhat = A @ xhat + drive + L @ r
         e = x - xhat
-        for j, attack in enumerate(attacks):
-            if attack is not None:
-                xi[j, :, 0] = _resolve_attack(attack, k, e[j, :, 0], eta[j, i, :, 0], r_prev[j], s)
+        if attack is not None:
+            xi = attack(k, e[:, :, 0], eta[:, i, :, 0], r_prev)
+            if xi.shape != (runs, s):
+                raise InvalidParameter(
+                    f"attack signal must have shape ({runs}, {s}), got {xi.shape}")
+            xi = xi[:, :, None]
         r = C @ x + eta[:, i] + xi - C @ xhat
         r_prev = r[:, :, 0]
         state = {"x": x, "xhat": xhat, "r": r, "xi": xi}

@@ -6,6 +6,7 @@ import pytest
 from randmon.attacks import (
     THRESHOLD_MARGIN,
     AttackPlan,
+    AttackPolicy,
     build_attack_policy,
     saturation_budget,
     schedule_saturation,
@@ -146,6 +147,36 @@ def test_cusum_policy_reads_live_detector_statistic():
             base = -e[i] - eta[i]
             held = cusum.tau[i] * (1.0 - THRESHOLD_MARGIN)
             assert xi[i] == base + cusum.bias[i] - S[i] + held
+
+
+@pytest.mark.parametrize("runs", [1, 20])
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_row_product_is_each_runs_own_product(n, s, runs):
+    """A stacked policy's ``C e`` carries each run's own ``float(C[i] @ e)`` bits.
+
+    The trap: ``C @ E`` over the (R, n, 1) stack, ``einsum`` and ``e2d @ C.T``
+    compute the same sums through other kernels, and in many random cases
+    differ in the last bits from the per-run product once s > 1, under the
+    default, Haswell and Sandybridge OpenBLAS kernels. One row against each
+    run's column, ``(C[i][None, None] @ E)[:, 0, 0]``, is the per-run product,
+    and it is the form the policy uses. The stacked worst-case policy's output
+    must then equal every run's own policy's, byte for byte.
+    """
+    rng = np.random.default_rng(1000 * n + 10 * s + runs)
+    plan = AttackPlan(kind="worst_case_bdd", sensors=tuple(range(s)))
+    for _ in range(50):
+        C = rng.standard_normal((s, n)) * 10.0 ** rng.uniform(-3, 3, size=(s, 1))
+        E = rng.standard_normal((runs, n)) * 10.0 ** rng.uniform(-3, 3, size=(runs, 1))
+        eta = rng.standard_normal((runs, s))
+        for i in range(s):
+            got = (C[i][None, None] @ E[:, :, None])[:, 0, 0]
+            assert got.tobytes() == np.array([float(C[i] @ e) for e in E]).tobytes()
+        policies = [build_attack_policy(plan, s, C, np.ones(s), bdd=BadDataDetector(tau=np.ones(s)),
+                                        seed=j) for j in range(runs)]
+        stacked = AttackPolicy.stack(policies)(3, E, eta, None)
+        per_run = [policy(3, e, eta_j, None) for policy, e, eta_j in zip(policies, E, eta)]
+        assert stacked.tobytes() == np.array(per_run).tobytes()
 
 
 # --- attack plans and policies -----------------------------------------------------------

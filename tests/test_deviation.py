@@ -168,3 +168,43 @@ def test_bdd_attack_ensemble_matches_prediction(stable_plant, stable_kss, stable
     report = validate_against_simulation(pred, traj, burn_in=400)
     tol = np.maximum(0.10, 4.0 * report.ensemble_stderr / np.abs(pred.delta))
     assert np.all(report.relative_error < tol)
+
+
+def cusum_policy(plant, kss, seed, start=0):
+    cusum = CusumDetector(tau=4.0 * kss.sigma, bias=1.5 * kss.sigma)
+    plan = AttackPlan(kind="worst_case_cusum", sensors=(0,), start=start, stop=10**9)
+    return build_attack_policy(plan, 1, plant.C, kss.sigma, cusum=cusum, seed=seed)
+
+
+def test_ensemble_rejects_one_policy_object_for_two_runs(stable_plant, stable_kss, stable_gains):
+    # Run 1's policy object returned again for run 3 would step one CUSUM copy on two
+    # runs' residuals, so neither run would be the run simulated alone.
+    shared = cusum_policy(stable_plant, stable_kss, seed=1)
+
+    def factory(j):
+        return shared if j in (1, 3) else cusum_policy(stable_plant, stable_kss, seed=j)
+
+    message = r"^runs 1 and 3 share one attack policy object; each run needs its own$"
+    with pytest.raises(InvalidParameter, match=message):
+        run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=5,
+                            horizon=50)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("plan", r"^run 2's attack policy cannot share a stack with run 0's: "),
+    ("callable", r"^policy_factory must return an AttackPolicy or CompositeAttack "
+                 r"\(or None for every run\), got function$"),
+    ("none", r"^run 1's attack is a NoneType, run 0's an AttackPolicy$"),
+], ids=["plan", "callable", "none"])
+def test_ensemble_rejects_policies_it_cannot_stack(case, message, stable_plant, stable_kss,
+                                                   stable_gains):
+    def factory(j):
+        if case == "callable":
+            return lambda k, e, eta, r_prev: np.zeros(1)
+        if case == "none" and j == 1:
+            return None
+        return cusum_policy(stable_plant, stable_kss, seed=j, start=5 if j == 2 else 0)
+
+    with pytest.raises(InvalidParameter, match=message):
+        run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=3,
+                            horizon=50)

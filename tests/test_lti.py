@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from randmon.errors import InvalidParameter, NonConvergence, RandmonError
-from randmon.attacks import ATTACK_KINDS, AttackPlan, build_attack_policy
+from randmon.attacks import ATTACK_KINDS, AttackPlan, CompositeAttack, build_attack_policy
 from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from randmon.deviation import run_attack_ensemble
 from randmon.lti import (
@@ -338,8 +338,10 @@ def attacked_loop(plant, kss, kind, seed=3):
                                seed=seed)
 
 
-def assert_same_generator_state(noise, other):
-    np.testing.assert_equal(noise._rng.bit_generator.state, other._rng.bit_generator.state)
+def assert_same_generator_state(source, other):
+    """Both noise sources, or both attack generators, are at the same point of their streams."""
+    rng, other = (getattr(g, "_rng", g) for g in (source, other))
+    np.testing.assert_equal(rng.bit_generator.state, other.bit_generator.state)
 
 
 def assert_bit_equal(got, want):
@@ -393,11 +395,69 @@ def test_lockstep_noise_blocks_equal_per_step_draws(ugv_plant):
     assert_same_generator_state(blocked, per_step)
 
 
-@pytest.mark.parametrize("kind", ["worst_case_bdd_randaware", "worst_case_cusum",
-                                  "worst_case_cusum_randaware"])
-def test_lockstep_ensemble_matches_per_run_reference(kind, stable_plant, stable_kss,
-                                                     stable_gains):
+#: a stable plant whose every output mixes states, for ensembles attacked on two sensors
+MIXING_PLANT = LtiPlant(
+    A=[[0.90, 0.10, 0.00], [0.00, 0.80, 0.10], [0.05, 0.00, 0.70]],
+    B=[[0.5], [1.0], [0.2]],
+    C=[[1.0, 0.5, 0.0], [0.0, -0.3, 1.0]],
+    Q=np.diag([2e-4, 2e-4, 2e-4]),
+    R=np.diag([4e-4, 3e-4]),
+    ts=1.0,
+)
+
+
+def phases(attack):
+    """The one-phase policies of an ``AttackPolicy`` or ``CompositeAttack``."""
+    return getattr(attack, "policies", [attack])
+
+
+def assert_ensemble_matches_per_run_reference(plant, factory, cusum):
+    """Each run of the stacked ensemble is bit-equal to ``reference_run`` of the same run.
+
+    The reference steps each run alone with ``step``, under a second policy the
+    factory builds for it, so the ensemble's one stacked policy must reproduce
+    every run's own products, draws and CUSUM statistic, and each run's attack
+    generators must end where the reference's do. Every phase attacks, a
+    CUSUM phase raises no alarm in its window, and the tuned detector is never
+    stepped.
+    """
     n_runs, horizon, base_seed = 12, CHUNK + 40, 808
+    kss, gains = solve_dare(plant), make_controller(plant)
+    built = []
+
+    def recording(j):
+        built.append(factory(j))
+        return built[-1]
+
+    got = run_attack_ensemble(plant, kss, gains, recording, n_runs=n_runs, horizon=horizon,
+                              base_seed=base_seed)
+    seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
+    references = [factory(j) for j in range(n_runs)]
+    want = [reference_run(plant, kss, gains, NoiseSource(plant.Q, plant.R, seeds[j]), horizon,
+                          references[j])
+            for j in range(n_runs)]
+    assert got.shape == (n_runs, horizon, plant.n)
+    assert got.tobytes() == np.array([run["x"] for run in want]).tobytes()
+    for ours, theirs, run in zip(built, references, want):
+        for phase, reference in zip(phases(ours), phases(theirs)):
+            assert_same_generator_state(phase.rngs[0], reference.rngs[0])
+            plan, window = phase.plan, slice(phase.plan.start, phase.plan.stop)
+            sensors = list(plan.sensors)
+            assert (plan.kind == "none") != np.any(run["xi"][window, sensors] != 0.0)
+            if plan.kind.startswith("worst_case_cusum"):
+                # The alarm at step k + 1 is S[k] > tau. Each attacked step's S stays at
+                # or below tau, so no attacked residual raises an alarm (the alarm at
+                # `start` itself is decided by the clean S[start - 1]).
+                for i in sensors:
+                    S = np.empty(horizon)
+                    cusum_alarm_fraction(np.abs(run["r"][:, i]), cusum.tau[i], cusum.bias[i],
+                                         out=S)
+                    assert not np.any(S[window] > cusum.tau[i])
+    assert not cusum.S.any()
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_lockstep_ensemble_matches_per_run_reference(kind, stable_plant, stable_kss):
     start, stop = 30, 250
     sigma = float(stable_kss.sigma[0])
     cusum = CusumDetector(tau=tune_cusum(sigma, 1.5 * sigma, 0.05).tau, bias=1.5 * sigma)
@@ -407,26 +467,42 @@ def test_lockstep_ensemble_matches_per_run_reference(kind, stable_plant, stable_
         return build_attack_policy(plan, 1, stable_plant.C, stable_kss.sigma, ell=20,
                                    alpha_des=0.05, cusum=cusum, seed=j)
 
-    got = run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=n_runs,
-                              horizon=horizon, base_seed=base_seed)
-    seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
-    want = [
-        reference_run(stable_plant, stable_kss, stable_gains,
-                      NoiseSource(stable_plant.Q, stable_plant.R, seeds[j]), horizon,
-                      factory(j))
-        for j in range(n_runs)
-    ]
-    assert got.shape == (n_runs, horizon, stable_plant.n)
-    assert got.tobytes() == np.array([run["x"] for run in want]).tobytes()
-    if kind.startswith("worst_case_cusum"):
-        # The alarm at step k + 1 is S[k] > tau. Each attacked step's S stays at or
-        # below tau, so no attacked residual raises an alarm (the alarm at `start`
-        # itself is decided by the clean S[start - 1]).
-        for run in want:
-            S = np.empty(horizon)
-            cusum_alarm_fraction(np.abs(run["r"][:, 0]), cusum.tau[0], cusum.bias[0], out=S)
-            assert not np.any(S[start:stop] > cusum.tau[0])
-    assert cusum.S.tolist() == [0.0]
+    assert_ensemble_matches_per_run_reference(stable_plant, factory, cusum)
+
+
+@pytest.fixture(scope="module")
+def mixing_cusum():
+    sigma = solve_dare(MIXING_PLANT).sigma
+    return CusumDetector(tau=[tune_cusum(float(sig), 1.5 * sig, 0.05).tau for sig in sigma],
+                         bias=1.5 * sigma)
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_lockstep_ensemble_on_mixed_outputs_matches_per_run_reference(kind, mixing_cusum):
+    sigma = solve_dare(MIXING_PLANT).sigma
+
+    def factory(j):  # both sensors, each C row mixing two states
+        plan = AttackPlan(kind=kind, sensors=(0, 1), start=30, stop=250)
+        return build_attack_policy(plan, 2, MIXING_PLANT.C, sigma, ell=20, alpha_des=0.05,
+                                   cusum=mixing_cusum, seed=j)
+
+    assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum)
+
+
+def test_lockstep_ensemble_of_composites_matches_per_run_reference(mixing_cusum):
+    sigma = solve_dare(MIXING_PLANT).sigma
+    plans = [AttackPlan(kind="worst_case_bdd_randaware", sensors=(0,), start=30, stop=200),
+             AttackPlan(kind="worst_case_cusum_randaware", sensors=(1,), start=120, stop=280)]
+
+    def factory(j):  # two overlapping phases per run, each with its own generator
+        phase_seeds = np.random.SeedSequence(j).spawn(2)
+        return CompositeAttack([
+            build_attack_policy(plan, 2, MIXING_PLANT.C, sigma, ell=20, alpha_des=0.05,
+                                bdd=BadDataDetector.tuned(sigma, 0.05), cusum=mixing_cusum,
+                                seed=seed)
+            for plan, seed in zip(plans, phase_seeds)], 2)
+
+    assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum)
 
 
 def test_lockstep_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
