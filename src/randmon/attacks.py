@@ -3,11 +3,11 @@
 All policies implement the omniscient-attacker stepping protocol: called as
 ``policy(k, e, eta, r_prev)`` with the new step index, the new estimation
 error, the new measurement noise draw and the previous step's residual (None
-at step 0), returning the attack added to that step's measurement. ``lti.step``
-hands one run's vectors and gets (s,) back; the lockstep kernel behind
-``lti.simulate`` and ``deviation.run_attack_ensemble`` hands the stacks of all
-its runs, (R, n) and (R, s), once per step, and gets (R, s) back. A policy
-joined from R one-run policies (:meth:`AttackPolicy.stack`) keeps each run's
+at step 0), returning the attack added to that step's measurement. A built
+policy is one run's: ``lti.step`` and ``lti.simulate`` hand it that run's
+vectors and get (s,) back. Only a policy joined from R of them
+(:meth:`AttackPolicy.stack`), as ``deviation.run_attack_ensemble`` makes,
+takes the stacks (R, n) and (R, s) and gives (R, s), keeping each run's
 generator, schedule and CUSUM statistic. Since r = C e + eta + xi, an attacker
 that knows e and eta can cancel ``C e + eta`` and place the residual anywhere;
 one that holds the CUSUM statistic steps its own copy of the detector on every
@@ -129,22 +129,22 @@ class AttackPlan:
             raise InvalidParameter(f"attack window [{self.start}, {self.stop}) is empty")
 
 
+@dataclass(eq=False)  # identity equality: a generated __eq__ would compare arrays
 class AttackPolicy:
-    """One attack phase over a stack of runs: ``signal`` on the plan's sensors in [start, stop).
+    """One attack phase: ``signal`` on the plan's sensors in [start, stop).
 
-    Called as ``policy(k, e, eta, r_prev)`` with the stacks e (R, n), eta (R, s)
-    and r_prev (R, s) (None at step 0) of R runs, it returns their attacks
-    (R, s); called with one run's vectors, as by ``lti.step``, it returns (s,).
-    At an active step the policy computes ``ce``, column i of ``C e``, of each
-    targeted sensor once, as ``(c_rows[i][None, None] @ e[:, :, None])[:, 0, 0]``:
-    one row against each run's column, which carries each run's own
-    ``float(c_rows[i] @ e)`` bits (a stacked ``C @ e`` does not).
-    ``signal(policy, k, ce, eta[:, i], i)`` returns the attack values that
-    cancel them, float operation for float operation as one run alone would,
-    and every other entry is zero; ``consts`` holds the per-sensor constants it
-    reads. A stack of one run takes ``ce`` and ``eta[0, i]`` as Python floats,
-    ``ce`` from that very per-run product: numpy's cost per call on 1-element
-    arrays is several times the arithmetic.
+    Called as ``policy(k, e, eta, r_prev)``, a one-run policy takes e (n,),
+    eta (s,) and r_prev (s,) (None at step 0) and returns (s,); a stack of R
+    runs (:meth:`stack`, R = 1 included) takes and returns (R, ...) stacks.
+    At an active step it computes ``ce``, column i of ``C e``, once per
+    targeted sensor: for one run the Python float ``float(c_rows[i] @ e)``
+    (numpy's cost per call on 1-element arrays is several times the
+    arithmetic), for a stack ``(c_rows[i][None, None] @ e[:, :, None])[:, 0, 0]``,
+    one row against each run's column, which keeps each run's bits (a stacked
+    ``C @ e`` does not). ``signal(policy, k, ce, eta_i, i)`` returns the attack
+    values that cancel them, float operation for float operation as one run
+    alone would, and every other entry is zero; ``consts`` holds the
+    per-sensor constants it reads.
 
     Each run keeps its own state: ``rngs`` holds one generator per run, drawn
     once per run, sensor and active step where the kind draws. ``schedule`` is
@@ -158,30 +158,25 @@ class AttackPolicy:
     detector.
     """
 
-    def __init__(self, plan: AttackPlan, c_rows: np.ndarray, signal: Callable, consts: tuple,
-                 rngs: Sequence[np.random.Generator], forcing: Optional[np.ndarray] = None,
-                 schedule: Optional[np.ndarray] = None, cusum: Optional[CusumDetector] = None):
-        self.plan = plan
-        self.c_rows = c_rows
-        self.signal = signal
-        self.consts = consts
-        self.rngs = list(rngs)
-        self.forcing = forcing
-        self.schedule = schedule
-        self.cusum = cusum
+    plan: AttackPlan
+    c_rows: np.ndarray
+    signal: Callable
+    consts: tuple
+    rngs: list[np.random.Generator]
+    forcing: Optional[np.ndarray] = None
+    schedule: Optional[np.ndarray] = None
+    cusum: Optional[CusumDetector] = None
 
     @classmethod
     def stack(cls, policies: Sequence["AttackPolicy"]) -> "AttackPolicy":
         """One policy for the runs of ``policies``, in order, each keeping its own state.
 
-        The policies must be distinct objects of one kind and plan, with equal
-        ``c_rows``, constants and CUSUM detector settings, as a factory that
-        calls :func:`build_attack_policy` with only the seed changing builds
-        them. ``forcing`` is run 0's.
+        The policies must be distinct objects of one kind, sensors and window,
+        with equal ``c_rows``, constants (the resolved params) and CUSUM
+        detector settings, as a factory that calls :func:`build_attack_policy`
+        with only the seed changing builds them. ``forcing`` is run 0's.
         """
         first = policies[0]
-        if len(policies) == 1:  # its state is one run's already
-            return first
 
         def shared(p):
             return [p.c_rows, *p.consts] + ([] if p.cusum is None else [p.cusum.tau, p.cusum.bias])
@@ -190,8 +185,8 @@ class AttackPolicy:
             if not isinstance(p, AttackPolicy):
                 raise InvalidParameter(
                     f"run {j}'s attack is a {type(p).__name__}, run 0's an AttackPolicy")
-            same = (p.signal is first.signal and p.plan == first.plan
-                    and np.shape(p.schedule) == np.shape(first.schedule)
+            same = (p.signal is first.signal and np.shape(p.schedule) == np.shape(first.schedule)
+                    and replace(p.plan, params={}) == replace(first.plan, params={})
                     and all(np.array_equal(a, b) for a, b in zip(shared(p), shared(first))))
             if not same:
                 raise InvalidParameter(
@@ -209,23 +204,19 @@ class AttackPolicy:
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
-        one_run = e.ndim == 1  # one run's vectors, as lti.step hands them: a stack of one
-        if one_run:
-            e, eta, r_prev = e[None], eta[None], None if r_prev is None else r_prev[None]
         if self.cusum is not None and r_prev is not None:
-            self.cusum.step(r_prev.reshape(self.cusum.S.shape))  # a one-run policy's S is (s,)
-        xi = np.zeros((len(eta), len(self.c_rows)))
+            self.cusum.step(r_prev)
+        xi = np.zeros(eta.shape)
         if self.plan.start <= k < self.plan.stop:
-            if len(e) == 1:  # Python floats cost far less than 1-element arrays
+            if e.ndim == 1:  # one run: Python floats cost far less than 1-element arrays
                 for i in self.plan.sensors:
-                    xi[0, i] = self.signal(self, k, float(self.c_rows[i] @ e[0]),
-                                           float(eta[0, i]), i)
+                    xi[i] = self.signal(self, k, float(self.c_rows[i] @ e), float(eta[i]), i)
             else:
                 e = e[:, :, None]
                 for i in self.plan.sensors:
                     xi[:, i] = self.signal(self, k, (self.c_rows[i][None, None] @ e)[:, 0, 0],
                                            eta[:, i], i)
-        return xi[0] if one_run else xi
+        return xi
 
 
 def _each_run(policy: AttackPolicy, draw: Callable, *args):
@@ -392,31 +383,29 @@ def build_attack_policy(
 
 
 class CompositeAttack:
-    """Sum of several policies, over the same stack of runs.
+    """Sum of several policies, all one run's or all stacks of the same runs.
 
-    Called as an :class:`AttackPolicy` is, with stacks or with one run's
-    vectors; the phases are summed in order onto zeros.
+    Called as an :class:`AttackPolicy` is; the phases are summed in order onto
+    zeros shaped as ``eta``.
     """
 
-    def __init__(self, policies: Sequence[AttackPolicy], n_sensors: int):
+    def __init__(self, policies: Sequence[AttackPolicy]):
         self.policies = list(policies)
-        self.n_sensors = n_sensors
 
     @classmethod
     def stack(cls, composites: Sequence["CompositeAttack"]) -> "CompositeAttack":
         """One composite for the runs of ``composites``, stacked phase by phase."""
         first = composites[0]
         for j, c in enumerate(composites):
-            if not (isinstance(c, CompositeAttack) and c.n_sensors == first.n_sensors
-                    and len(c.policies) == len(first.policies)):
+            if not (isinstance(c, CompositeAttack) and len(c.policies) == len(first.policies)):
                 raise InvalidParameter(f"run {j}'s attack cannot share a stack with run 0's "
                                        "CompositeAttack: the runs need the same phases")
         phases = zip(*(c.policies for c in composites))
-        return cls([AttackPolicy.stack(runs) for runs in phases], first.n_sensors)
+        return cls([AttackPolicy.stack(runs) for runs in phases])
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
-        xi = np.zeros((*eta.shape[:-1], self.n_sensors))
+        xi = np.zeros(eta.shape)
         for policy in self.policies:
             xi += policy(k, e, eta, r_prev)
         return xi

@@ -131,16 +131,17 @@ def run_attack_ensemble(
 ) -> np.ndarray:
     """Simulate independent seeded runs under an attack policy.
 
-    ``policy_factory(run_index)`` builds a fresh policy per run: an
+    ``policy_factory(run_index)`` builds a fresh one-run policy per run: an
     ``AttackPolicy`` or ``CompositeAttack`` for every run, or None for every
-    run (no attack). The runs advance in lockstep under one policy joined
-    from theirs (``stack``) and called once per step, so the policies must
-    differ only in their seed, as ``build_attack_policy`` builds them, also
-    from one shared CUSUM detector; each run keeps its own generator,
-    schedule and statistic. A factory that returns one object for two runs,
-    or policies that cannot be joined, raises ``InvalidParameter``. Only the
-    states are recorded. Returns state trajectories with shape (runs,
-    horizon, n), each run bit-equal to simulating it alone.
+    run (no attack). The runs advance in lockstep under one stack joined from
+    theirs (``stack``, also for one run), called once per step with the runs'
+    stacked vectors, so the policies must differ only in their seed, as
+    ``build_attack_policy`` builds them, also from one shared CUSUM detector;
+    each run keeps its own generator, schedule and statistic. A factory that
+    returns one object for two runs, or policies that cannot be joined, raises
+    ``InvalidParameter``. Only the states are recorded. Returns state
+    trajectories with shape (runs, horizon, n), each run bit-equal to
+    simulating it alone.
     """
     if n_runs < 1:
         raise InvalidParameter("need at least one run")

@@ -140,7 +140,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
 
     # Phase 1: the closed loop.
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
-    combined = atk.CompositeAttack(policies, s) if policies else None
+    combined = atk.CompositeAttack(policies) if policies else None
     traj = simulate(plant, kss, K, noise, horizon, attack=combined)
     rec_x, rec_r = traj["x"], traj["r"]
 

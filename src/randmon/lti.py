@@ -29,14 +29,13 @@ product of the recursions above is one stacked ``@`` call; numpy computes it
 as one matrix-vector product per run, with the same bits as the per-run
 ``A @ x``. Each run's noise is drawn and coloured ``CHUNK`` steps at a time
 (:meth:`NoiseSource.block`), from the same Philox stream as per-step
-:meth:`NoiseSource.draw` calls. The attack is called once per step for all
-runs, with the step index and the runs' stacked e, eta and previous
-residuals, and returns every run's attack, so an attacker that tracks a
-detector statistic steps each run's copy itself. An ``AttackPolicy`` computes
-each run's ``C e`` as one C row against that run's column, the per-run
-product's bits. :func:`step` is the same recursion one run and one step at a
-time, starting from ``state=None`` at the zero start, with an attack called on
-that run's vectors; it is the reference the kernel is tested against.
+:meth:`NoiseSource.draw` calls. The kernel calls its attack once per step
+for all runs, with the step index and the runs' stacked e, eta and previous
+residuals, and takes every run's attack back: an ensemble's attack is one
+policy joined from the runs' own. :func:`simulate` hands its attack one run's
+vectors, as :func:`step` does. :func:`step` is the same recursion one run and
+one step at a time, starting from ``state=None`` at the zero start; it is the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attacks import AttackPolicy, CompositeAttack
 from .errors import InvalidParameter, NonConvergence, SingularInnovation
 
 Array = np.ndarray
@@ -395,13 +393,12 @@ def simulate(
 ):
     """Run ``horizon`` steps from the zero start and return stacked trajectories.
 
-    ``attack`` is called as in :func:`step`. An ``AttackPolicy`` or
-    ``CompositeAttack`` is handed the kernel's one-run stacks; any other
-    callable is handed their one row and checked for shape (s,). Returns a
-    dict with arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the applied
-    attack ``xi`` (horizon, s). Row k holds the state at step k.
+    ``attack`` is called as in :func:`step`, with one run's vectors, and its
+    value is checked for shape (s,). Returns a dict with arrays ``x`` and
+    ``xhat`` (horizon, n), ``r`` and the applied attack ``xi`` (horizon, s).
+    Row k holds the state at step k.
     """
-    if attack is not None and not isinstance(attack, (AttackPolicy, CompositeAttack)):
+    if attack is not None:
         one_run = attack
 
         def attack(k, e, eta, r_prev):

@@ -1,10 +1,13 @@
+import ast
 import math
 
 import numpy as np
 import pytest
 
+import randmon.lti
 from randmon.errors import InvalidParameter, NonConvergence, RandmonError
-from randmon.attacks import ATTACK_KINDS, AttackPlan, CompositeAttack, build_attack_policy
+from randmon.attacks import (ATTACK_KINDS, ATTACK_PARAMS, AttackPlan, AttackPolicy,
+                             CompositeAttack, build_attack_policy)
 from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from randmon.deviation import run_attack_ensemble
 from randmon.lti import (
@@ -411,7 +414,7 @@ def phases(attack):
     return getattr(attack, "policies", [attack])
 
 
-def assert_ensemble_matches_per_run_reference(plant, factory, cusum):
+def assert_ensemble_matches_per_run_reference(plant, factory, cusum, n_runs=12):
     """Each run of the stacked ensemble is bit-equal to ``reference_run`` of the same run.
 
     The reference steps each run alone with ``step``, under a second policy the
@@ -419,9 +422,9 @@ def assert_ensemble_matches_per_run_reference(plant, factory, cusum):
     every run's own products, draws and CUSUM statistic, and each run's attack
     generators must end where the reference's do. Every phase attacks, a
     CUSUM phase raises no alarm in its window, and the tuned detector is never
-    stepped.
+    stepped. A stack of ``n_runs=1`` takes the stacked path too.
     """
-    n_runs, horizon, base_seed = 12, CHUNK + 40, 808
+    horizon, base_seed = CHUNK + 40, 808
     kss, gains = solve_dare(plant), make_controller(plant)
     built = []
 
@@ -467,7 +470,8 @@ def test_lockstep_ensemble_matches_per_run_reference(kind, stable_plant, stable_
         return build_attack_policy(plan, 1, stable_plant.C, stable_kss.sigma, ell=20,
                                    alpha_des=0.05, cusum=cusum, seed=j)
 
-    assert_ensemble_matches_per_run_reference(stable_plant, factory, cusum)
+    for n_runs in (12, 1):
+        assert_ensemble_matches_per_run_reference(stable_plant, factory, cusum, n_runs)
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +493,23 @@ def test_lockstep_ensemble_on_mixed_outputs_matches_per_run_reference(kind, mixi
     assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum)
 
 
+#: each attack parameter as a multiple of the per-sensor residual deviation
+PARAM_SCALES = {"mu_a": 0.5, "sigma_a": 0.2, "amplitude": 0.3, "jitter": 0.2, "epsilon": 1e-6}
+
+
+@pytest.mark.parametrize("kind", [kind for kind in ATTACK_KINDS if ATTACK_PARAMS[kind]])
+def test_lockstep_ensemble_with_numpy_parameters_matches_per_run_reference(kind, mixing_cusum):
+    sigma = solve_dare(MIXING_PLANT).sigma
+
+    def factory(j):  # per-sensor numpy parameters, as build_attack_policy accepts them
+        params = {key: PARAM_SCALES[key] * sigma for key in ATTACK_PARAMS[kind]}
+        plan = AttackPlan(kind=kind, sensors=(0, 1), start=30, stop=250, params=params)
+        return build_attack_policy(plan, 2, MIXING_PLANT.C, sigma, ell=20, alpha_des=0.05,
+                                   cusum=mixing_cusum, seed=j)
+
+    assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum)
+
+
 def test_lockstep_ensemble_of_composites_matches_per_run_reference(mixing_cusum):
     sigma = solve_dare(MIXING_PLANT).sigma
     plans = [AttackPlan(kind="worst_case_bdd_randaware", sensors=(0,), start=30, stop=200),
@@ -500,9 +521,36 @@ def test_lockstep_ensemble_of_composites_matches_per_run_reference(mixing_cusum)
             build_attack_policy(plan, 2, MIXING_PLANT.C, sigma, ell=20, alpha_des=0.05,
                                 bdd=BadDataDetector.tuned(sigma, 0.05), cusum=mixing_cusum,
                                 seed=seed)
-            for plan, seed in zip(plans, phase_seeds)], 2)
+            for plan, seed in zip(plans, phase_seeds)])
 
-    assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum)
+    for n_runs in (12, 1):
+        assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum, n_runs)
+
+
+def test_simulate_hands_a_policy_one_runs_vectors(monkeypatch, ugv_plant, ugv_kss, ugv_gains):
+    """Only an ensemble's stack takes stacks: ``simulate`` calls a policy as ``step`` does."""
+    shapes, call = [], AttackPolicy.__call__
+
+    def recording(policy, k, e, eta, r_prev):
+        shapes.append((e.shape, eta.shape, None if r_prev is None else r_prev.shape))
+        return call(policy, k, e, eta, r_prev)
+
+    monkeypatch.setattr(AttackPolicy, "__call__", recording)
+    simulate(ugv_plant, ugv_kss, ugv_gains, NoiseSource(ugv_plant.Q, ugv_plant.R, 4), 60,
+             attack=attacked_loop(ugv_plant, ugv_kss, "worst_case_cusum_randaware"))
+    n, s = ugv_plant.n, ugv_plant.s
+    assert shapes == [((n,), (s,), None)] + [((n,), (s,), (s,))] * 59
+
+
+def test_lti_imports_no_attack_module():
+    """The kernel calls any attack through its call protocol; it names no attack type."""
+    with open(randmon.lti.__file__) as source:
+        tree = ast.parse(source.read())
+    imported = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert imported and not [name for name in imported if "attacks" in name.split(".")]
 
 
 def test_lockstep_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
