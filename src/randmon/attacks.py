@@ -5,13 +5,13 @@ All policies implement the omniscient-attacker stepping protocol: called as
 error, the new measurement noise draw and the previous step's residual (None
 at step 0), returning the attack added to that step's measurement. A built
 policy is one run's: ``lti.step`` and ``lti.simulate`` hand it that run's
-vectors and get (s,) back. Only a policy joined from R of them
-(:meth:`AttackPolicy.stack`), as ``deviation.run_attack_ensemble`` makes,
-takes the stacks (R, n) and (R, s) and gives (R, s), keeping each run's
-generator, schedule and CUSUM statistic. Since r = C e + eta + xi, an attacker
-that knows e and eta can cancel ``C e + eta`` and place the residual anywhere;
-one that holds the CUSUM statistic steps its own copy of the detector on every
-residual it is handed.
+vectors and get (s,) back. Only an attack joined from R of them by
+:func:`stack`, as ``deviation.run_attack_ensemble`` makes, takes the stacks
+(R, n) and (R, s) and gives (R, s), keeping each run's generator, schedule
+and CUSUM statistic. Since r = C e + eta + xi, an attacker that knows e and
+eta can cancel ``C e + eta`` and place the residual anywhere; one that holds
+the CUSUM statistic steps its own copy of the detector on every residual it
+is handed.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ ATTACK_PARAMS = {
     "worst_case_cusum_randaware": ("epsilon",),
 }
 ATTACK_KINDS = tuple(ATTACK_PARAMS)
+
+#: attack parameters that are a spread or a margin (a draw's standard deviation, the
+#: dither below zero), so never negative
+_NONNEGATIVE_ATTACK_PARAMS = ("sigma_a", "epsilon")
 
 #: smallest monitoring window a saturation budget is computed for
 MIN_BUDGET_WINDOW = 20
@@ -135,7 +139,7 @@ class AttackPolicy:
 
     Called as ``policy(k, e, eta, r_prev)``, a one-run policy takes e (n,),
     eta (s,) and r_prev (s,) (None at step 0) and returns (s,); a stack of R
-    runs (:meth:`stack`, R = 1 included) takes and returns (R, ...) stacks.
+    runs (:func:`stack`, R = 1 included) takes and returns (R, ...) stacks.
     At an active step it computes ``ce``, column i of ``C e``, once per
     targeted sensor: for one run the Python float ``float(c_rows[i] @ e)``
     (numpy's cost per call on 1-element arrays is several times the
@@ -166,41 +170,6 @@ class AttackPolicy:
     forcing: Optional[np.ndarray] = None
     schedule: Optional[np.ndarray] = None
     cusum: Optional[CusumDetector] = None
-
-    @classmethod
-    def stack(cls, policies: Sequence["AttackPolicy"]) -> "AttackPolicy":
-        """One policy for the runs of ``policies``, in order, each keeping its own state.
-
-        The policies must be distinct objects of one kind, sensors and window,
-        with equal ``c_rows``, constants (the resolved params) and CUSUM
-        detector settings, as a factory that calls :func:`build_attack_policy`
-        with only the seed changing builds them. ``forcing`` is run 0's.
-        """
-        first = policies[0]
-
-        def shared(p):
-            return [p.c_rows, *p.consts] + ([] if p.cusum is None else [p.cusum.tau, p.cusum.bias])
-
-        for j, p in enumerate(policies):
-            if not isinstance(p, AttackPolicy):
-                raise InvalidParameter(
-                    f"run {j}'s attack is a {type(p).__name__}, run 0's an AttackPolicy")
-            same = (p.signal is first.signal and np.shape(p.schedule) == np.shape(first.schedule)
-                    and replace(p.plan, params={}) == replace(first.plan, params={})
-                    and all(np.array_equal(a, b) for a, b in zip(shared(p), shared(first))))
-            if not same:
-                raise InvalidParameter(
-                    f"run {j}'s attack policy cannot share a stack with run 0's: "
-                    "the runs need one plan, C and detector, with only the seed differing")
-            for i, other in enumerate(policies[:j]):
-                if other is p:
-                    raise InvalidParameter(f"runs {i} and {j} share one attack policy object; "
-                                           "each run needs its own")
-        schedule = None if first.schedule is None else np.array([p.schedule for p in policies]).T
-        cusum = None if first.cusum is None else replace(
-            first.cusum, S=np.array([p.cusum.S for p in policies]))
-        return cls(first.plan, first.c_rows, first.signal, first.consts,
-                   [rng for p in policies for rng in p.rngs], first.forcing, schedule, cusum)
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
@@ -284,14 +253,16 @@ def build_attack_policy(
 
     ``c_rows`` is the plant output matrix (one row per sensor); ``sigma`` the
     per-sensor residual standard deviations. A missing or None parameter takes
-    its default; flood and dither sizes above :data:`MAX_ATTACK_MAGNITUDE` are
-    rejected. The CUSUM kinds step a copy of the tuned ``cusum`` (tau, bias
-    and S); the bad-data kinds and the scripted stealth bounds use the bad-data
-    threshold, derived from alpha_des when no detector is given. A scripted
-    kind leaves ``target - ce - eta_i``; a worst-case kind takes
-    ``v = -ce - eta_i``, adds the CUSUM bias, on a saturating step sets
-    ``v = (v - S) + pinned`` (S = 0.0 for BDD: exact) and subtracts the
-    randomness-aware dither. Every draw comes from one generator seeded by ``seed``.
+    its default; any other must be one finite number or one per sensor, >= 0
+    for a spread (:data:`_NONNEGATIVE_ATTACK_PARAMS`), and flood and dither
+    sizes above :data:`MAX_ATTACK_MAGNITUDE` are rejected. The CUSUM kinds
+    step a copy of the tuned ``cusum`` (tau, bias and S); the bad-data kinds
+    and the scripted stealth bounds use the bad-data threshold, derived from
+    alpha_des when no detector is given. A scripted kind leaves
+    ``target - ce - eta_i``; a worst-case kind takes ``v = -ce - eta_i``, adds
+    the CUSUM bias, on a saturating step sets ``v = (v - S) + pinned``
+    (S = 0.0 for BDD: exact) and subtracts the randomness-aware dither. Every
+    draw comes from one generator seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     c_rows = np.asarray(c_rows, dtype=float)
@@ -307,7 +278,19 @@ def build_attack_policy(
 
     def param(key, default):  # one value per sensor; None means the default
         value = plan.params.get(key)
-        return np.asarray(default if value is None else value, dtype=float) * np.ones(n_sensors)
+        if value is None:
+            return np.asarray(default, dtype=float) * np.ones(n_sensors)
+        try:
+            values = np.asarray(value, dtype=float)
+            ok = values.shape in ((), (n_sensors,)) and np.isfinite(values).all()
+        except (TypeError, ValueError, OverflowError):  # not numbers, or a ragged list
+            ok = False
+        if not ok:
+            raise InvalidParameter(f"{key}: must be a finite number or one per sensor; "
+                                   f"got {value!r}")
+        if key in _NONNEGATIVE_ATTACK_PARAMS and (values < 0).any():
+            raise InvalidParameter(f"{key}: must be >= 0; got {value!r}")
+        return values * np.ones(n_sensors)
 
     def bounded(name, size):  # size(i) sums Python floats: overflow is inf, not a warning
         if any(size(i) > MAX_ATTACK_MAGNITUDE for i in plan.sensors):
@@ -383,7 +366,7 @@ def build_attack_policy(
 
 
 class CompositeAttack:
-    """Sum of several policies, all one run's or all stacks of the same runs.
+    """Sum of several policies, all one run's or all stacks of the same runs (:func:`stack`).
 
     Called as an :class:`AttackPolicy` is; the phases are summed in order onto
     zeros shaped as ``eta``.
@@ -392,20 +375,57 @@ class CompositeAttack:
     def __init__(self, policies: Sequence[AttackPolicy]):
         self.policies = list(policies)
 
-    @classmethod
-    def stack(cls, composites: Sequence["CompositeAttack"]) -> "CompositeAttack":
-        """One composite for the runs of ``composites``, stacked phase by phase."""
-        first = composites[0]
-        for j, c in enumerate(composites):
-            if not (isinstance(c, CompositeAttack) and len(c.policies) == len(first.policies)):
-                raise InvalidParameter(f"run {j}'s attack cannot share a stack with run 0's "
-                                       "CompositeAttack: the runs need the same phases")
-        phases = zip(*(c.policies for c in composites))
-        return cls([AttackPolicy.stack(runs) for runs in phases])
-
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
         xi = np.zeros(eta.shape)
         for policy in self.policies:
             xi += policy(k, e, eta, r_prev)
         return xi
+
+
+def stack(runs: Sequence) -> Optional[AttackPolicy | CompositeAttack]:
+    """One attack for ``runs``, one factory output per run, each run keeping its state.
+
+    None for every run gives None; :class:`CompositeAttack` runs of as many
+    phases give a composite whose phases this function joins; :class:`AttackPolicy`
+    runs give the joined policy, R = 1 included. The policies must be distinct
+    objects of one kind, sensors and window, with equal ``c_rows``, constants (the
+    resolved params) and CUSUM settings, as :func:`build_attack_policy` builds
+    them with only the seed changing. ``forcing`` is run 0's.
+    """
+    first = runs[0]
+    if all(run is None for run in runs):
+        return None
+    if isinstance(first, CompositeAttack):
+        for j, c in enumerate(runs):
+            if not (isinstance(c, CompositeAttack) and len(c.policies) == len(first.policies)):
+                raise InvalidParameter(f"run {j}'s attack cannot share a stack with run 0's "
+                                       "CompositeAttack: the runs need the same phases")
+        return CompositeAttack([stack(phase) for phase in zip(*(c.policies for c in runs))])
+    if not isinstance(first, AttackPolicy):
+        raise InvalidParameter("policy_factory must return an AttackPolicy or CompositeAttack "
+                               f"(or None for every run), got {type(first).__name__}")
+
+    def shared(p):
+        return [p.c_rows, *p.consts] + ([] if p.cusum is None else [p.cusum.tau, p.cusum.bias])
+
+    for j, p in enumerate(runs):
+        if not isinstance(p, AttackPolicy):
+            raise InvalidParameter(
+                f"run {j}'s attack is a {type(p).__name__}, run 0's an AttackPolicy")
+        same = (p.signal is first.signal and np.shape(p.schedule) == np.shape(first.schedule)
+                and replace(p.plan, params={}) == replace(first.plan, params={})
+                and all(np.array_equal(a, b) for a, b in zip(shared(p), shared(first))))
+        if not same:
+            raise InvalidParameter(
+                f"run {j}'s attack policy cannot share a stack with run 0's: "
+                "the runs need one plan, C and detector, with only the seed differing")
+        for i, other in enumerate(runs[:j]):
+            if other is p:
+                raise InvalidParameter(f"runs {i} and {j} share one attack policy object; "
+                                       "each run needs its own")
+    schedule = None if first.schedule is None else np.array([p.schedule for p in runs]).T
+    cusum = None if first.cusum is None else replace(
+        first.cusum, S=np.array([p.cusum.S for p in runs]))
+    return AttackPolicy(first.plan, first.c_rows, first.signal, first.consts,
+                        [rng for p in runs for rng in p.rngs], first.forcing, schedule, cusum)

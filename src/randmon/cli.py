@@ -103,7 +103,9 @@ def _cmd_tune(args, quiet: bool) -> int:
 
 
 def _check_output_file(path: str) -> None:
-    """Raise before any work if ``path`` is a directory or lies in a missing one."""
+    """Raise before any work if ``path`` is empty, a directory or in a missing one."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "empty output path", path)
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, "no such output directory", folder)

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, ATTACK_PARAMS, MIN_BUDGET_WINDOW, AttackPlan
+from .attacks import (_NONNEGATIVE_ATTACK_PARAMS, ATTACK_KINDS, ATTACK_PARAMS,
+                      MIN_BUDGET_WINDOW, AttackPlan)
 from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR
 from .errors import InvalidParameter, ValidationError
 from .lti import LtiPlant, UgvParams, _check_covariance, discretize_ugv, make_controller
@@ -131,11 +132,6 @@ def _finite_array(value) -> bool:
     if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
         return len(set(map(len, value))) == 1 and all(map(_finite_list, value))
     return _finite_list(value if isinstance(value, list) else [value])
-
-
-#: attack parameters that are a spread or a margin (a draw's standard deviation, the
-#: dither below zero), so never negative
-_NONNEGATIVE_ATTACK_PARAMS = ("sigma_a", "epsilon")
 
 
 def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, problems: list):

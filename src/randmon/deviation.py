@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import AttackPolicy, CompositeAttack
+from .attacks import stack
 from .errors import IllConditionedWarning, InvalidParameter
 from .lti import KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, spectral_radius
 
@@ -133,26 +133,19 @@ def run_attack_ensemble(
 
     ``policy_factory(run_index)`` builds a fresh one-run policy per run: an
     ``AttackPolicy`` or ``CompositeAttack`` for every run, or None for every
-    run (no attack). The runs advance in lockstep under one stack joined from
-    theirs (``stack``, also for one run), called once per step with the runs'
-    stacked vectors, so the policies must differ only in their seed, as
-    ``build_attack_policy`` builds them, also from one shared CUSUM detector;
-    each run keeps its own generator, schedule and statistic. A factory that
-    returns one object for two runs, or policies that cannot be joined, raises
-    ``InvalidParameter``. Only the states are recorded. Returns state
-    trajectories with shape (runs, horizon, n), each run bit-equal to
+    run (no attack). The runs advance in lockstep under the one attack
+    ``attacks.stack`` joins from theirs (also for one run), called once per step
+    with the runs' stacked vectors, so the policies must differ only in their
+    seed, as ``build_attack_policy`` builds them, also from one shared CUSUM
+    detector; each run keeps its own generator, schedule and statistic. A
+    factory that returns one object for two runs, or policies that cannot be
+    joined, raises ``InvalidParameter``. Only the states are recorded. Returns
+    state trajectories with shape (runs, horizon, n), each run bit-equal to
     simulating it alone.
     """
     if n_runs < 1:
         raise InvalidParameter("need at least one run")
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
     noises = [NoiseSource(plant.Q, plant.R, seed) for seed in seeds]
-    policies = [policy_factory(j) for j in range(n_runs)]
-    if all(policy is None for policy in policies):
-        attack = None
-    elif isinstance(policies[0], (AttackPolicy, CompositeAttack)):
-        attack = type(policies[0]).stack(policies)
-    else:
-        raise InvalidParameter("policy_factory must return an AttackPolicy or CompositeAttack "
-                               f"(or None for every run), got {type(policies[0]).__name__}")
+    attack = stack([policy_factory(j) for j in range(n_runs)])
     return _lockstep(plant, kss, K, noises, horizon, attack, ("x",))["x"]

@@ -6,10 +6,10 @@ import pytest
 from randmon.attacks import (
     THRESHOLD_MARGIN,
     AttackPlan,
-    AttackPolicy,
     build_attack_policy,
     saturation_budget,
     schedule_saturation,
+    stack,
 )
 from randmon.detectors import BadDataDetector, CusumDetector
 from randmon.errors import InvalidParameter
@@ -174,7 +174,7 @@ def test_stacked_row_product_is_each_runs_own_product(n, s, runs):
             assert got.tobytes() == np.array([float(C[i] @ e) for e in E]).tobytes()
         policies = [build_attack_policy(plan, s, C, np.ones(s), bdd=BadDataDetector(tau=np.ones(s)),
                                         seed=j) for j in range(runs)]
-        stacked = AttackPolicy.stack(policies)(3, E, eta, None)
+        stacked = stack(policies)(3, E, eta, None)
         per_run = [policy(3, e, eta_j, None) for policy, e, eta_j in zip(policies, E, eta)]
         assert stacked.tobytes() == np.array(per_run).tobytes()
 
@@ -232,6 +232,20 @@ def test_null_param_means_default(kind, key, ugv_plant, ugv_kss):
                                 rng.normal(size=3), None) for k in range(40)])
 
     np.testing.assert_array_equal(attack({key: None}), attack({}))
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("pattern_runs", "amplitude", [0.1, 0.2], "must be a finite number or one per sensor"),
+    ("pattern_runs", "amplitude", "abc", "must be a finite number or one per sensor"),
+    ("pattern_runs", "amplitude", math.nan, "must be a finite number or one per sensor"),
+    ("bias_concentrate", "sigma_a", -0.1, "must be >= 0"),
+    ("worst_case_bdd_randaware", "epsilon", -0.5, "must be >= 0"),
+], ids=["too-few", "text", "nan", "negative-sigma_a", "negative-epsilon"])
+def test_bad_param_is_rejected_when_built(kind, key, value, message):
+    """A parameter the policy could not use fails at build time, naming its key."""
+    plan = AttackPlan(kind=kind, sensors=(0,), params={key: value})
+    with pytest.raises(InvalidParameter, match=f"^{key}: {message}; got "):
+        build_attack_policy(plan, 3, np.eye(3), np.ones(3), seed=0)
 
 
 def test_pattern_attack_forces_signs(ugv_plant, ugv_kss, ugv_gains):

@@ -1,7 +1,10 @@
+import ast
+
 import numpy as np
 import pytest
 
-from randmon.attacks import AttackPlan, build_attack_policy, saturation_budget
+import randmon.deviation
+from randmon.attacks import AttackPlan, CompositeAttack, build_attack_policy, saturation_budget
 from randmon.detectors import BadDataDetector, CusumDetector
 from randmon.deviation import (
     deviation_limit,
@@ -195,7 +198,9 @@ def test_ensemble_rejects_one_policy_object_for_two_runs(stable_plant, stable_ks
     ("callable", r"^policy_factory must return an AttackPolicy or CompositeAttack "
                  r"\(or None for every run\), got function$"),
     ("none", r"^run 1's attack is a NoneType, run 0's an AttackPolicy$"),
-], ids=["plan", "callable", "none"])
+    ("composite", r"^run 1's attack cannot share a stack with run 0's CompositeAttack: "
+                  r"the runs need the same phases$"),
+], ids=["plan", "callable", "none", "composite"])
 def test_ensemble_rejects_policies_it_cannot_stack(case, message, stable_plant, stable_kss,
                                                    stable_gains):
     def factory(j):
@@ -203,8 +208,21 @@ def test_ensemble_rejects_policies_it_cannot_stack(case, message, stable_plant, 
             return lambda k, e, eta, r_prev: np.zeros(1)
         if case == "none" and j == 1:
             return None
+        if case == "composite" and j == 0:
+            return CompositeAttack([cusum_policy(stable_plant, stable_kss, seed=j)])
         return cusum_policy(stable_plant, stable_kss, seed=j, start=5 if j == 2 else 0)
 
     with pytest.raises(InvalidParameter, match=message):
         run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=3,
                             horizon=50)
+
+
+def test_deviation_names_no_attack_class():
+    """The ensemble joins its runs' attacks through ``attacks.stack`` alone."""
+    with open(randmon.deviation.__file__) as source:
+        tree = ast.parse(source.read())
+    from_attacks = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module in ("attacks", "randmon.attacks") for alias in node.names]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert from_attacks == ["stack"]
+    assert not names & {"AttackPolicy", "CompositeAttack"}

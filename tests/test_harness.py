@@ -557,8 +557,8 @@ def test_cli_unwritable_output_exits_2_before_any_work(command, tmp_path, monkey
                          (cli, "budget_curve")):
         monkeypatch.setattr(module, name, _no_work)
     # run's --out is a directory, here an existing file; the others' is a file in a
-    # missing directory, or a directory
-    outs = [cfg_path] if command == "run" else [tmp_path / "missing" / "out.csv", tmp_path]
+    # missing directory, a directory, or empty
+    outs = [cfg_path] if command == "run" else [tmp_path / "missing" / "out.csv", tmp_path, ""]
     args = [] if command == "budget" else ["--config", str(cfg_path)]
     for out in outs:
         assert main([command, *args, "--out", str(out), "--quiet"]) == 2
