@@ -73,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, quiet: bool) -> int:
+    if args.out == "":  # not "no output": that is a config without output.dir
+        raise FileNotFoundError(errno.ENOENT, "empty output path", args.out)
     cfg = load_config(args.config, seed=args.seed)
     if args.out is not None:
         cfg.output_dir = args.out

@@ -85,23 +85,89 @@ def _cusum_advance(s: np.ndarray, x, bias, tau) -> np.ndarray:
     return alarm
 
 
+def _cusum_alarms(blocks, tail, tau, bias=None, scale=None, shift=None, record=None) -> list:
+    """Alarm counts of CUSUM recursions run side by side over one stream.
+
+    ``blocks`` holds the stream's full ``CUSUM_BLOCK``-step blocks time-major
+    (row j is step j of every block, column k is block k) and ``tail`` the
+    steps after them. Recursion i steps ``S = max(0, (S + d) - bias[i])``
+    against ``tau[i]``; its increment d is ``(x * scale[i]) - shift[i]`` for
+    the stream value x, or x itself when ``scale`` is None (then there is one
+    recursion). ``bias`` None skips the subtraction, which is exact for a zero
+    bias. ``record``, a pair (time-major blocks, tail) of views, receives the
+    statistic after every step of a single recursion.
+
+    numpy runs the recursions on all blocks side by side, each from zero, with
+    the scalar recursion's own float64 operations. A block entered with a
+    nonzero statistic steps its true and zero-started statistic together in
+    Python until they are equal (from there on they agree), or hands the true
+    one to the next block; the tail is walked alone. Alarms and S are therefore
+    the scalar recursion's own, also for non-finite inputs (NaN never compares
+    equal, so it is walked to the end).
+    """
+    n_blocks = blocks.shape[1]
+    spans = [slice(i * n_blocks, (i + 1) * n_blocks) for i in range(len(tau))]
+    s = np.zeros(len(tau) * n_blocks)  # recursion i holds s[spans[i]]
+
+    def rows(v):  # each recursion's value over its span of s
+        return np.repeat(np.asarray(v, dtype=float), n_blocks)
+
+    tau_rows, bias_rows = rows(tau), None if bias is None else rows(bias)
+    if scale is not None:
+        d, shift_rows = np.empty((len(tau), n_blocks)), rows(shift)
+    alarms = [0] * len(tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, x in enumerate(blocks):
+            if scale is not None:
+                np.multiply(x, scale[:, None], out=d)
+                x = np.subtract(d.reshape(-1), shift_rows, out=d.reshape(-1))
+            alarm = _cusum_advance(s, x, bias_rows, tau_rows)
+            for i, span in enumerate(spans):
+                alarms[i] += int(np.count_nonzero(alarm[span]))
+            if record is not None:
+                record[0][j] = s
+
+    for i, span in enumerate(spans):
+        tau_i, bias_i = float(tau[i]), 0.0 if bias is None else float(bias[i])
+        scale_i, shift_i = (None, None) if scale is None else (float(scale[i]), float(shift[i]))
+
+        def values(xs):  # converted lazily: most walks are short
+            xs = map(float, xs)
+            return xs if scale_i is None else ((x * scale_i) - shift_i for x in xs)
+
+        carry = 0.0
+        for k, end in enumerate(s[span].tolist()):
+            if carry == 0.0:
+                carry = end
+                continue
+            true_s, zero_s = carry, 0.0
+            for j, v in enumerate(values(blocks[:, k])):
+                if true_s == zero_s:
+                    true_s = end
+                    break
+                true_s, true_alarm = _cusum_step(true_s, v, bias_i, tau_i)
+                zero_s, zero_alarm = _cusum_step(zero_s, v, bias_i, tau_i)
+                alarms[i] += true_alarm - zero_alarm
+                if record is not None:
+                    record[0][j, k] = true_s
+            carry = true_s
+        for k, v in enumerate(values(tail)):
+            carry, alarm = _cusum_step(carry, v, bias_i, tau_i)
+            alarms[i] += alarm
+            if record is not None:
+                record[1][k] = carry
+    return alarms
+
+
 def cusum_alarm_fraction(x, tau: float, bias: float = 0.0, out=None) -> float:
     """Alarm fraction of the CUSUM recursion ``S = max(0, (S + x) - bias)`` over a stream.
 
-    ``x`` (a list or a 1-D array) holds one input per step: |r| for a detector,
-    or |r| - b with ``bias`` 0 for tuning (``x - 0.0`` is ``x``, so it is
-    skipped). The previous statistic is tested first: above tau it resets to
-    zero and alarms, without consuming x; otherwise it accumulates, clamped at
-    zero. ``out``, if given, receives S after every step; the alarm at step k is
-    ``S[k - 1] > tau``, with S zero before step 0.
-
-    numpy runs the recursion on all ``CUSUM_BLOCK``-step blocks side by side,
-    each from zero, with the scalar recursion's own float64 operations. A block
-    entered with a nonzero statistic steps its true and zero-started statistic
-    together in Python until they are equal (from there on they agree), or
-    hands the true one to the next block; the tail is walked alone. Alarms and
-    S are therefore the scalar recursion's own, also for non-finite inputs
-    (NaN never compares equal, so it is walked to the end).
+    ``x`` (a list or a 1-D array) holds one input per step: |r| for a detector.
+    The previous statistic is tested first: above tau it resets to zero and
+    alarms, without consuming x; otherwise it accumulates, clamped at zero.
+    ``out``, if given, receives S after every step; the alarm at step k is
+    ``S[k - 1] > tau``, with S zero before step 0. The count is
+    ``_cusum_alarms``', so it is the scalar recursion's own.
     """
     if not tau >= 0.0:
         raise InvalidParameter("tau must be nonnegative")
@@ -109,98 +175,38 @@ def cusum_alarm_fraction(x, tau: float, bias: float = 0.0, out=None) -> float:
     n = x.size
     if n == 0:
         raise InvalidParameter("empty increment stream")
-    n_blocks = n // CUSUM_BLOCK
-    full = n_blocks * CUSUM_BLOCK
-    blocks = x[:full].reshape(n_blocks, CUSUM_BLOCK)
-    record = None if out is None else out[:full].reshape(n_blocks, CUSUM_BLOCK)  # 1-D: a view
-    s = np.zeros(n_blocks)
-    alarms = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, column in enumerate(blocks.T):
-            alarm = _cusum_advance(s, column, None if bias == 0.0 else bias, tau)
-            alarms += int(np.count_nonzero(alarm))
-            if record is not None:
-                record[:, j] = s
-
-    carry = 0.0
-    for k, end in enumerate(s.tolist()):
-        if carry == 0.0:
-            carry = end
-            continue
-        true_s, zero_s = carry, 0.0
-        for j, v in enumerate(map(float, blocks[k])):  # converted lazily: most walks are short
-            if true_s == zero_s:
-                true_s = end
-                break
-            true_s, true_alarm = _cusum_step(true_s, v, bias, tau)
-            zero_s, zero_alarm = _cusum_step(zero_s, v, bias, tau)
-            alarms += true_alarm - zero_alarm
-            if record is not None:
-                record[k, j] = true_s
-        carry = true_s
-    for k, v in enumerate(x[full:].tolist(), full):
-        carry, alarm = _cusum_step(carry, v, bias, tau)
-        alarms += alarm
-        if out is not None:
-            out[k] = carry
+    full = n - n % CUSUM_BLOCK
+    # out is 1-D, so these are views
+    record = None if out is None else (out[:full].reshape(-1, CUSUM_BLOCK).T, out[full:])
+    alarms, = _cusum_alarms(x[:full].reshape(-1, CUSUM_BLOCK).T, x[full:], [tau],
+                            None if bias == 0.0 else [bias], record=record)
     return alarms / n
 
 
 @dataclass
 class CusumTuning:
-    tau: float
-    achieved_rate: float
+    """A threshold search's result, with per-sensor arrays when the call tuned an array.
+
+    ``iterations`` counts the search's bracketing and bisection steps; an array
+    call reports the largest count among its sensors.
+    """
+
+    tau: float | np.ndarray
+    achieved_rate: float | np.ndarray
     iterations: int
 
 
-def tune_cusum(
-    sigma: float,
-    bias: float,
-    alpha_des: float,
-    n_samples: int = CUSUM_MIN_SAMPLES,
-    seed: int = 0,
-) -> CusumTuning:
-    """Monte Carlo threshold search for a target CUSUM false-alarm rate.
+def _cusum_search(sigma: float, alpha_des: float):
+    """One sensor's threshold search, as a generator of ``(tau, full)`` rate requests.
 
-    Simulates the recursion on i.i.d. |N(0, sigma^2)| inputs and bisects tau
-    until the empirical alarm rate is within ``CUSUM_REL_TOL`` relative of
-    alpha_des. The increments |r| - b are drawn once into one float64 array;
-    bracketing and early bisection run on a view of its first 1/8, and
-    candidate thresholds are confirmed on the full stream. Each rate is
-    ``cusum_alarm_fraction``'s exact count, so the search takes the same steps
-    and returns the same tau as a scalar loop over the same stream.
-
-    Raises ``InvalidParameter`` when bias <= sqrt(2/pi)*sigma (no downward drift
-    under clean data) and ``NonConvergence`` if the search exhausts
-    ``CUSUM_MAX_ITER`` bisections.
+    It is sent each requested alarm rate (on the full stream, or its first
+    1/8) and returns the ``CusumTuning``.
     """
-    if sigma <= 0.0:
-        raise InvalidParameter("sigma must be positive")
-    if not 0.0 < alpha_des < 1.0:
-        raise InvalidParameter(f"alpha_des must lie in (0, 1), got {alpha_des!r}")
-    if bias <= HALF_NORMAL_MEAN_FACTOR * sigma:
-        raise InvalidParameter(
-            f"bias {bias} must exceed E|r| = sqrt(2/pi)*sigma = "
-            f"{HALF_NORMAL_MEAN_FACTOR * sigma:.6g}"
-        )
-    if n_samples < CUSUM_MIN_SAMPLES:
-        raise InvalidParameter(f"n_samples must be >= {CUSUM_MIN_SAMPLES}")
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    deltas_full = rng.standard_normal(n_samples)  # |z| * sigma - b in place: no temporaries
-    np.abs(deltas_full, out=deltas_full)
-    deltas_full *= sigma
-    deltas_full -= bias
-    deltas_coarse = deltas_full[: max(1, n_samples // 8)]
     tol = CUSUM_REL_TOL * alpha_des
-
-    def rate(tau: float, full: bool) -> float:
-        return cusum_alarm_fraction(deltas_full if full else deltas_coarse, tau)
-
     # Rate is monotone nonincreasing in tau, so the rate at tau = 0 is the
     # ceiling; a bias large enough to keep the statistic at zero makes any
     # higher target unreachable and tau = 0 is the best available threshold.
-    rate_at_zero = rate(0.0, full=True)
+    rate_at_zero = yield 0.0, True
     if rate_at_zero <= alpha_des:
         return CusumTuning(tau=0.0, achieved_rate=rate_at_zero, iterations=1)
 
@@ -208,7 +214,7 @@ def tune_cusum(
     lo = 0.0
     hi = sigma
     iterations = 1
-    while rate(hi, full=False) > alpha_des:
+    while (yield hi, False) > alpha_des:
         hi *= 2.0
         iterations += 1
         if iterations > CUSUM_MAX_ITER:
@@ -218,9 +224,9 @@ def tune_cusum(
     for _ in range(CUSUM_MAX_ITER):
         iterations += 1
         mid = 0.5 * (lo + hi)
-        r_coarse = rate(mid, full=False)
+        r_coarse = yield mid, False
         if abs(r_coarse - alpha_des) <= 2.0 * tol:
-            r_full = rate(mid, full=True)
+            r_full = yield mid, True
             if abs(r_full - alpha_des) <= tol:
                 best = (mid, r_full)
                 break
@@ -232,7 +238,7 @@ def tune_cusum(
     if best is None:
         # Fall back to the midpoint if the final full-sample check was close.
         mid = 0.5 * (lo + hi)
-        r_full = rate(mid, full=True)
+        r_full = yield mid, True
         if abs(r_full - alpha_des) <= tol:
             best = (mid, r_full)
         else:
@@ -242,6 +248,87 @@ def tune_cusum(
             )
     tau, achieved = best
     return CusumTuning(tau=tau, achieved_rate=achieved, iterations=iterations)
+
+
+def tune_cusum(
+    sigma,
+    bias,
+    alpha_des: float,
+    n_samples: int = CUSUM_MIN_SAMPLES,
+    seed: int = 0,
+) -> CusumTuning:
+    """Monte Carlo threshold search for a target CUSUM false-alarm rate, per sensor.
+
+    ``sigma`` and ``bias`` are scalars or 1-D per-sensor arrays of one length;
+    an array call returns per-sensor ``tau`` and ``achieved_rate``. Each sensor
+    simulates the recursion on i.i.d. |N(0, sigma^2)| inputs and bisects tau
+    until the empirical alarm rate is within ``CUSUM_REL_TOL`` relative of
+    alpha_des: bracketing and early bisection run on the stream's first 1/8,
+    and candidate thresholds are confirmed on the full stream.
+
+    All sensors share one draw of |z|, stored time-major by block; sensor i's
+    increments are ``(|z| * sigma[i]) - bias[i]``. The sensors' searches run
+    side by side, and the rate requests of one round are answered by one
+    ``_cusum_alarms`` pass per stream length. Each rate is that exact count, so
+    every sensor takes the same steps and gets the same tau as a scalar loop
+    over its own increment stream.
+
+    Raises ``InvalidParameter`` when a bias <= sqrt(2/pi)*sigma (no downward
+    drift under clean data) and ``NonConvergence`` if a search exhausts
+    ``CUSUM_MAX_ITER`` bisections.
+    """
+    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
+    b = np.atleast_1d(np.asarray(bias, dtype=float))
+    if sig.ndim != 1 or sig.shape != b.shape or sig.size == 0:
+        raise InvalidParameter("sigma and bias must be scalars or 1-D arrays of one length")
+    if np.any(sig <= 0.0):
+        raise InvalidParameter("sigma must be positive")
+    if not 0.0 < alpha_des < 1.0:
+        raise InvalidParameter(f"alpha_des must lie in (0, 1), got {alpha_des!r}")
+    for sig_i, b_i in zip(sig.tolist(), b.tolist()):
+        if b_i <= HALF_NORMAL_MEAN_FACTOR * sig_i:
+            raise InvalidParameter(
+                f"bias {b_i} must exceed E|r| = sqrt(2/pi)*sigma = "
+                f"{HALF_NORMAL_MEAN_FACTOR * sig_i:.6g}"
+            )
+    if n_samples < CUSUM_MIN_SAMPLES:
+        raise InvalidParameter(f"n_samples must be >= {CUSUM_MIN_SAMPLES}")
+
+    # |z| time-major: column k is block k, the last column holds the tail. It is
+    # drawn chunk by chunk, which gives the bits of one draw and no second copy.
+    rng = np.random.Generator(np.random.Philox(seed))
+    az = np.empty((CUSUM_BLOCK, n_samples // CUSUM_BLOCK + 1))
+    chunk = 64 * CUSUM_BLOCK
+    for start in range(0, n_samples, chunk):
+        z = rng.standard_normal(min(chunk, n_samples - start))
+        np.abs(z, out=z)
+        k, whole = start // CUSUM_BLOCK, z.size // CUSUM_BLOCK
+        az[:, k:k + whole] = z[: whole * CUSUM_BLOCK].reshape(whole, CUSUM_BLOCK).T
+        az[: z.size % CUSUM_BLOCK, k + whole] = z[whole * CUSUM_BLOCK:]
+
+    searches = [_cusum_search(sig_i, alpha_des) for sig_i in sig.tolist()]
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    results = [None] * len(searches)
+    while asks:  # one pass over each stream length answers every open request for it
+        for full in (False, True):
+            who = [i for i, (_, on_full) in asks.items() if on_full is full]
+            if not who:
+                continue
+            n = n_samples if full else n_samples // 8
+            blocks, tail = az[:, : n // CUSUM_BLOCK], az[: n % CUSUM_BLOCK, n // CUSUM_BLOCK]
+            alarms = _cusum_alarms(blocks, tail, [asks[i][0] for i in who],
+                                   scale=sig[who], shift=b[who])
+            for i, count in zip(who, alarms):
+                try:
+                    asks[i] = searches[i].send(count / n)
+                except StopIteration as done:
+                    results[i] = done.value
+                    del asks[i]
+    if np.ndim(sigma) == 0 and np.ndim(bias) == 0:
+        return results[0]
+    return CusumTuning(tau=np.array([t.tau for t in results]),
+                       achieved_rate=np.array([t.achieved_rate for t in results]),
+                       iterations=max(t.iterations for t in results))
 
 
 @dataclass

@@ -41,15 +41,15 @@ log = logging.getLogger(__name__)
 RATE_ASYMPTOTE = 1.0 - math.sqrt(2.0) / 2.0
 
 # Tuned CUSUM thresholds are cached by the exact tuning inputs; tuning is Monte
-# Carlo over >= 1e6 samples and identical inputs recur across sweeps.
+# Carlo over >= 1e6 samples and identical inputs recur across sweeps. One call
+# tunes every sensor of a config together, over one shared draw.
 @functools.lru_cache(maxsize=None)
-def _tuned_cusum_tau(sigma: float, bias: float, alpha: float, n_samples: int, seed: int) -> float:
-    tuning = tune_cusum(sigma, bias, alpha, n_samples=n_samples, seed=seed)
-    log.info(
-        "tuned cusum: sigma=%.6g bias=%.6g alpha=%.4g -> tau=%.6g (rate %.5f)",
-        sigma, bias, alpha, tuning.tau, tuning.achieved_rate,
-    )
-    return tuning.tau
+def _tuned_cusum_tau(sigma: tuple, bias: tuple, alpha: float, n_samples: int, seed: int) -> tuple:
+    tuning = tune_cusum(np.array(sigma), np.array(bias), alpha, n_samples=n_samples, seed=seed)
+    for sig, b, tau, rate in zip(sigma, bias, tuning.tau.tolist(), tuning.achieved_rate.tolist()):
+        log.info("tuned cusum: sigma=%.6g bias=%.6g alpha=%.4g -> tau=%.6g (rate %.5f)",
+                 sig, b, alpha, tau, rate)
+    return tuple(tuning.tau.tolist())
 
 
 @dataclass
@@ -99,11 +99,8 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
         bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"])
     if cfg.detector_kind in ("cusum", "both"):
         bias = cfg.bias_scale * kss.sigma
-        tau = [
-            _tuned_cusum_tau(float(sig), float(b), cfg.alpha_des["cusum"],
-                             cfg.tuning_samples, cfg.tuning_seed)
-            for sig, b in zip(kss.sigma, bias)
-        ]
+        tau = _tuned_cusum_tau(tuple(kss.sigma.tolist()), tuple(bias.tolist()),
+                               cfg.alpha_des["cusum"], cfg.tuning_samples, cfg.tuning_seed)
         cusum = CusumDetector(tau=tau, bias=bias)
 
     noise_seed, attack_root = np.random.SeedSequence(cfg.seed).spawn(2)

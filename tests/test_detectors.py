@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from randmon.config import build_plant, load_config
 from randmon.detectors import (
     CUSUM_BLOCK,
+    CUSUM_MIN_SAMPLES,
     BadDataDetector,
     CusumDetector,
     HALF_NORMAL_MEAN_FACTOR,
+    _cusum_alarms,
     cusum_alarm_fraction,
     tune_bdd,
     tune_cusum,
@@ -174,6 +177,23 @@ def test_cusum_alarm_fraction_matches_scalar_recursion(stream, as_list):
     assert type(got) is float and got == scalar_cusum_fraction(values, tau)
 
 
+@settings(max_examples=200, deadline=None)
+@given(increment_streams(), st.lists(st.tuples(st.sampled_from((0.3, 1.0, 2.5)),
+                                               st.sampled_from((-0.5, 0.0, 0.79, 0.8, 1.2)),
+                                               st.sampled_from((0.0, 0.25, 2.0, math.inf))),
+                                     min_size=1, max_size=3))
+def test_cusum_kernel_steps_scaled_recursions_side_by_side(stream, recursions):
+    # as tune_cusum calls it: recursion i sees (x * scale[i]) - shift[i], no bias
+    x, _ = stream
+    scale, shift, tau = (np.array(column) for column in zip(*recursions))
+    full = x.size - x.size % CUSUM_BLOCK
+    with np.errstate(all="ignore"):
+        got = _cusum_alarms(x[:full].reshape(-1, CUSUM_BLOCK).T, x[full:], tau,
+                            scale=scale, shift=shift)
+        want = [scalar_cusum_fraction(((x * sc) - sh).tolist(), t) for sc, sh, t in recursions]
+    assert [count / x.size for count in got] == want
+
+
 def test_cusum_alarm_fraction_errors():
     with pytest.raises(InvalidParameter, match="empty increment stream"):
         cusum_alarm_fraction([], 1.0)
@@ -332,3 +352,49 @@ def test_tune_cusum_pinned_for_shipped_configs(name):
 def test_tune_cusum_pinned_edge_cases(args, seed, expected):
     out = tune_cusum(*args, seed=seed)
     assert (out.tau.hex(), out.achieved_rate, out.iterations) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIG_TUNINGS))
+def test_tune_cusum_array_call_matches_the_per_sensor_pins(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    sigma = solve_dare(build_plant(cfg.plant_spec)).sigma
+    out = tune_cusum(sigma, cfg.bias_scale * sigma, cfg.alpha_des["cusum"],
+                     n_samples=cfg.tuning_samples, seed=cfg.tuning_seed)
+    pinned = PINNED_CONFIG_TUNINGS[name]
+    assert [(tau.hex(), rate) for tau, rate in zip(out.tau.tolist(), out.achieved_rate.tolist())] \
+        == [(tau, rate) for tau, rate, _ in pinned]
+    assert type(out.iterations) is int and out.iterations == max(n for _, _, n in pinned)
+
+
+def test_tune_cusum_array_call_keeps_each_sensors_own_search():
+    # The tau = 0 floor stops after one evaluation, the weak drift runs long
+    # excursions and the 0.799 bias walks across block boundaries for 8
+    # iterations: the searches diverge, and each row is its scalar call's own.
+    sigma, bias = np.array([1.0, 0.3, 1.0]), np.array([10.0, 0.25, 0.799])
+    out = tune_cusum(sigma, bias, 0.005, seed=3)
+    alone = [tune_cusum(sig, b, 0.005, seed=3) for sig, b in zip(sigma.tolist(), bias.tolist())]
+    assert out.tau.tolist() == [t.tau for t in alone]
+    assert out.achieved_rate.tolist() == [t.achieved_rate for t in alone]
+    assert out.iterations == max(t.iterations for t in alone) == 8
+    assert (alone[0].tau, alone[0].iterations) == (0.0, 1)
+    assert (out.tau[2].hex(), out.achieved_rate[2]) == ("0x1.e000000000000p+2", 0.005235)
+
+
+def test_tune_cusum_rejects_unequal_arrays_and_each_low_bias():
+    with pytest.raises(InvalidParameter, match="1-D arrays of one length"):
+        tune_cusum([1.0, 2.0], [1.5], 0.05)
+    with pytest.raises(InvalidParameter, match=r"^bias 1\.5 must exceed .* = 1\.59577$"):
+        tune_cusum([1.0, 2.0], [1.5, 1.5], 0.05)
+
+
+def test_tune_cusum_peak_memory_is_one_shared_draw():
+    # One float64 per sample: a per-sensor increment array or a transposed copy
+    # of the draw would double the peak.
+    sigma = np.array([1.0, 0.5, 2.0])
+    tracemalloc.start()
+    try:
+        tune_cusum(sigma, 1.2 * sigma, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * CUSUM_MIN_SAMPLES

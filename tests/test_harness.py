@@ -517,7 +517,7 @@ def test_run_after_tune_reuses_the_tuned_cusum_thresholds(monkeypatch):
     harness._tuned_cusum_tau.cache_clear()
     cfg = load_config_dict({**BASE, "detectors": {"kind": "cusum"}, "horizon": 200})
     tau = tuned_thresholds(cfg)["cusum_tau"]
-    assert len(calls) == 3  # one per sensor
+    assert len(calls) == 1  # one per config: every sensor is tuned in the same call
     calls.clear()
     art = run_scenario(cfg)
     assert calls == []
@@ -556,9 +556,9 @@ def test_cli_unwritable_output_exits_2_before_any_work(command, tmp_path, monkey
     for module, name in ((harness, "run_scenario"), (cli, "run_scenario"),
                          (cli, "budget_curve")):
         monkeypatch.setattr(module, name, _no_work)
-    # run's --out is a directory, here an existing file; the others' is a file in a
-    # missing directory, a directory, or empty
-    outs = [cfg_path] if command == "run" else [tmp_path / "missing" / "out.csv", tmp_path, ""]
+    # run's --out is a directory, here an existing file or empty; the others' is a
+    # file in a missing directory, a directory, or empty
+    outs = [cfg_path, ""] if command == "run" else [tmp_path / "missing" / "out.csv", tmp_path, ""]
     args = [] if command == "budget" else ["--config", str(cfg_path)]
     for out in outs:
         assert main([command, *args, "--out", str(out), "--quiet"]) == 2
