@@ -31,7 +31,8 @@ from .deviation import (
 )
 from .errors import RandmonError
 from .gaussian import std_normal_cdf, std_normal_quantile, two_sided_p
-from .harness import RunArtifacts, budget_curve, emit_outputs, run_scenario, run_sweep
+from .harness import (RunArtifacts, budget_curve, emit_outputs, run_scenario, run_sweep,
+                      score_residuals)
 from .lti import (
     KalmanSteadyState,
     LtiPlant,

@@ -344,7 +344,10 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     alpha_tau = monitors.get("alpha_tau")
     if alpha_tau is None:
         alpha_tau = 3.0 * max(alpha_des.values())
-    if not (_finite_number(alpha_tau) and 0.0 < alpha_tau <= 1.0):
+        if alpha_tau > 1.0:
+            problems.append(f"monitors.alpha_tau: the default 3 * max(alpha_des) = {alpha_tau!r}"
+                            " exceeds 1, so monitors.alpha_tau must be set, in (0, 1]")
+    elif not (_finite_number(alpha_tau) and 0.0 < alpha_tau <= 1.0):
         problems.append(f"monitors.alpha_tau: must lie in (0, 1], got {alpha_tau!r}")
 
     detectors = _section(raw, "detectors", _DETECTOR_KEYS, problems)

@@ -86,16 +86,18 @@ def _cusum_advance(s: np.ndarray, x, bias, tau) -> np.ndarray:
 
 
 def _cusum_alarms(blocks, tail, tau, bias=None, scale=None, shift=None, record=None) -> list:
-    """Alarm counts of CUSUM recursions run side by side over one stream.
+    """Alarm counts of m CUSUM recursions run side by side.
 
-    ``blocks`` holds the stream's full ``CUSUM_BLOCK``-step blocks time-major
-    (row j is step j of every block, column k is block k) and ``tail`` the
-    steps after them. Recursion i steps ``S = max(0, (S + d) - bias[i])``
-    against ``tau[i]``; its increment d is ``(x * scale[i]) - shift[i]`` for
-    the stream value x, or x itself when ``scale`` is None (then there is one
-    recursion). ``bias`` None skips the subtraction, which is exact for a zero
-    bias. ``record``, a pair (time-major blocks, tail) of views, receives the
-    statistic after every step of a single recursion.
+    ``blocks`` holds full ``CUSUM_BLOCK``-step blocks time-major and ``tail``
+    the steps after them. Without ``scale`` recursion i runs on stream i:
+    ``blocks`` is ``(CUSUM_BLOCK, m, n_blocks)`` (``blocks[j, i, k]`` is step j
+    of stream i's block k), ``tail`` is ``(t, m)`` and the increment d is the
+    stream value x. With ``scale`` all recursions share one stream, ``blocks``
+    ``(CUSUM_BLOCK, n_blocks)`` and ``tail`` ``(t,)``, and recursion i's d is
+    ``(x * scale[i]) - shift[i]``. Recursion i steps ``S = max(0, (S + d) -
+    bias[i])`` against ``tau[i]``; ``bias`` None skips the subtraction, which
+    is exact for a zero bias. ``record``, a pair of views shaped as the
+    unscaled ``blocks`` and ``tail``, receives every statistic after every step.
 
     numpy runs the recursions on all blocks side by side, each from zero, with
     the scalar recursion's own float64 operations. A block entered with a
@@ -105,43 +107,42 @@ def _cusum_alarms(blocks, tail, tau, bias=None, scale=None, shift=None, record=N
     the scalar recursion's own, also for non-finite inputs (NaN never compares
     equal, so it is walked to the end).
     """
-    n_blocks = blocks.shape[1]
-    spans = [slice(i * n_blocks, (i + 1) * n_blocks) for i in range(len(tau))]
-    s = np.zeros(len(tau) * n_blocks)  # recursion i holds s[spans[i]]
+    m, n_blocks = len(tau), blocks.shape[-1]
+    s = np.zeros((m, n_blocks))  # row i is recursion i
 
-    def rows(v):  # each recursion's value over its span of s
-        return np.repeat(np.asarray(v, dtype=float), n_blocks)
+    def rows(v):  # each recursion's value over its row of s
+        return np.repeat(np.asarray(v, dtype=float), n_blocks).reshape(m, n_blocks)
 
     tau_rows, bias_rows = rows(tau), None if bias is None else rows(bias)
     if scale is not None:
-        d, shift_rows = np.empty((len(tau), n_blocks)), rows(shift)
-    alarms = [0] * len(tau)
+        d, shift_rows = np.empty((m, n_blocks)), rows(shift)
+    alarms = [0] * m
     with np.errstate(over="ignore", invalid="ignore"):
         for j, x in enumerate(blocks):
             if scale is not None:
-                np.multiply(x, scale[:, None], out=d)
-                x = np.subtract(d.reshape(-1), shift_rows, out=d.reshape(-1))
+                x = np.subtract(np.multiply(x, scale[:, None], out=d), shift_rows, out=d)
             alarm = _cusum_advance(s, x, bias_rows, tau_rows)
-            for i, span in enumerate(spans):
-                alarms[i] += int(np.count_nonzero(alarm[span]))
+            for i in range(m):
+                alarms[i] += int(np.count_nonzero(alarm[i]))
             if record is not None:
                 record[0][j] = s
 
-    for i, span in enumerate(spans):
+    for i in range(m):
         tau_i, bias_i = float(tau[i]), 0.0 if bias is None else float(bias[i])
         scale_i, shift_i = (None, None) if scale is None else (float(scale[i]), float(shift[i]))
+        stream, rest = (blocks[:, i], tail[:, i]) if scale is None else (blocks, tail)
 
         def values(xs):  # converted lazily: most walks are short
             xs = map(float, xs)
             return xs if scale_i is None else ((x * scale_i) - shift_i for x in xs)
 
         carry = 0.0
-        for k, end in enumerate(s[span].tolist()):
+        for k, end in enumerate(s[i].tolist()):
             if carry == 0.0:
                 carry = end
                 continue
             true_s, zero_s = carry, 0.0
-            for j, v in enumerate(values(blocks[:, k])):
+            for j, v in enumerate(values(stream[:, k])):
                 if true_s == zero_s:
                     true_s = end
                     break
@@ -149,38 +150,52 @@ def _cusum_alarms(blocks, tail, tau, bias=None, scale=None, shift=None, record=N
                 zero_s, zero_alarm = _cusum_step(zero_s, v, bias_i, tau_i)
                 alarms[i] += true_alarm - zero_alarm
                 if record is not None:
-                    record[0][j, k] = true_s
+                    record[0][j, i, k] = true_s
             carry = true_s
-        for k, v in enumerate(values(tail)):
+        for k, v in enumerate(values(rest)):
             carry, alarm = _cusum_step(carry, v, bias_i, tau_i)
             alarms[i] += alarm
             if record is not None:
-                record[1][k] = carry
+                record[1][k, i] = carry
     return alarms
 
 
-def cusum_alarm_fraction(x, tau: float, bias: float = 0.0, out=None) -> float:
+def cusum_alarm_fraction(x, tau, bias=0.0, out=None) -> float | np.ndarray:
     """Alarm fraction of the CUSUM recursion ``S = max(0, (S + x) - bias)`` over a stream.
 
     ``x`` (a list or a 1-D array) holds one input per step: |r| for a detector.
-    The previous statistic is tested first: above tau it resets to zero and
-    alarms, without consuming x; otherwise it accumulates, clamped at zero.
-    ``out``, if given, receives S after every step; the alarm at step k is
-    ``S[k - 1] > tau``, with S zero before step 0. The count is
-    ``_cusum_alarms``', so it is the scalar recursion's own.
+    A ``(steps, m)`` array holds m streams, with one ``tau`` and ``bias`` entry
+    per column; all m are scored in one ``_cusum_alarms`` pass and the result
+    is an array of m fractions. The previous statistic is tested first: above
+    tau it resets to zero and alarms, without consuming x; otherwise it
+    accumulates, clamped at zero. ``out``, a float64 array of x's shape, receives S
+    after every step; the alarm at step k is ``S[k - 1] > tau``, with S zero
+    before step 0. The counts are the scalar recursion's own.
     """
-    if not tau >= 0.0:
+    if not np.all(np.asarray(tau, dtype=float) >= 0.0):
         raise InvalidParameter("tau must be nonnegative")
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if n == 0:
+    if x.ndim not in (1, 2):
+        raise InvalidParameter(f"x must be a 1-D or (steps, m) array, got shape {x.shape}")
+    if np.shape(tau) != x.shape[1:] or np.shape(bias) != x.shape[1:]:
+        raise InvalidParameter(f"tau and bias must be scalars for a 1-D x, else one entry "
+                               f"per column of x, got shapes {np.shape(tau)} and {np.shape(bias)}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == x.shape):
+        raise InvalidParameter(f"out must be a float64 array of x's shape {x.shape}")
+    n = x.shape[0]
+    if x.size == 0:
         raise InvalidParameter("empty increment stream")
     full = n - n % CUSUM_BLOCK
-    # out is 1-D, so these are views
-    record = None if out is None else (out[:full].reshape(-1, CUSUM_BLOCK).T, out[full:])
-    alarms, = _cusum_alarms(x[:full].reshape(-1, CUSUM_BLOCK).T, x[full:], [tau],
-                            None if bias == 0.0 else [bias], record=record)
-    return alarms / n
+
+    def split(a):  # (CUSUM_BLOCK, m, n_blocks) blocks and (t, m) tail; splitting an axis is a view
+        a = a.reshape(n, -1)
+        return a[:full].reshape(-1, CUSUM_BLOCK, a.shape[1]).transpose(1, 2, 0), a[full:]
+
+    alarms = _cusum_alarms(*split(x), np.atleast_1d(tau),
+                           np.atleast_1d(bias) if np.any(bias) else None,
+                           record=None if out is None else split(out))
+    return alarms[0] / n if x.ndim == 1 else np.array(alarms) / n
 
 
 @dataclass

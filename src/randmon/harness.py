@@ -8,8 +8,9 @@ A run has two phases. The first is ``lti.simulate``: it steps the closed
 loop (plant, estimator, controller, attack) and records the trajectory, the
 residuals and the applied attack. A CUSUM worst-case attack steps its own copy
 of the tuned detector on each residual it is handed; nothing else steps a
-detector in the loop. The second phase scores the recorded residual array:
-the window tests, the boundary detectors and the sliding alarm rates of all
+detector in the loop. The second phase, ``score_residuals``, scores the
+recorded residual array: the window tests, the boundary detectors (every
+sensor's CUSUM in one multi-column pass) and the sliding alarm rates of all
 four tests, over all steps at once, with the detectors' own float operations,
 so the split leaves every output byte unchanged.
 """
@@ -121,78 +122,74 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario and return its artifacts.
 
-    Deterministic for a given config and seed. Phase 1 is ``lti.simulate``;
-    a CUSUM worst-case attack there steps its own copy of the tuned detector
-    on each previous residual. Phase 2 scores the recorded ``(horizon, s)``
-    residuals with ``wsr_scan``, ``sir_scan``, the bad-data threshold,
-    ``cusum_alarm_fraction`` and ``alarm_rate_scan``. Monitors are pure
-    observers of the residual stream; the plant trajectory does not depend on
-    them.
+    Deterministic for a given config and seed. It sets up, simulates the closed
+    loop with ``lti.simulate`` (a CUSUM worst-case attack there steps its own
+    copy of the tuned detector on each previous residual), scores the recorded
+    residuals with ``score_residuals`` and reports the deviation. Monitors are
+    pure observers of the residual stream; the plant trajectory does not depend
+    on them.
     """
     plant, kss, bdd, cusum, policies, noise_seed = _set_up(cfg)
     spec = cfg.controller_spec
     K = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
                         input_weights=spec.get("input_weights"))
-    s, horizon = plant.s, cfg.horizon
-
-    # Phase 1: the closed loop.
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
     combined = atk.CompositeAttack(policies) if policies else None
-    traj = simulate(plant, kss, K, noise, horizon, attack=combined)
-    rec_x, rec_r = traj["x"], traj["r"]
-
-    # Phase 2: score the recorded residuals. Degenerate windows (all zeros,
-    # or too few distinct consecutive values to count runs) are maximally
-    # non-random: they alarm with p = NaN.
-    rec_p, rec_alarm = {}, {}
-    for t, scan in (("wsr", wsr_scan), ("sir", sir_scan)):
-        rec_p[t], rec_alarm[t] = scan(rec_r, cfg.window, cfg.alpha_des[t])
-    if bdd is not None:
-        rec_alarm["bdd"] = bdd.step(rec_r).astype(float)
-    rec_cusum_s = None
-    if cusum is not None:  # S[k] after step k; the alarm at step k is S[k - 1] > tau
-        rec_cusum_s = np.empty((horizon, s))
-        for i, (tau, bias) in enumerate(zip(cusum.tau.tolist(), cusum.bias.tolist())):
-            cusum_alarm_fraction(np.abs(rec_r[:, i]), tau, bias, out=rec_cusum_s[:, i])
-        rec_alarm["cusum"] = np.zeros((horizon, s))
-        rec_alarm["cusum"][1:] = rec_cusum_s[:-1] > cusum.tau
-
-    # rec_alarm holds the enabled tests in MONITOR_TESTS order, the summary's key order
-    rec_rate, rates, verdicts, compromised, final_rate = {}, {}, {}, {}, {}
-    for t in rec_alarm:
-        first = min(cfg.window - 1, horizon) if t in rec_p else 0
-        flags = rec_alarm[t][first:]
-        rec_rate[t] = np.full((horizon, s), np.nan)
-        rec_rate[t][first:], final, flagged = alarm_rate_scan(flags, cfg.rate_window,
-                                                              cfg.alpha_tau)
-        verdicts[t] = [flags.shape[0]] * s
-        rates[t] = (flags.sum(axis=0) / flags.shape[0]).tolist() if flags.size else [math.nan] * s
-        compromised[t] = flagged.tolist()
-        final_rate[t] = final.tolist()
-
+    traj = simulate(plant, kss, K, noise, cfg.horizon, attack=combined)
+    p, alarm, rate, cusum_s, fields = score_residuals(cfg, traj["r"], bdd, cusum)
     summary = RunSummary(
         schema_version=SCHEMA_VERSION,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
-        horizon=horizon,
-        alarm_rate=rates,
-        verdict_steps=verdicts,
-        compromised=compromised,
-        final_sliding_rate=final_rate,
-        deviation=_deviation_report(cfg, plant, kss, K, policies, rec_x),
+        horizon=cfg.horizon,
+        **fields,
+        deviation=_deviation_report(cfg, plant, kss, K, policies, traj["x"]),
     )
-    return RunArtifacts(
-        summary=summary,
-        k=np.arange(horizon),
-        x=rec_x,
-        xhat=traj["xhat"],
-        r=rec_r,
-        xi=traj["xi"],
-        p=rec_p,
-        alarm=rec_alarm,
-        rate=rec_rate,
-        cusum_s=rec_cusum_s,
-    )
+    return RunArtifacts(summary=summary, k=np.arange(cfg.horizon), x=traj["x"],
+                        xhat=traj["xhat"], r=traj["r"], xi=traj["xi"], p=p, alarm=alarm,
+                        rate=rate, cusum_s=cusum_s)
+
+
+def score_residuals(cfg: ScenarioConfig, r: np.ndarray, bdd, cusum) -> tuple:
+    """Score a recorded ``(steps, s)`` residual stream with ``cfg``'s monitors and the detectors.
+
+    ``wsr_scan`` and ``sir_scan`` score every window; ``bdd`` and ``cusum``
+    (None when disabled) score every step, every sensor's CUSUM in one
+    ``cusum_alarm_fraction`` pass; ``alarm_rate_scan`` slides over each test's
+    flags. Degenerate windows (all zeros, or too few distinct consecutive
+    values to count runs) are maximally non-random: they alarm with p = NaN.
+    Returns ``(p, alarm, rate, cusum_s, fields)``: per-test ``(steps, s)``
+    p-values, 0/1 flags and sliding rates (NaN before warm-up), S after every
+    step (the alarm at step k is ``S[k - 1] > tau``; None without CUSUM), and
+    the summary's ``alarm_rate``, ``verdict_steps``, ``compromised`` and
+    ``final_sliding_rate``.
+    """
+    horizon, s = r.shape
+    p, alarm = {}, {}
+    for t, scan in (("wsr", wsr_scan), ("sir", sir_scan)):
+        p[t], alarm[t] = scan(r, cfg.window, cfg.alpha_des[t])
+    if bdd is not None:
+        alarm["bdd"] = bdd.step(r).astype(float)
+    cusum_s = None
+    if cusum is not None:
+        cusum_s = np.empty((horizon, s))
+        cusum_alarm_fraction(np.abs(r), cusum.tau, cusum.bias, out=cusum_s)
+        alarm["cusum"] = np.zeros((horizon, s))
+        alarm["cusum"][1:] = cusum_s[:-1] > cusum.tau
+
+    # alarm holds the enabled tests in MONITOR_TESTS order, the summary's key order
+    rate, rates, verdicts, compromised, final_rate = {}, {}, {}, {}, {}
+    for t in alarm:
+        first = min(cfg.window - 1, horizon) if t in p else 0
+        flags = alarm[t][first:]
+        rate[t] = np.full((horizon, s), np.nan)
+        rate[t][first:], final, flagged = alarm_rate_scan(flags, cfg.rate_window, cfg.alpha_tau)
+        verdicts[t] = [flags.shape[0]] * s
+        rates[t] = (flags.sum(axis=0) / flags.shape[0]).tolist() if flags.size else [math.nan] * s
+        compromised[t] = flagged.tolist()
+        final_rate[t] = final.tolist()
+    return p, alarm, rate, cusum_s, dict(alarm_rate=rates, verdict_steps=verdicts,
+                                         compromised=compromised, final_sliding_rate=final_rate)
 
 
 def _deviation_report(cfg, plant, kss, K, policies, x):
@@ -356,18 +353,25 @@ def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> ScenarioConfig:
     """
     raw = json.loads(json.dumps(raw_cfg))
     monitors = raw.get("monitors", {}) if isinstance(raw, dict) else None
+    problems = []
     if isinstance(monitors, dict):
         raw["monitors"] = {**monitors, "alpha_des": alpha}
         raw.pop("attacks", None)
-        if attack_kind != "none":
-            window = monitors.get("window", DEFAULT_WINDOW)
-            raw["attacks"] = [{
-                "kind": attack_kind,
-                "sensors": [0],
-                "start": 2 * window if type(window) is int else 0,
-                "stop": raw.get("horizon", DEFAULT_HORIZON),
-            }]
-    return load_config_dict(raw)
+        window = monitors.get("window", DEFAULT_WINDOW)
+        start = 2 * window if type(window) is int else 0
+        stop = raw.get("horizon", DEFAULT_HORIZON)
+        if attack_kind != "none" and type(stop) is int and start >= stop:
+            problems.append(f"sweep: attack cells start at 2 * monitors.window = {start}, "
+                            f"which is not before horizon {stop}")
+        elif attack_kind != "none":
+            raw["attacks"] = [{"kind": attack_kind, "sensors": [0], "start": start, "stop": stop}]
+    try:
+        cfg = load_config_dict(raw)
+    except ValidationError as exc:
+        problems = exc.problems + problems
+    if problems:
+        raise ValidationError(problems)
+    return cfg
 
 
 def _sweep_cell(args):

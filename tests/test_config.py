@@ -36,6 +36,16 @@ def test_alpha_out_of_range_named():
     assert any("monitors.alpha_des" in p for p in err.value.problems)
 
 
+def test_default_alpha_tau_above_one_asks_for_alpha_tau():
+    with pytest.raises(ValidationError) as err:
+        load_config_dict({**MINIMAL, "monitors": {"alpha_des": {"wsr": 0.5}}})
+    assert err.value.problems == [
+        "monitors.alpha_tau: the default 3 * max(alpha_des) = 1.5 exceeds 1, so "
+        "monitors.alpha_tau must be set, in (0, 1]"]
+    cfg = load_config_dict({**MINIMAL, "monitors": {"alpha_des": 0.5, "alpha_tau": 1.0}})
+    assert cfg.alpha_tau == 1.0
+
+
 def test_per_test_alpha():
     raw = dict(MINIMAL)
     raw["monitors"] = {"alpha_des": {"wsr": 0.05, "cusum": 0.02}}

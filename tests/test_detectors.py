@@ -203,6 +203,17 @@ def test_cusum_alarm_fraction_errors():
         cusum_alarm_fraction([0.5] * 3, -0.1)
     with pytest.raises(InvalidParameter, match="tau must be nonnegative"):
         cusum_alarm_fraction([], -1.0)  # tau is checked before the stream
+    for out in (np.empty(200), np.empty(300, dtype=int), [0.0] * 300):  # S would be lost
+        with pytest.raises(InvalidParameter, match=r"out must be a float64 array of x's shape "
+                                                   r"\(300,\)"):
+            cusum_alarm_fraction(np.ones(300), 1.0, out=out)
+    with pytest.raises(InvalidParameter, match=r"of x's shape \(300, 2\)"):
+        cusum_alarm_fraction(np.ones((300, 2)), [1.0, 1.0], [0.0, 0.0], out=np.empty(300))
+    for tau, bias in (([1.0], [0.0, 0.0]), ([1.0, 1.0], 0.0), (1.0, [0.0, 0.0])):
+        with pytest.raises(InvalidParameter, match="one entry per column of x"):
+            cusum_alarm_fraction(np.ones((300, 2)), tau, bias)
+    with pytest.raises(InvalidParameter, match="tau and bias must be scalars for a 1-D x"):
+        cusum_alarm_fraction(np.ones(300), [1.0], 0.0)
 
 
 def test_cusum_alarm_fraction_non_finite_stream_is_silent():
@@ -259,10 +270,9 @@ def test_cusum_kernel_statistic_matches_detector_steps(stream):
         for k, row in enumerate(r):
             want_alarm[k] = det.step(row)
             want_s[k] = det.S
-    got_s = np.full_like(r, -1.0)  # each sensor's out is a strided column
-    for i in range(r.shape[1]):
-        fraction = cusum_alarm_fraction(np.abs(r[:, i]), tau[i], bias[i], out=got_s[:, i])
-        assert fraction == np.count_nonzero(want_alarm[:, i]) / r.shape[0]
+    got_s = np.full_like(r, -1.0, order="F")  # column-major: every sensor's blocks are strided
+    fractions = cusum_alarm_fraction(np.abs(r), tau, bias, out=got_s)
+    assert fractions.tolist() == (np.count_nonzero(want_alarm, axis=0) / r.shape[0]).tolist()
     got_alarm = np.zeros(r.shape, dtype=bool)
     got_alarm[1:] = got_s[:-1] > det.tau
     assert got_s.tobytes() == want_s.tobytes()

@@ -108,6 +108,32 @@ def test_csv_round_trip(tmp_path, base_artifacts):
     np.testing.assert_array_equal(data[:, cols.index("x0")], base_artifacts.x[:, 0])
 
 
+@pytest.mark.parametrize("name", ["ugv_noattack", "ugv_stealthy_randaware"])
+def test_score_residuals_reproduces_a_written_runs_scores(name, tmp_path):
+    # 1300 steps: five full CUSUM blocks and a tail, every scored column written
+    raw = {**read_config(CONFIGS / f"{name}.json"), "horizon": 1300}
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path), "--format", "csv",
+                 "--quiet"]) == 0
+    (path,) = tmp_path.glob("run_*.csv")
+    with open(path, encoding="utf-8") as handle:
+        handle.readline()
+        cols, *rows = csv.reader(handle)
+    columns = dict(zip(cols, zip(*rows)))
+    cfg = load_config_dict(raw)
+    s = sum(col.startswith("r") for col in cols)
+    r = np.array([columns[f"r{i}"] for i in range(s)], dtype=float).T
+    _, _, bdd, cusum, _, _ = harness._set_up(cfg)
+    p, alarm, rate, cusum_s, _ = harness.score_residuals(cfg, r, bdd, cusum)
+    scored = {**{f"{t}_p": a for t, a in p.items()}, **{f"{t}_alarm": a for t, a in alarm.items()},
+              **{f"{t}_rate": a for t, a in rate.items()}, "cusum_S": cusum_s}
+    assert {f"{t}_alarm" for t in alarm} == {"wsr_alarm", "sir_alarm", "bdd_alarm", "cusum_alarm"}
+    for prefix, array in scored.items():
+        for i in range(s):
+            assert tuple("%.17g" % v for v in array[:, i].tolist()) == columns[f"{prefix}{i}"]
+
+
 def test_csv_byte_identical_across_runs(tmp_path):
     digests = []
     for run in range(2):
@@ -358,6 +384,16 @@ def test_sweep_config_error_raised_before_fan_out():
     with pytest.raises(ValidationError) as info:
         run_sweep(dict(BASE), [0.05], ["none", "bogus"], workers=2)
     assert str(info.value) == "attacks[0].kind: unknown kind 'bogus'"
+
+
+def test_cli_sweep_attack_cells_that_would_start_at_the_horizon_exit_2(tmp_path, monkeypatch,
+                                                                       capsys):
+    raw = {"plant": {"preset": "ugv"}, "horizon": 200}
+    load_config_dict(raw)  # a valid run
+    message = ("sweep: attack cells start at 2 * monitors.window = 200, which is not before "
+               "horizon 200")
+    _exits_2_before_any_work(raw, ("sweep",), message, tmp_path, monkeypatch, capsys,
+                             "--attacks", "none,pattern_runs")
 
 
 def test_sweep_worker_reports_stealth_bound_violation_whole():

@@ -451,11 +451,10 @@ def assert_ensemble_matches_per_run_reference(plant, factory, cusum, n_runs=12):
                 # The alarm at step k + 1 is S[k] > tau. Each attacked step's S stays at
                 # or below tau, so no attacked residual raises an alarm (the alarm at
                 # `start` itself is decided by the clean S[start - 1]).
-                for i in sensors:
-                    S = np.empty(horizon)
-                    cusum_alarm_fraction(np.abs(run["r"][:, i]), cusum.tau[i], cusum.bias[i],
-                                         out=S)
-                    assert not np.any(S[window] > cusum.tau[i])
+                S = np.empty((horizon, len(sensors)))
+                cusum_alarm_fraction(np.abs(run["r"][:, sensors]), cusum.tau[sensors],
+                                     cusum.bias[sensors], out=S)
+                assert not np.any(S[window] > cusum.tau[sensors])
     assert not cusum.S.any()
 
 
