@@ -177,6 +177,26 @@ def build_plant(spec: dict) -> LtiPlant:
     )
 
 
+def _unreachable_marginal_modes(plant: LtiPlant) -> list:
+    """The eigenvalues of A, each formatted once, whose modes no input can stabilise.
+
+    A mode at eigenvalue lam with |lam| >= 1 - 1e-12 counts: one closer to the
+    unit circle than that is marginal at double precision, and the LQR fixed
+    point contracts on it by |lam|^2 per iteration. It is unreachable when the
+    smallest singular value of [A - lam I, B] is at most 1e-12 times the
+    largest (the PBH rank test).
+    """
+    found = []
+    for lam in np.linalg.eigvals(plant.A):
+        if abs(lam) < 1.0 - 1e-12:
+            continue
+        sv = np.linalg.svd(np.hstack([plant.A - lam * np.eye(plant.n), plant.B]),
+                           compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            found.append(f"{lam.real:.6g}" if lam.imag == 0 else f"{lam:.6g}")
+    return list(dict.fromkeys(found))
+
+
 def _validate_plant(spec, problems: list) -> tuple:
     """The plant spec with ``ts`` and the UGV's noise variances filled in, and its sizes.
 
@@ -315,6 +335,13 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
                             f"{key.split('_')[0]}, got {len(weights)}")
         elif "K" not in controller_spec and weights:
             _check_psd(np.diag(weights), f"controller.{key}", f"diag({key})", problems)
+    if not problems and "K" not in controller_spec:  # the LQR design must reach every such mode
+        # outside a try, as above: a ZOH overflow is a runtime error
+        modes = _unreachable_marginal_modes(build_plant(plant_spec))
+        if modes:
+            problems.append(f"plant: the inputs cannot reach the mode(s) of A at eigenvalue(s) "
+                            f"{', '.join(modes)}, on or within 1e-12 of the unit circle, so "
+                            "no LQR gain stabilises the plant")
 
     monitors = _section(raw, "monitors", _MONITOR_KEYS, problems)
     window = monitors.get("window", DEFAULT_WINDOW)

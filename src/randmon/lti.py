@@ -24,18 +24,23 @@ Stepping
 --------
 :func:`simulate` (one run) and ``deviation.run_attack_ensemble`` (many
 seeded runs) both call :func:`_lockstep`, which advances every run together.
-The states of all runs are held as ``(runs, n, 1)`` column stacks, so each
-product of the recursions above is one stacked ``@`` call; numpy computes it
-as one matrix-vector product per run, with the same bits as the per-run
-``A @ x``. Each run's noise is drawn and coloured ``CHUNK`` steps at a time
-(:meth:`NoiseSource.block`), from the same Philox stream as per-step
-:meth:`NoiseSource.draw` calls. The kernel calls its attack once per step
-for all runs, with the step index and the runs' stacked e, eta and previous
-residuals, and takes every run's attack back: an ensemble's attack is one
-policy joined from the runs' own. :func:`simulate` hands its attack one run's
-vectors, as :func:`step` does. :func:`step` is the same recursion one run and
-one step at a time, starting from ``state=None`` at the zero start; it is the
-reference the kernel is tested against.
+Each run's x and xhat are held side by side in one ``(runs, 2, n, 1)`` column
+stack z, so ``A @ z`` and ``C @ z`` are one stacked call each; numpy computes
+every stacked product as one matrix-vector product per run and per vector,
+with the same bits as the per-run ``A @ x``. The products and the input are
+written into buffers allocated once (``out=``), recorded residuals straight
+into their record rows, and each step's process noise sits beside
+``L @ r_prev``, so both state updates are two in-place adds in the float
+order of the recursions above. Each run's noise is drawn and coloured
+``CHUNK`` steps at a time (:meth:`NoiseSource.block`), from the same Philox
+stream as per-step :meth:`NoiseSource.draw` calls. The kernel calls its
+attack once per step for all runs, with the step index and the runs' stacked
+e, eta and previous residuals, and takes every run's attack back: an
+ensemble's attack is one policy joined from the runs' own. Nothing it hands
+an attack is written again, so an attack may keep it. :func:`simulate` hands
+its attack one run's vectors, as :func:`step` does. :func:`step` is the same
+recursion one run and one step at a time, starting from ``state=None`` at the
+zero start; it is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -156,7 +161,29 @@ class KalmanSteadyState:
     sigma: Array
 
 
+#: The Riccati solutions of this process, by the key of :func:`_riccati_fixed_point`.
+_riccati_solutions: dict = {}
+
+
 def _riccati_fixed_point(A, C, Q, R):
+    """The fixed point of P -> A P A' - A P C' (R + C P C')^-1 C P A' + Q, from P0 = Q.
+
+    Memoised per process, so that set-up repeated in one process (a tune
+    before a run, a seed loop, the cells of a sweep worker) iterates each
+    distinct equation once. The key is each input's dtype, shape, strides and
+    bytes, so only inputs whose iteration gives the same bits share a solve.
+    A miss runs :func:`_riccati_iterate` on the caller's own arrays; every
+    call returns a fresh copy, so a caller may change what it gets. An error
+    is raised again on every call and never stored.
+    """
+    key = tuple((M.dtype.str, M.shape, M.strides, M.tobytes()) for M in (A, C, Q, R))
+    P = _riccati_solutions.get(key)
+    if P is None:
+        P = _riccati_solutions[key] = _riccati_iterate(A, C, Q, R)
+    return P.copy()
+
+
+def _riccati_iterate(A, C, Q, R):
     """Iterate P -> A P A' - A P C' (R + C P C')^-1 C P A' + Q from P0 = Q.
 
     ``@`` groups left to right, so ``C P`` and ``A P`` are each formed once per
@@ -197,8 +224,11 @@ def solve_dare(plant: LtiPlant) -> KalmanSteadyState:
     L = A P C^T (R + C P C^T)^-1, the residual covariance Sigma and the
     per-sensor residual standard deviations.
 
+    P comes from :func:`_riccati_fixed_point`, so a plant equal to one already
+    solved in this process (same A, C, Q, R bytes and layout) is not iterated
+    again; the rest is recomputed on every call, and nothing returned is shared.
     Raises ``NonConvergence`` if the iteration cap is reached and
-    ``SingularInnovation`` if R + C P C^T is numerically singular.
+    ``SingularInnovation`` if R + C P C^T is numerically singular, on every call.
     """
     A, C, Q, R = plant.A, plant.C, plant.Q, plant.R
     P = _riccati_fixed_point(A, C, Q, R)
@@ -217,7 +247,8 @@ def lqr_gain(A, B, Qx, Ru) -> Array:
     """State-feedback gain K with u = K x such that A + B K is stable.
 
     Solves the control Riccati equation through the same fixed-point kernel
-    (it is the filter equation applied to the transposed system).
+    (it is the filter equation applied to the transposed system), so equal
+    inputs are iterated once per process; each call returns a fresh K.
     """
     A = _matrix(A, "A")
     B = _matrix(B, "B")
@@ -424,47 +455,64 @@ def _lockstep(
     ``attack(k, e, eta, r_prev)`` with the runs' stacked e (runs, n), eta
     (runs, s) and previous residuals (runs, s) (None at step 0), and returns
     their attacks as one float array (runs, s); row j acts for run j alone,
-    and only the shape is checked. Returns
-    ``{name: (runs, horizon, dim)}`` for each name in ``record`` (among x,
-    xhat, r, xi). Every product, sum and draw is the one :func:`step` makes,
-    in the same order, so each run is bit-equal to stepping it alone.
+    and only the shape is checked. None of the arrays it is handed is written
+    again. Returns ``{name: (runs, horizon, dim)}`` for each name in
+    ``record`` (among x, xhat, r, xi); each step writes its rows straight
+    into them, and a residual history is kept only when ``r`` is recorded.
+    Every product, sum and draw is the one :func:`step` makes, in the same
+    order, so each run is bit-equal to stepping it alone.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
     runs, n, s = len(noises), plant.n, plant.s
     A, B, C, L = plant.A, plant.B, plant.C, kss.L
     dims = {"x": n, "xhat": n, "r": s, "xi": s}
-    out = {name: np.empty((runs, horizon, dims[name])) for name in record}
-    nu = np.zeros((runs, CHUNK, n, 1))
-    eta = np.zeros((runs, CHUNK, s, 1))
+    out = {name: np.zeros((runs, horizon, dims[name])) for name in record}  # xi stays 0 unattacked
+    rec_x, rec_xhat, rec_r, rec_xi = (out.get(name) for name in ("x", "xhat", "r", "xi"))
+    z = np.zeros((runs, 2, n, 1))      # x, then xhat, of every run
+    az = np.empty_like(z)              # A @ z, which becomes the next z
+    cz = np.empty((runs, 2, s, 1))     # C @ z
+    cx, cxhat = cz[:, 0], cz[:, 1]
+    u = np.empty((runs, K.shape[0], 1))
+    drive = np.empty((runs, 1, n, 1))  # B @ u, added to both halves of A @ z
+    bu = drive[:, 0]
+    forcing = np.zeros((CHUNK, runs, 2, n, 1))  # each step's nu beside L @ r_prev
     xi = np.zeros((runs, s, 1))
-    x = np.zeros((runs, n, 1))
-    xhat = x.copy()
-    r = r_prev = None
+    r_prev = None
     for k in range(horizon):
         i = k % CHUNK
         if i == 0:
             rows = min(CHUNK, horizon - k)
+            eta = np.zeros((rows, runs, s, 1))  # new each chunk: an attack may keep its rows
             for j, noise in enumerate(noises):
                 if noise is not None:
-                    nu[j, :rows], eta[j, :rows] = noise.block(rows, initial=k == 0)
+                    forcing[:rows, j, 0], eta[:, j] = noise.block(rows, initial=k == 0)
         if k > 0:
-            u = K @ xhat
-            drive = B @ u
-            x = A @ x + drive + nu[:, i]
-            xhat = A @ xhat + drive + L @ r
-        e = x - xhat
+            np.matmul(L, r, out=forcing[i, :, 1])
+            np.matmul(K, z[:, 1], out=u)
+            np.matmul(B, u, out=bu)
+            np.matmul(A, z, out=az)
+            az += drive
+            az += forcing[i]
+            z, az = az, z
         if attack is not None:
-            xi = attack(k, e[:, :, 0], eta[:, i, :, 0], r_prev)
+            xi = attack(k, z[:, 0, :, 0] - z[:, 1, :, 0], eta[i, :, :, 0], r_prev)
             if xi.shape != (runs, s):
                 raise InvalidParameter(
                     f"attack signal must have shape ({runs}, {s}), got {xi.shape}")
+            if rec_xi is not None:
+                rec_xi[:, k] = xi
             xi = xi[:, :, None]
-        r = C @ x + eta[:, i] + xi - C @ xhat
+        np.matmul(C, z, out=cz)
+        r = np.empty((runs, s, 1)) if rec_r is None else rec_r[:, k, :, None]
+        np.add(cx, eta[i], out=r)
+        r += xi  # also a zero xi, as in step: it turns a -0.0 sum into +0.0
+        r -= cxhat
         r_prev = r[:, :, 0]
-        state = {"x": x, "xhat": xhat, "r": r, "xi": xi}
-        for name, rec in out.items():
-            rec[:, k] = state[name][:, :, 0]
+        if rec_x is not None:
+            rec_x[:, k] = z[:, 0, :, 0]
+        if rec_xhat is not None:
+            rec_xhat[:, k] = z[:, 1, :, 0]
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import randmon.lti
 from randmon.config import UGV_DEFAULT_Q, UGV_DEFAULT_R
 from randmon.lti import LtiPlant, UgvParams, discretize_ugv, make_controller, solve_dare
 
@@ -41,3 +42,12 @@ def stable_kss(stable_plant):
 @pytest.fixture(scope="session")
 def stable_gains(stable_plant):
     return make_controller(stable_plant)
+
+
+@pytest.fixture
+def riccati_iterations(monkeypatch):
+    """The inputs of every full Riccati iteration from here on, counted from an empty memo."""
+    calls, iterate = [], randmon.lti._riccati_iterate
+    monkeypatch.setattr(randmon.lti, "_riccati_solutions", {})
+    monkeypatch.setattr(randmon.lti, "_riccati_iterate", lambda *a: calls.append(a) or iterate(*a))
+    return calls

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -529,6 +530,25 @@ def test_set_up_solves_each_riccati_equation_once(monkeypatch):
     assert solves(lti.LtiPlant, [[0.5]], [[1.0]], [[1.0]], [[1.0]], [[1.0]]) == 0
 
 
+def test_run_after_tune_iterates_no_riccati_equation(riccati_iterations):
+    # the benchmark's W1 order: load, design the controller and tune, then run
+    cfg = load_config_dict({**BASE, "horizon": 300})
+    make_controller(build_plant(cfg.plant_spec))
+    tuned_thresholds(cfg)
+    assert len(riccati_iterations) == 2
+    riccati_iterations.clear()
+    run_scenario(cfg)
+    assert riccati_iterations == []
+
+
+def test_sweep_iterates_each_riccati_equation_once(riccati_iterations):
+    cells = run_sweep({**BASE, "horizon": 300}, [0.05], ["none", "bias_concentrate",
+                                                         "pattern_runs"], workers=1)
+    assert len(cells) == 3
+    # the filter equation (A, C, Q, R), then the control equation (A', B', Qx, Ru)
+    assert [call[1].shape for call in riccati_iterations] == [(3, 3), (2, 3)]
+
+
 def test_cusum_tuning_cache_tells_tiny_sigmas_apart(monkeypatch):
     # Both residual sigmas are below 5e-16, so they agree to 15 decimals.
     harness._tuned_cusum_tau.cache_clear()
@@ -627,6 +647,23 @@ def test_cli_unstable_explicit_gain_is_a_config_error(tmp_path, monkeypatch, cap
         message = f"controller.K: closed loop unstable: rho(A + BK) = {rho} >= 1"
         _exits_2_before_any_work(raw, ("run", "tune", "sweep"), message, tmp_path, monkeypatch,
                                  capsys)
+
+
+@pytest.mark.parametrize("mass", [1e12, 1e308])
+def test_cli_lqr_plant_with_an_unreachable_marginal_mode_is_a_config_error(
+        mass, tmp_path, monkeypatch, capsys):
+    # The ZOH leaves the velocity mode at |lambda| >= 1 - 1e-12 with B[0] ~ ts / mass: the
+    # LQR iteration used to run its whole budget (about 4 s) and exit 3.
+    raw = {**BASE, "plant": {"preset": "ugv", "params": {"mass": mass}}}
+    message = ("plant: the inputs cannot reach the mode(s) of A at eigenvalue(s) 1, on or "
+               "within 1e-12 of the unit circle, so no LQR gain stabilises the plant")
+    start = time.perf_counter()
+    _exits_2_before_any_work(raw, ("run", "tune"), message, tmp_path, monkeypatch, capsys)
+    assert time.perf_counter() - start < 1.0
+    for reachable in (10.0, 1e6):
+        load_config_dict({**raw, "plant": {"preset": "ugv", "params": {"mass": reachable}}})
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_config_dict(read_config(path))
 
 
 @pytest.mark.parametrize("kind", ["cusum", "both"])

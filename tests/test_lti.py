@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import randmon.deviation
 import randmon.lti
 from randmon.errors import InvalidParameter, NonConvergence, RandmonError
 from randmon.attacks import (ATTACK_KINDS, ATTACK_PARAMS, AttackPlan, AttackPolicy,
-                             CompositeAttack, build_attack_policy)
+                             CompositeAttack, build_attack_policy, stack)
 from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from randmon.deviation import run_attack_ensemble
 from randmon.lti import (
@@ -139,6 +140,52 @@ def test_riccati_shared_products_match_reference(equation, ugv_plant, stable_pla
         args = (plant.A, plant.C, plant.Q, plant.R)
     got = _riccati_fixed_point(*args)
     assert got.tobytes() == riccati_reference(*args).tobytes()
+
+
+def test_riccati_memo_iterates_equal_inputs_once(riccati_iterations, ugv_plant):
+    args = (ugv_plant.A, ugv_plant.C, ugv_plant.Q, ugv_plant.R)
+    first = _riccati_fixed_point(*args)
+    twin = discretize_ugv(UgvParams(), ugv_plant.ts, ugv_plant.Q, ugv_plant.R)
+    assert twin.A is not ugv_plant.A and twin.A.strides == ugv_plant.A.strides
+    again = _riccati_fixed_point(twin.A, twin.C, twin.Q, twin.R)
+    assert len(riccati_iterations) == 1
+    assert riccati_iterations[0][0] is ugv_plant.A  # a miss runs on the caller's arrays
+    assert again is not first
+    assert again.tobytes() == first.tobytes() == riccati_reference(*args).tobytes()
+
+
+def test_riccati_memo_hands_out_copies(riccati_iterations, ugv_plant):
+    kss, K = solve_dare(ugv_plant), make_controller(ugv_plant)
+    P = _riccati_fixed_point(ugv_plant.A, ugv_plant.C, ugv_plant.Q, ugv_plant.R)
+    want = [M.tobytes() for M in (kss.P, kss.L, K, P)]
+    for M in (kss.P, kss.L, K, P):
+        M[...] = np.nan
+    kss, K = solve_dare(ugv_plant), make_controller(ugv_plant)
+    P = _riccati_fixed_point(ugv_plant.A, ugv_plant.C, ugv_plant.Q, ugv_plant.R)
+    assert [M.tobytes() for M in (kss.P, kss.L, K, P)] == want
+    assert len(riccati_iterations) == 2  # the filter and the control equation, once each
+
+
+def test_riccati_memo_iterates_again_for_another_value_or_layout(riccati_iterations,
+                                                                  ugv_plant):
+    A, C, Q, R = ugv_plant.A, ugv_plant.C, ugv_plant.Q, ugv_plant.R
+    nudged = A.copy()
+    nudged[2, 2] = np.nextafter(nudged[2, 2], 0.0)
+    fortran = np.asfortranarray(A)
+    assert fortran.tobytes() == A.tobytes() and fortran.strides != A.strides
+    for first in (A, nudged, fortran, A):
+        _riccati_fixed_point(first, C, Q, R)
+    assert [id(call[0]) for call in riccati_iterations] == [id(A), id(nudged), id(fortran)]
+
+
+def test_riccati_memo_raises_again_on_retry(riccati_iterations):
+    # an unstable mode the sensor cannot see: the iteration diverges
+    args = (np.array([[1.2, 0.0], [0.0, 0.5]]), np.array([[0.0, 1.0]]), np.eye(2) * 0.1,
+            np.array([[0.1]]))
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            _riccati_fixed_point(*args)
+    assert len(riccati_iterations) == 2
 
 
 # --- spectral radius ------------------------------------------------------------------
@@ -524,6 +571,52 @@ def test_lockstep_ensemble_of_composites_matches_per_run_reference(mixing_cusum)
 
     for n_runs in (12, 1):
         assert_ensemble_matches_per_run_reference(MIXING_PLANT, factory, mixing_cusum, n_runs)
+
+
+class KeepingAttack:
+    """An attack that keeps every array it is handed, beside a copy taken when handed."""
+
+    def __init__(self, attack):
+        self.attack, self.kept = attack, []
+
+    def __call__(self, k, e, eta, r_prev):
+        self.kept.append([(a, a.copy()) for a in (e, eta, r_prev) if a is not None])
+        return self.attack(k, e, eta, r_prev)
+
+    def assert_unchanged(self):
+        for k, handed in enumerate(self.kept):
+            for kept, copy in handed:
+                assert kept.tobytes() == copy.tobytes(), f"step {k}"
+
+
+def test_lockstep_never_rewrites_what_it_hands_an_attack(monkeypatch, ugv_plant, ugv_kss,
+                                                         ugv_gains, stable_plant, stable_kss,
+                                                         stable_gains):
+    horizon = 2 * CHUNK + 10  # past two noise chunks
+    attack = KeepingAttack(attacked_loop(ugv_plant, ugv_kss, "worst_case_cusum_randaware"))
+    got = simulate(ugv_plant, ugv_kss, ugv_gains, NoiseSource(ugv_plant.Q, ugv_plant.R, 6),
+                   horizon, attack=attack)
+    attack.assert_unchanged()
+    assert len(attack.kept) == horizon
+    for k, (e, eta, *r_prev) in enumerate(attack.kept):
+        assert e[0].tobytes() == (got["x"][k] - got["xhat"][k]).tobytes()
+        assert [r[0].tobytes() for r in r_prev] == [got["r"][k - 1].tobytes()] * (k > 0)
+
+    kept = []
+    monkeypatch.setattr(randmon.deviation, "stack",
+                        lambda runs: kept.append(KeepingAttack(stack(runs))) or kept[-1])
+
+    def factory(j):
+        plan = AttackPlan(kind="worst_case_cusum", sensors=(0,), start=20, stop=horizon)
+        return build_attack_policy(plan, 1, stable_plant.C, stable_kss.sigma,
+                                   cusum=CusumDetector(tau=4.0 * stable_kss.sigma,
+                                                       bias=1.5 * stable_kss.sigma), seed=j)
+
+    run_attack_ensemble(stable_plant, stable_kss, stable_gains, factory, n_runs=3,
+                        horizon=horizon)
+    kept[0].assert_unchanged()
+    assert len(kept[0].kept) == horizon
+    assert [array.shape for array, _ in kept[0].kept[1]] == [(3, 2), (3, 1), (3, 1)]
 
 
 def test_simulate_hands_a_policy_one_runs_vectors(monkeypatch, ugv_plant, ugv_kss, ugv_gains):
