@@ -16,6 +16,8 @@ is handed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -33,25 +35,26 @@ THRESHOLD_MARGIN = 1e-12
 #: and epsilon: summed over ``config.MAX_HORIZON`` steps, 1e150 stays finite.
 MAX_ATTACK_MAGNITUDE = 1e150
 
-#: attack kind -> the ``AttackPlan.params`` keys its policy reads
+#: attack kind -> {each ``params`` key its policy reads: its default, (multiple, "sigma"|"tau_b")}
 ATTACK_PARAMS = {
-    "none": (),
-    "bias_concentrate": ("mu_a", "sigma_a"),
-    "pattern_runs": ("amplitude",),
-    "symmetric_flood": ("amplitude", "jitter"),
-    "worst_case_bdd": (),
-    "worst_case_cusum": (),
-    "worst_case_bdd_randaware": ("epsilon",),
-    "worst_case_cusum_randaware": ("epsilon",),
+    "none": {},
+    "bias_concentrate": {"mu_a": (0.4, "tau_b"), "sigma_a": (0.2, "sigma")},
+    "pattern_runs": {"amplitude": (0.3, "sigma")},
+    "symmetric_flood": {"amplitude": (4.0, "sigma"), "jitter": (0.2, "sigma")},
+    "worst_case_bdd": {},
+    "worst_case_cusum": {},
+    "worst_case_bdd_randaware": {"epsilon": (1e-6, "sigma")},
+    "worst_case_cusum_randaware": {"epsilon": (1e-6, "sigma")},
 }
 ATTACK_KINDS = tuple(ATTACK_PARAMS)
 
-#: attack parameters that are a spread or a margin (a draw's standard deviation, the
-#: dither below zero), so never negative
-_NONNEGATIVE_ATTACK_PARAMS = ("sigma_a", "epsilon")
-
 #: smallest monitoring window a saturation budget is computed for
 MIN_BUDGET_WINDOW = 20
+
+
+def _short_window(ell: int) -> str:  # what a window lacks for a saturation budget, or ""
+    short = ell < MIN_BUDGET_WINDOW
+    return f"needs a window of at least {MIN_BUDGET_WINDOW}, got {ell}" if short else ""
 
 
 @dataclass
@@ -80,8 +83,8 @@ def saturation_budget(ell: int, alpha_des: float) -> SaturationBudget:
     smallest gamma whose rank sum clears the lower signed-rank bound; as the
     window grows, beta/ell converges to 1 - sqrt(2)/2.
     """
-    if ell < MIN_BUDGET_WINDOW:
-        raise InvalidParameter(f"budget needs a window of at least {MIN_BUDGET_WINDOW}, got {ell}")
+    if _short_window(ell):
+        raise InvalidParameter(f"budget {_short_window(ell)}")
     omega_minus, _ = wsr_bounds(ell, alpha_des)
     # omega_minus <= ell(ell+1)/4 < ell(ell+1)/2, so gamma = ell always clears it
     gamma = next(g for g in range(1, ell + 1) if g * (g + 1) // 2 > omega_minus)
@@ -200,22 +203,38 @@ def _no_signal(p, k, ce, eta, i):
 
 
 def _bias_concentrate(p, k, ce, eta, i):
+    # The residual becomes N(mu_a, sigma_a^2) draws: a shifted, tighter normal that
+    # skews the sign/magnitude balance the symmetry monitor watches while staying
+    # inside the bad-data threshold.
     mu, sd = p.consts
     return _each_run(p, np.random.Generator.normal, mu[i], sd[i]) - ce - eta
 
 
 def _pattern_runs(p, k, ce, eta, i):
+    # A zero-centered sawtooth (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose differences are
+    # +a, +a, +a, -3a: a fixed {+, +, +, -} sign pattern. The window is symmetric
+    # (quiet for the symmetry monitor) and small (quiet for the boundary detectors)
+    # but has far too few runs.
     (amp,) = p.consts
     return (-1.5, -0.5, 0.5, 1.5)[(k - p.plan.start) % 4] * amp[i] - ce - eta
 
 
 def _symmetric_flood(p, k, ce, eta, i):
+    # Large residuals with random signs and jittered magnitudes: sign-symmetric and
+    # serially random, so both randomness monitors stay quiet, while |r| far above
+    # the detector bias drives the CUSUM over its threshold.
     amp, jitter = p.consts
 
     def flood(rng):
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return sign * (amp[i] + jitter[i] * rng.random())
     return _each_run(p, flood) - ce - eta
+
+
+#: scripted kind -> its signal, which leaves ``target - ce - eta`` and reads the kind's
+#: params in :data:`ATTACK_PARAMS` order
+_SCRIPTED = {"none": _no_signal, "bias_concentrate": _bias_concentrate,
+             "pattern_runs": _pattern_runs, "symmetric_flood": _symmetric_flood}
 
 
 def _worst_case(p, k, ce, eta, i):
@@ -237,6 +256,72 @@ def _worst_case(p, k, ce, eta, i):
     return v - _each_run(p, np.random.Generator.uniform, 0.0, eps[i])
 
 
+def _numbers(value, n_sensors: Optional[int]) -> Optional[np.ndarray]:
+    """``value`` as floats if it is a finite number or one per sensor (no bool), else None."""
+    cells = np.asarray(value, dtype=object)  # numpy arrays and scalars, lists, numbers
+    try:  # a list of any length when n_sensors is None; isfinite of a huge int overflows
+        ok = cells.ndim == 0 or cells.shape == (n_sensors or cells.size,)
+        return cells.astype(float) if ok and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            for v in cells.flat) else None
+    except OverflowError:
+        return None
+
+
+def check_plan(plan: AttackPlan, n_sensors: Optional[int], *, ell: Optional[int],
+               has_cusum: bool, sigma=None, tau_b=None) -> tuple:
+    """``(problems, params)``: every problem of ``plan`` and, if it has none, its params.
+
+    A problem is ``(field, key, text)``: its path in the plan (``".kind"``,
+    ``".sensors"``, ``".params"``, ``".params.<key>"``, or ``""`` for a stealth
+    bound), the ``params`` key it names or None, and what is wrong. ``n_sensors``
+    or ``ell`` None skips its check. Only given ``sigma`` and ``tau_b`` (the residual
+    deviations and bad-data thresholds) is a plan with no other problem held to its
+    kind's bound, at the first attacked sensor that breaks it, and ``params`` given:
+    each key's (n_sensors,) values, defaults filled in.
+    """
+    kind, problems, given = plan.kind, [], {}
+    if kind.startswith("worst_case_cusum") and not has_cusum:
+        problems.append((".kind", None, f"{kind} needs a tuned CUSUM detector"))
+    if kind.endswith("_randaware") and ell is not None and _short_window(ell):
+        problems.append((".kind", None, f"{kind} {_short_window(ell)}"))
+    problems += [(".sensors", None, f"sensor index {i} outside 0..{n_sensors - 1}")
+                 for i in plan.sensors if n_sensors is not None and not 0 <= i < n_sensors]
+    for key, value in plan.params.items():
+        if key not in ATTACK_PARAMS[kind]:
+            problems.append((".params", key, f"unknown key {key!r} for {kind}; got {value!r}"))
+        elif value is not None:  # None takes the default
+            given[key] = _numbers(value, n_sensors)
+            if given[key] is None:
+                problems.append((f".params.{key}", key,
+                                 f"must be a finite number or one per sensor; got {value!r}"))
+            elif key in ("sigma_a", "epsilon") and (given[key] < 0).any():  # a spread, a margin
+                problems.append((f".params.{key}", key, f"must be >= 0; got {value!r}"))
+    if problems or sigma is None:
+        return problems, None
+
+    params = {key: (given[key] if key in given else scale * {"sigma": sigma, "tau_b": tau_b}[base])
+              * np.ones(n_sensors) for key, (scale, base) in ATTACK_PARAMS[kind].items()}
+    for i in plan.sensors:
+        p = {k: float(v[i]) for k, v in params.items()}  # floats overflow to inf, not a warning
+        if kind == "bias_concentrate" and p["sigma_a"] >= sigma[i]:
+            text = "sigma_a must be below the natural residual deviation"
+        elif kind == "bias_concentrate" and (top := abs(p["mu_a"]) + 3.0 * p["sigma_a"]) > tau_b[i]:
+            text = ("bias_concentrate draws would cross the bad-data threshold: "
+                    f"|mu_a| + 3 sigma_a = {top:.6g} > {tau_b[i]:.6g}")
+        elif kind == "pattern_runs" and 1.5 * abs(p["amplitude"]) > tau_b[i]:
+            text = f"pattern amplitude {p['amplitude']:.6g} exceeds the bad-data bound"
+        elif kind == "symmetric_flood" and (abs(p["amplitude"]) + abs(p["jitter"])
+                                            > MAX_ATTACK_MAGNITUDE):
+            text = f"|amplitude| + |jitter| exceeds {MAX_ATTACK_MAGNITUDE:g}"
+        elif kind.endswith("_randaware") and abs(p["epsilon"]) > MAX_ATTACK_MAGNITUDE:
+            text = f"epsilon exceeds {MAX_ATTACK_MAGNITUDE:g}"
+        else:
+            continue
+        return [("", None, text)], None
+    return [], params
+
+
 def build_attack_policy(
     plan: AttackPlan,
     n_sensors: int,
@@ -252,10 +337,8 @@ def build_attack_policy(
     """Instantiate the policy for a plan against the configured detectors.
 
     ``c_rows`` is the plant output matrix (one row per sensor); ``sigma`` the
-    per-sensor residual standard deviations. A missing or None parameter takes
-    its default; any other must be one finite number or one per sensor, >= 0
-    for a spread (:data:`_NONNEGATIVE_ATTACK_PARAMS`), and flood and dither
-    sizes above :data:`MAX_ATTACK_MAGNITUDE` are rejected. The CUSUM kinds
+    per-sensor residual standard deviations. The first problem :func:`check_plan`
+    finds is raised as ``InvalidParameter``, led by the key it names. The CUSUM kinds
     step a copy of the tuned ``cusum`` (tau, bias and S); the bad-data kinds
     and the scripted stealth bounds use the bad-data threshold, derived from
     alpha_des when no detector is given. A scripted kind leaves
@@ -270,70 +353,14 @@ def build_attack_policy(
     tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau
     tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
     kind = plan.kind
-    if kind.startswith("worst_case_cusum") and cusum is None:
-        raise InvalidParameter(f"{kind} requires a tuned CUSUM detector")
-    for i in plan.sensors:
-        if not 0 <= i < n_sensors:
-            raise InvalidParameter(f"sensor index {i} outside 0..{n_sensors - 1}")
+    problems, params = check_plan(plan, n_sensors, ell=ell, has_cusum=cusum is not None,
+                                  sigma=sigma, tau_b=tau_b)
+    if problems:
+        _, key, text = problems[0]
+        raise InvalidParameter(f"{key}: {text}" if key else text)
 
-    def param(key, default):  # one value per sensor; None means the default
-        value = plan.params.get(key)
-        if value is None:
-            return np.asarray(default, dtype=float) * np.ones(n_sensors)
-        try:
-            values = np.asarray(value, dtype=float)
-            ok = values.shape in ((), (n_sensors,)) and np.isfinite(values).all()
-        except (TypeError, ValueError, OverflowError):  # not numbers, or a ragged list
-            ok = False
-        if not ok:
-            raise InvalidParameter(f"{key}: must be a finite number or one per sensor; "
-                                   f"got {value!r}")
-        if key in _NONNEGATIVE_ATTACK_PARAMS and (values < 0).any():
-            raise InvalidParameter(f"{key}: must be >= 0; got {value!r}")
-        return values * np.ones(n_sensors)
-
-    def bounded(name, size):  # size(i) sums Python floats: overflow is inf, not a warning
-        if any(size(i) > MAX_ATTACK_MAGNITUDE for i in plan.sensors):
-            raise InvalidParameter(f"{name} exceeds {MAX_ATTACK_MAGNITUDE:g}")
-
-    def scripted(signal, *consts):  # a scripted kind's signal leaves target - ce - eta
-        return AttackPolicy(plan, c_rows, signal, consts, [rng])
-
-    if kind == "none":
-        return scripted(_no_signal)
-
-    if kind == "bias_concentrate":
-        # The residual becomes N(mu_a, sigma_a^2) draws: a shifted, tighter normal
-        # that skews the sign/magnitude balance the symmetry monitor watches while
-        # staying inside the bad-data threshold.
-        mu, sd = param("mu_a", 0.4 * tau_b), param("sigma_a", 0.2 * sigma)
-        for i in plan.sensors:
-            if sd[i] >= sigma[i]:
-                raise InvalidParameter("sigma_a must be below the natural residual deviation")
-            if abs(mu[i]) + 3.0 * sd[i] > tau_b[i]:
-                raise InvalidParameter(
-                    "bias_concentrate draws would cross the bad-data threshold: "
-                    f"|mu_a| + 3 sigma_a = {abs(mu[i]) + 3 * sd[i]:.6g} > {tau_b[i]:.6g}")
-        return scripted(_bias_concentrate, mu, sd)
-
-    if kind == "pattern_runs":
-        # A zero-centered sawtooth (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose
-        # differences are +a, +a, +a, -3a: a fixed {+, +, +, -} sign pattern. The
-        # window is symmetric (quiet for the symmetry monitor) and small (quiet for
-        # the boundary detectors) but has far too few runs.
-        amp = param("amplitude", 0.3 * sigma)
-        for i in plan.sensors:
-            if 1.5 * amp[i] > tau_b[i]:
-                raise InvalidParameter(f"pattern amplitude {amp[i]:.6g} exceeds the bad-data bound")
-        return scripted(_pattern_runs, amp)
-
-    if kind == "symmetric_flood":
-        # Large residuals with random signs and jittered magnitudes: sign-symmetric
-        # and serially random, so both randomness monitors stay quiet, while |r| far
-        # above the detector bias drives the CUSUM over its threshold.
-        amp, jitter = param("amplitude", 4.0 * sigma), param("jitter", 0.2 * sigma)
-        bounded("|amplitude| + |jitter|", lambda i: abs(float(amp[i])) + abs(float(jitter[i])))
-        return scripted(_symmetric_flood, amp, jitter)
+    if kind in _SCRIPTED:
+        return AttackPolicy(plan, c_rows, _SCRIPTED[kind], tuple(params.values()), [rng])
 
     # The worst-case kinds. Detector-only mode pins every residual just below the
     # bad-data threshold, or holds the CUSUM statistic S (of the policy's own copy,
@@ -347,8 +374,7 @@ def build_attack_policy(
     if kind.endswith("_randaware"):
         budget = saturation_budget(ell, alpha_des)
         schedule = schedule_saturation(budget, rng)
-        eps = param("epsilon", 1e-6 * sigma)
-        bounded("epsilon", lambda i: abs(float(eps[i])))
+        eps = params["epsilon"]
     if kind.startswith("worst_case_bdd"):
         pinned = (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = tau_b if schedule is None else tau_b * budget.ratio

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import (_NONNEGATIVE_ATTACK_PARAMS, ATTACK_KINDS, ATTACK_PARAMS,
-                      MIN_BUDGET_WINDOW, AttackPlan)
-from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR
+from .attacks import ATTACK_KINDS, AttackPlan, check_plan
+from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR, tune_bdd
 from .errors import InvalidParameter, ValidationError
-from .lti import LtiPlant, UgvParams, _check_covariance, discretize_ugv, make_controller
+from .lti import (LtiPlant, UgvParams, _check_covariance, discretize_ugv, make_controller,
+                  solve_dare)
 
 SCHEMA_VERSION = 1
 
@@ -132,26 +132,6 @@ def _finite_array(value) -> bool:
     if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
         return len(set(map(len, value))) == 1 and all(map(_finite_list, value))
     return _finite_list(value if isinstance(value, list) else [value])
-
-
-def _validate_attack_params(params: dict, kind: str, n_sensors, where: str, problems: list):
-    """Known keys only; each value a finite number or one finite number per sensor.
-
-    A spread or margin (``_NONNEGATIVE_ATTACK_PARAMS``) must also be >= 0.
-    """
-    _reject_unknown(params, set(ATTACK_PARAMS[kind]), where, problems)
-    for key in [k for k in params if k in ATTACK_PARAMS[kind]]:
-        value = params[key]
-        values = value if isinstance(value, list) else [value]
-        if isinstance(value, list):
-            ok = n_sensors in (None, len(value)) and _finite_list(value)
-        else:
-            ok = _finite_number(value)
-        if not ok:
-            problems.append(f"{where}.{key}: must be a finite number or a list of finite "
-                            f"numbers, one per sensor; got {value!r}")
-        elif key in _NONNEGATIVE_ATTACK_PARAMS and any(v < 0 for v in values):
-            problems.append(f"{where}.{key}: must be >= 0; got {value!r}")
 
 
 def _check_psd(matrix, where: str, name: str, problems: list) -> None:
@@ -293,7 +273,9 @@ def _validate_alpha(value, where: str, problems: list) -> bool:
 def load_config_dict(raw: dict) -> ScenarioConfig:
     """Validate a parsed config mapping and fill defaults.
 
-    Raises ``ValidationError`` listing every violated invariant.
+    Raises ``ValidationError`` listing every violated invariant. The plant is
+    built once, when nothing else is wrong; with attack plans its filter is
+    solved too, and each plan held to its stealth bound (``attacks.check_plan``).
     """
     problems: list[str] = []
     if not isinstance(raw, dict):
@@ -336,8 +318,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         elif "K" not in controller_spec and weights:
             _check_psd(np.diag(weights), f"controller.{key}", f"diag({key})", problems)
     if not problems and "K" not in controller_spec:  # the LQR design must reach every such mode
-        # outside a try, as above: a ZOH overflow is a runtime error
-        modes = _unreachable_marginal_modes(build_plant(plant_spec))
+        modes = _unreachable_marginal_modes(plant := build_plant(plant_spec))  # no try, as above
         if modes:
             problems.append(f"plant: the inputs cannot reach the mode(s) of A at eigenvalue(s) "
                             f"{', '.join(modes)}, on or within 1e-12 of the unit circle, so "
@@ -409,7 +390,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         problems.append("seed: must be a nonnegative integer")
 
     attacks_raw = raw.get("attacks", [])
-    plans: list[AttackPlan] = []
+    plans: dict[int, AttackPlan] = {}  # by index in attacks
     if not isinstance(attacks_raw, list):
         problems.append("attacks: must be a list")
         attacks_raw = []
@@ -424,12 +405,6 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if kind not in ATTACK_KINDS:
             problems.append(f"{where}.kind: unknown kind {kind!r}")
             continue
-        if kind.startswith("worst_case_cusum") and detector_kind == "bdd":
-            problems.append(f"{where}.kind: {kind} needs a CUSUM detector, but "
-                            "detectors.kind is \"bdd\"")
-        if kind.endswith("_randaware") and _is_int(window) and window < MIN_BUDGET_WINDOW:
-            problems.append(f"{where}.kind: {kind} needs monitors.window >= "
-                            f"{MIN_BUDGET_WINDOW} for its saturation budget, got {window}")
         sensors = entry.get("sensors", [0])
         if not isinstance(sensors, list) or not all(map(_is_int, sensors)):
             problems.append(f"{where}.sensors: must be a list of integer indices")
@@ -437,10 +412,6 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if not sensors or len(set(sensors)) < len(sensors):
             problems.append(f"{where}.sensors: must name each attacked sensor once, got {sensors}")
             continue
-        if n_sensors is not None:
-            for i in sensors:
-                if not 0 <= i < n_sensors:
-                    problems.append(f"{where}.sensors: index {i} outside 0..{n_sensors - 1}")
         start = entry.get("start", 0)
         stop = entry.get("stop", horizon if _is_int(horizon) else 0)
         if not (_is_int(start) and _is_int(stop) and 0 <= start < stop):
@@ -450,7 +421,6 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if not isinstance(params, dict):
             problems.append(f"{where}.params: must be an object")
             continue
-        _validate_attack_params(params, kind, n_sensors, f"{where}.params", problems)
         for i in sensors:
             for other_start, other_stop, other_idx in per_sensor_windows.get(i, []):
                 if start < other_stop and other_start < stop:
@@ -459,9 +429,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
                         "replacement-style attacks must not overlap"
                     )
             per_sensor_windows.setdefault(i, []).append((start, stop, idx))
-        plans.append(
-            AttackPlan(kind=kind, sensors=tuple(sensors), start=start, stop=stop, params=params)
-        )
+        plans[idx] = AttackPlan(kind=kind, sensors=tuple(sensors), start=start, stop=stop,
+                                params=params)
 
     output = _section(raw, "output", _OUTPUT_KEYS, problems)
     output_dir = output.get("dir")
@@ -471,6 +440,18 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if output_format not in ("csv", "jsonl"):
         problems.append(f"output.format: must be csv or jsonl, got {output_format!r}")
 
+    def plan_problems(**bounds):  # attacks.check_plan's, each led by its plan and field
+        return [f"attacks[{idx}]{field}: {text}" for idx, plan in plans.items()
+                for field, _, text in check_plan(
+                    plan, n_sensors, ell=window if _is_int(window) else None,
+                    has_cusum=detector_kind != "bdd", **bounds)[0]]
+
+    problems += plan_problems()
+    if plans and not problems:  # so the plant is built
+        sigma = solve_dare(plant).sigma
+        # the bad-data threshold of the run's detector, or the one the policy derives
+        problems += plan_problems(sigma=sigma, tau_b=tune_bdd(
+            sigma, alpha_des["bdd" if detector_kind != "cusum" else "wsr"]))
     if problems:
         raise ValidationError(problems)
 
@@ -485,7 +466,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         bias_scale=float(bias_scale),
         tuning_samples=tuning_samples,
         tuning_seed=tuning_seed,
-        attacks=plans,
+        attacks=list(plans.values()),
         horizon=horizon,
         seed=seed,
         output_dir=output_dir,

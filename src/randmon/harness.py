@@ -90,8 +90,7 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
     """The plant, its steady-state filter, the detectors calibrated from it and the attacks.
 
     Returns ``(plant, kss, bdd, cusum, policies, noise_seed)``; a detector the
-    config disables is None. A plan whose parameters break its stealth bound
-    is a config error: every such plan is reported in one ``ValidationError``.
+    config disables is None. Load has checked each plan, its stealth bound included.
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
@@ -106,16 +105,9 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
 
     noise_seed, attack_root = np.random.SeedSequence(cfg.seed).spawn(2)
     attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
-    policies, problems = [], []
-    for j, plan in enumerate(cfg.attacks):
-        try:
-            policies.append(atk.build_attack_policy(
-                plan, plant.s, plant.C, kss.sigma, ell=cfg.window,
-                alpha_des=cfg.alpha_des["wsr"], bdd=bdd, cusum=cusum, seed=attack_seeds[j]))
-        except InvalidParameter as exc:
-            problems.append(f"attacks[{j}]: {exc}")
-    if problems:
-        raise ValidationError(problems)
+    policies = [atk.build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=cfg.window,
+                                        alpha_des=cfg.alpha_des["wsr"], bdd=bdd, cusum=cusum,
+                                        seed=seed) for plan, seed in zip(cfg.attacks, attack_seeds)]
     return plant, kss, bdd, cusum, policies, noise_seed
 
 

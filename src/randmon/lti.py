@@ -551,7 +551,7 @@ def zoh_discretize(Ac: Array, Bc: Array, ts: float):
     aug[:n, :n] = Ac
     aug[:n, n:] = Bc
     E = _expm(aug * ts)
-    return E[:n, :n], E[:n, n:]
+    return E[:n, :n].copy(), E[:n, n:].copy()  # contiguous: the Riccati memo keys by layout
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,8 @@ def test_none_policy_zero_vector(ugv_plant, ugv_kss):
     ("bias_concentrate", {"mu_a": 10.0, "sigma_a": 0.001}, "would cross the bad-data threshold"),
     ("bias_concentrate", {"sigma_a": 5.0}, "sigma_a must be below"),
     ("pattern_runs", {"amplitude": 5.0}, "exceeds the bad-data bound"),
-], ids=["mu_a-bound", "sigma_a-deviation", "pattern-amplitude"])
+    ("pattern_runs", {"amplitude": -5.0}, "pattern amplitude -5 exceeds the bad-data bound"),
+], ids=["mu_a-bound", "sigma_a-deviation", "pattern-amplitude", "negative-pattern-amplitude"])
 def test_bias_concentrate_rejects_threshold_violations(kind, params, message, ugv_plant, ugv_kss):
     plan = AttackPlan(kind=kind, sensors=(0,), params=params)
     with pytest.raises(InvalidParameter, match=message):
@@ -240,7 +241,11 @@ def test_null_param_means_default(kind, key, ugv_plant, ugv_kss):
     ("pattern_runs", "amplitude", math.nan, "must be a finite number or one per sensor"),
     ("bias_concentrate", "sigma_a", -0.1, "must be >= 0"),
     ("worst_case_bdd_randaware", "epsilon", -0.5, "must be >= 0"),
-], ids=["too-few", "text", "nan", "negative-sigma_a", "negative-epsilon"])
+    ("pattern_runs", "amplitude", True, "must be a finite number or one per sensor"),
+    ("pattern_runs", "amplitude", [0.1, False, 0.1], "must be a finite number or one per sensor"),
+    ("pattern_runs", "typo", 5, "unknown key 'typo' for pattern_runs"),
+], ids=["too-few", "text", "nan", "negative-sigma_a", "negative-epsilon", "bool", "bool-entry",
+        "unknown-key"])
 def test_bad_param_is_rejected_when_built(kind, key, value, message):
     """A parameter the policy could not use fails at build time, naming its key."""
     plan = AttackPlan(kind=kind, sensors=(0,), params={key: value})

@@ -5,15 +5,16 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randmon.config import (
     config_hash,
     load_config,
     load_config_dict,
 )
-from randmon.errors import ValidationError
+from randmon.errors import RandmonError, ValidationError
 
 MINIMAL = {"plant": {"preset": "ugv"}, "horizon": 1000, "seed": 1}
 
@@ -447,6 +448,23 @@ def test_stealth_bound_violations_are_one_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("run_*"))
 
 
+def test_stealth_bound_violation_is_rejected_at_load():
+    raw = {**MINIMAL, "attacks": [{"kind": "pattern_runs", "sensors": [0],
+                                   "params": {"amplitude": 5.0}}]}
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(raw)
+    assert err.value.problems == ["attacks[0]: pattern amplitude 5 exceeds the bad-data bound"]
+
+
+def test_null_attack_param_takes_its_default_at_load():
+    # as build_attack_policy takes it; a bool is no number, alone or in a list
+    load_config_dict(_attack(params={"mu_a": None, "sigma_a": None}))
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(_attack(params={"mu_a": [0.001, True, 0.001]}))
+    assert err.value.problems == [
+        "attacks[0].params.mu_a: must be a finite number or one per sensor; got [0.001, True, 0.001]"]
+
+
 def test_huge_sample_time_is_runtime_error_exit(tmp_path, capsys):
     from randmon.cli import main
 
@@ -469,7 +487,9 @@ OPTIONAL_FIELDS = (("plant", "ts"), ("plant", "params"), ("plant", "params", "ma
                    ("plant", "q_diag"), ("plant", "r_diag"), ("monitors", "alpha_tau"),
                    ("detectors", "tuning_seed"), ("controller",), ("controller", "K"),
                    ("controller", "state_weights"), ("controller", "input_weights"),
-                   ("attacks", 0, "params"))
+                   ("attacks", 0, "params"),
+                   *(("attacks", 0, "params", key)
+                     for key in ("mu_a", "sigma_a", "amplitude", "jitter", "epsilon")))
 #: fields that set the length of a run, left alone so each example stays short
 RUN_LENGTH = (("horizon",), ("monitors",), ("monitors", "window"), ("monitors", "rate_window"),
               ("detectors", "tuning_samples"))
@@ -503,20 +523,30 @@ FIELDS = {name: [path for path in (*_fields(raw), *OPTIONAL_FIELDS)
           for name, raw in SHIPPED.items()}
 
 
-@st.composite
-def fuzzed_configs(draw):
-    name = draw(st.sampled_from(sorted(SHIPPED)))
+def _fuzzed(name, *changes):
+    """The shipped config ``name``, shortened, with each ``(path, value)`` change made."""
     raw = json.loads(json.dumps(SHIPPED[name]))
     raw["horizon"] = 400
     raw["monitors"].update(window=30, rate_window=30)
-    for _ in range(draw(st.integers(1, 2))):
-        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))  # each change its own object
-        _put(raw, draw(st.sampled_from(FIELDS[name])), value)
+    for path, value in changes:
+        _put(raw, path, value)
     return raw
+
+
+@st.composite
+def fuzzed_configs(draw):
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    # each change its own object
+    return _fuzzed(name, *[(draw(st.sampled_from(FIELDS[name])),
+                            copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES))))
+                           for _ in range(draw(st.integers(1, 2)))])
 
 
 @settings(max_examples=60, deadline=None)
 @given(fuzzed_configs())
+# stealth bounds that only the policy build used to check: load passed, run exited 2
+@example(_fuzzed("ugv_three_phase", (("attacks", 0, "params", "mu_a"), 1e308)))
+@example(_fuzzed("ugv_stealthy_randaware", (("attacks", 0, "params", "epsilon"), 1e308)))
 def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
     from randmon.cli import main
 
@@ -526,6 +556,15 @@ def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
         try:
             with open("scenario.json", "w", encoding="utf-8") as handle:
                 json.dump(raw, handle)
-            assert main(["run", "--config", "scenario.json", "--quiet"]) in (0, 2, 3)
+            try:  # load is the whole config contract: run exits 2 exactly when it rejects
+                load_config_dict(copy.deepcopy(raw))
+                rejected = False
+            except ValidationError:
+                rejected = True
+            except (RandmonError, np.linalg.LinAlgError):  # a runtime error, as in run: exit 3
+                rejected = False
+            code = main(["run", "--config", "scenario.json", "--quiet"])
+            assert code in (0, 2, 3)
+            assert (code == 2) == rejected
         finally:
             os.chdir(cwd)

@@ -397,6 +397,17 @@ def test_cli_sweep_attack_cells_that_would_start_at_the_horizon_exit_2(tmp_path,
                              "--attacks", "none,pattern_runs")
 
 
+def test_cli_sweep_stealth_bound_violation_exits_2_before_any_cell(tmp_path, monkeypatch,
+                                                                  capsys):
+    # at alpha 0.5 the default bias_concentrate draws would cross the bad-data threshold;
+    # load finds it, so no cell is set up, tuned or run, the valid alpha 0.05 ones included
+    raw = {**BASE, "horizon": 400, "monitors": {"window": 30, "rate_window": 30, "alpha_tau": 1.0}}
+    message = ("attacks[0]: bias_concentrate draws would cross the bad-data threshold: "
+               "|mu_a| + 3 sigma_a = 0.0186281 > 0.0144453")
+    _exits_2_before_any_work(raw, ("sweep",), message, tmp_path, monkeypatch, capsys,
+                             "--alphas", "0.05,0.5", "--attacks", "none,bias_concentrate")
+
+
 def test_sweep_worker_reports_stealth_bound_violation_whole():
     # at alpha 0.5 the default bias_concentrate draws would cross the bad-data threshold
     raw = {**BASE, "horizon": 400, "monitors": {"window": 30, "rate_window": 30, "alpha_tau": 1.0}}

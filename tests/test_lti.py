@@ -178,6 +178,18 @@ def test_riccati_memo_iterates_again_for_another_value_or_layout(riccati_iterati
     assert [id(call[0]) for call in riccati_iterations] == [id(A), id(nudged), id(fortran)]
 
 
+def test_riccati_memo_knows_a_plant_built_from_copies(riccati_iterations, ugv_plant):
+    # the ZOH returns contiguous matrices, so copies share the original's key
+    solve_dare(ugv_plant), make_controller(ugv_plant)
+    riccati_iterations.clear()
+    copies = LtiPlant(A=ugv_plant.A.copy(), B=ugv_plant.B.copy(), C=ugv_plant.C.copy(),
+                      Q=ugv_plant.Q.copy(), R=ugv_plant.R.copy(), ts=ugv_plant.ts)
+    kss, K = solve_dare(copies), make_controller(copies)
+    assert riccati_iterations == []
+    assert kss.L.tobytes() == solve_dare(ugv_plant).L.tobytes()
+    assert K.tobytes() == make_controller(ugv_plant).tobytes()
+
+
 def test_riccati_memo_raises_again_on_retry(riccati_iterations):
     # an unstable mode the sensor cannot see: the iteration diverges
     args = (np.array([[1.2, 0.0], [0.0, 0.5]]), np.array([[0.0, 1.0]]), np.eye(2) * 0.1,
