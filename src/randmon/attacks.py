@@ -16,8 +16,6 @@ is handed.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +23,7 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
+from .lti import finite_array
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -256,18 +255,6 @@ def _worst_case(p, k, ce, eta, i):
     return v - _each_run(p, np.random.Generator.uniform, 0.0, eps[i])
 
 
-def _numbers(value, n_sensors: Optional[int]) -> Optional[np.ndarray]:
-    """``value`` as floats if it is a finite number or one per sensor (no bool), else None."""
-    cells = np.asarray(value, dtype=object)  # numpy arrays and scalars, lists, numbers
-    try:  # a list of any length when n_sensors is None; isfinite of a huge int overflows
-        ok = cells.ndim == 0 or cells.shape == (n_sensors or cells.size,)
-        return cells.astype(float) if ok and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-            for v in cells.flat) else None
-    except OverflowError:
-        return None
-
-
 def check_plan(plan: AttackPlan, n_sensors: Optional[int], *, ell: Optional[int],
                has_cusum: bool, sigma=None, tau_b=None) -> tuple:
     """``(problems, params)``: every problem of ``plan`` and, if it has none, its params.
@@ -290,9 +277,9 @@ def check_plan(plan: AttackPlan, n_sensors: Optional[int], *, ell: Optional[int]
     for key, value in plan.params.items():
         if key not in ATTACK_PARAMS[kind]:
             problems.append((".params", key, f"unknown key {key!r} for {kind}; got {value!r}"))
-        elif value is not None:  # None takes the default
-            given[key] = _numbers(value, n_sensors)
-            if given[key] is None:
+        elif value is not None:  # None takes the default; a list of any length without n_sensors
+            given[key] = finite_array(value, 1)
+            if given[key] is None or given[key].shape not in ((), (n_sensors or given[key].size,)):
                 problems.append((f".params.{key}", key,
                                  f"must be a finite number or one per sensor; got {value!r}"))
             elif key in ("sigma_a", "epsilon") and (given[key] < 0).any():  # a spread, a margin
@@ -374,7 +361,7 @@ def build_attack_policy(
     if kind.endswith("_randaware"):
         budget = saturation_budget(ell, alpha_des)
         schedule = schedule_saturation(budget, rng)
-        eps = params["epsilon"]
+        eps = params["epsilon"] + 0.0  # -0.0 to 0.0: uniform's bound check rejects a negative zero
     if kind.startswith("worst_case_bdd"):
         pinned = (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()
         level = tau_b if schedule is None else tau_b * budget.ratio

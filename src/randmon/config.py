@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +17,9 @@ import numpy as np
 from .attacks import ATTACK_KINDS, AttackPlan, check_plan
 from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR, tune_bdd
 from .errors import InvalidParameter, ValidationError
-from .lti import (LtiPlant, UgvParams, _check_covariance, discretize_ugv, make_controller,
-                  solve_dare)
+from .lti import (PLANT_MATRICES, LtiPlant, UgvParams, covariance_problem, discretize_ugv,
+                  finite_array, gain_problems, make_controller, plant_problems,
+                  sample_period_problems, solve_dare, ugv_problems)
 
 SCHEMA_VERSION = 1
 
@@ -31,7 +31,6 @@ UGV_DEFAULT_Q = [1e-5, 1e-6, 1e-5]
 UGV_DEFAULT_R = [4e-4, 1e-4, 2.5e-4]
 
 _PLANT_KEYS = {"preset", "params", "ts", "q_diag", "r_diag", "A", "B", "C", "Q", "R"}
-_UGV_PARAM_KEYS = {"mass", "inertia", "width", "roll_resistance", "turn_resistance"}
 _CONTROLLER_KEYS = {"mode", "state_weights", "input_weights", "K"}
 _MONITOR_KEYS = {"window", "rate_window", "alpha_des", "alpha_tau"}
 _DETECTOR_KEYS = {"kind", "bias_scale", "tuning_samples", "tuning_seed"}
@@ -116,45 +115,12 @@ def _is_int(value) -> bool:
     return type(value) is int  # bool is not an integer
 
 
-def _finite_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)  # bool is not a number
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _finite_list(value) -> bool:
-    return isinstance(value, list) and all(map(_finite_number, value))
-
-
-def _finite_array(value) -> bool:
-    """A finite number, a list of them, or a rectangular list of such lists."""
-    if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
-        return len(set(map(len, value))) == 1 and all(map(_finite_list, value))
-    return _finite_list(value if isinstance(value, list) else [value])
-
-
-def _check_psd(matrix, where: str, name: str, problems: list) -> None:
-    """Report a square ``matrix`` that ``lti._check_covariance`` rejects (asymmetric, not PSD)."""
-    try:
-        _check_covariance(np.atleast_2d(np.asarray(matrix, dtype=float)), name)
-    except InvalidParameter as exc:
-        problems.append(f"{where}: {exc}")
-
-
 def build_plant(spec: dict) -> LtiPlant:
     """Instantiate the plant from its resolved spec dict (``ScenarioConfig.plant_spec``)."""
     if spec.get("preset") == "ugv":
         params = UgvParams(**spec.get("params", {}))
         return discretize_ugv(params, spec["ts"], np.diag(spec["q_diag"]), np.diag(spec["r_diag"]))
-    return LtiPlant(
-        A=np.asarray(spec["A"], dtype=float),
-        B=np.asarray(spec["B"], dtype=float),
-        C=np.asarray(spec["C"], dtype=float),
-        Q=np.asarray(spec["Q"], dtype=float),
-        R=np.asarray(spec["R"], dtype=float),
-        ts=spec["ts"],
-    )
+    return LtiPlant(**{key: spec[key] for key in (*PLANT_MATRICES, "ts")})
 
 
 def _unreachable_marginal_modes(plant: LtiPlant) -> list:
@@ -181,76 +147,36 @@ def _validate_plant(spec, problems: list) -> tuple:
     """The plant spec with ``ts`` and the UGV's noise variances filled in, and its sizes.
 
     The sizes are (states, inputs, sensors): 3, 2 and 3 for the UGV; the rows of ``A``,
-    the columns of ``B`` and the rows of ``C`` (each read once, by ``_shape``) for an
-    explicit plant; None where the spec does not give one.
+    the columns of ``B`` and the rows of ``C`` for an explicit plant; None where the spec
+    does not give one. The sample period, an explicit plant and the UGV parameters are
+    checked by ``lti``'s rule sets.
     """
     if not isinstance(spec, dict):
         problems.append("plant: must be an object")
         return {}, (None, None, None)
     _reject_unknown(spec, _PLANT_KEYS, "plant", problems)
-    out = dict(spec)
-    if spec.get("preset") is not None:
-        out.setdefault("ts", 0.05)
-        out.setdefault("q_diag", list(UGV_DEFAULT_Q))
-        out.setdefault("r_diag", list(UGV_DEFAULT_R))
+    preset = spec.get("preset")
+    if preset is None:
+        out = {"ts": 1.0, **spec}
+        found, arrays = plant_problems(out)
+        sizes = tuple(None if arrays[key] is None else arrays[key].shape[axis]
+                      for key, axis in zip("ABC", (0, 1, 0)))
     else:
-        out.setdefault("ts", 1.0)
-    ts = out["ts"]
-    if not (_finite_number(ts) and ts > 0):
-        problems.append(f"plant.ts: must be a finite positive number, got {ts!r}")
-    if spec.get("preset") is not None:
-        if spec["preset"] != "ugv":
-            problems.append(f"plant.preset: unknown preset {spec['preset']!r}")
+        out = {"ts": 0.05, "q_diag": list(UGV_DEFAULT_Q), "r_diag": list(UGV_DEFAULT_R), **spec}
+        found = sample_period_problems(out["ts"])
+        found += [] if preset == "ugv" else [("preset", f"unknown preset {preset!r}")]
         params = spec.get("params", {})
-        if isinstance(params, dict):
-            _reject_unknown(params, _UGV_PARAM_KEYS, "plant.params", problems)
-            for key, value in params.items():
-                if not (_finite_number(value) and value > 0):
-                    problems.append(f"plant.params.{key}: must be a finite positive number")
-        else:
-            problems.append("plant.params: must be an object")
-        for diag_key, dim in (("q_diag", 3), ("r_diag", 3)):
-            if not _finite_list(out[diag_key]) or len(out[diag_key]) != dim:
-                problems.append(f"plant.{diag_key}: must be a list of {dim} finite variances")
-            else:
-                _check_psd(np.diag(out[diag_key]), f"plant.{diag_key}", f"diag({diag_key})",
-                           problems)
-        return out, ((3, 2, 3) if spec["preset"] == "ugv" else (None, None, None))
-
-    shapes = {key: _shape(spec.get(key)) for key in ("A", "B", "C", "Q", "R")}
-    for key, shape in shapes.items():
-        if key not in spec:
-            problems.append(f"plant.{key}: required for explicit plants")
-        elif shape is None:
-            problems.append(f"plant.{key}: must be a matrix of finite numbers")
-    A, B, C, Q, R = shapes.values()
-    checks = []
-    if A is not None:
-        n = A[0]
-        checks += [("A", A, A[1] == n, "must be square"),
-                   ("B", B, B is None or B[0] == n, f"must have one row per state ({n})"),
-                   ("C", C, C is None or C[1] == n, f"must have one column per state ({n})"),
-                   ("Q", Q, Q is None or Q == (n, n), f"must be {n}x{n} (states x states)")]
-    if C is not None:
-        s = C[0]
-        checks.append(("R", R, R is None or R == (s, s), f"must be {s}x{s} (sensors x sensors)"))
-    for key, shape, ok, rule in checks:
-        if not ok:
-            problems.append(f"plant.{key}: {rule}, got {shape[0]}x{shape[1]}")
-    for key, shape in (("Q", Q), ("R", R)):
-        if shape is not None and shape[0] == shape[1]:
-            _check_psd(spec[key], f"plant.{key}", key, problems)
-    return out, (A and A[0], B and B[1], C and C[0])  # a shape is a non-empty tuple
-
-
-def _shape(value) -> Optional[tuple]:
-    """(rows, columns) of a matrix field read as the plant reads it, None if not numeric.
-
-    A number or a flat list is one row.
-    """
-    if not _finite_array(value):
-        return None
-    return np.atleast_2d(np.asarray(value, dtype=float)).shape
+        found += (ugv_problems(params) if isinstance(params, dict)
+                  else [("params", "must be an object")])
+        for key in ("q_diag", "r_diag"):
+            variances = finite_array(out[key], 1)
+            if variances is None or variances.shape != (3,):
+                found.append((key, "must be a list of 3 finite variances"))
+            elif problem := covariance_problem(np.diag(variances), f"diag({key})")[0]:
+                found.append((key, problem))
+        sizes = (3, 2, 3) if preset == "ugv" else (None, None, None)
+    problems += [f"plant.{field}: {text}" for field, text in found]
+    return out, sizes
 
 
 def _section(raw: dict, name: str, allowed: set, problems: list) -> dict:
@@ -264,7 +190,7 @@ def _section(raw: dict, name: str, allowed: set, problems: list) -> dict:
 
 
 def _validate_alpha(value, where: str, problems: list) -> bool:
-    if not (_finite_number(value) and 0.0 < value < 1.0):
+    if not (finite_array(value, 0) is not None and 0.0 < value < 1.0):
         problems.append(f"{where}: must be a number in (0, 1), got {value!r}")
         return False
     return True
@@ -290,33 +216,15 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         controller_spec.setdefault("mode", "lqr")
     if controller_spec.get("mode", "lqr") != "lqr":
         problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
-    if "K" in controller_spec:
-        K = _shape(controller_spec["K"])
-        if K is None:
-            problems.append("controller.K: must be a matrix of finite numbers")
-        else:
-            want = (n_inputs if n_inputs is not None else K[0],
-                    n_states if n_states is not None else K[1])
-            if K != want:
-                problems.append(f"controller.K: must be {want[0]}x{want[1]} (plant inputs x "
-                                f"states), got {K[0]}x{K[1]}")
-        if not problems:  # the given gain must stabilise the plant
-            plant = build_plant(plant_spec)  # outside the try: a ZOH overflow is a runtime error
-            try:
-                make_controller(plant, K=controller_spec["K"])
-            except InvalidParameter as exc:
-                problems.append(f"controller.K: {exc}")
-    for key, dim in (("state_weights", n_states), ("input_weights", n_inputs)):
-        if key not in controller_spec:
-            continue
-        weights = controller_spec[key]
-        if not _finite_list(weights):
-            problems.append(f"controller.{key}: must be a list of finite numbers")
-        elif "K" not in controller_spec and dim is not None and len(weights) != dim:
-            problems.append(f"controller.{key}: must have {dim} entries, one per plant "
-                            f"{key.split('_')[0]}, got {len(weights)}")
-        elif "K" not in controller_spec and weights:
-            _check_psd(np.diag(weights), f"controller.{key}", f"diag({key})", problems)
+    found, K = gain_problems(controller_spec, n_states, n_inputs)[:2]
+    problems += [f"controller.{field}: {text}" for field, text in found if field == "K"]
+    if "K" in controller_spec and not problems:  # the given gain must stabilise the plant
+        plant = build_plant(plant_spec)  # outside the try: a ZOH overflow is a runtime error
+        try:
+            make_controller(plant, K=K)
+        except InvalidParameter as exc:
+            problems.append(f"controller.{exc}")
+    problems += [f"controller.{field}: {text}" for field, text in found if field != "K"]
     if not problems and "K" not in controller_spec:  # the LQR design must reach every such mode
         modes = _unreachable_marginal_modes(plant := build_plant(plant_spec))  # no try, as above
         if modes:
@@ -355,7 +263,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if alpha_tau > 1.0:
             problems.append(f"monitors.alpha_tau: the default 3 * max(alpha_des) = {alpha_tau!r}"
                             " exceeds 1, so monitors.alpha_tau must be set, in (0, 1]")
-    elif not (_finite_number(alpha_tau) and 0.0 < alpha_tau <= 1.0):
+    elif not (finite_array(alpha_tau, 0) is not None and 0.0 < alpha_tau <= 1.0):
         problems.append(f"monitors.alpha_tau: must lie in (0, 1], got {alpha_tau!r}")
 
     detectors = _section(raw, "detectors", _DETECTOR_KEYS, problems)
@@ -363,7 +271,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if detector_kind not in ("bdd", "cusum", "both"):
         problems.append(f"detectors.kind: must be bdd, cusum or both, got {detector_kind!r}")
     bias_scale = detectors.get("bias_scale", 1.5)
-    if not (_finite_number(bias_scale) and bias_scale > 0):
+    if not (finite_array(bias_scale, 0) is not None and bias_scale > 0):
         problems.append(f"detectors.bias_scale: must be a finite positive number, got {bias_scale!r}")
     elif detector_kind in ("cusum", "both") and bias_scale <= HALF_NORMAL_MEAN_FACTOR:
         problems.append(f"detectors.bias_scale: must exceed sqrt(2/pi) = "

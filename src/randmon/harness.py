@@ -337,8 +337,9 @@ def tuned_thresholds(cfg: ScenarioConfig) -> dict:
 # --- sweeps -------------------------------------------------------------------------
 
 
-def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> ScenarioConfig:
-    """The base config at one desired rate, under one attack on sensor 0 from two windows in.
+def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> tuple:
+    """``(config or None, problems)``: the base config at one desired rate, under one
+    attack on sensor 0 from two windows in, and every problem of it.
 
     A base whose top level or ``monitors`` is not an object is validated as it
     is, so the sweep reports the config error ``randmon run`` gives for it.
@@ -358,12 +359,9 @@ def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> ScenarioConfig:
         elif attack_kind != "none":
             raw["attacks"] = [{"kind": attack_kind, "sensors": [0], "start": start, "stop": stop}]
     try:
-        cfg = load_config_dict(raw)
+        return load_config_dict(raw), problems
     except ValidationError as exc:
-        problems = exc.problems + problems
-    if problems:
-        raise ValidationError(problems)
-    return cfg
+        return None, exc.problems + problems
 
 
 def _sweep_cell(args):
@@ -379,14 +377,19 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     """Cartesian sweep over desired rates and attack kinds.
 
     Every cell's config is validated up front, so a config error stops the
-    sweep before any scenario runs. Scenarios run in parallel across worker
-    processes; each cell reports the per-test, per-sensor alarm rates of its
-    run. Cells are alpha-major and each worker takes one contiguous block of
+    sweep before any scenario runs; one ``ValidationError`` lists each distinct
+    problem of every cell once, in cell order. Scenarios run in parallel across
+    worker processes; each cell reports the per-test, per-sensor alarm rates of
+    its run. Cells are alpha-major and each worker takes one contiguous block of
     them, so a worker tunes CUSUM for as few alphas as it can (the tuning
     cache is per process).
     """
-    cells = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
-             for a in alphas for kind in attack_kinds]
+    checked = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
+               for a in alphas for kind in attack_kinds]
+    problems = dict.fromkeys(p for (_, found), _, _ in checked for p in found)
+    if problems:
+        raise ValidationError(problems)
+    cells = [(cfg, alpha, kind) for (cfg, _), alpha, kind in checked]
     # a fork-started pool starts all its workers at the first submit
     workers = min(workers, len(cells))
     if workers > 1:

@@ -46,7 +46,8 @@ zero start; it is the reference the kernel is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,25 +68,139 @@ EXPM_MAX_TERMS = 80
 
 #: Steps of noise each run draws and colours at once in the lockstep kernel.
 CHUNK = 256
+#: The matrices of an explicit plant, in the order their problems are reported.
+PLANT_MATRICES = ("A", "B", "C", "Q", "R")
 
 
-def _matrix(value, name: str) -> Array:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameter(f"{name} contains non-finite entries")
-    return arr
+# --- plant and controller rules: every problem as (field, text); the library raises the first
 
 
-def _check_covariance(M: Array, name: str) -> Array:
-    if M.shape[0] != M.shape[1]:
-        raise InvalidParameter(f"{name} must be square, got {M.shape}")
+def finite_array(value, ndim: int = 2) -> Optional[Array]:
+    """The finite-number rule: ``value`` as floats if it is a finite real number (no bool), or
+    a rectangular list or array of them with at most ``ndim`` axes; else None. Arrays: no copy."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = np.asarray(value, dtype=float)
+        return arr if arr.ndim <= ndim and np.isfinite(arr).all() else None
+    try:
+        cells = np.asarray(value, dtype=object)
+        return cells.astype(float) if cells.ndim <= ndim and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            for v in cells.flat) else None
+    except (OverflowError, ValueError):  # isfinite of a huge int; nesting beyond numpy's axes
+        return None
+
+
+def _positive(value) -> bool:
+    return finite_array(value, 0) is not None and value > 0
+
+
+def _raise_first(problems) -> None:
+    if problems:
+        raise InvalidParameter("%s: %s" % problems[0])
+
+
+def _wrong_size(k: int, unit: str, shape) -> str:
+    return f"must be {k}x{k} ({unit} x {unit}), got {shape[0]}x{shape[1]}"
+
+
+def covariance_problem(M: Array, name: str) -> tuple:
+    """``(problem or None, 0.5 (M + M'))`` for a square M: it must be symmetric and PSD.
+
+    The tests run on M over its largest entry (at least 1) and M is halved before the
+    sum, so finite entries up to the largest float cannot overflow.
+    """
     scale = max(1.0, float(np.abs(M).max()))
-    if not np.allclose(M, M.T, rtol=1e-10, atol=1e-10 * scale):
-        raise InvalidParameter(f"{name} must be symmetric")
-    sym = 0.5 * (M + M.T)
+    unit = M / scale
+    if not np.allclose(unit, unit.T, rtol=1e-10, atol=1e-10):
+        return f"{name} must be symmetric", M
+    sym = 0.5 * M + 0.5 * M.T
     if np.linalg.eigvalsh(sym).min() < -1e-10:
-        raise InvalidParameter(f"{name} must be positive semidefinite")
-    return sym
+        return f"{name} must be positive semidefinite", sym
+    return None, sym
+
+
+def _matrix(value, name: str, unit: str = "", k: Optional[int] = None) -> Array:
+    """``value`` as a 2-D float array, k x k (default: its rows) if ``unit`` names k; else raise."""
+    M = finite_array(value)
+    _raise_first([(name, "must be a matrix of finite numbers")] if M is None else [])
+    M = np.atleast_2d(M)
+    k = M.shape[0] if k is None else k
+    _raise_first([(name, _wrong_size(k, unit, M.shape))] if unit and M.shape != (k, k) else [])
+    return M
+
+
+def _covariance(value, name: str, unit: str, k: Optional[int] = None) -> Array:
+    problem, M = covariance_problem(_matrix(value, name, unit, k), name)
+    _raise_first([(name, problem)] if problem else [])
+    return M
+
+
+def sample_period_problems(ts) -> list:
+    return [] if _positive(ts) else [("ts", f"must be a finite positive number, got {ts!r}")]
+
+
+def plant_problems(spec) -> tuple:
+    """``(problems, arrays)`` of an explicit plant: ``spec`` maps ``ts`` and A, B, C, Q, R.
+
+    Each matrix must be given and numeric (a number or a flat list is one row), and
+    A, B, C, Q, R conform; Q and R, when square, must be covariances. ``arrays`` holds
+    each 2-D float matrix, Q and R symmetrised, or None if missing or not numeric.
+    """
+    problems, arrays = sample_period_problems(spec.get("ts")), {}
+    for key in PLANT_MATRICES:
+        M = finite_array(spec[key]) if key in spec else None
+        arrays[key] = None if M is None else np.atleast_2d(M)
+        if M is None:
+            problems.append((key, "must be a matrix of finite numbers" if key in spec
+                             else "required for explicit plants"))
+    A, B, C, Q, R = shapes = [None if M is None else M.shape for M in arrays.values()]
+    if A is not None:
+        n = A[0]
+        rules = [A[1] != n and "must be square",
+                 B is not None and B[0] != n and f"must have one row per state ({n})",
+                 C is not None and C[1] != n and f"must have one column per state ({n})"]
+        problems += [(key, f"{rule}, got {shape[0]}x{shape[1]}")
+                     for key, rule, shape in zip("ABC", rules, shapes) if rule]
+        problems += [("Q", _wrong_size(n, "states", Q))] if Q is not None and Q != (n, n) else []
+    if C is not None and R is not None and R != (C[0], C[0]):
+        problems.append(("R", _wrong_size(C[0], "sensors", R)))
+    for key, shape in (("Q", Q), ("R", R)):
+        if shape is not None and shape[0] == shape[1]:
+            problem, arrays[key] = covariance_problem(arrays[key], key)
+            problems += [(key, problem)] if problem else []
+    return problems, arrays
+
+
+def gain_problems(gain, n: Optional[int], m: Optional[int]) -> tuple:
+    """``(problems, K, Qx, Ru)`` of the ``K``, ``state_weights`` and ``input_weights`` in ``gain``.
+
+    K must be a finite m x n matrix (n, m: states, inputs; None if unknown), each weights
+    list finite and, without K, one nonnegative entry per state or input. Qx and Ru are
+    the LQR weights as matrices, identities by default.
+    """
+    problems, K, weights = [], None, []
+    if "K" in gain:
+        K = finite_array(gain["K"])
+        if K is None:
+            problems.append(("K", "must be a matrix of finite numbers"))
+        elif (K := np.atleast_2d(K)).shape != (want := (K.shape[0] if m is None else m,
+                                                         K.shape[1] if n is None else n)):
+            problems.append(("K", f"must be {want[0]}x{want[1]} (plant inputs x states), "
+                                  f"got {K.shape[0]}x{K.shape[1]}"))
+    for key, dim in (("state_weights", n), ("input_weights", m)):
+        W = None if dim is None else np.eye(dim)
+        if key in gain:
+            w = finite_array(gain[key], 1)
+            if w is None or w.ndim != 1:
+                problems.append((key, "must be a list of finite numbers"))
+            elif "K" not in gain and dim is not None and len(w) != dim:
+                problems.append((key, f"must have {dim} entries, one per plant "
+                                      f"{key.split('_')[0]}, got {len(w)}"))
+            elif "K" not in gain and len(w):
+                problem, W = covariance_problem(np.diag(w), f"diag({key})")
+                problems += [(key, problem)] if problem else []
+        weights.append(W)
+    return (problems, K, *weights)
 
 
 def spectral_radius(M) -> float:
@@ -100,10 +215,10 @@ def spectral_radius(M) -> float:
 class LtiPlant:
     """Discrete plant x+ = A x + B u + nu, y = C x + eta, with noise covariances.
 
-    Construction validates shapes, symmetry and positive semidefiniteness of Q
-    and R. Whether the filter can be stabilized is left to :func:`solve_dare`,
-    which every simulation and score needs first: it rejects a plant on which
-    the Riccati iteration cannot converge (e.g. an undetectable unstable mode).
+    Construction checks the inputs by :func:`plant_problems`. Whether the filter
+    can be stabilized is left to :func:`solve_dare`, which every simulation and
+    score needs first: it rejects a plant on which the Riccati iteration cannot
+    converge (e.g. an undetectable unstable mode).
     """
 
     A: Array
@@ -114,24 +229,9 @@ class LtiPlant:
     ts: float = 1.0
 
     def __post_init__(self):
-        self.A = _matrix(self.A, "A")
-        self.B = _matrix(self.B, "B")
-        self.C = _matrix(self.C, "C")
-        self.Q = _check_covariance(_matrix(self.Q, "Q"), "Q")
-        self.R = _check_covariance(_matrix(self.R, "R"), "R")
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise InvalidParameter(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n:
-            raise InvalidParameter(f"B must have {n} rows, got {self.B.shape}")
-        if self.C.shape[1] != n:
-            raise InvalidParameter(f"C must have {n} columns, got {self.C.shape}")
-        if self.Q.shape != (n, n):
-            raise InvalidParameter(f"Q must be {n}x{n}, got {self.Q.shape}")
-        if self.R.shape != (self.C.shape[0],) * 2:
-            raise InvalidParameter(f"R must be {self.C.shape[0]}x{self.C.shape[0]}")
-        if not self.ts > 0.0:
-            raise InvalidParameter(f"sample period must be positive, got {self.ts}")
+        problems, arrays = plant_problems(vars(self))
+        _raise_first(problems)
+        vars(self).update(arrays)
 
     @property
     def n(self) -> int:
@@ -228,12 +328,16 @@ def solve_dare(plant: LtiPlant) -> KalmanSteadyState:
     solved in this process (same A, C, Q, R bytes and layout) is not iterated
     again; the rest is recomputed on every call, and nothing returned is shared.
     Raises ``NonConvergence`` if the iteration cap is reached and
-    ``SingularInnovation`` if R + C P C^T is numerically singular, on every call.
+    ``SingularInnovation`` if R + C P C^T is numerically singular or overflows
+    (a sensor gain near the largest float), on every call.
     """
     A, C, Q, R = plant.A, plant.C, plant.Q, plant.R
     P = _riccati_fixed_point(A, C, Q, R)
-    Sigma = R + C @ P @ C.T
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised just below
+        Sigma = R + C @ P @ C.T
+        Sigma = 0.5 * (Sigma + Sigma.T)
+    if not np.isfinite(Sigma).all():
+        raise SingularInnovation("innovation covariance R + C P C' overflows")
     if np.linalg.cond(Sigma) > _COND_LIMIT:
         raise SingularInnovation("innovation covariance condition number exceeds 1e12")
     L = np.linalg.solve(Sigma, C @ P @ A.T).T
@@ -246,17 +350,19 @@ def solve_dare(plant: LtiPlant) -> KalmanSteadyState:
 def lqr_gain(A, B, Qx, Ru) -> Array:
     """State-feedback gain K with u = K x such that A + B K is stable.
 
+    With B n x m, A must be n x n, and Qx and Ru n x n and m x m covariances.
     Solves the control Riccati equation through the same fixed-point kernel
     (it is the filter equation applied to the transposed system), so equal
     inputs are iterated once per process; each call returns a fresh K.
     """
-    A = _matrix(A, "A")
-    B = _matrix(B, "B")
-    Qx = _check_covariance(_matrix(Qx, "Qx"), "Qx")
-    Ru = _check_covariance(_matrix(Ru, "Ru"), "Ru")
+    n, m = (B := _matrix(B, "B")).shape
+    A = _matrix(A, "A", "states", n)
+    return _lqr(A, B, _covariance(Qx, "Qx", "states", n), _covariance(Ru, "Ru", "inputs", m))
+
+
+def _lqr(A, B, Qx, Ru) -> Array:
     P = _riccati_fixed_point(A.T, B.T, Qx, Ru)
-    F = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ A)
-    return -F
+    return -np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ A)
 
 
 def make_controller(
@@ -268,20 +374,19 @@ def make_controller(
     """The gain K of the state feedback u = K xhat, checking rho(A + B K) < 1.
 
     Either pass K explicitly or let it be designed from LQR weights
-    (identity weights by default).
+    (identity weights by default), as :func:`gain_problems` checks them.
     """
-    if K is None:
-        Qx = np.diag(state_weights) if state_weights is not None else np.eye(plant.n)
-        Ru = np.diag(input_weights) if input_weights is not None else np.eye(plant.m)
-        K = lqr_gain(plant.A, plant.B, Qx, Ru)
-    K = _matrix(K, "K")
-    if K.shape != (plant.m, plant.n):
-        raise InvalidParameter(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+    gain = {key: value for key, value in (("K", K), ("state_weights", state_weights),
+                                          ("input_weights", input_weights)) if value is not None}
+    problems, K, Qx, Ru = gain_problems(gain, plant.n, plant.m)
+    _raise_first(problems)
+    if K is None:  # the weights are checked: Qx and Ru are covariances of the plant's sizes
+        K = _lqr(plant.A, plant.B, Qx, Ru)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loop is unstable
         closed = plant.A + plant.B @ K
     rho = spectral_radius(closed) if np.isfinite(closed).all() else math.inf
     if rho >= 1.0:
-        raise InvalidParameter(f"closed loop unstable: rho(A + BK) = {rho:#.7g} >= 1")
+        raise InvalidParameter(f"K: closed loop unstable: rho(A + BK) = {rho:#.7g} >= 1")
     return K
 
 
@@ -307,8 +412,8 @@ class NoiseSource:
     """
 
     def __init__(self, Q, R, seed: int):
-        Q = _check_covariance(_matrix(Q, "Q"), "Q")
-        R = _check_covariance(_matrix(R, "R"), "R")
+        Q = _covariance(Q, "Q", "states")
+        R = _covariance(R, "R", "sensors")
         self._lq = _sqrt_psd(Q)
         self._lr = _sqrt_psd(R)
         self._n = Q.shape[0]
@@ -570,11 +675,17 @@ class UgvParams:
     turn_resistance: float = 0.8
 
 
+def ugv_problems(params) -> list:
+    """UGV parameters given as a mapping: unknown keys, then values not finite and positive."""
+    known = {field.name for field in fields(UgvParams)}
+    return ([("params", f"unknown key {key!r}") for key in params if key not in known]
+            + [(f"params.{key}", "must be a finite positive number")
+               for key, value in params.items() if not _positive(value)])
+
+
 def ugv_continuous(params: UgvParams):
     """Continuous-time (Ac, Bc) of the skid-steer vehicle linear model."""
-    for name in ("mass", "inertia", "width", "roll_resistance", "turn_resistance"):
-        if not getattr(params, name) > 0.0:
-            raise InvalidParameter(f"UGV parameter {name} must be positive")
+    _raise_first(ugv_problems(vars(params)))
     m, iz, w = params.mass, params.inertia, params.width
     Ac = np.array([
         [-params.roll_resistance / m, 0.0, 0.0],
@@ -595,8 +706,7 @@ def discretize_ugv(params: UgvParams, ts: float, Q, R) -> LtiPlant:
     All three states are measured (C = I), matching a velocity sensor, a
     heading sensor and a yaw-rate gyro.
     """
-    if not ts > 0.0:
-        raise InvalidParameter(f"sample period must be positive, got {ts}")
+    _raise_first(sample_period_problems(ts))
     Ac, Bc = ugv_continuous(params)
     Ad, Bd = zoh_discretize(Ac, Bc, ts)
     return LtiPlant(A=Ad, B=Bd, C=np.eye(3), Q=Q, R=R, ts=ts)

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from randmon.config import (
+    _validate_plant,
+    build_plant,
     config_hash,
     load_config,
     load_config_dict,
 )
-from randmon.errors import RandmonError, ValidationError
+from randmon.errors import InvalidParameter, RandmonError, ValidationError
 
 MINIMAL = {"plant": {"preset": "ugv"}, "horizon": 1000, "seed": 1}
 
@@ -430,6 +433,113 @@ def test_non_numeric_matrices_reported_together():
         "controller.K", "controller.input_weights", "plant.A", "plant.C", "plant.Q"]
 
 
+#: a gain that stabilises the UGV (rho(A + BK) = 0.965)
+UGV_K = [[-1, -1, 0], [-1, 1, 0]]
+
+#: load's exact problem list, in order, for configs with bad plant or controller fields
+PLANT_AND_CONTROLLER_PROBLEMS = {
+    "params-bool": (_ugv(params={"mass": True}),
+                    ["plant.params.mass: must be a finite positive number"]),
+    "params-negative": (_ugv(params={"inertia": -0.5}),
+                        ["plant.params.inertia: must be a finite positive number"]),
+    "params-str": (_ugv(params={"width": "wide"}),
+                   ["plant.params.width: must be a finite positive number"]),
+    "params-unknown": (_ugv(params={"mass": 2.0, "wheels": 4}),
+                       ["plant.params: unknown key 'wheels'"]),
+    "params-unknown-and-bad": (_ugv(params={"wheels": -4, "mass": math.inf}),
+                               ["plant.params: unknown key 'wheels'",
+                                "plant.params.wheels: must be a finite positive number",
+                                "plant.params.mass: must be a finite positive number"]),
+    "params-inf": (_ugv(params={"roll_resistance": math.inf}),
+                   ["plant.params.roll_resistance: must be a finite positive number"]),
+    "params-list": (_ugv(params=[1]), ["plant.params: must be an object"]),
+    "ts-inf": (_ugv(ts=math.inf), ["plant.ts: must be a finite positive number, got inf"]),
+    "ts-preset-params-noise": (
+        _ugv(preset="car", ts=0, params={"mass": 0, "x": 1}, q_diag=[1], r_diag="x"),
+        ["plant.ts: must be a finite positive number, got 0", "plant.preset: unknown preset 'car'",
+         "plant.params: unknown key 'x'", "plant.params.mass: must be a finite positive number",
+         "plant.q_diag: must be a list of 3 finite variances",
+         "plant.r_diag: must be a list of 3 finite variances"]),
+    "q_diag-not-psd": (_ugv(q_diag=[1e-5, -1e-6, 1e-5]),
+                       ["plant.q_diag: diag(q_diag) must be positive semidefinite"]),
+    "r_diag-length": (_ugv(r_diag=[4e-4, 1e-4]),
+                      ["plant.r_diag: must be a list of 3 finite variances"]),
+    "A-str": (_explicit(A="a"), ["plant.A: must be a matrix of finite numbers"]),
+    "C-ragged": (_explicit(C=[[1.0], [1.0, 2.0]]), ["plant.C: must be a matrix of finite numbers"]),
+    "B-bool": (_explicit(B=[[True]]), ["plant.B: must be a matrix of finite numbers"]),
+    "A-3d": (_explicit(A=[[[0.5]]]), ["plant.A: must be a matrix of finite numbers"]),
+    "A-empty": (_explicit(A=[]), ["plant.A: must be square, got 1x0"]),
+    "Q-empty-row": (_explicit(Q=[[]]), ["plant.Q: must be 1x1 (states x states), got 1x0"]),
+    "R-huge-int": (_explicit(R=[[10**400]]), ["plant.R: must be a matrix of finite numbers"]),
+    "explicit-ts-inf": (_explicit(ts=math.inf),
+                        ["plant.ts: must be a finite positive number, got inf"]),
+    "Q-asymmetric": (_explicit(**{**TWO_STATES, "Q": [[0.1, 0.05], [0.0, 0.1]]}),
+                     ["plant.Q: Q must be symmetric"]),
+    "R-not-psd": (_explicit(R=[[-0.1]]), ["plant.R: R must be positive semidefinite"]),
+    "Q-psd-after-R-shape": (
+        _explicit(**{**TWO_STATES, "Q": [[0.1, 0.2], [0.2, 0.1]], "R": [[0.1, 0.0], [0.0, 0.1]]}),
+        ["plant.R: must be 1x1 (sensors x sensors), got 2x2",
+         "plant.Q: Q must be positive semidefinite"]),
+    "Q-shape-and-psd": (_explicit(**{**TWO_STATES, "Q": [[-0.1]]}),
+                        ["plant.Q: must be 2x2 (states x states), got 1x1",
+                         "plant.Q: Q must be positive semidefinite"]),
+    "missing-keys": ({"plant": {"A": [[0.5]], "ts": 0.1}, "horizon": 1000},
+                     [f"plant.{key}: required for explicit plants" for key in "BCQR"]),
+    "number-and-flat-lists": (_explicit(A=0.5, B=[1.0], C=[1.0, 0.0]),
+                              ["plant.C: must have one column per state (1), got 1x2"]),
+    "K-str": (_controller(K="x"), ["controller.K: must be a matrix of finite numbers"]),
+    "K-null": (_controller(K=None), ["controller.K: must be a matrix of finite numbers"]),
+    "K-shape": (_controller(K=[[-1.0, 0.0], [0.0, -1.0]]),
+                ["controller.K: must be 2x3 (plant inputs x states), got 2x2"]),
+    "K-shape-beside-a-bad-A": ({**_explicit(A="a"), "controller": {"K": [[0.1, 0.2]]}},
+                               ["plant.A: must be a matrix of finite numbers"]),
+    "state_weights-length": (_controller(state_weights=[1, 2]),
+                             ["controller.state_weights: must have 3 entries, one per plant state, "
+                              "got 2"]),
+    "input_weights-length": (_controller(input_weights=[1]),
+                             ["controller.input_weights: must have 2 entries, one per plant input, "
+                              "got 1"]),
+    "weights-empty": (_controller(state_weights=[], input_weights=[]),
+                      ["controller.state_weights: must have 3 entries, one per plant state, got 0",
+                       "controller.input_weights: must have 2 entries, one per plant input, "
+                       "got 0"]),
+    "weights-negative": (_controller(state_weights=[1, -1, 1], input_weights=[-2, 1]),
+                         ["controller.state_weights: diag(state_weights) must be positive "
+                          "semidefinite",
+                          "controller.input_weights: diag(input_weights) must be positive "
+                          "semidefinite"]),
+    "weights-scalar": (_controller(state_weights=5),
+                       ["controller.state_weights: must be a list of finite numbers"]),
+    "weights-junk-beside-K": (_controller(K=UGV_K, input_weights="junk"),
+                              ["controller.input_weights: must be a list of finite numbers"]),
+    "weights-length-and-sign-beside-K": (_controller(K=UGV_K, state_weights=[1],
+                                                     input_weights=[-1, -1]), []),
+    "weights-beside-a-bad-A": ({**_explicit(A="a"), "controller": {"state_weights": [1, -1]}},
+                               ["plant.A: must be a matrix of finite numbers",
+                                "controller.state_weights: diag(state_weights) must be positive "
+                                "semidefinite"]),
+    "unstable-K-and-junk-weights": (
+        _controller(K=[[100, 0, 0], [0, 0, 0]], state_weights="junk", input_weights=[True]),
+        ["controller.K: closed loop unstable: rho(A + BK) = 1.469112 >= 1",
+         "controller.state_weights: must be a list of finite numbers",
+         "controller.input_weights: must be a list of finite numbers"]),
+    "mode-and-K": (_controller(mode="pid", K="x", input_weights=[1, 2, 3]),
+                   ["controller.mode: must be \"lqr\", got 'pid'",
+                    "controller.K: must be a matrix of finite numbers"]),
+}
+
+
+@pytest.mark.parametrize("raw, problems", PLANT_AND_CONTROLLER_PROBLEMS.values(),
+                         ids=PLANT_AND_CONTROLLER_PROBLEMS.keys())
+def test_plant_and_controller_problems_are_pinned(raw, problems):
+    try:
+        load_config_dict(raw)
+    except ValidationError as exc:
+        assert exc.problems == problems
+    else:
+        assert problems == []
+
+
 def test_stealth_bound_violations_are_one_config_error(tmp_path, capsys):
     from randmon.cli import main
 
@@ -478,6 +588,18 @@ def test_huge_sample_time_is_runtime_error_exit(tmp_path, capsys):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+#: the shipped configs and an explicit two-state plant (the golden case's) with a gain
+#: and both weights lists
+FUZZ_BASES = {**SHIPPED, "explicit_two_state": {
+    "plant": {"A": [[0.9, 0.05], [0.0, 0.8]], "B": [[0.5], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+              "Q": [[2e-4, 0.0], [0.0, 2e-4]], "R": [[4e-4, 0.0], [0.0, 1e-4]], "ts": 0.1},
+    "controller": {"K": [[-0.3, -0.2]], "state_weights": [1.0, 2.0], "input_weights": [0.5]},
+    "monitors": {"window": 100, "rate_window": 100, "alpha_des": 0.05},
+    "detectors": {"kind": "both", "bias_scale": 1.5},
+    "attacks": [], "horizon": 1000, "seed": 5, "output": {"dir": "out", "format": "csv"}}}
+#: a problem of a field that an lti rule set owns, as build_plant raises it (a Python
+#: caller cannot leave a matrix out, so "required" is load's alone)
+LTI_PLANT_PROBLEM = re.compile(r"plant\.(A|B|C|Q|R|ts|params\.[^:]+): (?!required)")
 
 #: what a fuzzed field may become: each JSON type, signed zeros, NaN, infinities, huge
 FUZZ_VALUES = (True, False, "", "x", [], [1.0], [[1.0]], {}, {"x": 1}, None,
@@ -520,12 +642,12 @@ def _put(raw, path, value) -> None:
 
 FIELDS = {name: [path for path in (*_fields(raw), *OPTIONAL_FIELDS)
                  if path not in RUN_LENGTH and (path[:2] != ("attacks", 0) or raw["attacks"])]
-          for name, raw in SHIPPED.items()}
+          for name, raw in FUZZ_BASES.items()}
 
 
 def _fuzzed(name, *changes):
-    """The shipped config ``name``, shortened, with each ``(path, value)`` change made."""
-    raw = json.loads(json.dumps(SHIPPED[name]))
+    """The base config ``name``, shortened, with each ``(path, value)`` change made."""
+    raw = json.loads(json.dumps(FUZZ_BASES[name]))
     raw["horizon"] = 400
     raw["monitors"].update(window=30, rate_window=30)
     for path, value in changes:
@@ -535,7 +657,7 @@ def _fuzzed(name, *changes):
 
 @st.composite
 def fuzzed_configs(draw):
-    name = draw(st.sampled_from(sorted(SHIPPED)))
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
     # each change its own object
     return _fuzzed(name, *[(draw(st.sampled_from(FIELDS[name])),
                             copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES))))
@@ -547,6 +669,15 @@ def fuzzed_configs(draw):
 # stealth bounds that only the policy build used to check: load passed, run exited 2
 @example(_fuzzed("ugv_three_phase", (("attacks", 0, "params", "mu_a"), 1e308)))
 @example(_fuzzed("ugv_stealthy_randaware", (("attacks", 0, "params", "epsilon"), 1e308)))
+# values the plant constructors used to accept or to fail on with a bare error
+@example(_fuzzed("ugv_noattack", (("plant", "params", "mass"), math.inf)))
+@example(_fuzzed("explicit_two_state", (("plant", "C", 0), [1.0])))
+@example(_fuzzed("explicit_two_state", (("plant", "ts"), math.inf), (("plant", "A", 1, 0), True)))
+# finite entries near the largest float: an overflow in the covariance check or the
+# filter set-up, and a negative-zero dither margin the attack's uniform draw rejected
+@example(_fuzzed("explicit_two_state", (("plant", "R", 1, 1), 1e308)))
+@example(_fuzzed("explicit_two_state", (("plant", "C", 0, 0), 1e308)))
+@example(_fuzzed("ugv_stealthy_randaware", (("attacks", 0, "params", "epsilon"), -0.0)))
 def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
     from randmon.cli import main
 
@@ -559,8 +690,13 @@ def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
             try:  # load is the whole config contract: run exits 2 exactly when it rejects
                 load_config_dict(copy.deepcopy(raw))
                 rejected = False
-            except ValidationError:
+            except ValidationError as exc:
                 rejected = True
+                found = [p for p in exc.problems if p.startswith("plant")]
+                if found and all(map(LTI_PLANT_PROBLEM.match, found)):  # the library says the same
+                    with pytest.raises(InvalidParameter) as built:
+                        build_plant(_validate_plant(copy.deepcopy(raw["plant"]), [])[0])
+                    assert f"plant.{built.value}" == found[0]
             except (RandmonError, np.linalg.LinAlgError):  # a runtime error, as in run: exit 3
                 rejected = False
             code = main(["run", "--config", "scenario.json", "--quiet"])

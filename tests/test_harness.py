@@ -420,6 +420,21 @@ def test_sweep_worker_reports_stealth_bound_violation_whole():
     assert str(serial.value).startswith("attacks[0]: bias_concentrate draws would cross")
 
 
+def test_sweep_reports_every_bad_cell_once_in_cell_order():
+    # both alpha cells break the bound, each at its own threshold; the unknown kind's
+    # problem, the same text in each alpha, is reported once, where it first occurs
+    raw = {**BASE, "horizon": 400, "monitors": {"window": 30, "rate_window": 30, "alpha_tau": 1.0}}
+    bound = "attacks[0]: bias_concentrate draws would cross the bad-data threshold: "
+    with pytest.raises(ValidationError) as both:
+        run_sweep(raw, [0.5, 0.6], ["bias_concentrate"])
+    assert both.value.problems == [bound + "|mu_a| + 3 sigma_a = 0.0186281 > 0.0144453",
+                                   bound + "|mu_a| + 3 sigma_a = 0.0173423 > 0.0112309"]
+    with pytest.raises(ValidationError) as mixed:
+        run_sweep(raw, [0.5, 0.6], ["none", "bias_concentrate", "bogus"], workers=2)
+    assert mixed.value.problems == [both.value.problems[0], "attacks[0].kind: unknown kind 'bogus'",
+                                    both.value.problems[1]]
+
+
 @pytest.fixture
 def live_cusum_steps(monkeypatch):
     """Every ``CusumDetector.step`` call's statistic, in call order."""

@@ -6,7 +6,8 @@ import pytest
 
 import randmon.deviation
 import randmon.lti
-from randmon.errors import InvalidParameter, NonConvergence, RandmonError
+from randmon.config import UGV_DEFAULT_Q, UGV_DEFAULT_R, load_config_dict
+from randmon.errors import InvalidParameter, NonConvergence, RandmonError, ValidationError
 from randmon.attacks import (ATTACK_KINDS, ATTACK_PARAMS, AttackPlan, AttackPolicy,
                              CompositeAttack, build_attack_policy, stack)
 from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
@@ -103,7 +104,8 @@ def test_covariance_validation():
 
 
 def test_dimension_validation():
-    with pytest.raises(InvalidParameter, match=r"^C must have 1 columns, got \(1, 2\)$"):
+    with pytest.raises(InvalidParameter,
+                       match=r"^C: must have one column per state \(1\), got 1x2$"):
         LtiPlant(A=[[0.5]], B=[[1.0]], C=[[1.0, 0.0]], Q=[[0.1]], R=[[0.1]], ts=1.0)
 
 
@@ -282,6 +284,62 @@ def test_ugv_rejects_bad_params():
         discretize_ugv(UgvParams(mass=-1.0), 0.05, np.eye(3) * 1e-5, np.eye(3) * 1e-4)
     with pytest.raises(InvalidParameter):
         discretize_ugv(UgvParams(), 0.0, np.eye(3) * 1e-5, np.eye(3) * 1e-4)
+
+
+#: an explicit one-state plant, and the UGV's default noise
+SCALAR_PLANT = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[0.1]], "R": [[0.1]], "ts": 1.0}
+UGV_Q, UGV_R = np.diag(UGV_DEFAULT_Q), np.diag(UGV_DEFAULT_R)
+
+#: a library call on bad input, beside the config that load rejects for the same input
+LIBRARY_CALLS = {
+    "A-str": (lambda ugv: LtiPlant(**{**SCALAR_PLANT, "A": "a"}),
+              {"plant": {**SCALAR_PLANT, "A": "a"}}),
+    "A-bool": (lambda ugv: LtiPlant(**{**SCALAR_PLANT, "A": [[True]]}),
+               {"plant": {**SCALAR_PLANT, "A": [[True]]}}),
+    "C-ragged": (lambda ugv: LtiPlant(**{**SCALAR_PLANT, "C": [[1.0], [1.0, 2.0]]}),
+                 {"plant": {**SCALAR_PLANT, "C": [[1.0], [1.0, 2.0]]}}),
+    "ts-inf": (lambda ugv: LtiPlant(**{**SCALAR_PLANT, "ts": math.inf}),
+               {"plant": {**SCALAR_PLANT, "ts": math.inf}}),
+    "ugv-ts-inf": (lambda ugv: discretize_ugv(UgvParams(), math.inf, UGV_Q, UGV_R),
+                   {"plant": {"preset": "ugv", "ts": math.inf}}),
+    "mass-str": (lambda ugv: discretize_ugv(UgvParams(mass="heavy"), 0.05, UGV_Q, UGV_R),
+                 {"plant": {"preset": "ugv", "params": {"mass": "heavy"}}}),
+    "mass-bool": (lambda ugv: ugv_continuous(UgvParams(mass=True)),
+                  {"plant": {"preset": "ugv", "params": {"mass": True}}}),
+    "mass-inf": (lambda ugv: ugv_continuous(UgvParams(mass=math.inf)),
+                 {"plant": {"preset": "ugv", "params": {"mass": math.inf}}}),
+    "noise-Q-str": (lambda ugv: NoiseSource("a", UGV_R, 1),
+                    {"plant": {**SCALAR_PLANT, "Q": "a"}}),
+    "K-str": (lambda ugv: make_controller(ugv, K="x"), {"controller": {"K": "x"}}),
+    "K-unstable": (lambda ugv: make_controller(ugv, K=[[100, 0, 0], [0, 0, 0]]),
+                   {"controller": {"K": [[100, 0, 0], [0, 0, 0]]}}),
+    "input_weights-one": (lambda ugv: make_controller(ugv, input_weights=[1]),
+                          {"controller": {"input_weights": [1]}}),
+    "state_weights-two": (lambda ugv: make_controller(ugv, state_weights=[1, 2]),
+                          {"controller": {"state_weights": [1, 2]}}),
+    "state_weights-negative": (lambda ugv: make_controller(ugv, state_weights=[1, -1, 1]),
+                               {"controller": {"state_weights": [1, -1, 1]}}),
+}
+
+
+@pytest.mark.parametrize("call, raw", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS.keys())
+def test_library_raises_loads_first_problem(call, raw, ugv_plant):
+    with pytest.raises(ValidationError) as load:
+        load_config_dict({**raw, "horizon": 1000})
+    with pytest.raises(InvalidParameter) as library:
+        call(ugv_plant)
+    first = load.value.problems[0]
+    assert str(library.value) == first.split(".", 1)[1]
+
+
+def test_lqr_gain_rejects_weights_of_the_wrong_size(ugv_plant):
+    # a 1x1 input weight used to broadcast over both inputs and design another gain
+    with pytest.raises(InvalidParameter, match=r"^Ru: must be 2x2 \(inputs x inputs\), got 1x1$"):
+        lqr_gain(ugv_plant.A, ugv_plant.B, np.eye(3), [[1.0]])
+    with pytest.raises(InvalidParameter, match=r"^Qx: Qx must be symmetric$"):
+        lqr_gain(ugv_plant.A, ugv_plant.B, [[1, 0, 0], [1, 1, 0], [0, 0, 1]], np.eye(2))
+    with pytest.raises(InvalidParameter, match=r"^A: must be 3x3 \(states x states\), got 2x2$"):
+        lqr_gain(np.eye(2), ugv_plant.B, np.eye(3), np.eye(2))
 
 
 # --- controller -----------------------------------------------------------------------
