@@ -23,7 +23,7 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import finite_array
+from .lti import CHUNK, finite_array
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -143,24 +143,33 @@ class AttackPolicy:
     eta (s,) and r_prev (s,) (None at step 0) and returns (s,); a stack of R
     runs (:func:`stack`, R = 1 included) takes and returns (R, ...) stacks.
     At an active step it computes ``ce``, column i of ``C e``, once per
-    targeted sensor: for one run the Python float ``float(c_rows[i] @ e)``
-    (numpy's cost per call on 1-element arrays is several times the
-    arithmetic), for a stack ``(c_rows[i][None, None] @ e[:, :, None])[:, 0, 0]``,
-    one row against each run's column, which keeps each run's bits (a stacked
-    ``C @ e`` does not). ``signal(policy, k, ce, eta_i, i)`` returns the attack
-    values that cancel them, float operation for float operation as one run
-    alone would, and every other entry is zero; ``consts`` holds the
+    targeted sensor: for one run the Python float ``float(c_rows[i].dot(e))``
+    (the dot product ``c_rows[i] @ e`` computes, at half its call cost; numpy's
+    cost per call on 1-element arrays is several times the arithmetic), for a
+    stack ``(c_rows[i][None, None] @ e[:, :, None])[:, 0, 0]``, one row against
+    each run's column, which keeps each run's bits (a stacked
+    ``C @ e`` does not). ``signal(policy, k, ce, eta_i, i, drawn)`` returns the
+    attack values that cancel them, float operation for float operation as one
+    run alone would, and every other entry is zero; ``consts`` holds the
     per-sensor constants it reads.
 
-    Each run keeps its own state: ``rngs`` holds one generator per run, drawn
-    once per run, sensor and active step where the kind draws. ``schedule`` is
-    the randomness-aware kinds' saturation schedule, (ell,) for one run and
-    (ell, R) for a stack. ``cusum`` is the CUSUM kinds' own detector, with S
-    of shape (s,) or (R, s), stepped on every residual handed in, at active
-    steps or not, before ``signal`` reads its statistic. The other kinds leave
-    both None. ``forcing`` is the mean residual a worst-case kind forces on each
-    sensor (zero on clean sensors), the input of ``deviation.deviation_limit``;
-    None for the scripted kinds and for a bad-data kind without a configured
+    Each run keeps its own state: ``rngs`` holds one generator per run.
+    A drawing kind's ``draw(policy, rng, rows)`` returns ``rows`` active
+    steps' values, one column per targeted sensor, in the order that one draw
+    per step and sensor would take them from ``rng``; the policy calls it a
+    chunk of ``lti.CHUNK`` active steps at a time (fewer when its window ends
+    sooner), from each run's generator, and hands ``signal`` the next step's
+    value of each sensor as ``drawn`` (a float for one run, (R,) for a stack;
+    None for the kinds that draw nothing). So the j-th active call gets the
+    values the j-th step of a per-step draw would, and the generator runs up
+    to a chunk ahead of them. ``schedule`` is the randomness-aware kinds'
+    saturation schedule, (ell,) for one run and (ell, R) for a stack.
+    ``cusum`` is the CUSUM kinds' own detector, with S of shape (s,) or (R, s),
+    stepped on every residual handed in, at active steps or not, before
+    ``signal`` reads its statistic. The other kinds leave both None.
+    ``forcing`` is the mean residual a worst-case kind forces on each sensor
+    (zero on clean sensors), the input of ``deviation.deviation_limit``; None
+    for the scripted kinds and for a bad-data kind without a configured
     detector.
     """
 
@@ -172,44 +181,63 @@ class AttackPolicy:
     forcing: Optional[np.ndarray] = None
     schedule: Optional[np.ndarray] = None
     cusum: Optional[CusumDetector] = None
+    draw: Optional[Callable] = None
+    _drawn: list = field(default_factory=list, init=False, repr=False)  # the chunk's rows left
+
+    def __post_init__(self):
+        # what each active step reads again: each C row, as one run's and as a stack's
+        # (1, 1, n) operand, and the draws of a kind that draws nothing
+        self._rows = list(self.c_rows)
+        self._row_stacks = [row[None, None] for row in self._rows]
+        self._no_draws = (None,) * len(self.plan.sensors)
 
     def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
                  r_prev: Optional[np.ndarray]) -> np.ndarray:
         if self.cusum is not None and r_prev is not None:
             self.cusum.step(r_prev)
         xi = np.zeros(eta.shape)
-        if self.plan.start <= k < self.plan.stop:
-            if e.ndim == 1:  # one run: Python floats cost far less than 1-element arrays
-                for i in self.plan.sensors:
-                    xi[i] = self.signal(self, k, float(self.c_rows[i] @ e), float(eta[i]), i)
+        plan = self.plan
+        if plan.start <= k < plan.stop:
+            one_run = e.ndim == 1
+            drawn = self._no_draws if self.draw is None else self._next_draws(k, one_run)
+            if one_run:  # Python floats cost far less than 1-element arrays
+                for i, d in zip(plan.sensors, drawn):
+                    xi[i] = self.signal(self, k, float(self._rows[i].dot(e)), eta.item(i), i, d)
             else:
                 e = e[:, :, None]
-                for i in self.plan.sensors:
-                    xi[:, i] = self.signal(self, k, (self.c_rows[i][None, None] @ e)[:, 0, 0],
-                                           eta[:, i], i)
+                for i, d in zip(plan.sensors, drawn):
+                    xi[:, i] = self.signal(self, k, (self._row_stacks[i] @ e)[:, 0, 0],
+                                           eta[:, i], i, d)
         return xi
 
+    def _next_draws(self, k: int, one_run: bool):
+        """This active step's draws, one per targeted sensor; a new chunk when the last is used."""
+        if not self._drawn:
+            rows = min(CHUNK, self.plan.stop - k)
+            block = [self.draw(self, rng, rows) for rng in self.rngs]  # (rows, sensors) each
+            # reversed, so that each step pops its row off the end
+            self._drawn = (block[0].tolist() if one_run else list(np.stack(block, axis=-1)))[::-1]
+        return self._drawn.pop()
 
-def _each_run(policy: AttackPolicy, draw: Callable, *args):
-    """``draw(rng, *args)`` once per run, from each run's own generator; one run's as a float."""
-    if len(policy.rngs) == 1:
-        return draw(policy.rngs[0], *args)
-    return np.array([draw(rng, *args) for rng in policy.rngs])
 
-
-def _no_signal(p, k, ce, eta, i):
+def _no_signal(p, k, ce, eta, i, drawn):
     return 0.0
 
 
-def _bias_concentrate(p, k, ce, eta, i):
+def _drawn_target(p, k, ce, eta, i, drawn):
+    return drawn - ce - eta
+
+
+def _normal_targets(p, rng, rows):
     # The residual becomes N(mu_a, sigma_a^2) draws: a shifted, tighter normal that
     # skews the sign/magnitude balance the symmetry monitor watches while staying
     # inside the bad-data threshold.
     mu, sd = p.consts
-    return _each_run(p, np.random.Generator.normal, mu[i], sd[i]) - ce - eta
+    sensors = list(p.plan.sensors)
+    return rng.normal(mu[sensors], sd[sensors], (rows, len(sensors)))
 
 
-def _pattern_runs(p, k, ce, eta, i):
+def _pattern_runs(p, k, ce, eta, i, drawn):
     # A zero-centered sawtooth (-1.5a, -0.5a, +0.5a, +1.5a, ...) whose differences are
     # +a, +a, +a, -3a: a fixed {+, +, +, -} sign pattern. The window is symmetric
     # (quiet for the symmetry monitor) and small (quiet for the boundary detectors)
@@ -218,32 +246,32 @@ def _pattern_runs(p, k, ce, eta, i):
     return (-1.5, -0.5, 0.5, 1.5)[(k - p.plan.start) % 4] * amp[i] - ce - eta
 
 
-def _symmetric_flood(p, k, ce, eta, i):
+def _flood_targets(p, rng, rows):
     # Large residuals with random signs and jittered magnitudes: sign-symmetric and
     # serially random, so both randomness monitors stay quiet, while |r| far above
-    # the detector bias drives the CUSUM over its threshold.
+    # the detector bias drives the CUSUM over its threshold. Each step and sensor
+    # takes two uniforms: the sign's, then the jitter's.
     amp, jitter = p.consts
-
-    def flood(rng):
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return sign * (amp[i] + jitter[i] * rng.random())
-    return _each_run(p, flood) - ce - eta
+    sensors = list(p.plan.sensors)
+    u = rng.random((rows, len(sensors), 2))
+    return np.where(u[..., 0] < 0.5, 1.0, -1.0) * (amp[sensors] + jitter[sensors] * u[..., 1])
 
 
-#: scripted kind -> its signal, which leaves ``target - ce - eta`` and reads the kind's
-#: params in :data:`ATTACK_PARAMS` order
-_SCRIPTED = {"none": _no_signal, "bias_concentrate": _bias_concentrate,
-             "pattern_runs": _pattern_runs, "symmetric_flood": _symmetric_flood}
+#: scripted kind -> (its signal, which leaves ``target - ce - eta``, and the draw of its
+#: random targets or None); both read the kind's params in :data:`ATTACK_PARAMS` order
+_SCRIPTED = {"none": (_no_signal, None), "bias_concentrate": (_drawn_target, _normal_targets),
+             "pattern_runs": (_pattern_runs, None),
+             "symmetric_flood": (_drawn_target, _flood_targets)}
 
 
-def _worst_case(p, k, ce, eta, i):
+def _worst_case(p, k, ce, eta, i, drawn):
     """``((((-ce - eta) + bias) - S) + pinned) - delta``; bias, S and delta where the kind has them.
 
     ``S`` is subtracted and ``pinned`` added on saturating steps only (every
-    step without a schedule); the dither delta ~ U(0, epsilon) is drawn on
-    every active step of a randomness-aware kind.
+    step without a schedule); the dither delta ~ U(0, epsilon), ``drawn``, is
+    subtracted on every active step of a randomness-aware kind.
     """
-    bias, pinned, eps = p.consts
+    bias, pinned, _ = p.consts
     v = -ce - eta
     if bias is not None:
         v = v + bias[i]
@@ -252,7 +280,13 @@ def _worst_case(p, k, ce, eta, i):
         return held
     saturating = p.schedule[(k - p.plan.start) % len(p.schedule)]  # a bool, or (R,) for a stack
     v = np.where(saturating, held, v) if saturating.ndim else (held if saturating else v)
-    return v - _each_run(p, np.random.Generator.uniform, 0.0, eps[i])
+    return v - drawn
+
+
+def _dither(p, rng, rows):
+    eps = p.consts[2]
+    sensors = list(p.plan.sensors)
+    return rng.uniform(0.0, eps[sensors], (rows, len(sensors)))
 
 
 def check_plan(plan: AttackPlan, n_sensors: Optional[int], *, ell: Optional[int],
@@ -347,7 +381,8 @@ def build_attack_policy(
         raise InvalidParameter(f"{key}: {text}" if key else text)
 
     if kind in _SCRIPTED:
-        return AttackPolicy(plan, c_rows, _SCRIPTED[kind], tuple(params.values()), [rng])
+        signal, draw = _SCRIPTED[kind]
+        return AttackPolicy(plan, c_rows, signal, tuple(params.values()), [rng], draw=draw)
 
     # The worst-case kinds. Detector-only mode pins every residual just below the
     # bad-data threshold, or holds the CUSUM statistic S (of the policy's own copy,
@@ -375,7 +410,7 @@ def build_attack_policy(
     attacked = np.isin(np.arange(n_sensors), plan.sensors)
     forcing = None if level is None else np.where(attacked, level, 0.0)
     return AttackPolicy(plan, c_rows, _worst_case, (bias, pinned, eps), [rng], forcing,
-                        schedule, own)
+                        schedule, own, None if eps is None else _dither)
 
 
 class CompositeAttack:
@@ -404,7 +439,9 @@ def stack(runs: Sequence) -> Optional[AttackPolicy | CompositeAttack]:
     runs give the joined policy, R = 1 included. The policies must be distinct
     objects of one kind, sensors and window, with equal ``c_rows``, constants (the
     resolved params) and CUSUM settings, as :func:`build_attack_policy` builds
-    them with only the seed changing. ``forcing`` is run 0's.
+    them with only the seed changing. ``forcing`` is run 0's. The joined policy draws
+    from each run's generator where it stands, so the runs' policies must not have
+    drawn a chunk they have not used (a policy that has attacked draws ahead).
     """
     first = runs[0]
     if all(run is None for run in runs):
@@ -441,4 +478,5 @@ def stack(runs: Sequence) -> Optional[AttackPolicy | CompositeAttack]:
     cusum = None if first.cusum is None else replace(
         first.cusum, S=np.array([p.cusum.S for p in runs]))
     return AttackPolicy(first.plan, first.c_rows, first.signal, first.consts,
-                        [rng for p in runs for rng in p.rngs], first.forcing, schedule, cusum)
+                        [rng for p in runs for rng in p.rngs], first.forcing, schedule, cusum,
+                        first.draw)

@@ -22,7 +22,6 @@ import functools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -126,8 +125,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     K = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
                         input_weights=spec.get("input_weights"))
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
-    combined = atk.CompositeAttack(policies) if policies else None
-    traj = simulate(plant, kss, K, noise, cfg.horizon, attack=combined)
+    # simulate sums a run's attack onto zeros as a composite does, so one phase is called alone
+    attack = atk.CompositeAttack(policies) if len(policies) > 1 else next(iter(policies), None)
+    traj = simulate(plant, kss, K, noise, cfg.horizon, attack=attack)
     p, alarm, rate, cusum_s, fields = score_residuals(cfg, traj["r"], bdd, cusum)
     summary = RunSummary(
         schema_version=SCHEMA_VERSION,
@@ -393,6 +393,9 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     # a fork-started pool starts all its workers at the first submit
     workers = min(workers, len(cells))
     if workers > 1:
+        # imported here: concurrent.futures.process adds to every start that never fans out
+        from concurrent.futures import ProcessPoolExecutor
+
         block = math.ceil(len(cells) / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, cells, chunksize=block))

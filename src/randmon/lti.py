@@ -27,24 +27,32 @@ seeded runs) both call :func:`_lockstep`, which advances every run together.
 Each run's x and xhat are held side by side in one ``(runs, 2, n, 1)`` column
 stack z, so ``A @ z`` and ``C @ z`` are one stacked call each; numpy computes
 every stacked product as one matrix-vector product per run and per vector,
-with the same bits as the per-run ``A @ x``. The products and the input are
-written into buffers allocated once (``out=``), recorded residuals straight
+with the same bits as the per-run ``A @ x``. When both x and xhat are
+recorded (:func:`simulate`), each step's z is computed straight into its
+record row, and the records are views of it; otherwise z alternates between
+two rows and the recorded half is copied out. The other products and the
+input are written into buffers allocated once (``out=``), residuals straight
 into their record rows, and each step's process noise sits beside
 ``L @ r_prev``, so both state updates are two in-place adds in the float
-order of the recursions above. Each run's noise is drawn and coloured
-``CHUNK`` steps at a time (:meth:`NoiseSource.block`), from the same Philox
-stream as per-step :meth:`NoiseSource.draw` calls. The kernel calls its
-attack once per step for all runs, with the step index and the runs' stacked
-e, eta and previous residuals, and takes every run's attack back: an
-ensemble's attack is one policy joined from the runs' own. Nothing it hands
-an attack is written again, so an attack may keep it. :func:`simulate` hands
-its attack one run's vectors, as :func:`step` does. :func:`step` is the same
-recursion one run and one step at a time, starting from ``state=None`` at the
-zero start; it is the reference the kernel is tested against.
+order of the recursions above. The kernel takes each step's rows by iterating
+its arrays a chunk at a time, not by indexing them. Each run's noise is drawn
+and coloured ``CHUNK`` steps at a time (:meth:`NoiseSource.block`), from the
+same Philox stream as per-step :meth:`NoiseSource.draw` calls. The kernel
+calls its attack once per step for all runs, with the step index and the
+runs' stacked e, eta and previous residuals, and takes every run's attack
+back: an ensemble's attack is one policy joined from the runs' own. Nothing
+it hands an attack is written again, so an attack may keep it. For
+:func:`simulate` it hands one run's vectors, as :func:`step` does, through
+the one-run adapter :func:`_resolve_attack`: any callable's value is taken as
+floats, checked for shape (s,) and summed onto zeros, which turns a -0.0
+attack into +0.0. :func:`step` is the same recursion one run and one step at
+a time, starting from ``state=None`` at the zero start; it is the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -66,7 +74,8 @@ RICCATI_MAX_ITER = 100_000
 EXPM_TOL = 1e-15
 EXPM_MAX_TERMS = 80
 
-#: Steps of noise each run draws and colours at once in the lockstep kernel.
+#: Steps of noise each run draws and colours at once in the lockstep kernel, and active
+#: steps of randomness each attack policy draws at once.
 CHUNK = 256
 #: The matrices of an explicit plant, in the order their problems are reported.
 PLANT_MATRICES = ("A", "B", "C", "Q", "R")
@@ -119,12 +128,18 @@ def covariance_problem(M: Array, name: str) -> tuple:
     return None, sym
 
 
+def _none_of(unit: str, shape) -> str:
+    return f"must have at least one {unit.rstrip('s')}, got {shape[0]}x{shape[1]}"
+
+
 def _matrix(value, name: str, unit: str = "", k: Optional[int] = None) -> Array:
-    """``value`` as a 2-D float array, k x k (default: its rows) if ``unit`` names k; else raise."""
+    """``value`` as a 2-D float array, k x k (default: its rows, at least one) if ``unit``
+    names k; else raise."""
     M = finite_array(value)
     _raise_first([(name, "must be a matrix of finite numbers")] if M is None else [])
     M = np.atleast_2d(M)
     k = M.shape[0] if k is None else k
+    _raise_first([(name, _none_of(unit, M.shape))] if unit and not k else [])
     _raise_first([(name, _wrong_size(k, unit, M.shape))] if unit and M.shape != (k, k) else [])
     return M
 
@@ -142,9 +157,10 @@ def sample_period_problems(ts) -> list:
 def plant_problems(spec) -> tuple:
     """``(problems, arrays)`` of an explicit plant: ``spec`` maps ``ts`` and A, B, C, Q, R.
 
-    Each matrix must be given and numeric (a number or a flat list is one row), and
-    A, B, C, Q, R conform; Q and R, when square, must be covariances. ``arrays`` holds
-    each 2-D float matrix, Q and R symmetrised, or None if missing or not numeric.
+    Each matrix must be given and numeric (a number or a flat list is one row), the
+    plant must have at least one state and one sensor, and A, B, C, Q, R conform; Q
+    and R, when square and not empty, must be covariances. ``arrays`` holds each 2-D
+    float matrix, Q and R symmetrised, or None if missing or not numeric.
     """
     problems, arrays = sample_period_problems(spec.get("ts")), {}
     for key in PLANT_MATRICES:
@@ -156,16 +172,18 @@ def plant_problems(spec) -> tuple:
     A, B, C, Q, R = shapes = [None if M is None else M.shape for M in arrays.values()]
     if A is not None:
         n = A[0]
-        rules = [A[1] != n and "must be square",
+        rules = [A[1] != n and "must be square" or not n and "must have at least one state",
                  B is not None and B[0] != n and f"must have one row per state ({n})",
                  C is not None and C[1] != n and f"must have one column per state ({n})"]
         problems += [(key, f"{rule}, got {shape[0]}x{shape[1]}")
                      for key, rule, shape in zip("ABC", rules, shapes) if rule]
         problems += [("Q", _wrong_size(n, "states", Q))] if Q is not None and Q != (n, n) else []
+    if C is not None and not C[0]:
+        problems.append(("C", _none_of("sensors", C)))
     if C is not None and R is not None and R != (C[0], C[0]):
         problems.append(("R", _wrong_size(C[0], "sensors", R)))
     for key, shape in (("Q", Q), ("R", R)):
-        if shape is not None and shape[0] == shape[1]:
+        if shape is not None and shape[0] == shape[1] and shape[0]:
             problem, arrays[key] = covariance_problem(arrays[key], key)
             problems += [(key, problem)] if problem else []
     return problems, arrays
@@ -204,9 +222,11 @@ def gain_problems(gain, n: Optional[int], m: Optional[int]) -> tuple:
 
 
 def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
+    """Largest eigenvalue modulus of a square matrix of finite numbers (a number is 1 x 1)."""
+    M = finite_array(M)
+    if M is None:
+        raise InvalidParameter("spectral radius needs a matrix of finite numbers")
+    if not (M := np.atleast_2d(M)).size or M.shape[0] != M.shape[1]:
         raise InvalidParameter(f"spectral radius needs a square matrix, got {M.shape}")
     return float(np.abs(np.linalg.eigvals(M)).max())
 
@@ -468,13 +488,15 @@ class SimState:
 
 
 def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array,
-                    r_prev: Optional[Array], s: int) -> Array:
+                    r_prev: Optional[Array], s: int, out: Optional[Array] = None) -> Array:
+    """One run's attack as floats of shape (s,), summed onto zeros (so a -0.0 becomes +0.0)
+    into ``out`` (default: a new array)."""
     if attack is None:
         return np.zeros(s)
     xi = np.asarray(attack(k, e, eta, r_prev), dtype=float)
     if xi.shape != (s,):
         raise InvalidParameter(f"attack signal must have shape ({s},), got {xi.shape}")
-    return xi
+    return np.add(xi, 0.0, out=out)
 
 
 def step(
@@ -492,7 +514,8 @@ def step(
     ``(k, e, eta, r_prev) -> s-vector`` evaluated with the new step index, the
     new estimation error, the new measurement noise draw and the previous
     step's residual (None at step 0): the omniscient-attacker interface. Its
-    value is added to the new measurement.
+    value, checked for shape (s,) and summed onto zeros by :func:`_resolve_attack`,
+    is added to the new measurement.
     """
     if state is None:
         k = 0
@@ -530,17 +553,12 @@ def simulate(
     """Run ``horizon`` steps from the zero start and return stacked trajectories.
 
     ``attack`` is called as in :func:`step`, with one run's vectors, and its
-    value is checked for shape (s,). Returns a dict with arrays ``x`` and
-    ``xhat`` (horizon, n), ``r`` and the applied attack ``xi`` (horizon, s).
-    Row k holds the state at step k.
+    value is checked for shape (s,) and summed onto zeros. Returns a dict with
+    arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the applied attack ``xi``
+    (horizon, s). Row k holds the state at step k.
     """
-    if attack is not None:
-        one_run = attack
-
-        def attack(k, e, eta, r_prev):
-            r_prev = None if r_prev is None else r_prev[0]
-            return _resolve_attack(one_run, k, e[0], eta[0], r_prev, plant.s)[None]
-    out = _lockstep(plant, kss, K, [noise], horizon, attack, ("x", "xhat", "r", "xi"))
+    out = _lockstep(plant, kss, K, [noise], horizon, attack, ("x", "xhat", "r", "xi"),
+                    one_run=True)
     return {name: rows[0] for name, rows in out.items()}
 
 
@@ -552,6 +570,7 @@ def _lockstep(
     horizon: int,
     attack,
     record,
+    one_run: bool = False,
 ):
     """Advance independent runs together for ``horizon`` steps from the zero start.
 
@@ -560,64 +579,82 @@ def _lockstep(
     ``attack(k, e, eta, r_prev)`` with the runs' stacked e (runs, n), eta
     (runs, s) and previous residuals (runs, s) (None at step 0), and returns
     their attacks as one float array (runs, s); row j acts for run j alone,
-    and only the shape is checked. None of the arrays it is handed is written
-    again. Returns ``{name: (runs, horizon, dim)}`` for each name in
-    ``record`` (among x, xhat, r, xi); each step writes its rows straight
-    into them, and a residual history is kept only when ``r`` is recorded.
-    Every product, sum and draw is the one :func:`step` makes, in the same
-    order, so each run is bit-equal to stepping it alone.
+    and only the shape is checked. With ``one_run`` (a single run) it is
+    handed that run's vectors instead, through :func:`_resolve_attack`, as
+    :func:`step` hands them. None of the arrays it is handed is written again.
+    Returns ``{name: (runs, horizon, dim)}`` for each name in ``record`` (among
+    x, xhat, r, xi); each step writes its rows straight into them, and a
+    residual history is kept only when ``r`` is recorded. When both x and xhat
+    are recorded they are views of one record of every step's z, which each
+    step is computed into; otherwise z alternates between two rows. Every
+    product, sum and draw is the one :func:`step` makes, in the same order, so
+    each run is bit-equal to stepping it alone.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be at least 1")
     runs, n, s = len(noises), plant.n, plant.s
     A, B, C, L = plant.A, plant.B, plant.C, kss.L
     dims = {"x": n, "xhat": n, "r": s, "xi": s}
-    out = {name: np.zeros((runs, horizon, dims[name])) for name in record}  # xi stays 0 unattacked
-    rec_x, rec_xhat, rec_r, rec_xi = (out.get(name) for name in ("x", "xhat", "r", "xi"))
-    z = np.zeros((runs, 2, n, 1))      # x, then xhat, of every run
-    az = np.empty_like(z)              # A @ z, which becomes the next z
+    held = horizon if "x" in record and "xhat" in record else 2  # steps of z kept
+    zs = np.zeros((held, runs, 2, n, 1))  # x, then xhat, of every run at each kept step
+    zx, zxhat = zs[:, :, 0, :, 0], zs[:, :, 1, :, 0]
+    views = {"x": zx.swapaxes(0, 1), "xhat": zxhat.swapaxes(0, 1)} if held == horizon else {}
+    out = {name: views[name] if name in views else np.zeros((runs, horizon, dims[name]))
+           for name in record}  # xi stays 0 unattacked
+    copied = [(out[name], h) for h, name in enumerate(("x", "xhat")) if name in out and not views]
+    rec_r, rec_xi = out.get("r"), out.get("xi")
     cz = np.empty((runs, 2, s, 1))     # C @ z
-    cx, cxhat = cz[:, 0], cz[:, 1]
+    cx, cxhat = cz[:, 0, :, 0], cz[:, 1, :, 0]
     u = np.empty((runs, K.shape[0], 1))
     drive = np.empty((runs, 1, n, 1))  # B @ u, added to both halves of A @ z
     bu = drive[:, 0]
     forcing = np.zeros((CHUNK, runs, 2, n, 1))  # each step's nu beside L @ r_prev
-    xi = np.zeros((runs, s, 1))
+    pick = 0 if one_run else slice(None)  # what the attack is handed: run 0's rows, or all
+    # Each step's rows, as views made by iterating the arrays (far cheaper than indexing):
+    # z with its xhat column, and x and xhat as handed; every step's, or a ring of two.
+    zrows = zip(zs, zs[:, :, 1], zx[:, pick], zxhat[:, pick])
+    zrows = zrows if held == horizon else itertools.cycle(list(zrows))
     r_prev = None
-    for k in range(horizon):
-        i = k % CHUNK
-        if i == 0:
-            rows = min(CHUNK, horizon - k)
-            eta = np.zeros((rows, runs, s, 1))  # new each chunk: an attack may keep its rows
-            for j, noise in enumerate(noises):
-                if noise is not None:
-                    forcing[:rows, j, 0], eta[:, j] = noise.block(rows, initial=k == 0)
-        if k > 0:
-            np.matmul(L, r, out=forcing[i, :, 1])
-            np.matmul(K, z[:, 1], out=u)
-            np.matmul(B, u, out=bu)
-            np.matmul(A, z, out=az)
-            az += drive
-            az += forcing[i]
-            z, az = az, z
-        if attack is not None:
-            xi = attack(k, z[:, 0, :, 0] - z[:, 1, :, 0], eta[i, :, :, 0], r_prev)
-            if xi.shape != (runs, s):
-                raise InvalidParameter(
-                    f"attack signal must have shape ({runs}, {s}), got {xi.shape}")
-            if rec_xi is not None:
-                rec_xi[:, k] = xi
-            xi = xi[:, :, None]
-        np.matmul(C, z, out=cz)
-        r = np.empty((runs, s, 1)) if rec_r is None else rec_r[:, k, :, None]
-        np.add(cx, eta[i], out=r)
-        r += xi  # also a zero xi, as in step: it turns a -0.0 sum into +0.0
-        r -= cxhat
-        r_prev = r[:, :, 0]
-        if rec_x is not None:
-            rec_x[:, k] = z[:, 0, :, 0]
-        if rec_xhat is not None:
-            rec_xhat[:, k] = z[:, 1, :, 0]
+    for first in range(0, horizon, CHUNK):
+        rows = min(CHUNK, horizon - first)
+        steps = slice(first, first + rows)
+        eta = np.zeros((rows, runs, s))  # new each chunk: an attack may keep its rows
+        for run, noise in enumerate(noises):
+            if noise is not None:
+                forcing[:rows, run, 0], eta[:, run, :, None] = noise.block(rows, initial=first == 0)
+        # residual rows: the records, or new each chunk (an attack may keep them)
+        rs = np.empty((rows, runs, s)) if rec_r is None else rec_r[:, steps].swapaxes(0, 1)
+        xis = [None] * rows if rec_xi is None else rec_xi[:, steps].swapaxes(0, 1)[:, pick]
+        for k, (z, zhat, x_h, xhat_h), force, lr, eta_k, eta_h, r_k, r_col, r_h, xi_row in zip(
+                range(first, first + rows), zrows, forcing, forcing[:, :, 1], eta, eta[:, pick],
+                rs, rs[..., None], rs[:, pick], xis):
+            if k > 0:
+                np.matmul(L, r_col_last, out=lr)
+                np.matmul(K, zhat_last, out=u)
+                np.matmul(B, u, out=bu)
+                np.matmul(A, z_last, out=z)
+                z += drive
+                z += force
+            np.matmul(C, z, out=cz)
+            np.add(cx, eta_k, out=r_k)
+            if attack is not None:
+                e = x_h - xhat_h
+                if one_run:
+                    xi = _resolve_attack(attack, k, e, eta_h, r_prev, s, xi_row)
+                else:
+                    xi = attack(k, e, eta_h, r_prev)
+                    if xi.shape != (runs, s):
+                        raise InvalidParameter(
+                            f"attack signal must have shape ({runs}, {s}), got {xi.shape}")
+                    if xi_row is not None:
+                        xi_row[...] = xi
+                r_k += xi
+            else:
+                r_k += 0.0  # as step adds its zero xi: it turns a -0.0 sum into +0.0
+            r_k -= cxhat
+            for rec, h in copied:
+                rec[:, k] = (x_h, xhat_h)[h]
+            z_last, zhat_last, r_col_last, r_prev = z, zhat, r_col, r_h
     return out
 
 

@@ -13,7 +13,7 @@ from randmon.attacks import (
 )
 from randmon.detectors import BadDataDetector, CusumDetector
 from randmon.errors import InvalidParameter
-from randmon.lti import NoiseSource, step
+from randmon.lti import CHUNK, NoiseSource, step
 from randmon.monitors import wsr_bounds, wsr_test
 
 RATE_LIMIT = 1.0 - math.sqrt(2.0) / 2.0
@@ -177,6 +177,73 @@ def test_stacked_row_product_is_each_runs_own_product(n, s, runs):
         stacked = stack(policies)(3, E, eta, None)
         per_run = [policy(3, e, eta_j, None) for policy, e, eta_j in zip(policies, E, eta)]
         assert stacked.tobytes() == np.array(per_run).tobytes()
+
+
+# --- chunk-drawn randomness --------------------------------------------------------------
+
+DRAWING_KINDS = ("bias_concentrate", "symmetric_flood", "worst_case_bdd_randaware",
+                 "worst_case_cusum_randaware")
+
+
+def one_step_reference(policy, rng, k, sensors):
+    """A kind's attack on ``sensors`` at active step k for e = 0 and eta = 0 (``ce = 0.0``),
+    drawing one value per sensor from ``rng`` as the per-step policy drew them."""
+    out = []
+    for i in sensors:
+        if policy.plan.kind == "bias_concentrate":
+            mu, sd = policy.consts
+            out.append(rng.normal(mu[i], sd[i]) - 0.0 - 0.0)
+        elif policy.plan.kind == "symmetric_flood":
+            amp, jitter = policy.consts
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            out.append(sign * (amp[i] + jitter[i] * rng.random()) - 0.0 - 0.0)
+        else:  # S stays 0.0: no residual is handed in
+            bias, pinned, eps = policy.consts
+            v = -0.0 - 0.0 if bias is None else (-0.0 - 0.0) + bias[i]
+            saturating = policy.schedule[(k - policy.plan.start) % len(policy.schedule)]
+            out.append(((v - 0.0) + pinned[i] if saturating else v) - rng.uniform(0.0, eps[i]))
+    return out
+
+
+@pytest.mark.parametrize("start, stop, horizon", [
+    (37, 37 + CHUNK + 100, 37 + CHUNK + 130),  # the window starts and stops inside chunks
+    (5, 2**62, 5 + 2 * CHUNK + 17),            # the horizon ends inside the third chunk
+], ids=["window-inside-chunks", "horizon-mid-chunk"])
+@pytest.mark.parametrize("runs", [None, 1, 3], ids=["one-run", "stack-of-1", "stack-of-3"])
+@pytest.mark.parametrize("kind", DRAWING_KINDS)
+def test_chunk_draws_equal_one_draw_per_active_step_and_sensor(kind, runs, start, stop, horizon,
+                                                                ugv_plant, ugv_kss):
+    """Every active step gets the values of one draw per step and sensor, run by run.
+
+    A reference generator per run, seeded as the run's policy is, draws once per
+    active step and sensor in (step, sensor) order; the policy, which draws a
+    chunk of active steps at a time, must attack with exactly those values.
+    Drawing a chunk sensor-major, or a chunk on an inactive step, gives others.
+    """
+    sigma = ugv_kss.sigma
+    plan = AttackPlan(kind=kind, sensors=(0, 2), start=start, stop=stop)
+
+    def build(seed):
+        return build_attack_policy(plan, 3, ugv_plant.C, sigma, ell=20,
+                                   bdd=BadDataDetector.tuned(sigma, 0.05),
+                                   cusum=CusumDetector(tau=4.0 * sigma, bias=1.5 * sigma),
+                                   seed=seed)
+
+    seeds = [0] if runs is None else list(range(10, 10 + runs))
+    attack = build(0) if runs is None else stack([build(seed) for seed in seeds])
+    references = [build(seed) for seed in seeds]  # fresh: each generator where the run's starts
+    shape = (3,) if runs is None else (runs, 3)
+    zeros = np.zeros(shape)
+    active = 0
+    for k in range(horizon):
+        xi = attack(k, zeros, zeros, None)
+        want = np.zeros((len(seeds), 3))
+        if start <= k < stop:
+            active += 1
+            for j, ref in enumerate(references):
+                want[j, [0, 2]] = one_step_reference(ref, ref.rngs[0], k, (0, 2))
+        assert xi.tobytes() == want.reshape(shape).tobytes(), f"step {k}"
+    assert active == min(stop, horizon) - start > CHUNK
 
 
 # --- attack plans and policies -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -373,12 +374,19 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, cells, chunksize):
             return map(fn, cells)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness, "_sweep_cell", lambda cell: cell[1:])
     kinds = ["none", "pattern_runs", "bias_concentrate"]
     assert run_sweep(dict(BASE), [0.05, 0.1], kinds, workers=64) == [
         (a, kind) for a in (0.05, 0.1) for kind in kinds]
     assert sizes == [6]
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a sweep with workers uses a process pool, so a start of the CLI does not load it."""
+    code = "import sys, randmon.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_config_error_raised_before_fan_out():

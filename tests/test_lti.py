@@ -205,6 +205,33 @@ def test_riccati_memo_raises_again_on_retry(riccati_iterations):
 # --- spectral radius ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("value, message", [
+    ("a", "spectral radius needs a matrix of finite numbers"),
+    ([[1.0, math.inf], [0.0, 1.0]], "spectral radius needs a matrix of finite numbers"),
+    ([[1.0, 2.0]], r"spectral radius needs a square matrix, got \(1, 2\)"),
+    (np.zeros((0, 0)), r"spectral radius needs a square matrix, got \(0, 0\)"),
+], ids=["text", "inf", "not-square", "empty"])
+def test_spectral_radius_rejects_what_is_not_a_square_matrix_of_numbers(value, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        spectral_radius(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LtiPlant(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
+                      Q=np.zeros((0, 0)), R=[[1.0]]), "A: must have at least one state, got 0x0"),
+    (lambda: LtiPlant(A=[[0.5]], B=[[1.0]], C=np.zeros((0, 1)), Q=[[1.0]], R=np.zeros((0, 0))),
+     "C: must have at least one sensor, got 0x1"),
+    (lambda: NoiseSource(np.zeros((0, 0)), [[1.0]], 1),
+     "Q: must have at least one state, got 0x0"),
+    (lambda: NoiseSource([[1.0]], np.zeros((0, 0)), 1),
+     "R: must have at least one sensor, got 0x0"),
+], ids=["plant-states", "plant-sensors", "noise-states", "noise-sensors"])
+def test_plant_without_states_or_sensors_is_invalid(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
+
+
+
 def test_spectral_radius_identity():
     assert abs(spectral_radius(np.eye(3)) - 1.0) < 1e-12
 
@@ -495,6 +522,35 @@ def test_lockstep_matches_reference_at_chunk_edges(horizon, noisy, ugv_plant, ug
     assert_bit_equal(got, want)
     if noisy:
         assert_same_generator_state(noises[1], noises[0])
+
+
+def test_noise_free_run_at_epsilon_zero_records_a_positive_zero_attack(ugv_plant, ugv_kss,
+                                                                        ugv_gains):
+    """A run sums its attack onto zeros, so an attack of -0.0 is recorded as +0.0.
+
+    Noise-free, e is 0 until the first saturating step, and each step before it
+    leaves ``-ce - eta - delta`` = -0.0 - 0.0 - 0.0 = -0.0 at epsilon 0 (seed 4's
+    schedule starts with four such steps). The run records +0.0 in xi and r, as
+    the same policy inside a one-phase ``CompositeAttack`` does, and as ``step``
+    does.
+    """
+    plan = AttackPlan(kind="worst_case_bdd_randaware", sensors=(0, 2), start=0, stop=10**6,
+                      params={"epsilon": 0.0})
+
+    def build():
+        return build_attack_policy(plan, ugv_plant.s, ugv_plant.C, ugv_kss.sigma, ell=20,
+                                   bdd=BadDataDetector.tuned(ugv_kss.sigma, 0.05), seed=4)
+
+    zeros = np.zeros(ugv_plant.s)
+    assert np.signbit(build()(0, zeros, zeros, None)[[0, 2]]).all()
+    horizon = CHUNK + 30
+    got = simulate(ugv_plant, ugv_kss, ugv_gains, None, horizon, attack=build())
+    assert_bit_equal(got, simulate(ugv_plant, ugv_kss, ugv_gains, None, horizon,
+                                   attack=CompositeAttack([build()])))
+    assert_bit_equal(got, reference_run(ugv_plant, ugv_kss, ugv_gains, None, horizon, build()))
+    zero = got["xi"][:, [0, 2]] == 0.0
+    assert zero[:4].all() and not np.signbit(got["xi"][:, [0, 2]][zero]).any()
+    assert not np.signbit(got["r"][:4]).any()
 
 
 def test_lockstep_noise_blocks_equal_per_step_draws(ugv_plant):
