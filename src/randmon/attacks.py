@@ -16,14 +16,14 @@ is handed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import CHUNK, finite_array
+from .lti import CHUNK, finite_array, is_integer
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -111,6 +111,28 @@ def schedule_saturation(budget: SaturationBudget, rng: np.random.Generator) -> n
     return out
 
 
+def entry_problems(entry) -> list:
+    """Every problem of ``entry``, a mapping of each :class:`AttackPlan` field, that needs no
+    context (:func:`check_plan` holds those that do), as ``(field, text)`` with field ``""``
+    or ``".<name>"``: unknown keys, an unknown kind, sensors not a non-empty list or tuple of
+    integers each named once, a window not integers ``0 <= start < stop``, params not a dict.
+    """
+    known = [f.name for f in fields(AttackPlan)]
+    problems = [("", f"unknown key {key!r}") for key in entry if key not in known]
+    kind, sensors, start, stop, params = (entry[key] for key in known)
+    if kind not in ATTACK_KINDS:
+        problems.append((".kind", f"unknown kind {kind!r}"))
+    if not isinstance(sensors, (list, tuple)) or not all(map(is_integer, sensors)):
+        problems.append((".sensors", "must be a list of integer indices"))
+    elif not sensors or len(set(sensors)) < len(sensors):
+        problems.append((".sensors", f"must name each attacked sensor once, got {sensors}"))
+    if not (is_integer(start) and is_integer(stop) and 0 <= start < stop):
+        problems.append(("", "requires integer 0 <= start < stop"))
+    if not isinstance(params, dict):
+        problems.append((".params", "must be an object"))
+    return problems
+
+
 @dataclass
 class AttackPlan:
     """Declarative description of one attack phase.
@@ -118,7 +140,8 @@ class AttackPlan:
     ``kind`` is one of :data:`ATTACK_KINDS`; the attack acts on
     ``sensors`` for steps in [start, stop). ``params`` holds kind-specific
     settings (bias magnitude, variance scale, pattern amplitude, epsilon for
-    the dither draws, ...).
+    the dither draws, ...). Construction raises the first of
+    :func:`entry_problems` as ``InvalidParameter``, led by its field.
     """
 
     kind: str
@@ -128,11 +151,11 @@ class AttackPlan:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise InvalidParameter(f"unknown attack kind {self.kind!r}")
-        self.sensors = tuple(int(i) for i in self.sensors)
-        if self.start >= self.stop:
-            raise InvalidParameter(f"attack window [{self.start}, {self.stop}) is empty")
+        if problems := entry_problems(vars(self)):
+            where, text = problems[0]
+            raise InvalidParameter(f"{where[1:]}: {text}" if where else text)
+        self.sensors = tuple(map(int, self.sensors))
+        self.start, self.stop = int(self.start), int(self.stop)
 
 
 @dataclass(eq=False)  # identity equality: a generated __eq__ would compare arrays

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, AttackPlan, check_plan
+from .attacks import AttackPlan, check_plan, entry_problems
 from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR, tune_bdd
 from .errors import InvalidParameter, ValidationError
 from .lti import (PLANT_MATRICES, LtiPlant, UgvParams, covariance_problem, discretize_ugv,
@@ -34,7 +34,6 @@ _PLANT_KEYS = {"preset", "params", "ts", "q_diag", "r_diag", "A", "B", "C", "Q",
 _CONTROLLER_KEYS = {"mode", "state_weights", "input_weights", "K"}
 _MONITOR_KEYS = {"window", "rate_window", "alpha_des", "alpha_tau"}
 _DETECTOR_KEYS = {"kind", "bias_scale", "tuning_samples", "tuning_seed"}
-_ATTACK_KEYS = {"kind", "sensors", "start", "stop", "params"}
 _OUTPUT_KEYS = {"dir", "format"}
 _TOP_KEYS = {"plant", "controller", "monitors", "detectors", "attacks", "horizon", "seed", "output"}
 
@@ -83,16 +82,7 @@ class ScenarioConfig:
                 "tuning_samples": self.tuning_samples,
                 "tuning_seed": self.tuning_seed,
             },
-            "attacks": [
-                {
-                    "kind": p.kind,
-                    "sensors": list(p.sensors),
-                    "start": p.start,
-                    "stop": p.stop,
-                    "params": dict(p.params),
-                }
-                for p in self.attacks
-            ],
+            "attacks": [asdict(plan) for plan in self.attacks],
             "horizon": self.horizon,
             "seed": self.seed,
             "output": {"dir": self.output_dir, "format": self.output_format},
@@ -298,47 +288,26 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         problems.append("seed: must be a nonnegative integer")
 
     attacks_raw = raw.get("attacks", [])
-    plans: dict[int, AttackPlan] = {}  # by index in attacks
+    plans: dict[int, AttackPlan] = {}  # by index in attacks, of each entry with no problem
     if not isinstance(attacks_raw, list):
         problems.append("attacks: must be a list")
         attacks_raw = []
-    per_sensor_windows: dict[int, list] = {}
     for idx, entry in enumerate(attacks_raw):
         where = f"attacks[{idx}]"
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be an object")
             continue
-        _reject_unknown(entry, _ATTACK_KEYS, where, problems)
-        kind = entry.get("kind", "none")
-        if kind not in ATTACK_KINDS:
-            problems.append(f"{where}.kind: unknown kind {kind!r}")
+        entry = {"kind": "none", "sensors": [0], "start": 0,
+                 "stop": horizon if _is_int(horizon) else 0, "params": {}, **entry}
+        found = entry_problems(entry)
+        problems += [f"{where}{field}: {text}" for field, text in found]
+        if found:
             continue
-        sensors = entry.get("sensors", [0])
-        if not isinstance(sensors, list) or not all(map(_is_int, sensors)):
-            problems.append(f"{where}.sensors: must be a list of integer indices")
-            continue
-        if not sensors or len(set(sensors)) < len(sensors):
-            problems.append(f"{where}.sensors: must name each attacked sensor once, got {sensors}")
-            continue
-        start = entry.get("start", 0)
-        stop = entry.get("stop", horizon if _is_int(horizon) else 0)
-        if not (_is_int(start) and _is_int(stop) and 0 <= start < stop):
-            problems.append(f"{where}: requires integer 0 <= start < stop")
-            continue
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            problems.append(f"{where}.params: must be an object")
-            continue
-        for i in sensors:
-            for other_start, other_stop, other_idx in per_sensor_windows.get(i, []):
-                if start < other_stop and other_start < stop:
-                    problems.append(
-                        f"{where}: overlaps attacks[{other_idx}] on sensor {i}; "
-                        "replacement-style attacks must not overlap"
-                    )
-            per_sensor_windows.setdefault(i, []).append((start, stop, idx))
-        plans[idx] = AttackPlan(kind=kind, sensors=tuple(sensors), start=start, stop=stop,
-                                params=params)
+        plan = AttackPlan(**entry)
+        problems += [f"{where}: overlaps attacks[{j}] on sensor {i}; replacement-style attacks "
+                     "must not overlap" for i in plan.sensors for j, other in plans.items()
+                     if i in other.sensors and plan.start < other.stop and other.start < plan.stop]
+        plans[idx] = plan
 
     output = _section(raw, "output", _OUTPUT_KEYS, problems)
     output_dir = output.get("dir")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NonConvergence
 from .gaussian import std_normal_quantile
+from .lti import finite_array, is_integer
 
 HALF_NORMAL_MEAN_FACTOR = math.sqrt(2.0 / math.pi)
 
@@ -37,9 +38,9 @@ def tune_bdd(sigma, alpha_des: float):
     """
     if not 0.0 < alpha_des <= 1.0:
         raise InvalidParameter(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
-    sig = np.asarray(sigma, dtype=float)
-    if np.any(sig <= 0.0):
-        raise InvalidParameter("sigma must be positive")
+    sig = finite_array(sigma, 1)
+    if sig is None or np.any(sig <= 0.0):
+        raise InvalidParameter("sigma must be a finite positive number or a list of them")
     tau = sig * std_normal_quantile(1.0 - alpha_des / 2.0)
     return float(tau) if np.isscalar(sigma) or tau.ndim == 0 else tau
 
@@ -292,10 +293,10 @@ def tune_cusum(
     drift under clean data) and ``NonConvergence`` if a search exhausts
     ``CUSUM_MAX_ITER`` bisections.
     """
-    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    b = np.atleast_1d(np.asarray(bias, dtype=float))
-    if sig.ndim != 1 or sig.shape != b.shape or sig.size == 0:
-        raise InvalidParameter("sigma and bias must be scalars or 1-D arrays of one length")
+    sig, b = (finite_array(value, 1) for value in (sigma, bias))
+    if sig is None or b is None or not sig.size == b.size > 0:  # each 0-D or 1-D
+        raise InvalidParameter("sigma and bias must be finite scalars or 1-D arrays of one length")
+    sig, b = np.atleast_1d(sig), np.atleast_1d(b)
     if np.any(sig <= 0.0):
         raise InvalidParameter("sigma must be positive")
     if not 0.0 < alpha_des < 1.0:
@@ -306,8 +307,8 @@ def tune_cusum(
                 f"bias {b_i} must exceed E|r| = sqrt(2/pi)*sigma = "
                 f"{HALF_NORMAL_MEAN_FACTOR * sig_i:.6g}"
             )
-    if n_samples < CUSUM_MIN_SAMPLES:
-        raise InvalidParameter(f"n_samples must be >= {CUSUM_MIN_SAMPLES}")
+    if not is_integer(n_samples) or n_samples < CUSUM_MIN_SAMPLES:
+        raise InvalidParameter(f"n_samples must be an integer >= {CUSUM_MIN_SAMPLES}")
 
     # |z| time-major: column k is block k, the last column holds the tail. It is
     # drawn chunk by chunk, which gives the bits of one draw and no second copy.

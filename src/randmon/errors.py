@@ -35,9 +35,6 @@ class ValidationError(RandmonError):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
-    def __reduce__(self):  # a sweep worker's error is pickled back whole, not as its message
-        return type(self), (self.problems,)
-
 
 class IllConditionedWarning(UserWarning):
     """A linear solve was performed on a badly conditioned matrix."""

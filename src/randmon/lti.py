@@ -99,6 +99,11 @@ def finite_array(value, ndim: int = 2) -> Optional[Array]:
         return None
 
 
+def is_integer(value) -> bool:
+    """The integer rule: a Python or numpy integer, and not a bool (no ``int()`` truncation)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _positive(value) -> bool:
     return finite_array(value, 0) is not None and value > 0
 

@@ -24,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindow, EmptyAfterZeroRemoval, InvalidParameter, SmallSampleWarning
 from .gaussian import std_normal_quantile, two_sided_p
+from .lti import is_integer
 
 #: below these effective sizes the normal approximations degrade; tests still
 #: run but flag the outcome and emit a SmallSampleWarning.
@@ -43,8 +44,7 @@ class WindowBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise InvalidParameter(f"window capacity must be >= 1, got {capacity}")
+        _check_window(capacity, "window capacity")
         self.capacity = int(capacity)
         self._buf = deque(maxlen=self.capacity)
 
@@ -147,8 +147,7 @@ def wsr_bounds(ell: int, alpha_des: float):
     The test alarms exactly when min/max of the rank sums leave
     [omega_minus, omega_plus]; equivalent to the p-value rule.
     """
-    if ell < 1:
-        raise InvalidParameter(f"window length must be >= 1, got {ell}")
+    _check_window(ell)
     _check_alpha(alpha_des)
     mean, var = wsr_moments(ell)
     half = abs(std_normal_quantile(alpha_des / 2.0)) * math.sqrt(var)
@@ -242,14 +241,18 @@ def _small_sample(test: str, sizes, counted: str, minimum: int) -> bool:
     return bool(small)
 
 
+def _check_window(ell: int, name: str = "window length") -> None:
+    if not is_integer(ell) or ell < 1:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {ell!r}")
+
+
 def _check_alpha(alpha_des: float) -> None:
     if not 0.0 < alpha_des <= 1.0:
         raise InvalidParameter(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
 
 
 def _check_rate_args(window: int, alpha_tau: float) -> None:
-    if window < 1:
-        raise InvalidParameter(f"rate window must be >= 1, got {window}")
+    _check_window(window, "rate window")
     if not 0.0 < alpha_tau <= 1.0:
         raise InvalidParameter(f"alpha_tau must lie in (0, 1], got {alpha_tau}")
 
@@ -332,8 +335,7 @@ def _scan(r, ell: int, alpha_des: float, batch):
     size. A non-finite value raises before any window is scored.
     """
     _check_alpha(alpha_des)
-    if ell < 1:
-        raise InvalidParameter(f"window length must be >= 1, got {ell}")
+    _check_window(ell)
     r = np.asarray(r, dtype=float)
     if r.ndim != 2:
         raise InvalidParameter(f"residuals must be a (steps, sensors) array, got shape {r.shape}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from randmon.attacks import (
     schedule_saturation,
     stack,
 )
+from randmon.config import load_config_dict
 from randmon.detectors import BadDataDetector, CusumDetector
-from randmon.errors import InvalidParameter
+from randmon.errors import InvalidParameter, ValidationError
 from randmon.lti import CHUNK, NoiseSource, step
 from randmon.monitors import wsr_bounds, wsr_test
 
@@ -67,6 +69,12 @@ def test_budget_monotone_in_alpha():
 def test_budget_rejects_small_window():
     with pytest.raises(InvalidParameter):
         saturation_budget(10, 0.05)
+
+
+def test_budget_rejects_non_integer_window():  # it used to fail with a bare TypeError
+    message = r"^window length must be an integer >= 1, got 20\.5$"
+    with pytest.raises(InvalidParameter, match=message):
+        saturation_budget(20.5, 0.05)
 
 
 # --- saturation schedule ----------------------------------------------------------------
@@ -254,6 +262,56 @@ def test_plan_validation():
         AttackPlan(kind="unknown_kind")
     with pytest.raises(InvalidParameter):
         AttackPlan(kind="none", start=10, stop=10)
+
+
+#: attack entries that break a rule of ``attacks.entry_problems``; the library used to
+#: accept the first six (truncating 0.7 and True to a sensor), and failed on the last
+#: three with a bare ValueError, TypeError and AttributeError
+BAD_ENTRIES = {
+    "sensor-float": {"kind": "pattern_runs", "sensors": [0.7]},
+    "sensor-bool": {"kind": "pattern_runs", "sensors": [True]},
+    "sensors-repeated": {"kind": "none", "sensors": [0, 0]},
+    "sensors-empty": {"kind": "none", "sensors": []},
+    "start-negative": {"kind": "none", "start": -5},
+    "window-floats": {"kind": "none", "start": 1.5, "stop": 9.2},
+    "sensor-str": {"kind": "none", "sensors": ["a"]},
+    "start-str": {"kind": "none", "start": "a"},
+    "params-list": {"kind": "none", "params": [1]},
+    "kind-unknown": {"kind": "bogus"},
+    "sensors-number": {"kind": "none", "sensors": 0},
+    "stop-bool": {"kind": "none", "start": 0, "stop": True},
+    "kind-and-window": {"kind": "bogus", "sensors": [0], "start": 5, "stop": 5},
+}
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_plan_raises_loads_first_problem(entry):
+    with pytest.raises(ValidationError) as load:
+        load_config_dict({"plant": {"preset": "ugv"}, "horizon": 1000, "attacks": [entry]})
+    with pytest.raises(InvalidParameter) as library:
+        AttackPlan(**entry)
+    first = load.value.problems[0]
+    unled = re.sub(r"^attacks\[0\](\.|: )", "", first)  # load's text less its prefix
+    assert unled != first and str(library.value) == unled
+
+
+def test_load_reports_every_entry_problem():
+    entry = {"kind": "bogus", "sensors": [0, 0], "start": 1.5, "params": [1], "typo": 1}
+    with pytest.raises(ValidationError) as load:
+        load_config_dict({"plant": {"preset": "ugv"}, "horizon": 1000, "attacks": [entry]})
+    assert load.value.problems == [
+        "attacks[0]: unknown key 'typo'",
+        "attacks[0].kind: unknown kind 'bogus'",
+        "attacks[0].sensors: must name each attacked sensor once, got [0, 0]",
+        "attacks[0]: requires integer 0 <= start < stop",
+        "attacks[0].params: must be an object",
+    ]
+
+
+def test_plan_takes_numpy_integers_as_python_ints():
+    plan = AttackPlan(kind="none", sensors=[np.int64(2)], start=np.int32(3), stop=np.uint8(9))
+    assert (plan.sensors, plan.start, plan.stop) == ((2,), 3, 9)
+    assert all(type(v) is int for v in (*plan.sensors, plan.start, plan.stop))
 
 
 def test_policy_inactive_outside_window(ugv_plant, ugv_kss):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from randmon.attacks import AttackPlan
 from randmon.config import (
     _validate_plant,
     build_plant,
@@ -600,6 +601,10 @@ FUZZ_BASES = {**SHIPPED, "explicit_two_state": {
 #: a problem of a field that an lti rule set owns, as build_plant raises it (a Python
 #: caller cannot leave a matrix out, so "required" is load's alone)
 LTI_PLANT_PROBLEM = re.compile(r"plant\.(A|B|C|Q|R|ts|params\.[^:]+): (?!required)")
+#: a problem of an attack entry that ``attacks.entry_problems`` finds, as AttackPlan raises it
+#: after the lead (a Python caller cannot pass an unknown key: the call itself fails)
+ATTACK_ENTRY_PROBLEM = re.compile(r"attacks\[(\d+)\](\.|: )(?=kind: unknown kind|sensors: must "
+                                  r"|requires integer|params: must be an object)")
 
 #: what a fuzzed field may become: each JSON type, signed zeros, NaN, infinities, huge
 FUZZ_VALUES = (True, False, "", "x", [], [1.0], [[1.0]], {}, {"x": 1}, None,
@@ -678,6 +683,9 @@ def fuzzed_configs(draw):
 @example(_fuzzed("explicit_two_state", (("plant", "R", 1, 1), 1e308)))
 @example(_fuzzed("explicit_two_state", (("plant", "C", 0, 0), 1e308)))
 @example(_fuzzed("ugv_stealthy_randaware", (("attacks", 0, "params", "epsilon"), -0.0)))
+# attack entries the library used to accept: a float sensor, a bool start, a list of params
+@example(_fuzzed("ugv_three_phase", (("attacks", 1, "sensors"), [1.0])))
+@example(_fuzzed("ugv_three_phase", (("attacks", 2, "start"), True), (("attacks", 2, "params"), [])))
 def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
     from randmon.cli import main
 
@@ -697,6 +705,12 @@ def test_fuzzed_shipped_config_exits_0_2_or_3(raw):
                     with pytest.raises(InvalidParameter) as built:
                         build_plant(_validate_plant(copy.deepcopy(raw["plant"]), [])[0])
                     assert f"plant.{built.value}" == found[0]
+                if all(map(ATTACK_ENTRY_PROBLEM.match, exc.problems)):  # the library says the same
+                    lead = ATTACK_ENTRY_PROBLEM.match(exc.problems[0])
+                    entry = raw["attacks"][int(lead[1])]
+                    with pytest.raises(InvalidParameter) as built:
+                        AttackPlan(**{"kind": "none", "stop": raw["horizon"], **entry})
+                    assert lead[0] + str(built.value) == exc.problems[0]
             except (RandmonError, np.linalg.LinAlgError):  # a runtime error, as in run: exit 3
                 rejected = False
             code = main(["run", "--config", "scenario.json", "--quiet"])

@@ -390,6 +390,23 @@ def test_tune_cusum_array_call_keeps_each_sensors_own_search():
     assert (out.tau[2].hex(), out.achieved_rate[2]) == ("0x1.e000000000000p+2", 0.005235)
 
 
+#: tuning inputs the library used to take silently (a NaN threshold, a zero CUSUM
+#: threshold and rate) or to fail on with a bare TypeError
+BAD_TUNING = {
+    "tune_bdd-sigma-nan": lambda: tune_bdd(math.nan, 0.05),
+    "tuned-sigma-nan": lambda: BadDataDetector.tuned([math.nan], 0.05),
+    "tune_cusum-sigma-nan": lambda: tune_cusum(math.nan, 1.0, 0.05),
+    "tune_cusum-bias-inf": lambda: tune_cusum(1.0, math.inf, 0.05),
+    "tune_cusum-n_samples-float": lambda: tune_cusum(1.0, 1.5, 0.05, n_samples=1.5e6),
+}
+
+
+@pytest.mark.parametrize("call", BAD_TUNING.values(), ids=BAD_TUNING.keys())
+def test_tuning_rejects_non_finite_or_non_integer_inputs(call):
+    with pytest.raises(InvalidParameter, match="finite|integer"):
+        call()
+
+
 def test_tune_cusum_rejects_unequal_arrays_and_each_low_bias():
     with pytest.raises(InvalidParameter, match="1-D arrays of one length"):
         tune_cusum([1.0, 2.0], [1.5], 0.05)

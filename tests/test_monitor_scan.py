@@ -27,9 +27,11 @@ from randmon.errors import (
 )
 from randmon.monitors import (
     AlarmRateTracker,
+    WindowBuffer,
     alarm_rate_scan,
     sir_scan,
     sir_test,
+    wsr_bounds,
     wsr_scan,
     wsr_test,
 )
@@ -143,6 +145,24 @@ def test_scans_reject_non_finite_window(scan, bad):
     r[250, 0] = bad
     with pytest.raises(InvalidParameter, match="non-finite"):
         scan(r, 100, 0.05)
+
+
+#: window lengths that are not integers, which the library used to truncate, score or
+#: fail on with a bare TypeError
+BAD_WINDOWS = {
+    "wsr_scan-1.5": lambda: wsr_scan(np.ones((50, 1)), 1.5, 0.05),
+    "sir_scan-bool": lambda: sir_scan(np.ones((50, 1)), True, 0.05),
+    "wsr_bounds-1.5": lambda: wsr_bounds(1.5, 0.05),
+    "alarm_rate_scan-2.5": lambda: alarm_rate_scan(np.zeros((10, 1), dtype=bool), 2.5, 0.1),
+    "AlarmRateTracker-2.5": lambda: AlarmRateTracker(2.5, 0.1),
+    "WindowBuffer-2.5": lambda: WindowBuffer(2.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_WINDOWS.values(), ids=BAD_WINDOWS.keys())
+def test_window_lengths_must_be_integers(call):
+    with pytest.raises(InvalidParameter, match="window.* must be an integer >= 1"):
+        call()
 
 
 def test_sir_test_rejects_non_finite_window():
