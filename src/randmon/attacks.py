@@ -23,7 +23,7 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import CHUNK, finite_array, is_integer
+from .lti import CHUNK, finite_array, is_integer, philox
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -52,7 +52,7 @@ MIN_BUDGET_WINDOW = 20
 
 
 def _short_window(ell: int) -> str:  # what a window lacks for a saturation budget, or ""
-    short = ell < MIN_BUDGET_WINDOW
+    short = is_integer(ell) and ell < MIN_BUDGET_WINDOW  # wsr_bounds rejects a non-integer
     return f"needs a window of at least {MIN_BUDGET_WINDOW}, got {ell}" if short else ""
 
 
@@ -389,9 +389,10 @@ def build_attack_policy(
     ``target - ce - eta_i``; a worst-case kind takes ``v = -ce - eta_i``, adds
     the CUSUM bias, on a saturating step sets ``v = (v - S) + pinned``
     (S = 0.0 for BDD: exact) and subtracts the randomness-aware dither. Every
-    draw comes from one generator seeded by ``seed``.
+    draw comes from one generator seeded by ``seed`` (an integer >= 0 or a
+    ``SeedSequence``).
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox(seed)
     c_rows = np.asarray(c_rows, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau

@@ -15,10 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .attacks import AttackPlan, check_plan, entry_problems
-from .detectors import CUSUM_MIN_SAMPLES, HALF_NORMAL_MEAN_FACTOR, tune_bdd
+from .detectors import CUSUM_MIN_SAMPLES, tune_bdd
 from .errors import InvalidParameter, ValidationError
-from .lti import (PLANT_MATRICES, LtiPlant, UgvParams, covariance_problem, discretize_ugv,
-                  finite_array, gain_problems, make_controller, plant_problems,
+from .lti import (PLANT_MATRICES, LtiPlant, UgvParams, count_problem, covariance_problem,
+                  discretize_ugv, drift_problem, finite_array, gain_problems, is_integer,
+                  make_controller, plant_problems, positive_problem, rate_problem,
                   sample_period_problems, solve_dare, ugv_problems)
 
 SCHEMA_VERSION = 1
@@ -101,10 +102,6 @@ def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list) -> 
             problems.append(f"{where}: unknown key {key!r}")
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # bool is not an integer
-
-
 def build_plant(spec: dict) -> LtiPlant:
     """Instantiate the plant from its resolved spec dict (``ScenarioConfig.plant_spec``)."""
     if spec.get("preset") == "ugv":
@@ -179,13 +176,6 @@ def _section(raw: dict, name: str, allowed: set, problems: list) -> dict:
     return section
 
 
-def _validate_alpha(value, where: str, problems: list) -> bool:
-    if not (finite_array(value, 0) is not None and 0.0 < value < 1.0):
-        problems.append(f"{where}: must be a number in (0, 1), got {value!r}")
-        return False
-    return True
-
-
 def load_config_dict(raw: dict) -> ScenarioConfig:
     """Validate a parsed config mapping and fill defaults.
 
@@ -222,14 +212,17 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
                             f"{', '.join(modes)}, on or within 1e-12 of the unit circle, so "
                             "no LQR gain stabilises the plant")
 
+    def report(field: str, problem: str) -> bool:  # whether a rule found no problem
+        if problem:
+            problems.append(f"{field}: {problem}")
+        return not problem
+
     monitors = _section(raw, "monitors", _MONITOR_KEYS, problems)
     window = monitors.get("window", DEFAULT_WINDOW)
     rate_window = monitors.get("rate_window", DEFAULT_WINDOW)
     # the runs test needs two differences per window
-    for name, value, least in (("monitors.window", window, 3),
-                               ("monitors.rate_window", rate_window, 2)):
-        if not _is_int(value) or value < least:
-            problems.append(f"{name}: must be an integer >= {least}")
+    report("monitors.window", count_problem(window, 3))
+    report("monitors.rate_window", count_problem(rate_window, 2))
 
     alpha_raw = monitors.get("alpha_des", 0.05)
     alpha_des: dict = {}
@@ -239,11 +232,10 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
                 problems.append(f"monitors.alpha_des: unknown test {key!r}")
         for test in MONITOR_TESTS:
             value = alpha_raw.get(test, 0.05)
-            if _validate_alpha(value, f"monitors.alpha_des.{test}", problems):
+            if report(f"monitors.alpha_des.{test}", rate_problem(value)):
                 alpha_des[test] = float(value)
-    else:
-        if _validate_alpha(alpha_raw, "monitors.alpha_des", problems):
-            alpha_des = {test: float(alpha_raw) for test in MONITOR_TESTS}
+    elif report("monitors.alpha_des", rate_problem(alpha_raw)):
+        alpha_des = {test: float(alpha_raw) for test in MONITOR_TESTS}
     if not alpha_des:
         alpha_des = {test: 0.05 for test in MONITOR_TESTS}
 
@@ -253,39 +245,34 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         if alpha_tau > 1.0:
             problems.append(f"monitors.alpha_tau: the default 3 * max(alpha_des) = {alpha_tau!r}"
                             " exceeds 1, so monitors.alpha_tau must be set, in (0, 1]")
-    elif not (finite_array(alpha_tau, 0) is not None and 0.0 < alpha_tau <= 1.0):
-        problems.append(f"monitors.alpha_tau: must lie in (0, 1], got {alpha_tau!r}")
+    else:
+        report("monitors.alpha_tau", rate_problem(alpha_tau, allow_one=True))
 
     detectors = _section(raw, "detectors", _DETECTOR_KEYS, problems)
     detector_kind = detectors.get("kind", "both")
     if detector_kind not in ("bdd", "cusum", "both"):
         problems.append(f"detectors.kind: must be bdd, cusum or both, got {detector_kind!r}")
-    bias_scale = detectors.get("bias_scale", 1.5)
-    if not (finite_array(bias_scale, 0) is not None and bias_scale > 0):
-        problems.append(f"detectors.bias_scale: must be a finite positive number, got {bias_scale!r}")
-    elif detector_kind in ("cusum", "both") and bias_scale <= HALF_NORMAL_MEAN_FACTOR:
-        problems.append(f"detectors.bias_scale: must exceed sqrt(2/pi) = "
-                        f"{HALF_NORMAL_MEAN_FACTOR:.6g} for a CUSUM detector, got {bias_scale!r}")
+    bias_scale = detectors.get("bias_scale", 1.5)  # in units of sigma
+    has_cusum = detector_kind in ("cusum", "both")
+    if report("detectors.bias_scale", positive_problem(bias_scale)) and has_cusum:
+        report("detectors.bias_scale", drift_problem(bias_scale))
     tuning_samples = detectors.get("tuning_samples", CUSUM_MIN_SAMPLES)
-    if not _is_int(tuning_samples) or tuning_samples < CUSUM_MIN_SAMPLES:
-        problems.append(f"detectors.tuning_samples: must be an integer >= {CUSUM_MIN_SAMPLES}")
+    report("detectors.tuning_samples", count_problem(tuning_samples, CUSUM_MIN_SAMPLES))
     tuning_seed = detectors.get("tuning_seed", DEFAULT_TUNING_SEED)
-    if not _is_int(tuning_seed) or tuning_seed < 0:
-        problems.append("detectors.tuning_seed: must be a nonnegative integer")
+    report("detectors.tuning_seed", count_problem(tuning_seed, 0))
 
     horizon = raw.get("horizon", DEFAULT_HORIZON)
-    if not _is_int(horizon) or horizon < 1:
-        problems.append("horizon: must be a positive integer")
-    elif horizon > MAX_HORIZON:
+    horizon_ok = report("horizon", count_problem(horizon, 1))
+    if horizon_ok and horizon > MAX_HORIZON:
         problems.append(f"horizon: must be <= {MAX_HORIZON}, got {horizon}")
-    elif _is_int(window) and _is_int(rate_window) and horizon < window + rate_window:
+    elif horizon_ok and is_integer(window) and is_integer(rate_window) and (
+            horizon < window + rate_window):
         problems.append(
             f"horizon: must be >= window + rate_window = {window + rate_window}, got {horizon}"
         )
 
     seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        problems.append("seed: must be a nonnegative integer")
+    report("seed", count_problem(seed, 0))
 
     attacks_raw = raw.get("attacks", [])
     plans: dict[int, AttackPlan] = {}  # by index in attacks, of each entry with no problem
@@ -298,7 +285,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             problems.append(f"{where}: must be an object")
             continue
         entry = {"kind": "none", "sensors": [0], "start": 0,
-                 "stop": horizon if _is_int(horizon) else 0, "params": {}, **entry}
+                 "stop": horizon if is_integer(horizon) else 0, "params": {}, **entry}
         found = entry_problems(entry)
         problems += [f"{where}{field}: {text}" for field, text in found]
         if found:
@@ -320,7 +307,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     def plan_problems(**bounds):  # attacks.check_plan's, each led by its plan and field
         return [f"attacks[{idx}]{field}: {text}" for idx, plan in plans.items()
                 for field, _, text in check_plan(
-                    plan, n_sensors, ell=window if _is_int(window) else None,
+                    plan, n_sensors, ell=window if is_integer(window) else None,
                     has_cusum=detector_kind != "bdd", **bounds)[0]]
 
     problems += plan_problems()
@@ -335,17 +322,17 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(
         plant_spec=plant_spec,
         controller_spec=controller_spec,
-        window=window,
-        rate_window=rate_window,
+        window=int(window),  # numpy integers too, stored as Python ints
+        rate_window=int(rate_window),
         alpha_des=alpha_des,
         alpha_tau=float(alpha_tau),
         detector_kind=detector_kind,
         bias_scale=float(bias_scale),
-        tuning_samples=tuning_samples,
-        tuning_seed=tuning_seed,
+        tuning_samples=int(tuning_samples),
+        tuning_seed=int(tuning_seed),
         attacks=list(plans.values()),
-        horizon=horizon,
-        seed=seed,
+        horizon=int(horizon),
+        seed=int(seed),
         output_dir=output_dir,
         output_format=output_format,
     )

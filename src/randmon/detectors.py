@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import InvalidParameter, NonConvergence
 from .gaussian import std_normal_quantile
-from .lti import finite_array, is_integer
-
-HALF_NORMAL_MEAN_FACTOR = math.sqrt(2.0 / math.pi)
+from .lti import (HALF_NORMAL_MEAN_FACTOR, count_problem, drift_problem, finite_array, philox,
+                  rate_problem, require)
 
 #: minimum Monte Carlo sample count accepted by tune_cusum
 CUSUM_MIN_SAMPLES = 1_000_000
@@ -36,13 +35,24 @@ def tune_bdd(sigma, alpha_des: float):
     Equals sqrt(2)*sigma*erfinv(1 - alpha_des); alpha_des = 1 gives a zero
     threshold (always alarms). Accepts scalars or arrays of sigma.
     """
-    if not 0.0 < alpha_des <= 1.0:
-        raise InvalidParameter(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
+    require("alpha_des", rate_problem(alpha_des, allow_one=True))
     sig = finite_array(sigma, 1)
     if sig is None or np.any(sig <= 0.0):
         raise InvalidParameter("sigma must be a finite positive number or a list of them")
     tau = sig * std_normal_quantile(1.0 - alpha_des / 2.0)
     return float(tau) if np.isscalar(sigma) or tau.ndim == 0 else tau
+
+
+def _settings(tau, bias=0.0) -> tuple:
+    """``tau`` and ``bias`` as float arrays of at most one axis; raise unless each tau is a
+    number >= 0 (inf: never alarms) and each bias a finite number."""
+    cells = np.asarray(tau, dtype=object)  # inf, the one non-finite threshold, checked as 0
+    finite_tau, b = finite_array(np.where(cells == math.inf, 0.0, cells), 1), finite_array(bias, 1)
+    if finite_tau is None or (finite_tau < 0.0).any():
+        raise InvalidParameter("tau must be nonnegative numbers, inf included, at most 1-D")
+    if b is None:
+        raise InvalidParameter("bias must be a finite number or a flat list of them")
+    return np.asarray(tau, dtype=float), b
 
 
 @dataclass
@@ -51,10 +61,12 @@ class BadDataDetector:
 
     tau: np.ndarray
 
+    def __post_init__(self):
+        self.tau = _settings(self.tau)[0]
+
     @classmethod
     def tuned(cls, sigma, alpha_des: float) -> "BadDataDetector":
-        tau = np.atleast_1d(np.asarray(tune_bdd(sigma, alpha_des), dtype=float))
-        return cls(tau=tau)
+        return cls(tau=np.atleast_1d(tune_bdd(sigma, alpha_des)))
 
     def step(self, r) -> np.ndarray:
         """Alarm flags for one residual vector. Strict inequality: |r| == tau is quiet."""
@@ -173,8 +185,7 @@ def cusum_alarm_fraction(x, tau, bias=0.0, out=None) -> float | np.ndarray:
     after every step; the alarm at step k is ``S[k - 1] > tau``, with S zero
     before step 0. The counts are the scalar recursion's own.
     """
-    if not np.all(np.asarray(tau, dtype=float) >= 0.0):
-        raise InvalidParameter("tau must be nonnegative")
+    tau, bias = _settings(tau, bias)
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise InvalidParameter(f"x must be a 1-D or (steps, m) array, got shape {x.shape}")
@@ -299,20 +310,14 @@ def tune_cusum(
     sig, b = np.atleast_1d(sig), np.atleast_1d(b)
     if np.any(sig <= 0.0):
         raise InvalidParameter("sigma must be positive")
-    if not 0.0 < alpha_des < 1.0:
-        raise InvalidParameter(f"alpha_des must lie in (0, 1), got {alpha_des!r}")
+    require("alpha_des", rate_problem(alpha_des))
     for sig_i, b_i in zip(sig.tolist(), b.tolist()):
-        if b_i <= HALF_NORMAL_MEAN_FACTOR * sig_i:
-            raise InvalidParameter(
-                f"bias {b_i} must exceed E|r| = sqrt(2/pi)*sigma = "
-                f"{HALF_NORMAL_MEAN_FACTOR * sig_i:.6g}"
-            )
-    if not is_integer(n_samples) or n_samples < CUSUM_MIN_SAMPLES:
-        raise InvalidParameter(f"n_samples must be an integer >= {CUSUM_MIN_SAMPLES}")
+        require("bias / sigma", drift_problem(b_i / sig_i))
+    require("n_samples", count_problem(n_samples, CUSUM_MIN_SAMPLES))
 
     # |z| time-major: column k is block k, the last column holds the tail. It is
     # drawn chunk by chunk, which gives the bits of one draw and no second copy.
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox(seed)
     az = np.empty((CUSUM_BLOCK, n_samples // CUSUM_BLOCK + 1))
     chunk = 64 * CUSUM_BLOCK
     for start in range(0, n_samples, chunk):
@@ -363,12 +368,9 @@ class CusumDetector:
     S: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        self.bias = np.atleast_1d(np.asarray(self.bias, dtype=float))
+        self.tau, self.bias = map(np.atleast_1d, _settings(self.tau, self.bias))
         if self.tau.shape != self.bias.shape:
             raise InvalidParameter("tau and bias must have matching shapes")
-        if not np.all(self.tau >= 0.0):
-            raise InvalidParameter("tau must be nonnegative")
         if self.S is None:
             self.S = np.zeros_like(self.tau)
         else:

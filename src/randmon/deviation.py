@@ -20,7 +20,8 @@ import numpy as np
 
 from .attacks import stack
 from .errors import IllConditionedWarning, InvalidParameter
-from .lti import KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, spectral_radius
+from .lti import (KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, count_problem,
+                  finite_array, require, spectral_radius)
 
 _COND_WARN = 1e10
 
@@ -55,9 +56,11 @@ def deviation_limit(
     number of either solve matrix passes 1e10 an IllConditionedWarning is
     emitted, but the result is still returned.
     """
-    er = np.asarray(expected_r, dtype=float).ravel()
-    if er.shape != (plant.s,):
-        raise InvalidParameter(f"expected residual must have length {plant.s}")
+    er = finite_array(expected_r)
+    if er is None or er.size != plant.s:
+        raise InvalidParameter(
+            f"expected residual must be finite numbers, one per sensor ({plant.s})")
+    er = er.ravel()
     A, B, L = plant.A, plant.B, kss.L
     rho_open = spectral_radius(A)
     stable = rho_open < 1.0 and spectral_radius(A + B @ K) < 1.0
@@ -107,7 +110,8 @@ def validate_against_simulation(
     n_runs, steps, _ = traj.shape
     if n_runs < 10:
         raise InvalidParameter(f"need at least 10 runs, got {n_runs}")
-    if not 0 <= burn_in < steps:
+    require("burn_in", count_problem(burn_in, 0))
+    if burn_in >= steps:
         raise InvalidParameter(f"burn_in {burn_in} outside the trajectory length {steps}")
     per_run = traj[:, burn_in:, :].mean(axis=1)
     mean = per_run.mean(axis=0)
@@ -143,8 +147,8 @@ def run_attack_ensemble(
     state trajectories with shape (runs, horizon, n), each run bit-equal to
     simulating it alone.
     """
-    if n_runs < 1:
-        raise InvalidParameter("need at least one run")
+    require("n_runs", count_problem(n_runs, 1))
+    require("base_seed", count_problem(base_seed, 0))
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)
     noises = [NoiseSource(plant.Q, plant.R, seed) for seed in seeds]
     attack = stack([policy_factory(j) for j in range(n_runs)])

@@ -33,7 +33,7 @@ from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERS
 from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
 from .errors import InvalidParameter, ValidationError
-from .lti import NoiseSource, make_controller, simulate, solve_dare
+from .lti import NoiseSource, is_integer, make_controller, simulate, solve_dare
 from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
 
 log = logging.getLogger(__name__)
@@ -295,7 +295,7 @@ def budget_curve(alpha_list, ell_list) -> list:
     rows = []
     for alpha in alpha_list:
         for ell in ell_list:
-            budget = atk.saturation_budget(int(ell), float(alpha))
+            budget = atk.saturation_budget(ell, alpha)
             rows.append({
                 "alpha_des": float(alpha),
                 "ell": int(ell),
@@ -351,9 +351,9 @@ def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> tuple:
         raw["monitors"] = {**monitors, "alpha_des": alpha}
         raw.pop("attacks", None)
         window = monitors.get("window", DEFAULT_WINDOW)
-        start = 2 * window if type(window) is int else 0
+        start = 2 * window if is_integer(window) else 0
         stop = raw.get("horizon", DEFAULT_HORIZON)
-        if attack_kind != "none" and type(stop) is int and start >= stop:
+        if attack_kind != "none" and is_integer(stop) and start >= stop:
             problems.append(f"sweep: attack cells start at 2 * monitors.window = {start}, "
                             f"which is not before horizon {stop}")
         elif attack_kind != "none":

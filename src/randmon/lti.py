@@ -81,7 +81,8 @@ CHUNK = 256
 PLANT_MATRICES = ("A", "B", "C", "Q", "R")
 
 
-# --- plant and controller rules: every problem as (field, text); the library raises the first
+# --- value rules. Each scalar rule gives what is wrong with a value, or ""; load reports it
+# after its field, and the library raises it after its argument's name (:func:`require`).
 
 
 def finite_array(value, ndim: int = 2) -> Optional[Array]:
@@ -104,13 +105,54 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _positive(value) -> bool:
-    return finite_array(value, 0) is not None and value > 0
+def positive_problem(value) -> str:
+    """The positive rule: a finite real number (no bool) above zero."""
+    ok = finite_array(value, 0) is not None and value > 0
+    return "" if ok else f"must be a finite positive number, got {value!r}"
+
+
+def rate_problem(value, allow_one: bool = False) -> str:
+    """The rate rule: a finite real number (no bool) in (0, 1), or in (0, 1] with ``allow_one``."""
+    ok = finite_array(value, 0) is not None and (0 < value < 1 or allow_one and value == 1)
+    return "" if ok else f"must be a number in (0, 1{']' if allow_one else ')'}, got {value!r}"
+
+
+def count_problem(value, least: int) -> str:
+    """The count rule: an integer (:func:`is_integer`) of at least ``least``."""
+    ok = is_integer(value) and value >= least
+    return "" if ok else f"must be an integer >= {least}, got {value!r}"
+
+
+#: the clean mean of |r| / sigma, for a residual r ~ N(0, sigma^2)
+HALF_NORMAL_MEAN_FACTOR = math.sqrt(2.0 / math.pi)
+
+
+def drift_problem(scale) -> str:
+    """The CUSUM drift rule on a bias of ``scale`` sigma: above the clean mean of |r| / sigma."""
+    ok = scale > HALF_NORMAL_MEAN_FACTOR
+    return "" if ok else (f"must exceed sqrt(2/pi) = {HALF_NORMAL_MEAN_FACTOR:.6g} for a CUSUM "
+                          f"detector, got {scale!r}")
+
+
+def require(name: str, problem: Optional[str]) -> None:
+    """Raise a rule's ``problem`` as ``InvalidParameter`` after ``name``, unless it is ""."""
+    if problem:
+        raise InvalidParameter(f"{name}: {problem}")
+
+
+def philox(seed) -> np.random.Generator:
+    """A Philox generator from ``seed``, an integer >= 0 or a ``SeedSequence``; else raise."""
+    if not isinstance(seed, np.random.SeedSequence):
+        require("seed", count_problem(seed, 0))
+    return np.random.Generator(np.random.Philox(seed))
+
+
+# --- plant and controller rules: every problem as (field, text); the library raises the first
 
 
 def _raise_first(problems) -> None:
     if problems:
-        raise InvalidParameter("%s: %s" % problems[0])
+        require(*problems[0])
 
 
 def _wrong_size(k: int, unit: str, shape) -> str:
@@ -141,22 +183,22 @@ def _matrix(value, name: str, unit: str = "", k: Optional[int] = None) -> Array:
     """``value`` as a 2-D float array, k x k (default: its rows, at least one) if ``unit``
     names k; else raise."""
     M = finite_array(value)
-    _raise_first([(name, "must be a matrix of finite numbers")] if M is None else [])
+    require(name, "must be a matrix of finite numbers" if M is None else "")
     M = np.atleast_2d(M)
     k = M.shape[0] if k is None else k
-    _raise_first([(name, _none_of(unit, M.shape))] if unit and not k else [])
-    _raise_first([(name, _wrong_size(k, unit, M.shape))] if unit and M.shape != (k, k) else [])
+    require(name, _none_of(unit, M.shape) if unit and not k else "")
+    require(name, _wrong_size(k, unit, M.shape) if unit and M.shape != (k, k) else "")
     return M
 
 
 def _covariance(value, name: str, unit: str, k: Optional[int] = None) -> Array:
     problem, M = covariance_problem(_matrix(value, name, unit, k), name)
-    _raise_first([(name, problem)] if problem else [])
+    require(name, problem)
     return M
 
 
 def sample_period_problems(ts) -> list:
-    return [] if _positive(ts) else [("ts", f"must be a finite positive number, got {ts!r}")]
+    return [("ts", problem)] if (problem := positive_problem(ts)) else []
 
 
 def plant_problems(spec) -> tuple:
@@ -433,7 +475,7 @@ class NoiseSource:
 
     Standard normal draws come from a counter-based Philox generator and are
     colored by square-root factors of Q and R, so runs are bit-reproducible
-    for a given seed.
+    for a given seed (an integer >= 0 or a ``SeedSequence``, :func:`philox`).
     """
 
     def __init__(self, Q, R, seed: int):
@@ -443,7 +485,7 @@ class NoiseSource:
         self._lr = _sqrt_psd(R)
         self._n = Q.shape[0]
         self._s = R.shape[0]
-        self._rng = np.random.Generator(np.random.Philox(seed))
+        self._rng = philox(seed)
 
     def draw(self):
         """Return one (nu, eta) pair."""
@@ -595,8 +637,7 @@ def _lockstep(
     product, sum and draw is the one :func:`step` makes, in the same order, so
     each run is bit-equal to stepping it alone.
     """
-    if horizon < 1:
-        raise InvalidParameter("horizon must be at least 1")
+    require("horizon", count_problem(horizon, 1))
     runs, n, s = len(noises), plant.n, plant.s
     A, B, C, L = plant.A, plant.B, plant.C, kss.L
     dims = {"x": n, "xhat": n, "r": s, "xi": s}
@@ -721,8 +762,8 @@ def ugv_problems(params) -> list:
     """UGV parameters given as a mapping: unknown keys, then values not finite and positive."""
     known = {field.name for field in fields(UgvParams)}
     return ([("params", f"unknown key {key!r}") for key in params if key not in known]
-            + [(f"params.{key}", "must be a finite positive number")
-               for key, value in params.items() if not _positive(value)])
+            + [(f"params.{key}", problem) for key, value in params.items()
+               if (problem := positive_problem(value))])
 
 
 def ugv_continuous(params: UgvParams):

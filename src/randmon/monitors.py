@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindow, EmptyAfterZeroRemoval, InvalidParameter, SmallSampleWarning
 from .gaussian import std_normal_quantile, two_sided_p
-from .lti import is_integer
+from .lti import count_problem, rate_problem, require
 
 #: below these effective sizes the normal approximations degrade; tests still
 #: run but flag the outcome and emit a SmallSampleWarning.
@@ -44,7 +44,7 @@ class WindowBuffer:
     """
 
     def __init__(self, capacity: int):
-        _check_window(capacity, "window capacity")
+        require("window capacity", count_problem(capacity, 1))
         self.capacity = int(capacity)
         self._buf = deque(maxlen=self.capacity)
 
@@ -120,7 +120,7 @@ def wsr_test(window, alpha_des: float) -> WsrOutcome:
     the smaller sum against the null moments, and a two-sided p-value. Alarm
     when p < alpha_des.
     """
-    _check_alpha(alpha_des)
+    require("alpha_des", rate_problem(alpha_des, allow_one=True))
     sr = signed_ranks(window)
     w_plus = float(sr.ranks[sr.values > 0.0].sum())
     w_minus = float(sr.ranks[sr.values < 0.0].sum())
@@ -147,8 +147,8 @@ def wsr_bounds(ell: int, alpha_des: float):
     The test alarms exactly when min/max of the rank sums leave
     [omega_minus, omega_plus]; equivalent to the p-value rule.
     """
-    _check_window(ell)
-    _check_alpha(alpha_des)
+    require("window length", count_problem(ell, 1))
+    require("alpha_des", rate_problem(alpha_des, allow_one=True))
     mean, var = wsr_moments(ell)
     half = abs(std_normal_quantile(alpha_des / 2.0)) * math.sqrt(var)
     return mean - half, mean + half
@@ -193,7 +193,7 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
     sequence is tested for too few or too many runs. Alarm when p < alpha_des
     or a tie was seen.
     """
-    _check_alpha(alpha_des)
+    require("alpha_des", rate_problem(alpha_des, allow_one=True))
     window = np.asarray(window, dtype=float).ravel()
     if not np.all(np.isfinite(window)):
         raise InvalidParameter("window contains non-finite values")
@@ -224,9 +224,8 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
 
 def sir_bounds(ell_prime: int, alpha_des: float):
     """Alarm-free interval for the runs count given ``ell_prime`` differences."""
-    if ell_prime < 2:
-        raise InvalidParameter(f"need at least 2 differences, got {ell_prime}")
-    _check_alpha(alpha_des)
+    require("ell_prime", count_problem(ell_prime, 2))
+    require("alpha_des", rate_problem(alpha_des, allow_one=True))
     mean, var = runs_moments(ell_prime + 1)
     half = abs(std_normal_quantile(alpha_des / 2.0)) * math.sqrt(var)
     return mean - half, mean + half
@@ -241,22 +240,6 @@ def _small_sample(test: str, sizes, counted: str, minimum: int) -> bool:
     return bool(small)
 
 
-def _check_window(ell: int, name: str = "window length") -> None:
-    if not is_integer(ell) or ell < 1:
-        raise InvalidParameter(f"{name} must be an integer >= 1, got {ell!r}")
-
-
-def _check_alpha(alpha_des: float) -> None:
-    if not 0.0 < alpha_des <= 1.0:
-        raise InvalidParameter(f"alpha_des must lie in (0, 1], got {alpha_des!r}")
-
-
-def _check_rate_args(window: int, alpha_tau: float) -> None:
-    _check_window(window, "rate window")
-    if not 0.0 < alpha_tau <= 1.0:
-        raise InvalidParameter(f"alpha_tau must lie in (0, 1], got {alpha_tau}")
-
-
 class AlarmRateTracker:
     """Sliding alarm-rate ring with a compromised-sensor threshold.
 
@@ -266,7 +249,8 @@ class AlarmRateTracker:
     """
 
     def __init__(self, window: int, alpha_tau: float):
-        _check_rate_args(window, alpha_tau)
+        require("rate window", count_problem(window, 1))
+        require("alpha_tau", rate_problem(alpha_tau, allow_one=True))
         self.window = int(window)
         self.alpha_tau = float(alpha_tau)
         self._ring = deque(maxlen=self.window)
@@ -334,8 +318,8 @@ def _scan(r, ell: int, alpha_des: float, batch):
     them, and warns once per distinct effective size below the small-sample
     size. A non-finite value raises before any window is scored.
     """
-    _check_alpha(alpha_des)
-    _check_window(ell)
+    require("alpha_des", rate_problem(alpha_des, allow_one=True))
+    require("window length", count_problem(ell, 1))
     r = np.asarray(r, dtype=float)
     if r.ndim != 2:
         raise InvalidParameter(f"residuals must be a (steps, sensors) array, got shape {r.shape}")
@@ -404,7 +388,8 @@ def alarm_rate_scan(flags, window: int, alpha_tau: float):
     verdict (NaN until ``window`` verdicts exist), and per sensor the
     tracker's last ``rate`` and its ``compromised`` flag.
     """
-    _check_rate_args(window, alpha_tau)
+    require("rate window", count_problem(window, 1))
+    require("alpha_tau", rate_problem(alpha_tau, allow_one=True))
     flags = np.asarray(flags, dtype=bool)
     n, s = flags.shape
     rate = np.full((n, s), np.nan)

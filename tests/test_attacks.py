@@ -72,7 +72,7 @@ def test_budget_rejects_small_window():
 
 
 def test_budget_rejects_non_integer_window():  # it used to fail with a bare TypeError
-    message = r"^window length must be an integer >= 1, got 20\.5$"
+    message = r"^window length: must be an integer >= 1, got 20\.5$"
     with pytest.raises(InvalidParameter, match=message):
         saturation_budget(20.5, 0.05)
 

@@ -134,6 +134,19 @@ def test_round_trip_and_stable_hash(tmp_path):
     assert config_hash(cfg3) == config_hash(cfg)
 
 
+def test_numpy_integers_load_as_python_ints():
+    # config_hash's json.dumps cannot serialise a numpy integer, so load converts them
+    fields = {"horizon": 500, "seed": 3, "monitors": {"window": 100, "rate_window": 100},
+              "detectors": {"tuning_samples": 10**6, "tuning_seed": 7}}
+    as_numpy = {"horizon": np.int64(500), "seed": np.int32(3),
+                "monitors": {"window": np.int64(100), "rate_window": np.uint16(100)},
+                "detectors": {"tuning_samples": np.int64(10**6), "tuning_seed": np.uint8(7)}}
+    cfg = load_config_dict({**MINIMAL, **as_numpy})
+    assert config_hash(cfg) == config_hash(load_config_dict({**MINIMAL, **fields}))
+    assert {type(getattr(cfg, name)) for name in ("horizon", "seed", "window", "rate_window",
+                                                  "tuning_samples", "tuning_seed")} == {int}
+
+
 def test_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"plant": {"preset": "ugv",}}')
@@ -191,7 +204,7 @@ def test_negative_seed_override_is_config_error_exit(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(MINIMAL))
     assert main(["run", "--config", str(path), "--seed", "-1", "--quiet"]) == 2
-    assert "seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert "seed: must be an integer >= 0, got -1" in capsys.readouterr().err
     assert load_config(path, seed=7).seed == 7
 
 
@@ -224,7 +237,8 @@ def test_window_of_two_is_config_error_exit(command, tmp_path, capsys):
     args = [] if command == "tune" else ["--out", str(tmp_path / "out")]
     assert main([command, "--config", str(path), *args, "--quiet"]) == 2
     # the runs test needs two differences per window; the rate window may still be 2
-    assert capsys.readouterr().err == "config error: monitors.window: must be an integer >= 3\n"
+    assert capsys.readouterr().err == ("config error: monitors.window: must be an integer >= 3, "
+                                       "got 2\n")
 
 
 def test_negative_sigma_a_rejected_at_load(tmp_path, capsys):
@@ -357,9 +371,9 @@ MISTYPED = {
                              "detectors.tuning_samples"),
     "tuning_samples-float": ({**MINIMAL, "detectors": {"tuning_samples": 1e6}},
                              "detectors.tuning_samples"),
-    "horizon-zero": ({**MINIMAL, "horizon": 0}, "horizon: must be a positive integer"),
-    "horizon-negative": ({**MINIMAL, "horizon": -5}, "horizon: must be a positive integer"),
-    "horizon-float": ({**MINIMAL, "horizon": 1.5}, "horizon: must be a positive integer"),
+    "horizon-zero": ({**MINIMAL, "horizon": 0}, "horizon: must be an integer >= 1, got 0"),
+    "horizon-negative": ({**MINIMAL, "horizon": -5}, "horizon: must be an integer >= 1, got -5"),
+    "horizon-float": ({**MINIMAL, "horizon": 1.5}, "horizon: must be an integer >= 1, got 1.5"),
     "params-list": (_attack(params=[0.1]), "attacks[0].params: must be an object"),
     "params-str": (_attack(params="x"), "attacks[0].params: must be an object"),
     # integers beyond the float range
@@ -440,25 +454,26 @@ UGV_K = [[-1, -1, 0], [-1, 1, 0]]
 #: load's exact problem list, in order, for configs with bad plant or controller fields
 PLANT_AND_CONTROLLER_PROBLEMS = {
     "params-bool": (_ugv(params={"mass": True}),
-                    ["plant.params.mass: must be a finite positive number"]),
+                    ["plant.params.mass: must be a finite positive number, got True"]),
     "params-negative": (_ugv(params={"inertia": -0.5}),
-                        ["plant.params.inertia: must be a finite positive number"]),
+                        ["plant.params.inertia: must be a finite positive number, got -0.5"]),
     "params-str": (_ugv(params={"width": "wide"}),
-                   ["plant.params.width: must be a finite positive number"]),
+                   ["plant.params.width: must be a finite positive number, got 'wide'"]),
     "params-unknown": (_ugv(params={"mass": 2.0, "wheels": 4}),
                        ["plant.params: unknown key 'wheels'"]),
     "params-unknown-and-bad": (_ugv(params={"wheels": -4, "mass": math.inf}),
                                ["plant.params: unknown key 'wheels'",
-                                "plant.params.wheels: must be a finite positive number",
-                                "plant.params.mass: must be a finite positive number"]),
+                                "plant.params.wheels: must be a finite positive number, got -4",
+                                "plant.params.mass: must be a finite positive number, got inf"]),
     "params-inf": (_ugv(params={"roll_resistance": math.inf}),
-                   ["plant.params.roll_resistance: must be a finite positive number"]),
+                   ["plant.params.roll_resistance: must be a finite positive number, got inf"]),
     "params-list": (_ugv(params=[1]), ["plant.params: must be an object"]),
     "ts-inf": (_ugv(ts=math.inf), ["plant.ts: must be a finite positive number, got inf"]),
     "ts-preset-params-noise": (
         _ugv(preset="car", ts=0, params={"mass": 0, "x": 1}, q_diag=[1], r_diag="x"),
         ["plant.ts: must be a finite positive number, got 0", "plant.preset: unknown preset 'car'",
-         "plant.params: unknown key 'x'", "plant.params.mass: must be a finite positive number",
+         "plant.params: unknown key 'x'",
+         "plant.params.mass: must be a finite positive number, got 0",
          "plant.q_diag: must be a list of 3 finite variances",
          "plant.r_diag: must be a list of 3 finite variances"]),
     "q_diag-not-psd": (_ugv(q_diag=[1e-5, -1e-6, 1e-5]),

@@ -41,9 +41,9 @@ def test_tune_bdd_scaling():
 
 
 def test_tune_bdd_domain():
-    with pytest.raises(InvalidParameter, match=r"^alpha_des must lie in \(0, 1\], got 0\.0$"):
+    with pytest.raises(InvalidParameter, match=r"^alpha_des: must be a number in \(0, 1\], got 0\.0$"):
         tune_bdd(1.0, 0.0)
-    with pytest.raises(InvalidParameter, match=r"^alpha_des must lie in \(0, 1\], got 1\.5$"):
+    with pytest.raises(InvalidParameter, match=r"^alpha_des: must be a number in \(0, 1\], got 1\.5$"):
         tune_bdd(1.0, 1.5)
     with pytest.raises(InvalidParameter):
         tune_bdd(-1.0, 0.05)
@@ -283,7 +283,8 @@ def test_cusum_kernel_statistic_matches_detector_steps(stream):
 
 
 def test_tune_cusum_invalid_bias():
-    message = r"^bias 0\.5 must exceed E\|r\| = sqrt\(2/pi\)\*sigma = 0\.797885$"
+    message = (r"^bias / sigma: must exceed sqrt\(2/pi\) = 0\.797885 for a CUSUM detector, "
+               r"got 0\.5$")
     with pytest.raises(InvalidParameter, match=message):
         tune_cusum(1.0, 0.5, 0.05)  # below sqrt(2/pi)
 
@@ -410,7 +411,7 @@ def test_tuning_rejects_non_finite_or_non_integer_inputs(call):
 def test_tune_cusum_rejects_unequal_arrays_and_each_low_bias():
     with pytest.raises(InvalidParameter, match="1-D arrays of one length"):
         tune_cusum([1.0, 2.0], [1.5], 0.05)
-    with pytest.raises(InvalidParameter, match=r"^bias 1\.5 must exceed .* = 1\.59577$"):
+    with pytest.raises(InvalidParameter, match=r"^bias / sigma: must exceed .*, got 0\.75$"):
         tune_cusum([1.0, 2.0], [1.5, 1.5], 0.05)
 
 

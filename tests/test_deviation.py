@@ -123,6 +123,16 @@ def test_deviation_limit_shared_kernel_for_cusum():
     np.testing.assert_allclose(dc, db * (0.7 / (2.0 * ratio)), atol=1e-12)
 
 
+@pytest.mark.parametrize("expected_r", [["a"], [np.nan], [np.inf], [True]],
+                         ids=["str", "nan", "inf", "bool"])
+def test_deviation_limit_rejects_a_non_finite_expected_residual(expected_r):
+    # a string used to raise a bare ValueError, and a NaN to pass into the solves
+    plant, kss, K = scalar_setup()
+    message = r"^expected residual must be finite numbers, one per sensor \(1\)$"
+    with pytest.raises(InvalidParameter, match=message):
+        deviation_limit(plant, kss, K, expected_r)
+
+
 def test_deviation_limit_warns_when_ill_conditioned():
     # one open-loop pole a hair inside the unit circle: cond(I - A) ~ 5e10
     plant = LtiPlant(A=np.diag([1.0 - 1e-11, 0.5]), B=[[1.0], [1.0]], C=[[1.0, 1.0]],

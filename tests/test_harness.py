@@ -509,7 +509,7 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("raw, message", [
     ([1], "top level: must be an object"),
     ({"monitors": []}, "monitors: must be an object"),
-    ({"monitors": {"window": None}}, "monitors.window: must be an integer >= 3"),
+    ({"monitors": {"window": None}}, "monitors.window: must be an integer >= 3, got None"),
 ], ids=["top-level-list", "monitors-list", "window-null"])
 def test_cli_sweep_reports_the_config_error_run_reports(tmp_path, raw, message):
     cfg_path = tmp_path / "bad.json"
@@ -625,7 +625,7 @@ def test_cli_budget(tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (["--ells", "5"], "budget needs a window of at least 20, got 5"),
-    (["--alphas", "1.5"], "alpha_des must lie in (0, 1], got 1.5"),
+    (["--alphas", "1.5"], "alpha_des: must be a number in (0, 1], got 1.5"),
 ], ids=["ell-below-20", "alpha-above-1"])
 def test_cli_budget_bad_argument_is_a_config_error(tmp_path, args, message):
     out = tmp_path / "budget.csv"
@@ -722,7 +722,7 @@ def test_cli_attack_sensor_list_empty_or_repeated_is_a_config_error(
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_cli_sweep_workers_below_one_is_a_config_error(workers, tmp_path, monkeypatch, capsys):
-    message = f"--workers: must be >= 1, got {workers}"
+    message = f"--workers: must be an integer >= 1, got {workers}"
     _exits_2_before_any_work(dict(BASE), ("sweep",), message, tmp_path, monkeypatch, capsys,
                              "--workers", str(workers))
 

@@ -9,9 +9,13 @@ import randmon.lti
 from randmon.config import UGV_DEFAULT_Q, UGV_DEFAULT_R, load_config_dict
 from randmon.errors import InvalidParameter, NonConvergence, RandmonError, ValidationError
 from randmon.attacks import (ATTACK_KINDS, ATTACK_PARAMS, AttackPlan, AttackPolicy,
-                             CompositeAttack, build_attack_policy, stack)
-from randmon.detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
-from randmon.deviation import run_attack_ensemble
+                             CompositeAttack, build_attack_policy, saturation_budget, stack)
+from randmon.detectors import (BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_bdd,
+                               tune_cusum)
+from randmon.deviation import DeviationPrediction, run_attack_ensemble, validate_against_simulation
+from randmon.harness import budget_curve
+from randmon.monitors import (AlarmRateTracker, alarm_rate_scan, sir_bounds, wsr_scan,
+                              wsr_test)
 from randmon.lti import (
     CHUNK,
     LtiPlant,
@@ -357,6 +361,128 @@ def test_library_raises_loads_first_problem(call, raw, ugv_plant):
         call(ugv_plant)
     first = load.value.problems[0]
     assert str(library.value) == first.split(".", 1)[1]
+
+
+def _ensemble(ugv, **args):
+    """An unattacked two-run ensemble of ten steps, but for ``args``."""
+    args = {"n_runs": 2, "horizon": 10, "base_seed": 0, **args}
+    return run_attack_ensemble(ugv, solve_dare(ugv), make_controller(ugv), lambda j: None, **args)
+
+
+def _cases(function, field, arg, call, values):
+    return [pytest.param(field, arg, call, value, id=f"{field}-{function}-{value!r}")
+            for value in values]
+
+
+#: each scalar rule on a load field and on a library argument, with its bad values: a bool, a
+#: string, NaN, out of range and, for a count, a float
+SCALAR_RULES = [
+    *_cases("tune_cusum", "monitors.alpha_des", "alpha_des",
+            lambda ugv, v: tune_cusum(1.0, 1.5, v), [True, "a", math.nan, 1.0, 0.0]),
+    *_cases("AlarmRateTracker", "monitors.alpha_tau", "alpha_tau",
+            lambda ugv, v: AlarmRateTracker(10, v), [True, "a", math.nan, 1.5, 0.0]),
+    *_cases("sir_bounds", "monitors.rate_window", "ell_prime",
+            lambda ugv, v: sir_bounds(v, 0.05), [True, "a", math.nan, 1, 2.5]),
+    *_cases("tune_cusum", "detectors.tuning_samples", "n_samples",
+            lambda ugv, v: tune_cusum(1.0, 1.5, 0.05, n_samples=v),
+            [True, "a", math.nan, 10, 1.5e6]),
+    *_cases("tune_cusum", "detectors.tuning_seed", "seed",
+            lambda ugv, v: tune_cusum(1.0, 1.5, 0.05, seed=v), [True, "a", math.nan, -1, 1.5]),
+    *_cases("NoiseSource", "seed", "seed",
+            lambda ugv, v: NoiseSource(UGV_Q, UGV_R, v), [True, "a", math.nan, -1, 1.5]),
+    *_cases("build_attack_policy", "seed", "seed",
+            lambda ugv, v: build_attack_policy(AttackPlan(kind="none"), 3, ugv.C, np.ones(3),
+                                               seed=v), [True, -1]),
+    *_cases("run_attack_ensemble", "seed", "base_seed",
+            lambda ugv, v: _ensemble(ugv, base_seed=v), [True, -1]),
+    *_cases("simulate", "horizon", "horizon",
+            lambda ugv, v: simulate(ugv, solve_dare(ugv), make_controller(ugv), None, v),
+            [True, "a", math.nan, 0, 1.5]),
+    *_cases("run_attack_ensemble", "horizon", "horizon",
+            lambda ugv, v: _ensemble(ugv, horizon=v), [True, 0]),
+    *_cases("tune_cusum", "detectors.bias_scale", "bias / sigma",
+            lambda ugv, v: tune_cusum(1.0, v, 0.05), [0.5, math.sqrt(2.0 / math.pi)]),
+]
+
+
+@pytest.mark.parametrize("field, arg, call, value", SCALAR_RULES)
+def test_library_raises_the_scalar_rule_text_load_prints(field, arg, call, value, ugv_plant):
+    *section, key = field.split(".")  # a config whose only change from the defaults is field
+    raw = {section[0]: {key: value}} if section else {key: value}
+    with pytest.raises(ValidationError) as load:
+        load_config_dict({"horizon": 1000, **raw})
+    with pytest.raises(InvalidParameter) as library:
+        call(ugv_plant, value)
+    name, text = str(library.value).split(": ", 1)
+    assert (name, load.value.problems) == (arg, [f"{field}: {text}"])
+
+
+def _window_of(shape):
+    return np.random.default_rng(0).standard_normal(shape)
+
+
+#: library calls that took a bool as a rate of 1, raised a bare TypeError or numpy's
+#: ValueError, or returned a value, beside the text each raises now
+SCALAR_HOLES = {
+    "wsr_scan-alpha-bool": (lambda ugv: wsr_scan(_window_of((30, 1)), 10, True),
+                            "alpha_des: must be a number in (0, 1], got True"),
+    "tune_bdd-alpha-bool": (lambda ugv: tune_bdd(1.0, True),
+                            "alpha_des: must be a number in (0, 1], got True"),
+    "alarm_rate_scan-alpha_tau-bool": (
+        lambda ugv: alarm_rate_scan(np.zeros((30, 1), dtype=bool), 10, True),
+        "alpha_tau: must be a number in (0, 1], got True"),
+    "saturation_budget-alpha-bool": (lambda ugv: saturation_budget(20, True),
+                                     "alpha_des: must be a number in (0, 1], got True"),
+    "wsr_scan-alpha-str": (lambda ugv: wsr_scan(_window_of((30, 1)), 10, "a"),
+                           "alpha_des: must be a number in (0, 1], got 'a'"),
+    "wsr_test-alpha-none": (lambda ugv: wsr_test(_window_of(30), None),
+                            "alpha_des: must be a number in (0, 1], got None"),
+    "tune_bdd-alpha-str": (lambda ugv: tune_bdd(1.0, "a"),
+                           "alpha_des: must be a number in (0, 1], got 'a'"),
+    "tune_cusum-alpha-str": (lambda ugv: tune_cusum(1.0, 1.5, "a"),
+                             "alpha_des: must be a number in (0, 1), got 'a'"),
+    "AlarmRateTracker-alpha_tau-str": (lambda ugv: AlarmRateTracker(10, "a"),
+                                       "alpha_tau: must be a number in (0, 1], got 'a'"),
+    "sir_bounds-float": (lambda ugv: sir_bounds(2.5, 0.05),
+                         "ell_prime: must be an integer >= 2, got 2.5"),
+    "build_attack_policy-ell-str": (
+        lambda ugv: build_attack_policy(AttackPlan(kind="worst_case_bdd_randaware"), 3, ugv.C,
+                                        np.ones(3), ell="a"),
+        "window length: must be an integer >= 1, got 'a'"),
+    "budget_curve-ell-float": (lambda ugv: budget_curve([0.05], [20.5]),  # was cut to 20
+                               "window length: must be an integer >= 1, got 20.5"),
+    "tune_cusum-seed-negative": (lambda ugv: tune_cusum(1.0, 1.5, 0.05, seed=-1),
+                                 "seed: must be an integer >= 0, got -1"),
+    "NoiseSource-seed-negative": (lambda ugv: NoiseSource(UGV_Q, UGV_R, -1),
+                                  "seed: must be an integer >= 0, got -1"),
+    "build_attack_policy-seed-negative": (
+        lambda ugv: build_attack_policy(AttackPlan(kind="none"), 3, ugv.C, np.ones(3), seed=-1),
+        "seed: must be an integer >= 0, got -1"),
+    "run_attack_ensemble-base_seed-negative": (lambda ugv: _ensemble(ugv, base_seed=-1),
+                                               "base_seed: must be an integer >= 0, got -1"),
+    "simulate-horizon-float": (
+        lambda ugv: simulate(ugv, solve_dare(ugv), make_controller(ugv), None, 1.5),
+        "horizon: must be an integer >= 1, got 1.5"),
+    "run_attack_ensemble-n_runs-float": (lambda ugv: _ensemble(ugv, n_runs=2.5),
+                                         "n_runs: must be an integer >= 1, got 2.5"),
+    "validate_against_simulation-burn_in-float": (
+        lambda ugv: validate_against_simulation(
+            DeviationPrediction(None, None, False, 1.0), np.zeros((10, 100, 3)), burn_in=1.5),
+        "burn_in: must be an integer >= 0, got 1.5"),
+    "BadDataDetector-tau-nan": (lambda ugv: BadDataDetector(tau=[1.0, math.nan]),
+                                "tau must be nonnegative numbers, inf included, at most 1-D"),
+    "CusumDetector-bias-nan": (lambda ugv: CusumDetector(tau=[1.0], bias=[math.nan]),
+                               "bias must be a finite number or a flat list of them"),
+    "cusum_alarm_fraction-bias-nan": (lambda ugv: cusum_alarm_fraction(np.ones(10), 1.0, math.nan),
+                                      "bias must be a finite number or a flat list of them"),
+}
+
+
+@pytest.mark.parametrize("call, message", SCALAR_HOLES.values(), ids=SCALAR_HOLES.keys())
+def test_scalar_arguments_raise_invalid_parameter(call, message, ugv_plant):
+    with pytest.raises(InvalidParameter) as err:
+        call(ugv_plant)
+    assert str(err.value) == message
 
 
 def test_lqr_gain_rejects_weights_of_the_wrong_size(ugv_plant):

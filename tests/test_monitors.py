@@ -273,7 +273,7 @@ def test_sir_small_sample_flag():
 def test_alpha_domain_checks():
     vals = np.random.default_rng(10).normal(0, 1, 30)
     for bad in (0.0, -0.1, 1.5):
-        message = rf"^alpha_des must lie in \(0, 1\], got {re.escape(repr(bad))}$"
+        message = rf"^alpha_des: must be a number in \(0, 1\], got {re.escape(repr(bad))}$"
         with pytest.raises(InvalidParameter, match=message):
             wsr_test(vals, bad)
         with pytest.raises(InvalidParameter, match=message):
