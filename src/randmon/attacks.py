@@ -23,7 +23,7 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import CHUNK, finite_array, is_integer, philox
+from .lti import CHUNK, array_arg, finite_array, is_integer, philox, sigma_array
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -393,10 +393,8 @@ def build_attack_policy(
     ``SeedSequence``).
     """
     rng = philox(seed)
-    c_rows = np.asarray(c_rows, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    tau_b = tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau
-    tau_b = np.atleast_1d(np.asarray(tau_b, dtype=float))
+    c_rows, sigma = array_arg("c_rows", c_rows), sigma_array(sigma)
+    tau_b = np.atleast_1d(tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau)
     kind = plan.kind
     problems, params = check_plan(plan, n_sensors, ell=ell, has_cusum=cusum is not None,
                                   sigma=sigma, tau_b=tau_b)

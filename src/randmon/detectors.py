@@ -7,15 +7,14 @@ procedures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameter, NonConvergence
 from .gaussian import std_normal_quantile
-from .lti import (HALF_NORMAL_MEAN_FACTOR, count_problem, drift_problem, finite_array, philox,
-                  rate_problem, require)
+from .lti import (HALF_NORMAL_MEAN_FACTOR, array_arg, count_problem, drift_problem, philox,
+                  rate_problem, require, sigma_array)
 
 #: minimum Monte Carlo sample count accepted by tune_cusum
 CUSUM_MIN_SAMPLES = 1_000_000
@@ -33,26 +32,18 @@ def tune_bdd(sigma, alpha_des: float):
     """Threshold with two-sided exceedance probability alpha_des under N(0, sigma^2).
 
     Equals sqrt(2)*sigma*erfinv(1 - alpha_des); alpha_des = 1 gives a zero
-    threshold (always alarms). Accepts scalars or arrays of sigma.
+    threshold (always alarms). Accepts scalars or arrays of sigma (the sigma rule).
     """
     require("alpha_des", rate_problem(alpha_des, allow_one=True))
-    sig = finite_array(sigma, 1)
-    if sig is None or np.any(sig <= 0.0):
-        raise InvalidParameter("sigma must be a finite positive number or a list of them")
-    tau = sig * std_normal_quantile(1.0 - alpha_des / 2.0)
+    tau = sigma_array(sigma) * std_normal_quantile(1.0 - alpha_des / 2.0)
     return float(tau) if np.isscalar(sigma) or tau.ndim == 0 else tau
 
 
 def _settings(tau, bias=0.0) -> tuple:
-    """``tau`` and ``bias`` as float arrays of at most one axis; raise unless each tau is a
-    number >= 0 (inf: never alarms) and each bias a finite number."""
-    cells = np.asarray(tau, dtype=object)  # inf, the one non-finite threshold, checked as 0
-    finite_tau, b = finite_array(np.where(cells == math.inf, 0.0, cells), 1), finite_array(bias, 1)
-    if finite_tau is None or (finite_tau < 0.0).any():
-        raise InvalidParameter("tau must be nonnegative numbers, inf included, at most 1-D")
-    if b is None:
-        raise InvalidParameter("bias must be a finite number or a flat list of them")
-    return np.asarray(tau, dtype=float), b
+    """``tau`` (numbers >= 0; inf never alarms) and ``bias`` (finite) as 0/1-D float arrays."""
+    tau = array_arg("tau", tau, (0, 1), finite=False)
+    require("tau", "" if (tau >= 0.0).all() else "every tau must be nonnegative (inf included)")
+    return tau, array_arg("bias", bias, (0, 1))
 
 
 @dataclass
@@ -186,18 +177,15 @@ def cusum_alarm_fraction(x, tau, bias=0.0, out=None) -> float | np.ndarray:
     before step 0. The counts are the scalar recursion's own.
     """
     tau, bias = _settings(tau, bias)
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise InvalidParameter(f"x must be a 1-D or (steps, m) array, got shape {x.shape}")
-    if np.shape(tau) != x.shape[1:] or np.shape(bias) != x.shape[1:]:
-        raise InvalidParameter(f"tau and bias must be scalars for a 1-D x, else one entry "
-                               f"per column of x, got shapes {np.shape(tau)} and {np.shape(bias)}")
+    x = array_arg("x", x, (1, 2), finite=False)  # steps, or steps x m
+    for name, value in (("tau", tau), ("bias", bias)):
+        require(name, "" if value.shape == x.shape[1:] else "must be a number for a 1-D x, else "
+                f"one entry per column of x, got shape {value.shape}")
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.shape == x.shape):
         raise InvalidParameter(f"out must be a float64 array of x's shape {x.shape}")
     n = x.shape[0]
-    if x.size == 0:
-        raise InvalidParameter("empty increment stream")
+    require("x", "" if x.size else "empty increment stream")
     full = n - n % CUSUM_BLOCK
 
     def split(a):  # (CUSUM_BLOCK, m, n_blocks) blocks and (t, m) tail; splitting an axis is a view
@@ -304,12 +292,8 @@ def tune_cusum(
     drift under clean data) and ``NonConvergence`` if a search exhausts
     ``CUSUM_MAX_ITER`` bisections.
     """
-    sig, b = (finite_array(value, 1) for value in (sigma, bias))
-    if sig is None or b is None or not sig.size == b.size > 0:  # each 0-D or 1-D
-        raise InvalidParameter("sigma and bias must be finite scalars or 1-D arrays of one length")
-    sig, b = np.atleast_1d(sig), np.atleast_1d(b)
-    if np.any(sig <= 0.0):
-        raise InvalidParameter("sigma must be positive")
+    sig, b = np.atleast_1d(sigma_array(sigma)), np.atleast_1d(array_arg("bias", bias, (0, 1)))
+    require("bias", "" if b.size == sig.size else "must match sigma: 1-D arrays of one length")
     require("alpha_des", rate_problem(alpha_des))
     for sig_i, b_i in zip(sig.tolist(), b.tolist()):
         require("bias / sigma", drift_problem(b_i / sig_i))
@@ -369,12 +353,9 @@ class CusumDetector:
 
     def __post_init__(self):
         self.tau, self.bias = map(np.atleast_1d, _settings(self.tau, self.bias))
-        if self.tau.shape != self.bias.shape:
-            raise InvalidParameter("tau and bias must have matching shapes")
-        if self.S is None:
-            self.S = np.zeros_like(self.tau)
-        else:
-            self.S = np.atleast_1d(np.asarray(self.S, dtype=float)).copy()
+        require("bias", "" if self.tau.shape == self.bias.shape else "must have tau's shape")
+        S = np.zeros_like(self.tau) if self.S is None else array_arg("S", self.S, finite=False)
+        self.S = np.atleast_1d(S).copy()  # the statistic of a non-finite stream: inf or NaN too
 
     def step(self, r) -> np.ndarray:
         """One ``_cusum_step`` per entry of S on |r|; updates S in place, returns the alarms.

@@ -20,8 +20,8 @@ import numpy as np
 
 from .attacks import stack
 from .errors import IllConditionedWarning, InvalidParameter
-from .lti import (KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, count_problem,
-                  finite_array, require, spectral_radius)
+from .lti import (KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, array_arg, count_problem,
+                  finite_array, plant_gain, require, spectral_radius)
 
 _COND_WARN = 1e10
 
@@ -54,8 +54,9 @@ def deviation_limit(
 
     Uses two linear solves (never explicit inverses). When the condition
     number of either solve matrix passes 1e10 an IllConditionedWarning is
-    emitted, but the result is still returned.
+    emitted, but the result is still returned. ``K`` must pass ``lti.plant_gain``.
     """
+    K = plant_gain(plant, K)
     er = finite_array(expected_r)
     if er is None or er.size != plant.s:
         raise InvalidParameter(
@@ -104,9 +105,7 @@ def validate_against_simulation(
     are reported with the componentwise relative error against the
     prediction.
     """
-    traj = np.asarray(trajectories, dtype=float)
-    if traj.ndim != 3:
-        raise InvalidParameter("trajectories must have shape (runs, steps, n)")
+    traj = array_arg("trajectories", trajectories, (3,))  # runs x steps x n
     n_runs, steps, _ = traj.shape
     if n_runs < 10:
         raise InvalidParameter(f"need at least 10 runs, got {n_runs}")
@@ -145,8 +144,9 @@ def run_attack_ensemble(
     factory that returns one object for two runs, or policies that cannot be
     joined, raises ``InvalidParameter``. Only the states are recorded. Returns
     state trajectories with shape (runs, horizon, n), each run bit-equal to
-    simulating it alone.
+    simulating it alone. ``K`` must pass ``lti.plant_gain``.
     """
+    K = plant_gain(plant, K)
     require("n_runs", count_problem(n_runs, 1))
     require("base_seed", count_problem(base_seed, 0))
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)

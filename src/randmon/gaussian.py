@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameter
+from .lti import rate_problem, require
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -52,9 +52,8 @@ def _acklam(p: float) -> float:
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1)."""
-    if not 0.0 < p < 1.0 or math.isnan(p):
-        raise InvalidParameter(f"quantile argument must lie in (0, 1), got {p!r}")
+    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1) (the rate rule)."""
+    require("p", rate_problem(p))
     if p > 1.0 - _P_LOW:  # the upper tail by symmetry; 1 - p is exact for p >= 0.5
         return -std_normal_quantile(1.0 - p)
     x = _acklam(p)

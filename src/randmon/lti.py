@@ -81,23 +81,46 @@ CHUNK = 256
 PLANT_MATRICES = ("A", "B", "C", "Q", "R")
 
 
-# --- value rules. Each scalar rule gives what is wrong with a value, or ""; load reports it
-# after its field, and the library raises it after its argument's name (:func:`require`).
+# --- value rules. A scalar rule gives what is wrong with a value, or "", an array rule the
+# value as floats, or None; load reports a problem after its field, the library after its name.
 
 
-def finite_array(value, ndim: int = 2) -> Optional[Array]:
-    """The finite-number rule: ``value`` as floats if it is a finite real number (no bool), or
-    a rectangular list or array of them with at most ``ndim`` axes; else None. Arrays: no copy."""
+def real_array(value, ndim: int = 2) -> Optional[Array]:
+    """The real-number rule: ``value`` as floats if it is a real number (no bool; inf and NaN
+    too), or a rectangular list or array of them with at most ``ndim`` axes; else None. Integer
+    and float arrays: no copy."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         arr = np.asarray(value, dtype=float)
-        return arr if arr.ndim <= ndim and np.isfinite(arr).all() else None
+        return arr if arr.ndim <= ndim else None
     try:
         cells = np.asarray(value, dtype=object)
         return cells.astype(float) if cells.ndim <= ndim and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-            for v in cells.flat) else None
-    except (OverflowError, ValueError):  # isfinite of a huge int; nesting beyond numpy's axes
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in cells.flat) else None
+    except (OverflowError, ValueError):  # an int beyond floats; nesting beyond numpy's axes
         return None
+
+
+def finite_array(value, ndim: int = 2) -> Optional[Array]:
+    """The finite-number rule: :func:`real_array` with every value finite; else None."""
+    arr = real_array(value, ndim)
+    return arr if arr is not None and np.isfinite(arr).all() else None
+
+
+def array_arg(name: str, value, ndims=(0, 1, 2), finite: bool = True) -> Array:
+    """``value`` as floats with a number of axes in ``ndims``, by :func:`finite_array` (by
+    :func:`real_array` without ``finite``); else raise the rule's text after ``name``."""
+    arr = (finite_array if finite else real_array)(value, max(ndims))
+    require(name, "" if arr is not None and arr.ndim in ndims else f"must be a "
+            f"{'/'.join(map(str, ndims))}-D array of real numbers, none a bool"
+            f"{' or non-finite' * finite}")
+    return arr
+
+
+def sigma_array(sigma) -> Array:
+    """The sigma rule: per-sensor deviations, a finite number > 0 or a non-empty flat list."""
+    sig = array_arg("sigma", sigma, (0, 1))
+    require("sigma", "" if sig.size and (sig > 0.0).all() else "must be > 0, and not empty")
+    return sig
 
 
 def is_integer(value) -> bool:
@@ -266,6 +289,13 @@ def gain_problems(gain, n: Optional[int], m: Optional[int]) -> tuple:
                 problems += [(key, problem)] if problem else []
         weights.append(W)
     return (problems, K, *weights)
+
+
+def plant_gain(plant: LtiPlant, K) -> Array:
+    """``K`` as floats, plant inputs x states, by :func:`gain_problems`' K rule; else raise."""
+    problems, K, _, _ = gain_problems({"K": K}, plant.n, plant.m)
+    _raise_first(problems)
+    return K
 
 
 def spectral_radius(M) -> float:
@@ -602,10 +632,10 @@ def simulate(
     ``attack`` is called as in :func:`step`, with one run's vectors, and its
     value is checked for shape (s,) and summed onto zeros. Returns a dict with
     arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the applied attack ``xi``
-    (horizon, s). Row k holds the state at step k.
+    (horizon, s). Row k holds the state at step k. ``K`` must pass :func:`plant_gain`.
     """
-    out = _lockstep(plant, kss, K, [noise], horizon, attack, ("x", "xhat", "r", "xi"),
-                    one_run=True)
+    out = _lockstep(plant, kss, plant_gain(plant, K), [noise], horizon, attack,
+                    ("x", "xhat", "r", "xi"), one_run=True)
     return {name: rows[0] for name, rows in out.items()}
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateWindow, EmptyAfterZeroRemoval, InvalidParameter, SmallSampleWarning
+from .errors import DegenerateWindow, EmptyAfterZeroRemoval, SmallSampleWarning
 from .gaussian import std_normal_quantile, two_sided_p
-from .lti import count_problem, rate_problem, require
+from .lti import array_arg, count_problem, rate_problem, require
 
 #: below these effective sizes the normal approximations degrade; tests still
 #: run but flag the outcome and emit a SmallSampleWarning.
@@ -73,11 +73,9 @@ def signed_ranks(values) -> SignedRanks:
     Exact zeros are dropped (reducing the effective length); exactly tied
     absolute values all receive the arithmetic mean of the ranks they span.
     Tie means are computed as (first + last)/2 so total rank mass stays exact
-    in floating point.
+    in floating point. ``values`` are finite numbers, a number or a flat list.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(v)):
-        raise InvalidParameter("window contains non-finite values")
+    v = array_arg("values", values, (0, 1)).ravel()
     kept = v[v != 0.0]
     n = kept.size
     if n == 0:
@@ -121,7 +119,7 @@ def wsr_test(window, alpha_des: float) -> WsrOutcome:
     when p < alpha_des.
     """
     require("alpha_des", rate_problem(alpha_des, allow_one=True))
-    sr = signed_ranks(window)
+    sr = signed_ranks(array_arg("window", window, (0, 1)))
     w_plus = float(sr.ranks[sr.values > 0.0].sum())
     w_minus = float(sr.ranks[sr.values < 0.0].sum())
     ell = sr.ell_eff
@@ -194,10 +192,7 @@ def sir_test(window, alpha_des: float) -> SirOutcome:
     or a tie was seen.
     """
     require("alpha_des", rate_problem(alpha_des, allow_one=True))
-    window = np.asarray(window, dtype=float).ravel()
-    if not np.all(np.isfinite(window)):
-        raise InvalidParameter("window contains non-finite values")
-    d = np.diff(window)
+    d = np.diff(array_arg("window", window, (0, 1)).ravel())
     nonzero = d != 0.0
     tie_alarm = bool(np.any(~nonzero))
     d = d[nonzero]
@@ -316,18 +311,14 @@ def _scan(r, ell: int, alpha_des: float, batch):
     ``batch(column, ell)`` returns the distinct z-scores (NaN: no statistic),
     whether each alarms whatever its p-value and each window's index into
     them, and warns once per distinct effective size below the small-sample
-    size. A non-finite value raises before any window is scored.
+    size. A non-finite value raises, also in a stream shorter than one window.
     """
     require("alpha_des", rate_problem(alpha_des, allow_one=True))
     require("window length", count_problem(ell, 1))
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2:
-        raise InvalidParameter(f"residuals must be a (steps, sensors) array, got shape {r.shape}")
+    r = array_arg("r", r, (2,))  # steps x sensors
     p, alarm = np.full(r.shape, np.nan), np.full(r.shape, np.nan)
     if r.shape[0] < ell:
         return p, alarm
-    if not np.isfinite(r).all():
-        raise InvalidParameter("window contains non-finite values")
     for i in range(r.shape[1]):
         z, forced, inverse = batch(r[:, i], ell)
         # one two_sided_p per distinct z: rank sums and runs counts take few values
@@ -384,13 +375,14 @@ def _sir_batch(column, ell: int):
 def alarm_rate_scan(flags, window: int, alpha_tau: float):
     """An ``AlarmRateTracker`` fed each column of ``flags`` (verdicts x sensors) in order.
 
-    Returns ``(rate, final, compromised)``: the sliding rate after each
-    verdict (NaN until ``window`` verdicts exist), and per sensor the
-    tracker's last ``rate`` and its ``compromised`` flag.
+    Returns ``(rate, final, compromised)``: the sliding rate after each verdict (NaN until
+    ``window`` verdicts exist), and per sensor the tracker's last ``rate`` and its
+    ``compromised`` flag. ``flags`` is a bool array, or finite numbers that alarm when nonzero.
     """
     require("rate window", count_problem(window, 1))
     require("alpha_tau", rate_problem(alpha_tau, allow_one=True))
-    flags = np.asarray(flags, dtype=bool)
+    bools = isinstance(flags, np.ndarray) and flags.dtype == bool and flags.ndim == 2
+    flags = flags if bools else array_arg("flags", flags, (2,)) != 0.0
     n, s = flags.shape
     rate = np.full((n, s), np.nan)
     if n < window:

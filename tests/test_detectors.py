@@ -212,7 +212,7 @@ def test_cusum_alarm_fraction_errors():
     for tau, bias in (([1.0], [0.0, 0.0]), ([1.0, 1.0], 0.0), (1.0, [0.0, 0.0])):
         with pytest.raises(InvalidParameter, match="one entry per column of x"):
             cusum_alarm_fraction(np.ones((300, 2)), tau, bias)
-    with pytest.raises(InvalidParameter, match="tau and bias must be scalars for a 1-D x"):
+    with pytest.raises(InvalidParameter, match="^tau: must be a number for a 1-D x"):
         cusum_alarm_fraction(np.ones(300), [1.0], 0.0)
 
 

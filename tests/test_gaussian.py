@@ -51,7 +51,7 @@ def test_quantile_cdf_round_trip():
 
 def test_quantile_domain():
     for bad in (0.0, 1.0, -0.3, 1.7, float("nan")):
-        message = rf"^quantile argument must lie in \(0, 1\), got {re.escape(repr(bad))}$"
+        message = rf"^p: must be a number in \(0, 1\), got {re.escape(repr(bad))}$"
         with pytest.raises(InvalidParameter, match=message):
             std_normal_quantile(bad)
 

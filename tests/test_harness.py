@@ -815,5 +815,6 @@ def test_cli_non_finite_residual_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(OVERFLOW))
     result = run_cli("run", "--config", str(cfg_path), "--quiet")
     assert result.returncode == 3
-    assert "runtime error: window contains non-finite values" in result.stderr
+    assert ("runtime error: r: must be a 2-D array of real numbers, none a bool or "
+            "non-finite") in result.stderr
     assert "Traceback" not in result.stderr

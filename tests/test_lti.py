@@ -12,10 +12,12 @@ from randmon.attacks import (ATTACK_KINDS, ATTACK_PARAMS, AttackPlan, AttackPoli
                              CompositeAttack, build_attack_policy, saturation_budget, stack)
 from randmon.detectors import (BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_bdd,
                                tune_cusum)
-from randmon.deviation import DeviationPrediction, run_attack_ensemble, validate_against_simulation
+from randmon.deviation import (DeviationPrediction, deviation_limit, run_attack_ensemble,
+                               validate_against_simulation)
+from randmon.gaussian import std_normal_quantile
 from randmon.harness import budget_curve
-from randmon.monitors import (AlarmRateTracker, alarm_rate_scan, sir_bounds, wsr_scan,
-                              wsr_test)
+from randmon.monitors import (AlarmRateTracker, alarm_rate_scan, signed_ranks, sir_bounds,
+                              sir_scan, sir_test, wsr_scan, wsr_test)
 from randmon.lti import (
     CHUNK,
     LtiPlant,
@@ -470,11 +472,13 @@ SCALAR_HOLES = {
             DeviationPrediction(None, None, False, 1.0), np.zeros((10, 100, 3)), burn_in=1.5),
         "burn_in: must be an integer >= 0, got 1.5"),
     "BadDataDetector-tau-nan": (lambda ugv: BadDataDetector(tau=[1.0, math.nan]),
-                                "tau must be nonnegative numbers, inf included, at most 1-D"),
+                                "tau: every tau must be nonnegative (inf included)"),
     "CusumDetector-bias-nan": (lambda ugv: CusumDetector(tau=[1.0], bias=[math.nan]),
-                               "bias must be a finite number or a flat list of them"),
+                               "bias: must be a 0/1-D array of real numbers, none a bool or "
+                               "non-finite"),
     "cusum_alarm_fraction-bias-nan": (lambda ugv: cusum_alarm_fraction(np.ones(10), 1.0, math.nan),
-                                      "bias must be a finite number or a flat list of them"),
+                                      "bias: must be a 0/1-D array of real numbers, none a "
+                                      "bool or non-finite"),
 }
 
 
@@ -483,6 +487,72 @@ def test_scalar_arguments_raise_invalid_parameter(call, message, ugv_plant):
     with pytest.raises(InvalidParameter) as err:
         call(ugv_plant)
     assert str(err.value) == message
+
+
+#: each array argument of the public numeric API: its name, a call with only it replaced,
+#: a value it accepts, whether it refuses NaN and whether it refuses bools
+ARRAY_ARGS = {
+    "signed_ranks": ("values", lambda ugv, v: signed_ranks(v), _window_of(30), True, True),
+    "wsr_test": ("window", lambda ugv, v: wsr_test(v, 0.05), _window_of(30), True, True),
+    "sir_test": ("window", lambda ugv, v: sir_test(v, 0.05), _window_of(30), True, True),
+    "wsr_scan": ("r", lambda ugv, v: wsr_scan(v, 10, 0.05), _window_of((30, 2)), True, True),
+    "sir_scan": ("r", lambda ugv, v: sir_scan(v, 10, 0.05), _window_of((30, 2)), True, True),
+    "alarm_rate_scan": ("flags", lambda ugv, v: alarm_rate_scan(v, 5, 0.5), np.zeros((30, 2)),
+                        True, False),
+    "cusum_alarm_fraction-x": ("x", lambda ugv, v: cusum_alarm_fraction(v, [1.0]),
+                               np.ones((30, 1)), False, True),
+    "cusum_alarm_fraction-tau": ("tau", lambda ugv, v: cusum_alarm_fraction(np.ones(30), v), 1.0,
+                                 True, True),
+    "cusum_alarm_fraction-bias": ("bias", lambda ugv, v: cusum_alarm_fraction(np.ones(30), 1.0, v),
+                                  0.5, True, True),
+    "BadDataDetector-tau": ("tau", lambda ugv, v: BadDataDetector(tau=v), [1.0, 2.0], True, True),
+    "CusumDetector-tau": ("tau", lambda ugv, v: CusumDetector(tau=v, bias=[0.5]), [1.0], True,
+                          True),
+    "CusumDetector-bias": ("bias", lambda ugv, v: CusumDetector(tau=[1.0], bias=v), [0.5], True,
+                           True),
+    "CusumDetector-S": ("S", lambda ugv, v: CusumDetector(tau=[1.0], bias=[0.5], S=v), [[0.0]],
+                        False, True),
+    "tune_bdd": ("sigma", lambda ugv, v: tune_bdd(v, 0.05), [1.0, 2.0], True, True),
+    "tune_cusum-sigma": ("sigma", lambda ugv, v: tune_cusum(v, [1.5], 0.05), [1.0], True, True),
+    "tune_cusum-bias": ("bias", lambda ugv, v: tune_cusum([1.0], v, 0.05), [1.5], True, True),
+    "build_attack_policy-c_rows": (
+        "c_rows", lambda ugv, v: build_attack_policy(AttackPlan(kind="none"), 3, v, np.ones(3)),
+        np.eye(3), True, True),
+    "build_attack_policy-sigma": (
+        "sigma", lambda ugv, v: build_attack_policy(AttackPlan(kind="none"), 3, ugv.C, v),
+        np.ones(3), True, True),
+    "validate_against_simulation": (
+        "trajectories", lambda ugv, v: validate_against_simulation(
+            DeviationPrediction(None, None, False, 1.0), v, burn_in=1),
+        np.zeros((10, 20, 3)), True, True),
+    "std_normal_quantile": ("p", lambda ugv, v: std_normal_quantile(v), 0.5, True, True),
+    "simulate": ("K", lambda ugv, v: simulate(ugv, solve_dare(ugv), v, None, 10),
+                 [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], True, True),
+    "run_attack_ensemble": ("K", lambda ugv, v: run_attack_ensemble(
+        ugv, solve_dare(ugv), v, lambda j: None, 2, 10), [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                            True, True),
+    "deviation_limit": ("K", lambda ugv, v: deviation_limit(ugv, solve_dare(ugv), v, np.zeros(3)),
+                        [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], True, True),
+}
+
+
+def _array_cases():
+    for function, (arg, call, good, refuses_nan, refuses_bools) in ARRAY_ARGS.items():
+        good = np.asarray(good, dtype=float)
+        nan = good.copy()
+        nan.flat[0] = math.nan
+        bad = {"str": "a", "ragged": [[1.0], [1.0, 2.0]], "complex": good + 1j,
+               "one-axis-too-many": good[None], "bools": good.astype(bool), "nan": nan}
+        for kind, value in bad.items():
+            if (kind != "bools" or refuses_bools) and (kind != "nan" or refuses_nan):
+                yield pytest.param(arg, call, value, id=f"{function}-{kind}")
+
+
+@pytest.mark.parametrize("arg, call, value", _array_cases())
+def test_array_arguments_raise_invalid_parameter_after_their_name(arg, call, value, ugv_plant):
+    with pytest.raises(InvalidParameter) as err:
+        call(ugv_plant, value)
+    assert str(err.value).startswith(f"{arg}: ")
 
 
 def test_lqr_gain_rejects_weights_of_the_wrong_size(ugv_plant):

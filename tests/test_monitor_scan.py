@@ -147,6 +147,22 @@ def test_scans_reject_non_finite_window(scan, bad):
         scan(r, 100, 0.05)
 
 
+@pytest.mark.parametrize("scan", [wsr_scan, sir_scan], ids=["wsr_scan", "sir_scan"])
+def test_scans_reject_non_finite_stream_shorter_than_a_window(scan):
+    with pytest.raises(InvalidParameter, match="non-finite"):  # not a NaN result
+        scan([[math.nan]] * 5, 10, 0.05)
+
+
+def test_alarm_rate_scan_takes_a_2d_array_of_bools_or_numbers():
+    for flags in (np.zeros(10, dtype=bool), [True, False], [["a"]]):
+        with pytest.raises(InvalidParameter, match="^flags: "):
+            alarm_rate_scan(flags, 1, 0.5)
+    for flags in (np.array([[True], [False]]), [[1.0], [0.0]]):
+        rate, final, compromised = alarm_rate_scan(flags, 1, 0.5)
+        assert (rate.tolist(), final.tolist(), compromised.tolist()) == ([[1.0], [0.0]], [0.0],
+                                                                         [False])
+
+
 #: window lengths that are not integers, which the library used to truncate, score or
 #: fail on with a bare TypeError
 BAD_WINDOWS = {
