@@ -23,7 +23,8 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import CHUNK, array_arg, finite_array, is_integer, philox, sigma_array
+from .lti import (CHUNK, count_problem, finite_array, is_integer, matrix_arg, philox, require,
+                  sigma_array)
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -380,9 +381,10 @@ def build_attack_policy(
 ) -> AttackPolicy:
     """Instantiate the policy for a plan against the configured detectors.
 
-    ``c_rows`` is the plant output matrix (one row per sensor); ``sigma`` the
-    per-sensor residual standard deviations. The first problem :func:`check_plan`
-    finds is raised as ``InvalidParameter``, led by the key it names. The CUSUM kinds
+    ``c_rows`` is the plant output matrix, one row per sensor of ``n_sensors`` (an integer
+    >= 1); ``sigma`` the residual standard deviations, one number or one per sensor. The
+    first problem of these, or of :func:`check_plan`, is raised as ``InvalidParameter``,
+    led by the argument or key it names. The CUSUM kinds
     step a copy of the tuned ``cusum`` (tau, bias and S); the bad-data kinds
     and the scripted stealth bounds use the bad-data threshold, derived from
     alpha_des when no detector is given. A scripted kind leaves
@@ -393,7 +395,11 @@ def build_attack_policy(
     ``SeedSequence``).
     """
     rng = philox(seed)
-    c_rows, sigma = array_arg("c_rows", c_rows), sigma_array(sigma)
+    require("n_sensors", count_problem(n_sensors, 1))
+    c_rows = matrix_arg("c_rows", c_rows, ("sensors", "states"), (n_sensors, None))
+    sigma = sigma_array(sigma)
+    require("sigma", "" if sigma.ndim == 0 or sigma.size == n_sensors else
+            f"must be one number or one per sensor ({n_sensors}), got {sigma.size}")
     tau_b = np.atleast_1d(tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau)
     kind = plan.kind
     problems, params = check_plan(plan, n_sensors, ell=ell, has_cusum=cusum is not None,

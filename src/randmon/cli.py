@@ -15,7 +15,6 @@ from .config import config_hash, load_config, read_config
 from .errors import InvalidParameter, RandmonError, ValidationError
 from .harness import (budget_curve, emit_outputs, run_scenario, run_sweep, tuned_thresholds,
                       write_budget_curve, write_sweep)
-from .lti import count_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,8 +121,6 @@ def _cmd_budget(args, quiet: bool) -> int:
 
 
 def _cmd_sweep(args, quiet: bool) -> int:
-    if problem := count_problem(args.workers, 1):
-        raise ValidationError([f"--workers: {problem}"])
     raw = read_config(args.config)
     _check_output_file(args.out)
     kinds = [k for k in args.attacks.split(",") if k]

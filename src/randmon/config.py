@@ -17,10 +17,10 @@ import numpy as np
 from .attacks import AttackPlan, check_plan, entry_problems
 from .detectors import CUSUM_MIN_SAMPLES, tune_bdd
 from .errors import InvalidParameter, ValidationError
-from .lti import (PLANT_MATRICES, LtiPlant, UgvParams, count_problem, covariance_problem,
-                  discretize_ugv, drift_problem, finite_array, gain_problems, is_integer,
-                  make_controller, plant_problems, positive_problem, rate_problem,
-                  sample_period_problems, solve_dare, ugv_problems)
+from .lti import (LtiPlant, UgvParams, count_problem, discretize_ugv, drift_problem,
+                  gain_problems, is_integer, make_controller, plant_problems, positive_problem,
+                  rate_problem, sample_period_problems, solve_dare, ugv_problems,
+                  variances_problem)
 
 SCHEMA_VERSION = 1
 
@@ -107,7 +107,7 @@ def build_plant(spec: dict) -> LtiPlant:
     if spec.get("preset") == "ugv":
         params = UgvParams(**spec.get("params", {}))
         return discretize_ugv(params, spec["ts"], np.diag(spec["q_diag"]), np.diag(spec["r_diag"]))
-    return LtiPlant(**{key: spec[key] for key in (*PLANT_MATRICES, "ts")})
+    return LtiPlant(**{key: spec[key] for key in (*"ABCQR", "ts")})
 
 
 def _unreachable_marginal_modes(plant: LtiPlant) -> list:
@@ -135,8 +135,8 @@ def _validate_plant(spec, problems: list) -> tuple:
 
     The sizes are (states, inputs, sensors): 3, 2 and 3 for the UGV; the rows of ``A``,
     the columns of ``B`` and the rows of ``C`` for an explicit plant; None where the spec
-    does not give one. The sample period, an explicit plant and the UGV parameters are
-    checked by ``lti``'s rule sets.
+    does not give one. The sample period, an explicit plant, the UGV parameters and its
+    noise variances are checked by ``lti``'s rule sets.
     """
     if not isinstance(spec, dict):
         problems.append("plant: must be an object")
@@ -155,12 +155,8 @@ def _validate_plant(spec, problems: list) -> tuple:
         params = spec.get("params", {})
         found += (ugv_problems(params) if isinstance(params, dict)
                   else [("params", "must be an object")])
-        for key in ("q_diag", "r_diag"):
-            variances = finite_array(out[key], 1)
-            if variances is None or variances.shape != (3,):
-                found.append((key, "must be a list of 3 finite variances"))
-            elif problem := covariance_problem(np.diag(variances), f"diag({key})")[0]:
-                found.append((key, problem))
+        found += [(key, problem) for key, unit in (("q_diag", "state"), ("r_diag", "sensor"))
+                  if (problem := variances_problem(out[key], 3, f"UGV {unit}")[0])]
         sizes = (3, 2, 3) if preset == "ugv" else (None, None, None)
     problems += [f"plant.{field}: {text}" for field, text in found]
     return out, sizes

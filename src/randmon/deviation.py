@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import stack
 from .errors import IllConditionedWarning, InvalidParameter
 from .lti import (KalmanSteadyState, LtiPlant, NoiseSource, _lockstep, array_arg, count_problem,
-                  finite_array, plant_gain, require, spectral_radius)
+                  plant_gain, require, spectral_radius)
 
 _COND_WARN = 1e10
 
@@ -54,14 +54,13 @@ def deviation_limit(
 
     Uses two linear solves (never explicit inverses). When the condition
     number of either solve matrix passes 1e10 an IllConditionedWarning is
-    emitted, but the result is still returned. ``K`` must pass ``lti.plant_gain``.
+    emitted, but the result is still returned. ``K`` and ``kss`` must pass
+    ``lti.plant_gain``, and ``expected_r`` is finite, one entry per sensor.
     """
-    K = plant_gain(plant, K)
-    er = finite_array(expected_r)
-    if er is None or er.size != plant.s:
-        raise InvalidParameter(
-            f"expected residual must be finite numbers, one per sensor ({plant.s})")
-    er = er.ravel()
+    K = plant_gain(plant, K, kss)
+    er = array_arg("expected_r", expected_r).ravel()
+    require("expected_r", "" if er.size == plant.s else
+            f"must have one entry per sensor ({plant.s}), got {er.size}")
     A, B, L = plant.A, plant.B, kss.L
     rho_open = spectral_radius(A)
     stable = rho_open < 1.0 and spectral_radius(A + B @ K) < 1.0
@@ -106,7 +105,9 @@ def validate_against_simulation(
     prediction.
     """
     traj = array_arg("trajectories", trajectories, (3,))  # runs x steps x n
-    n_runs, steps, _ = traj.shape
+    n_runs, steps, n = traj.shape
+    if prediction.delta is not None and n != (k := prediction.delta.size):
+        require("trajectories", f"must have one entry per state ({k}) on its last axis, got {n}")
     if n_runs < 10:
         raise InvalidParameter(f"need at least 10 runs, got {n_runs}")
     require("burn_in", count_problem(burn_in, 0))
@@ -144,9 +145,9 @@ def run_attack_ensemble(
     factory that returns one object for two runs, or policies that cannot be
     joined, raises ``InvalidParameter``. Only the states are recorded. Returns
     state trajectories with shape (runs, horizon, n), each run bit-equal to
-    simulating it alone. ``K`` must pass ``lti.plant_gain``.
+    simulating it alone. ``K`` and ``kss`` must pass ``lti.plant_gain``.
     """
-    K = plant_gain(plant, K)
+    K = plant_gain(plant, K, kss)
     require("n_runs", count_problem(n_runs, 1))
     require("base_seed", count_problem(base_seed, 0))
     seeds = np.random.SeedSequence(base_seed).spawn(n_runs)

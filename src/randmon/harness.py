@@ -33,7 +33,7 @@ from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERS
 from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
 from .errors import InvalidParameter, ValidationError
-from .lti import NoiseSource, is_integer, make_controller, simulate, solve_dare
+from .lti import NoiseSource, count_problem, is_integer, make_controller, simulate, solve_dare
 from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
 
 log = logging.getLogger(__name__)
@@ -377,16 +377,17 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     """Cartesian sweep over desired rates and attack kinds.
 
     Every cell's config is validated up front, so a config error stops the
-    sweep before any scenario runs; one ``ValidationError`` lists each distinct
-    problem of every cell once, in cell order. Scenarios run in parallel across
-    worker processes; each cell reports the per-test, per-sensor alarm rates of
-    its run. Cells are alpha-major and each worker takes one contiguous block of
+    sweep before any scenario runs; one ``ValidationError`` lists a ``workers``
+    count below 1, then each distinct problem of every cell once, in cell order.
+    Scenarios run in parallel across worker processes; each cell reports the
+    per-test, per-sensor alarm rates of its run. Cells are alpha-major and each worker takes one contiguous block of
     them, so a worker tunes CUSUM for as few alphas as it can (the tuning
     cache is per process).
     """
     checked = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
                for a in alphas for kind in attack_kinds]
-    problems = dict.fromkeys(p for (_, found), _, _ in checked for p in found)
+    problems = [f"workers: {problem}"] if (problem := count_problem(workers, 1)) else []
+    problems += dict.fromkeys(p for (_, found), _, _ in checked for p in found)
     if problems:
         raise ValidationError(problems)
     cells = [(cfg, alpha, kind) for (cfg, _), alpha, kind in checked]

@@ -77,8 +77,6 @@ EXPM_MAX_TERMS = 80
 #: Steps of noise each run draws and colours at once in the lockstep kernel, and active
 #: steps of randomness each attack policy draws at once.
 CHUNK = 256
-#: The matrices of an explicit plant, in the order their problems are reported.
-PLANT_MATRICES = ("A", "B", "C", "Q", "R")
 
 
 # --- value rules. A scalar rule gives what is wrong with a value, or "", an array rule the
@@ -170,54 +168,77 @@ def philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def matrix_problem(value, units, size=(None, None)) -> tuple:
+    """The matrix rule: ``(text, M)``, ``M`` the value as a 2-D float array by
+    :func:`finite_array` (a number or a flat list is one row) or None, ``text`` its first
+    problem or "". ``units`` names what its rows and columns count, and ``size`` how many
+    of each it must have (None: any); two like units make it square, and rows that
+    ``size`` leaves free must number at least one."""
+    M = finite_array(value)
+    if M is None:
+        return "must be a matrix of finite numbers", None
+    M = np.atleast_2d(M)
+    (rows, cols), (row_unit, col_unit) = M.shape, units
+    if row_unit == col_unit and size == (None, None):
+        text = "" if rows == cols else "must be square"
+    elif all(k in (None, got) for k, got in zip(size, M.shape)):
+        text = ""
+    elif size[1] is None:
+        text = f"must have one row per {row_unit[:-1]} ({size[0]})"
+    elif size[0] is None:
+        text = f"must have one column per {col_unit[:-1]} ({size[1]})"
+    else:
+        text = f"must be {size[0]}x{size[1]} ({row_unit} x {col_unit})"
+    if not text and size[0] is None and not rows:
+        text = f"must have at least one {row_unit[:-1]}"
+    return text and f"{text}, got {rows}x{cols}", M
+
+
+def covariance_problem(M: Array) -> tuple:
+    """``(problem or "", 0.5 (M + M'))`` for a square M: it must be symmetric and PSD.
+
+    The tests run on M over its largest entry (at least 1) and M is halved before the
+    sum, so finite entries up to the largest float cannot overflow. An empty M passes.
+    """
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
+    unit = M / scale
+    if not np.allclose(unit, unit.T, rtol=1e-10, atol=1e-10):
+        return "must be symmetric", M
+    sym = 0.5 * M + 0.5 * M.T
+    if sym.size and np.linalg.eigvalsh(sym).min() < -1e-10:
+        return "must be positive semidefinite", sym
+    return "", sym
+
+
+def matrix_arg(name: str, value, units, size=(None, None), covariance: bool = False) -> Array:
+    """``value`` by :func:`matrix_problem` and, with ``covariance``, symmetrised by
+    :func:`covariance_problem`; else raise the first problem after ``name``."""
+    problem, M = matrix_problem(value, units, size)
+    require(name, problem)
+    if covariance:
+        problem, M = covariance_problem(M)
+        require(name, problem)
+    return M
+
+
+def variances_problem(value, length: Optional[int], unit: str) -> tuple:
+    """The variance-list rule: ``(text, v)``, ``v`` the value as a flat float array by
+    :func:`finite_array` or None, ``text`` its first problem or "": a flat list of finite
+    numbers, with ``length`` one per ``unit``, each >= 0."""
+    v = finite_array(value, 1)
+    if v is None or v.ndim != 1:
+        return "must be a list of finite numbers", None
+    if length is not None and len(v) != length:
+        return f"must have {length} entries, one per {unit}, got {len(v)}", v
+    return "" if (v >= 0.0).all() else f"must have no negative entry, got {float(v.min())!r}", v
+
+
 # --- plant and controller rules: every problem as (field, text); the library raises the first
 
 
 def _raise_first(problems) -> None:
     if problems:
         require(*problems[0])
-
-
-def _wrong_size(k: int, unit: str, shape) -> str:
-    return f"must be {k}x{k} ({unit} x {unit}), got {shape[0]}x{shape[1]}"
-
-
-def covariance_problem(M: Array, name: str) -> tuple:
-    """``(problem or None, 0.5 (M + M'))`` for a square M: it must be symmetric and PSD.
-
-    The tests run on M over its largest entry (at least 1) and M is halved before the
-    sum, so finite entries up to the largest float cannot overflow.
-    """
-    scale = max(1.0, float(np.abs(M).max()))
-    unit = M / scale
-    if not np.allclose(unit, unit.T, rtol=1e-10, atol=1e-10):
-        return f"{name} must be symmetric", M
-    sym = 0.5 * M + 0.5 * M.T
-    if np.linalg.eigvalsh(sym).min() < -1e-10:
-        return f"{name} must be positive semidefinite", sym
-    return None, sym
-
-
-def _none_of(unit: str, shape) -> str:
-    return f"must have at least one {unit.rstrip('s')}, got {shape[0]}x{shape[1]}"
-
-
-def _matrix(value, name: str, unit: str = "", k: Optional[int] = None) -> Array:
-    """``value`` as a 2-D float array, k x k (default: its rows, at least one) if ``unit``
-    names k; else raise."""
-    M = finite_array(value)
-    require(name, "must be a matrix of finite numbers" if M is None else "")
-    M = np.atleast_2d(M)
-    k = M.shape[0] if k is None else k
-    require(name, _none_of(unit, M.shape) if unit and not k else "")
-    require(name, _wrong_size(k, unit, M.shape) if unit and M.shape != (k, k) else "")
-    return M
-
-
-def _covariance(value, name: str, unit: str, k: Optional[int] = None) -> Array:
-    problem, M = covariance_problem(_matrix(value, name, unit, k), name)
-    require(name, problem)
-    return M
 
 
 def sample_period_problems(ts) -> list:
@@ -227,34 +248,27 @@ def sample_period_problems(ts) -> list:
 def plant_problems(spec) -> tuple:
     """``(problems, arrays)`` of an explicit plant: ``spec`` maps ``ts`` and A, B, C, Q, R.
 
-    Each matrix must be given and numeric (a number or a flat list is one row), the
-    plant must have at least one state and one sensor, and A, B, C, Q, R conform; Q
-    and R, when square and not empty, must be covariances. ``arrays`` holds each 2-D
-    float matrix, Q and R symmetrised, or None if missing or not numeric.
+    Each matrix must be given and pass :func:`matrix_problem`: A square, with at least one
+    state, B with one row and C one column per state, C with at least one sensor, Q states
+    x states and R sensors x sensors; Q and R, when square, must be covariances. ``arrays``
+    holds each 2-D float matrix, Q and R symmetrised, or None if missing or not numeric.
     """
     problems, arrays = sample_period_problems(spec.get("ts")), {}
-    for key in PLANT_MATRICES:
-        M = finite_array(spec[key]) if key in spec else None
-        arrays[key] = None if M is None else np.atleast_2d(M)
-        if M is None:
-            problems.append((key, "must be a matrix of finite numbers" if key in spec
-                             else "required for explicit plants"))
-    A, B, C, Q, R = shapes = [None if M is None else M.shape for M in arrays.values()]
-    if A is not None:
-        n = A[0]
-        rules = [A[1] != n and "must be square" or not n and "must have at least one state",
-                 B is not None and B[0] != n and f"must have one row per state ({n})",
-                 C is not None and C[1] != n and f"must have one column per state ({n})"]
-        problems += [(key, f"{rule}, got {shape[0]}x{shape[1]}")
-                     for key, rule, shape in zip("ABC", rules, shapes) if rule]
-        problems += [("Q", _wrong_size(n, "states", Q))] if Q is not None and Q != (n, n) else []
-    if C is not None and not C[0]:
-        problems.append(("C", _none_of("sensors", C)))
-    if C is not None and R is not None and R != (C[0], C[0]):
-        problems.append(("R", _wrong_size(C[0], "sensors", R)))
-    for key, shape in (("Q", Q), ("R", R)):
-        if shape is not None and shape[0] == shape[1] and shape[0]:
-            problem, arrays[key] = covariance_problem(arrays[key], key)
+
+    def rows(key, units, size):  # the rows of a numeric matrix, or None
+        problem, arrays[key] = (matrix_problem(spec[key], units, size) if key in spec
+                                else ("required for explicit plants", None))
+        problems.extend([(key, problem)] if problem else [])
+        return None if arrays[key] is None else len(arrays[key])
+
+    n = rows("A", ("states", "states"), (None, None))
+    rows("B", ("states", "inputs"), (n, None))
+    s = rows("C", ("sensors", "states"), (None, n))
+    rows("Q", ("states", "states"), (n, n))
+    rows("R", ("sensors", "sensors"), (s, s))
+    for key in ("Q", "R"):
+        if arrays[key] is not None and len(arrays[key]) == arrays[key].shape[1]:
+            problem, arrays[key] = covariance_problem(arrays[key])
             problems += [(key, problem)] if problem else []
     return problems, arrays
 
@@ -262,49 +276,42 @@ def plant_problems(spec) -> tuple:
 def gain_problems(gain, n: Optional[int], m: Optional[int]) -> tuple:
     """``(problems, K, Qx, Ru)`` of the ``K``, ``state_weights`` and ``input_weights`` in ``gain``.
 
-    K must be a finite m x n matrix (n, m: states, inputs; None if unknown), each weights
-    list finite and, without K, one nonnegative entry per state or input. Qx and Ru are
-    the LQR weights as matrices, identities by default.
+    K must be a finite m x n matrix (n, m: states, inputs; None if unknown), by
+    :func:`matrix_problem`. Each weights list is a variance list (:func:`variances_problem`)
+    of one entry per state or input; beside K the weights are unused, and only their type
+    is checked. Qx and Ru are the LQR weights as matrices, identities by default.
     """
     problems, K, weights = [], None, []
     if "K" in gain:
-        K = finite_array(gain["K"])
-        if K is None:
-            problems.append(("K", "must be a matrix of finite numbers"))
-        elif (K := np.atleast_2d(K)).shape != (want := (K.shape[0] if m is None else m,
-                                                         K.shape[1] if n is None else n)):
-            problems.append(("K", f"must be {want[0]}x{want[1]} (plant inputs x states), "
-                                  f"got {K.shape[0]}x{K.shape[1]}"))
+        problem, K = matrix_problem(gain["K"], ("plant inputs", "states"), (m, n))
+        problems += [("K", problem)] if problem else []
     for key, dim in (("state_weights", n), ("input_weights", m)):
         W = None if dim is None else np.eye(dim)
         if key in gain:
-            w = finite_array(gain[key], 1)
-            if w is None or w.ndim != 1:
-                problems.append((key, "must be a list of finite numbers"))
-            elif "K" not in gain and dim is not None and len(w) != dim:
-                problems.append((key, f"must have {dim} entries, one per plant "
-                                      f"{key.split('_')[0]}, got {len(w)}"))
-            elif "K" not in gain and len(w):
-                problem, W = covariance_problem(np.diag(w), f"diag({key})")
+            problem, w = variances_problem(gain[key], dim, f"plant {key.split('_')[0]}")
+            if "K" not in gain or w is None:
                 problems += [(key, problem)] if problem else []
+            W = W if problem or "K" in gain else np.diag(w)
         weights.append(W)
     return (problems, K, *weights)
 
 
-def plant_gain(plant: LtiPlant, K) -> Array:
-    """``K`` as floats, plant inputs x states, by :func:`gain_problems`' K rule; else raise."""
-    problems, K, _, _ = gain_problems({"K": K}, plant.n, plant.m)
-    _raise_first(problems)
+def plant_gain(plant: LtiPlant, K, kss: KalmanSteadyState, noises=()) -> Array:
+    """``K`` as floats, plant inputs x states, by the matrix rule (:func:`matrix_problem`),
+    after which ``kss`` (its L states x sensors) and each noise source (None: none) must be
+    the plant's sizes; else raise."""
+    K = matrix_arg("K", K, ("plant inputs", "states"), (plant.m, plant.n))
+    require("kss.L", matrix_problem(kss.L, ("states", "sensors"), (plant.n, plant.s))[0])
+    for noise in noises:
+        require("noise", "" if noise is None or (noise._n, noise._s) == (plant.n, plant.s) else
+                f"must draw the plant's {plant.n} states and {plant.s} sensors, got {noise._n} "
+                f"and {noise._s}")
     return K
 
 
 def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a square matrix of finite numbers (a number is 1 x 1)."""
-    M = finite_array(M)
-    if M is None:
-        raise InvalidParameter("spectral radius needs a matrix of finite numbers")
-    if not (M := np.atleast_2d(M)).size or M.shape[0] != M.shape[1]:
-        raise InvalidParameter(f"spectral radius needs a square matrix, got {M.shape}")
+    """Largest eigenvalue modulus of ``M``, a square matrix by :func:`matrix_problem`."""
+    M = matrix_arg("M", M, ("rows", "rows"))
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
@@ -452,9 +459,10 @@ def lqr_gain(A, B, Qx, Ru) -> Array:
     (it is the filter equation applied to the transposed system), so equal
     inputs are iterated once per process; each call returns a fresh K.
     """
-    n, m = (B := _matrix(B, "B")).shape
-    A = _matrix(A, "A", "states", n)
-    return _lqr(A, B, _covariance(Qx, "Qx", "states", n), _covariance(Ru, "Ru", "inputs", m))
+    n, m = (B := matrix_arg("B", B, ("states", "inputs"))).shape
+    A = matrix_arg("A", A, ("states", "states"), (n, n))
+    return _lqr(A, B, matrix_arg("Qx", Qx, ("states", "states"), (n, n), covariance=True),
+                matrix_arg("Ru", Ru, ("inputs", "inputs"), (m, m), covariance=True))
 
 
 def _lqr(A, B, Qx, Ru) -> Array:
@@ -509,8 +517,8 @@ class NoiseSource:
     """
 
     def __init__(self, Q, R, seed: int):
-        Q = _covariance(Q, "Q", "states")
-        R = _covariance(R, "R", "sensors")
+        Q = matrix_arg("Q", Q, ("states", "states"), covariance=True)
+        R = matrix_arg("R", R, ("sensors", "sensors"), covariance=True)
         self._lq = _sqrt_psd(Q)
         self._lr = _sqrt_psd(R)
         self._n = Q.shape[0]
@@ -632,9 +640,10 @@ def simulate(
     ``attack`` is called as in :func:`step`, with one run's vectors, and its
     value is checked for shape (s,) and summed onto zeros. Returns a dict with
     arrays ``x`` and ``xhat`` (horizon, n), ``r`` and the applied attack ``xi``
-    (horizon, s). Row k holds the state at step k. ``K`` must pass :func:`plant_gain`.
+    (horizon, s). Row k holds the state at step k. ``K``, ``kss`` and ``noise`` must pass
+    :func:`plant_gain`.
     """
-    out = _lockstep(plant, kss, plant_gain(plant, K), [noise], horizon, attack,
+    out = _lockstep(plant, kss, plant_gain(plant, K, kss, [noise]), [noise], horizon, attack,
                     ("x", "xhat", "r", "xi"), one_run=True)
     return {name: rows[0] for name, rows in out.items()}
 
@@ -761,10 +770,12 @@ def _expm(M: Array) -> Array:
 
 
 def zoh_discretize(Ac: Array, Bc: Array, ts: float):
-    """Exact zero-order-hold discretization of a continuous pair (Ac, Bc)."""
-    Ac = _matrix(Ac, "Ac")
-    Bc = _matrix(Bc, "Bc")
-    n, m = Ac.shape[0], Bc.shape[1]
+    """Exact zero-order-hold discretization of a continuous pair (Ac, Bc): Ac square, Bc
+    one row per state (:func:`matrix_problem`) and ``ts`` > 0; else raise."""
+    Ac = matrix_arg("Ac", Ac, ("states", "states"))
+    Bc = matrix_arg("Bc", Bc, ("states", "inputs"), (len(Ac), None))
+    require("ts", positive_problem(ts))
+    n, m = Bc.shape
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = Ac
     aug[:n, n:] = Bc

@@ -295,6 +295,21 @@ def test_plan_raises_loads_first_problem(entry):
     assert unled != first and str(library.value) == unled
 
 
+@pytest.mark.parametrize("plan, n_sensors, c_rows, sigma, message", [
+    (AttackPlan(kind="bias_concentrate", sensors=(1,)), 2, np.ones((1, 2)), np.ones(2),
+     r"c_rows: must have one row per sensor \(2\), got 1x2"),
+    (AttackPlan(kind="none"), 1, np.ones((1, 2)), np.ones(2),
+     r"sigma: must be one number or one per sensor \(1\), got 2"),
+], ids=["c_rows", "sigma"])
+def test_policy_needs_one_c_row_and_one_sigma_per_sensor(plan, n_sensors, c_rows, sigma, message):
+    # the first used to build and raise a bare IndexError at its first active step, the
+    # second to broadcast into per-sensor parameters of two entries
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        build_attack_policy(plan, n_sensors, c_rows, sigma)
+    # one sensor of a two-state plant, as the deviation benchmark builds it
+    build_attack_policy(AttackPlan(kind="worst_case_bdd"), 1, np.ones((1, 2)), np.ones(1))
+
+
 def test_load_reports_every_entry_problem():
     entry = {"kind": "bogus", "sensors": [0, 0], "start": 1.5, "params": [1], "typo": 1}
     with pytest.raises(ValidationError) as load:

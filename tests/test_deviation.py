@@ -128,7 +128,7 @@ def test_deviation_limit_shared_kernel_for_cusum():
 def test_deviation_limit_rejects_a_non_finite_expected_residual(expected_r):
     # a string used to raise a bare ValueError, and a NaN to pass into the solves
     plant, kss, K = scalar_setup()
-    message = r"^expected residual must be finite numbers, one per sensor \(1\)$"
+    message = r"^expected_r: must be a 0/1/2-D array of real numbers, none a bool or non-finite$"
     with pytest.raises(InvalidParameter, match=message):
         deviation_limit(plant, kss, K, expected_r)
 
@@ -147,6 +147,15 @@ def test_deviation_limit_warns_when_ill_conditioned():
 
 
 # --- ensemble validation -----------------------------------------------------------------
+
+
+def test_validate_rejects_trajectories_of_another_state_count():
+    # a one-state prediction used to broadcast against three states and return three means
+    plant, kss, K = scalar_setup()
+    prediction = deviation_limit(plant, kss, K, [0.1])
+    message = r"^trajectories: must have one entry per state \(1\) on its last axis, got 3$"
+    with pytest.raises(InvalidParameter, match=message):
+        validate_against_simulation(prediction, np.zeros((10, 5, 3)), burn_in=1)
 
 
 def test_validate_requires_enough_runs():

@@ -395,6 +395,15 @@ def test_sweep_config_error_raised_before_fan_out():
     assert str(info.value) == "attacks[0].kind: unknown kind 'bogus'"
 
 
+@pytest.mark.parametrize("workers", [0, "2"])
+def test_sweep_reports_a_bad_worker_count_with_the_cells_problems(workers):
+    # 0 used to run serially and "2" to raise a bare TypeError
+    with pytest.raises(ValidationError) as info:
+        run_sweep(dict(BASE), [0.05], ["none", "bogus"], workers=workers)
+    assert info.value.problems == [f"workers: must be an integer >= 1, got {workers!r}",
+                                   "attacks[0].kind: unknown kind 'bogus'"]
+
+
 def test_cli_sweep_attack_cells_that_would_start_at_the_horizon_exit_2(tmp_path, monkeypatch,
                                                                        capsys):
     raw = {"plant": {"preset": "ugv"}, "horizon": 200}
@@ -722,7 +731,7 @@ def test_cli_attack_sensor_list_empty_or_repeated_is_a_config_error(
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_cli_sweep_workers_below_one_is_a_config_error(workers, tmp_path, monkeypatch, capsys):
-    message = f"--workers: must be an integer >= 1, got {workers}"
+    message = f"workers: must be an integer >= 1, got {workers}"
     _exits_2_before_any_work(dict(BASE), ("sweep",), message, tmp_path, monkeypatch, capsys,
                              "--workers", str(workers))
 

@@ -212,10 +212,10 @@ def test_riccati_memo_raises_again_on_retry(riccati_iterations):
 
 
 @pytest.mark.parametrize("value, message", [
-    ("a", "spectral radius needs a matrix of finite numbers"),
-    ([[1.0, math.inf], [0.0, 1.0]], "spectral radius needs a matrix of finite numbers"),
-    ([[1.0, 2.0]], r"spectral radius needs a square matrix, got \(1, 2\)"),
-    (np.zeros((0, 0)), r"spectral radius needs a square matrix, got \(0, 0\)"),
+    ("a", "M: must be a matrix of finite numbers"),
+    ([[1.0, math.inf], [0.0, 1.0]], "M: must be a matrix of finite numbers"),
+    ([[1.0, 2.0]], "M: must be square, got 1x2"),
+    (np.zeros((0, 0)), "M: must have at least one row, got 0x0"),
 ], ids=["text", "inf", "not-square", "empty"])
 def test_spectral_radius_rejects_what_is_not_a_square_matrix_of_numbers(value, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
@@ -533,6 +533,24 @@ ARRAY_ARGS = {
                             True, True),
     "deviation_limit": ("K", lambda ugv, v: deviation_limit(ugv, solve_dare(ugv), v, np.zeros(3)),
                         [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], True, True),
+    "deviation_limit-expected_r": ("expected_r", lambda ugv, v: deviation_limit(
+        ugv, solve_dare(ugv), [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], v), np.zeros((3, 1)), True,
+                                   True),
+    "lqr_gain-A": ("A", lambda ugv, v: lqr_gain(v, [[1.0]], [[1.0]], [[1.0]]), [[0.5]], True, True),
+    "lqr_gain-B": ("B", lambda ugv, v: lqr_gain([[0.5]], v, [[1.0]], [[1.0]]), [[1.0]], True, True),
+    "lqr_gain-Qx": ("Qx", lambda ugv, v: lqr_gain([[0.5]], [[1.0]], v, [[1.0]]), [[1.0]], True,
+                    True),
+    "lqr_gain-Ru": ("Ru", lambda ugv, v: lqr_gain([[0.5]], [[1.0]], [[1.0]], v), [[1.0]], True,
+                    True),
+    "NoiseSource-Q": ("Q", lambda ugv, v: NoiseSource(v, [[1.0]], 1), [[1.0]], True, True),
+    "NoiseSource-R": ("R", lambda ugv, v: NoiseSource([[1.0]], v, 1), [[1.0]], True, True),
+    "spectral_radius": ("M", lambda ugv, v: spectral_radius(v), [[0.5]], True, True),
+    "zoh_discretize-Ac": ("Ac", lambda ugv, v: zoh_discretize(v, [[1.0]], 0.1), [[0.0]], True,
+                          True),
+    "zoh_discretize-Bc": ("Bc", lambda ugv, v: zoh_discretize([[0.0]], v, 0.1), [[1.0]], True,
+                          True),
+    "zoh_discretize-ts": ("ts", lambda ugv, v: zoh_discretize([[0.0]], [[1.0]], v), 0.1, True,
+                          True),
 }
 
 
@@ -555,11 +573,29 @@ def test_array_arguments_raise_invalid_parameter_after_their_name(arg, call, val
     assert str(err.value).startswith(f"{arg}: ")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: zoh_discretize([[0.0, 1.0]], [[1.0]], 0.1), "Ac: must be square, got 1x2"),
+    (lambda: zoh_discretize([[0.0]], [[1.0], [1.0]], 0.1),
+     r"Bc: must have one row per state \(1\), got 2x1"),
+    (lambda: zoh_discretize([[0.0]], [[1.0]], "a"),
+     "ts: must be a finite positive number, got 'a'"),
+    (lambda: zoh_discretize([[0.0]], [[1.0]], math.nan),
+     "ts: must be a finite positive number, got nan"),
+    (lambda: zoh_discretize([[0.0]], [[1.0]], -1.0),
+     "ts: must be a finite positive number, got -1.0"),
+], ids=["Ac-not-square", "Bc-rows", "ts-str", "ts-nan", "ts-negative"])
+def test_zoh_discretize_checks_its_sizes_and_sample_period(call, message):
+    # each used to fail in numpy (a bare broadcast ValueError or UFuncTypeError), in the
+    # matrix exponential (NonConvergence), or, for ts < 0, to return Bd = [[-1.]]
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
+
+
 def test_lqr_gain_rejects_weights_of_the_wrong_size(ugv_plant):
     # a 1x1 input weight used to broadcast over both inputs and design another gain
     with pytest.raises(InvalidParameter, match=r"^Ru: must be 2x2 \(inputs x inputs\), got 1x1$"):
         lqr_gain(ugv_plant.A, ugv_plant.B, np.eye(3), [[1.0]])
-    with pytest.raises(InvalidParameter, match=r"^Qx: Qx must be symmetric$"):
+    with pytest.raises(InvalidParameter, match=r"^Qx: must be symmetric$"):
         lqr_gain(ugv_plant.A, ugv_plant.B, [[1, 0, 0], [1, 1, 0], [0, 0, 1]], np.eye(2))
     with pytest.raises(InvalidParameter, match=r"^A: must be 3x3 \(states x states\), got 2x2$"):
         lqr_gain(np.eye(2), ugv_plant.B, np.eye(3), np.eye(2))
@@ -587,6 +623,24 @@ def test_noiseless_consistent_start(ugv_plant, ugv_kss, ugv_gains):
         state = step(ugv_plant, ugv_kss, ugv_gains, state)
         assert np.abs(state.r).max() == 0.0
         assert np.abs(state.e).max() == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ugv, kss, K, other: simulate(ugv, kss, K, NoiseSource(other.Q, other.R, 1), 5),
+     "noise: must draw the plant's 3 states and 3 sensors, got 2 and 1"),
+    (lambda ugv, kss, K, other: simulate(ugv, solve_dare(other), K, None, 5),
+     r"kss.L: must be 3x3 \(states x sensors\), got 2x1"),
+    (lambda ugv, kss, K, other: run_attack_ensemble(ugv, solve_dare(other), K, lambda j: None, 2,
+                                                    5),
+     r"kss.L: must be 3x3 \(states x sensors\), got 2x1"),
+    (lambda ugv, kss, K, other: deviation_limit(ugv, solve_dare(other), K, np.zeros(3)),
+     r"kss.L: must be 3x3 \(states x sensors\), got 2x1"),
+], ids=["simulate-noise", "simulate-kss", "ensemble-kss", "deviation-kss"])
+def test_a_filter_or_noise_of_another_plant_is_invalid(call, message, ugv_plant, ugv_kss,
+                                                        ugv_gains, stable_plant):
+    # these used to fail in the loop or the solves with numpy's bare broadcast ValueError
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call(ugv_plant, ugv_kss, ugv_gains, stable_plant)
 
 
 def test_constant_attack_first_residual(ugv_plant, ugv_kss, ugv_gains):
