@@ -23,8 +23,8 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import (CHUNK, count_problem, finite_array, is_integer, matrix_arg, philox, require,
-                  sigma_array)
+from .lti import (CHUNK, count_problem, finite_array, is_integer, matrix_arg, philox,
+                  raise_first, require, sigma_array, unknown_keys)
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -114,23 +114,23 @@ def schedule_saturation(budget: SaturationBudget, rng: np.random.Generator) -> n
 
 def entry_problems(entry) -> list:
     """Every problem of ``entry``, a mapping of each :class:`AttackPlan` field, that needs no
-    context (:func:`check_plan` holds those that do), as ``(field, text)`` with field ``""``
-    or ``".<name>"``: unknown keys, an unknown kind, sensors not a non-empty list or tuple of
-    integers each named once, a window not integers ``0 <= start < stop``, params not a dict.
+    context (:func:`check_plan` holds those that do), as ``(field, text)``: unknown keys, an
+    unknown kind, sensors not a non-empty list or tuple of integers each named once, a window
+    not integers ``0 <= start < stop``, params not a dict.
     """
     known = [f.name for f in fields(AttackPlan)]
-    problems = [("", f"unknown key {key!r}") for key in entry if key not in known]
+    problems = unknown_keys(entry, known)
     kind, sensors, start, stop, params = (entry[key] for key in known)
     if kind not in ATTACK_KINDS:
-        problems.append((".kind", f"unknown kind {kind!r}"))
+        problems.append(("kind", f"unknown kind {kind!r}"))
     if not isinstance(sensors, (list, tuple)) or not all(map(is_integer, sensors)):
-        problems.append((".sensors", "must be a list of integer indices"))
+        problems.append(("sensors", "must be a list of integer indices"))
     elif not sensors or len(set(sensors)) < len(sensors):
-        problems.append((".sensors", f"must name each attacked sensor once, got {sensors}"))
+        problems.append(("sensors", f"must name each attacked sensor once, got {sensors}"))
     if not (is_integer(start) and is_integer(stop) and 0 <= start < stop):
         problems.append(("", "requires integer 0 <= start < stop"))
     if not isinstance(params, dict):
-        problems.append((".params", "must be an object"))
+        problems.append(("params", "must be an object"))
     return problems
 
 
@@ -141,8 +141,7 @@ class AttackPlan:
     ``kind`` is one of :data:`ATTACK_KINDS`; the attack acts on
     ``sensors`` for steps in [start, stop). ``params`` holds kind-specific
     settings (bias magnitude, variance scale, pattern amplitude, epsilon for
-    the dither draws, ...). Construction raises the first of
-    :func:`entry_problems` as ``InvalidParameter``, led by its field.
+    the dither draws, ...). Construction raises the first of :func:`entry_problems`.
     """
 
     kind: str
@@ -152,9 +151,7 @@ class AttackPlan:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if problems := entry_problems(vars(self)):
-            where, text = problems[0]
-            raise InvalidParameter(f"{where[1:]}: {text}" if where else text)
+        raise_first(entry_problems(vars(self)))
         self.sensors = tuple(map(int, self.sensors))
         self.start, self.stop = int(self.start), int(self.stop)
 
@@ -317,31 +314,29 @@ def check_plan(plan: AttackPlan, n_sensors: Optional[int], *, ell: Optional[int]
                has_cusum: bool, sigma=None, tau_b=None) -> tuple:
     """``(problems, params)``: every problem of ``plan`` and, if it has none, its params.
 
-    A problem is ``(field, key, text)``: its path in the plan (``".kind"``,
-    ``".sensors"``, ``".params"``, ``".params.<key>"``, or ``""`` for a stealth
-    bound), the ``params`` key it names or None, and what is wrong. ``n_sensors``
-    or ``ell`` None skips its check. Only given ``sigma`` and ``tau_b`` (the residual
-    deviations and bad-data thresholds) is a plan with no other problem held to its
-    kind's bound, at the first attacked sensor that breaks it, and ``params`` given:
-    each key's (n_sensors,) values, defaults filled in.
+    A problem is ``(field, text)``, the field ``kind``, ``sensors``, ``params``,
+    ``params.<key>`` or ``""`` for a stealth bound. ``n_sensors`` or ``ell`` None skips
+    its check. Only given ``sigma`` and ``tau_b`` (the residual deviations and bad-data
+    thresholds) is a plan with no other problem held to its kind's bound, at the first
+    attacked sensor that breaks it, and ``params`` given: each key's (n_sensors,)
+    values, defaults filled in.
     """
     kind, problems, given = plan.kind, [], {}
     if kind.startswith("worst_case_cusum") and not has_cusum:
-        problems.append((".kind", None, f"{kind} needs a tuned CUSUM detector"))
+        problems.append(("kind", f"{kind} needs a tuned CUSUM detector"))
     if kind.endswith("_randaware") and ell is not None and _short_window(ell):
-        problems.append((".kind", None, f"{kind} {_short_window(ell)}"))
-    problems += [(".sensors", None, f"sensor index {i} outside 0..{n_sensors - 1}")
+        problems.append(("kind", f"{kind} {_short_window(ell)}"))
+    problems += [("sensors", f"sensor index {i} outside 0..{n_sensors - 1}")
                  for i in plan.sensors if n_sensors is not None and not 0 <= i < n_sensors]
+    problems += unknown_keys(plan.params, ATTACK_PARAMS[kind], "params")
     for key, value in plan.params.items():
-        if key not in ATTACK_PARAMS[kind]:
-            problems.append((".params", key, f"unknown key {key!r} for {kind}; got {value!r}"))
-        elif value is not None:  # None takes the default; a list of any length without n_sensors
+        if key in ATTACK_PARAMS[kind] and value is not None:  # None takes the default
             given[key] = finite_array(value, 1)
             if given[key] is None or given[key].shape not in ((), (n_sensors or given[key].size,)):
-                problems.append((f".params.{key}", key,
+                problems.append((f"params.{key}",
                                  f"must be a finite number or one per sensor; got {value!r}"))
             elif key in ("sigma_a", "epsilon") and (given[key] < 0).any():  # a spread, a margin
-                problems.append((f".params.{key}", key, f"must be >= 0; got {value!r}"))
+                problems.append((f"params.{key}", f"must be >= 0; got {value!r}"))
     if problems or sigma is None:
         return problems, None
 
@@ -363,8 +358,14 @@ def check_plan(plan: AttackPlan, n_sensors: Optional[int], *, ell: Optional[int]
             text = f"epsilon exceeds {MAX_ATTACK_MAGNITUDE:g}"
         else:
             continue
-        return [("", None, text)], None
+        return [("", text)], None
     return [], params
+
+
+def stealth_threshold(sigma, alpha_des: float, bdd: Optional[BadDataDetector]) -> np.ndarray:
+    """The bad-data threshold tau_b a plan's stealth bounds hold it to, one per sensor: the
+    run's ``bdd``'s, or without one the threshold :func:`tune_bdd` derives at ``alpha_des``."""
+    return np.atleast_1d(tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau)
 
 
 def build_attack_policy(
@@ -384,10 +385,9 @@ def build_attack_policy(
     ``c_rows`` is the plant output matrix, one row per sensor of ``n_sensors`` (an integer
     >= 1); ``sigma`` the residual standard deviations, one number or one per sensor. The
     first problem of these, or of :func:`check_plan`, is raised as ``InvalidParameter``,
-    led by the argument or key it names. The CUSUM kinds
+    led by the argument or field it names. The CUSUM kinds
     step a copy of the tuned ``cusum`` (tau, bias and S); the bad-data kinds
-    and the scripted stealth bounds use the bad-data threshold, derived from
-    alpha_des when no detector is given. A scripted kind leaves
+    and the scripted stealth bounds use :func:`stealth_threshold`. A scripted kind leaves
     ``target - ce - eta_i``; a worst-case kind takes ``v = -ce - eta_i``, adds
     the CUSUM bias, on a saturating step sets ``v = (v - S) + pinned``
     (S = 0.0 for BDD: exact) and subtracts the randomness-aware dither. Every
@@ -400,13 +400,11 @@ def build_attack_policy(
     sigma = sigma_array(sigma)
     require("sigma", "" if sigma.ndim == 0 or sigma.size == n_sensors else
             f"must be one number or one per sensor ({n_sensors}), got {sigma.size}")
-    tau_b = np.atleast_1d(tune_bdd(sigma, alpha_des) if bdd is None else bdd.tau)
+    tau_b = stealth_threshold(sigma, alpha_des, bdd)
     kind = plan.kind
     problems, params = check_plan(plan, n_sensors, ell=ell, has_cusum=cusum is not None,
                                   sigma=sigma, tau_b=tau_b)
-    if problems:
-        _, key, text = problems[0]
-        raise InvalidParameter(f"{key}: {text}" if key else text)
+    raise_first(problems)
 
     if kind in _SCRIPTED:
         signal, draw = _SCRIPTED[kind]

@@ -14,13 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import AttackPlan, check_plan, entry_problems
-from .detectors import CUSUM_MIN_SAMPLES, tune_bdd
+from .attacks import AttackPlan, check_plan, entry_problems, stealth_threshold
+from .detectors import CUSUM_MIN_SAMPLES, BadDataDetector
 from .errors import InvalidParameter, ValidationError
 from .lti import (LtiPlant, UgvParams, count_problem, discretize_ugv, drift_problem,
                   gain_problems, is_integer, make_controller, plant_problems, positive_problem,
-                  rate_problem, sample_period_problems, solve_dare, ugv_problems,
-                  variances_problem)
+                  raise_first, rate_problem, sample_period_problems, solve_dare, ugv_problems,
+                  unknown_keys, variances_problem)
 
 SCHEMA_VERSION = 1
 
@@ -96,15 +96,27 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list) -> None:
-    for key in mapping:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r}")
+def _led(section: str, problems) -> list:
+    """Each ``(field, text)`` problem of a section as load reports it, led by the section."""
+    return [f"{section}.{field}: {text}" if field else f"{section}: {text}"
+            for field, text in problems]
+
+
+def detects(detector_kind: str, name: str) -> bool:
+    """Whether a run of ``detectors.kind`` ``detector_kind`` has detector ``name``, bdd or cusum."""
+    return detector_kind in (name, "both")
+
+
+def run_bdd(detector_kind: str, sigma, alpha_des: dict) -> Optional[BadDataDetector]:
+    """The run's bad-data detector, tuned at ``alpha_des["bdd"]``, or None if it has none; with
+    ``alpha_des["wsr"]`` it sets a plan's ``attacks.stealth_threshold``, at load and set-up."""
+    return BadDataDetector.tuned(sigma, alpha_des["bdd"]) if detects(detector_kind, "bdd") else None
 
 
 def build_plant(spec: dict) -> LtiPlant:
     """Instantiate the plant from its resolved spec dict (``ScenarioConfig.plant_spec``)."""
     if spec.get("preset") == "ugv":
+        raise_first(sample_period_problems(spec["ts"]))  # load checks ts before the params
         params = UgvParams(**spec.get("params", {}))
         return discretize_ugv(params, spec["ts"], np.diag(spec["q_diag"]), np.diag(spec["r_diag"]))
     return LtiPlant(**{key: spec[key] for key in (*"ABCQR", "ts")})
@@ -141,7 +153,6 @@ def _validate_plant(spec, problems: list) -> tuple:
     if not isinstance(spec, dict):
         problems.append("plant: must be an object")
         return {}, (None, None, None)
-    _reject_unknown(spec, _PLANT_KEYS, "plant", problems)
     preset = spec.get("preset")
     if preset is None:
         out = {"ts": 1.0, **spec}
@@ -158,7 +169,7 @@ def _validate_plant(spec, problems: list) -> tuple:
         found += [(key, problem) for key, unit in (("q_diag", "state"), ("r_diag", "sensor"))
                   if (problem := variances_problem(out[key], 3, f"UGV {unit}")[0])]
         sizes = (3, 2, 3) if preset == "ugv" else (None, None, None)
-    problems += [f"plant.{field}: {text}" for field, text in found]
+    problems += _led("plant", unknown_keys(spec, _PLANT_KEYS) + found)
     return out, sizes
 
 
@@ -168,7 +179,7 @@ def _section(raw: dict, name: str, allowed: set, problems: list) -> dict:
     if not isinstance(section, dict):
         problems.append(f"{name}: must be an object")
         return {}
-    _reject_unknown(section, allowed, name, problems)
+    problems += _led(name, unknown_keys(section, allowed))
     return section
 
 
@@ -182,7 +193,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ValidationError(["top level: must be an object"])
-    _reject_unknown(raw, _TOP_KEYS, "top level", problems)
+    problems += _led("top level", unknown_keys(raw, _TOP_KEYS))
 
     plant_spec, (n_states, n_inputs, n_sensors) = _validate_plant(
         raw.get("plant", {"preset": "ugv"}), problems)
@@ -193,14 +204,14 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if controller_spec.get("mode", "lqr") != "lqr":
         problems.append(f"controller.mode: must be \"lqr\", got {controller_spec['mode']!r}")
     found, K = gain_problems(controller_spec, n_states, n_inputs)[:2]
-    problems += [f"controller.{field}: {text}" for field, text in found if field == "K"]
+    problems += _led("controller", [problem for problem in found if problem[0] == "K"])
     if "K" in controller_spec and not problems:  # the given gain must stabilise the plant
         plant = build_plant(plant_spec)  # outside the try: a ZOH overflow is a runtime error
         try:
             make_controller(plant, K=K)
         except InvalidParameter as exc:
             problems.append(f"controller.{exc}")
-    problems += [f"controller.{field}: {text}" for field, text in found if field != "K"]
+    problems += _led("controller", [problem for problem in found if problem[0] != "K"])
     if not problems and "K" not in controller_spec:  # the LQR design must reach every such mode
         modes = _unreachable_marginal_modes(plant := build_plant(plant_spec))  # no try, as above
         if modes:
@@ -249,7 +260,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if detector_kind not in ("bdd", "cusum", "both"):
         problems.append(f"detectors.kind: must be bdd, cusum or both, got {detector_kind!r}")
     bias_scale = detectors.get("bias_scale", 1.5)  # in units of sigma
-    has_cusum = detector_kind in ("cusum", "both")
+    has_cusum = detects(detector_kind, "cusum")
     if report("detectors.bias_scale", positive_problem(bias_scale)) and has_cusum:
         report("detectors.bias_scale", drift_problem(bias_scale))
     tuning_samples = detectors.get("tuning_samples", CUSUM_MIN_SAMPLES)
@@ -283,7 +294,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         entry = {"kind": "none", "sensors": [0], "start": 0,
                  "stop": horizon if is_integer(horizon) else 0, "params": {}, **entry}
         found = entry_problems(entry)
-        problems += [f"{where}{field}: {text}" for field, text in found]
+        problems += _led(where, found)
         if found:
             continue
         plan = AttackPlan(**entry)
@@ -300,18 +311,17 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if output_format not in ("csv", "jsonl"):
         problems.append(f"output.format: must be csv or jsonl, got {output_format!r}")
 
-    def plan_problems(**bounds):  # attacks.check_plan's, each led by its plan and field
-        return [f"attacks[{idx}]{field}: {text}" for idx, plan in plans.items()
-                for field, _, text in check_plan(
-                    plan, n_sensors, ell=window if is_integer(window) else None,
-                    has_cusum=detector_kind != "bdd", **bounds)[0]]
+    def plan_problems(**bounds):  # attacks.check_plan's, each led by its plan
+        ell = window if is_integer(window) else None
+        return [problem for idx, plan in plans.items() for problem in _led(
+            f"attacks[{idx}]", check_plan(plan, n_sensors, ell=ell, has_cusum=has_cusum,
+                                          **bounds)[0])]
 
     problems += plan_problems()
     if plans and not problems:  # so the plant is built
         sigma = solve_dare(plant).sigma
-        # the bad-data threshold of the run's detector, or the one the policy derives
-        problems += plan_problems(sigma=sigma, tau_b=tune_bdd(
-            sigma, alpha_des["bdd" if detector_kind != "cusum" else "wsr"]))
+        problems += plan_problems(sigma=sigma, tau_b=stealth_threshold(
+            sigma, alpha_des["wsr"], run_bdd(detector_kind, sigma, alpha_des)))
     if problems:
         raise ValidationError(problems)
 

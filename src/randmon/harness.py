@@ -29,8 +29,8 @@ import numpy as np
 
 from . import attacks as atk
 from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERSION,
-                     ScenarioConfig, build_plant, config_hash, load_config_dict)
-from .detectors import BadDataDetector, CusumDetector, cusum_alarm_fraction, tune_cusum
+                     ScenarioConfig, build_plant, config_hash, detects, load_config_dict, run_bdd)
+from .detectors import CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
 from .errors import InvalidParameter, ValidationError
 from .lti import NoiseSource, count_problem, is_integer, make_controller, simulate, solve_dare
@@ -93,10 +93,8 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
-    bdd = cusum = None
-    if cfg.detector_kind in ("bdd", "both"):
-        bdd = BadDataDetector.tuned(kss.sigma, cfg.alpha_des["bdd"])
-    if cfg.detector_kind in ("cusum", "both"):
+    bdd, cusum = run_bdd(cfg.detector_kind, kss.sigma, cfg.alpha_des), None
+    if detects(cfg.detector_kind, "cusum"):
         bias = cfg.bias_scale * kss.sigma
         tau = _tuned_cusum_tau(tuple(kss.sigma.tolist()), tuple(bias.tolist()),
                                cfg.alpha_des["cusum"], cfg.tuning_samples, cfg.tuning_seed)

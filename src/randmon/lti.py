@@ -39,12 +39,12 @@ its arrays a chunk at a time, not by indexing them. Each run's noise is drawn
 and coloured ``CHUNK`` steps at a time (:meth:`NoiseSource.block`), from the
 same Philox stream as per-step :meth:`NoiseSource.draw` calls. The kernel
 calls its attack once per step for all runs, with the step index and the
-runs' stacked e, eta and previous residuals, and takes every run's attack
-back: an ensemble's attack is one policy joined from the runs' own. Nothing
-it hands an attack is written again, so an attack may keep it. For
-:func:`simulate` it hands one run's vectors, as :func:`step` does, through
-the one-run adapter :func:`_resolve_attack`: any callable's value is taken as
-floats, checked for shape (s,) and summed onto zeros, which turns a -0.0
+runs' stacked e, eta and previous residuals (for :func:`simulate`, one run's
+vectors, as :func:`step` hands them), and takes every run's attack back: an
+ensemble's attack is one policy joined from the runs' own. Nothing it hands
+an attack is written again, so an attack may keep it. Every attack's value
+goes through :func:`_resolve_attack`, as in :func:`step`: it is taken as
+floats, checked for eta's shape and summed onto zeros, which turns a -0.0
 attack into +0.0. :func:`step` is the same recursion one run and one step at
 a time, starting from ``state=None`` at the zero start; it is the reference
 the kernel is tested against.
@@ -80,7 +80,8 @@ CHUNK = 256
 
 
 # --- value rules. A scalar rule gives what is wrong with a value, or "", an array rule the
-# value as floats, or None; load reports a problem after its field, the library after its name.
+# value as floats, or None. A rule set gives each problem as (field, text), field a dotted
+# path or "" for the object itself; load leads it with its section, the library raises the first.
 
 
 def real_array(value, ndim: int = 2) -> Optional[Array]:
@@ -158,7 +159,19 @@ def drift_problem(scale) -> str:
 def require(name: str, problem: Optional[str]) -> None:
     """Raise a rule's ``problem`` as ``InvalidParameter`` after ``name``, unless it is ""."""
     if problem:
-        raise InvalidParameter(f"{name}: {problem}")
+        raise_first([(name, problem)])
+
+
+def raise_first(problems) -> None:
+    """Raise the first of ``problems`` as ``InvalidParameter``: ``<field>: <text>``, or the text."""
+    if problems:
+        field, text = problems[0]
+        raise InvalidParameter(f"{field}: {text}" if field else text)
+
+
+def unknown_keys(mapping, known, field: str = "") -> list:
+    """The known-key rule: a problem of ``field`` for each key of ``mapping`` not in ``known``."""
+    return [(field, f"unknown key {key!r}") for key in mapping if key not in known]
 
 
 def philox(seed) -> np.random.Generator:
@@ -233,12 +246,7 @@ def variances_problem(value, length: Optional[int], unit: str) -> tuple:
     return "" if (v >= 0.0).all() else f"must have no negative entry, got {float(v.min())!r}", v
 
 
-# --- plant and controller rules: every problem as (field, text); the library raises the first
-
-
-def _raise_first(problems) -> None:
-    if problems:
-        require(*problems[0])
+# --- plant and controller rules
 
 
 def sample_period_problems(ts) -> list:
@@ -334,7 +342,7 @@ class LtiPlant:
 
     def __post_init__(self):
         problems, arrays = plant_problems(vars(self))
-        _raise_first(problems)
+        raise_first(problems)
         vars(self).update(arrays)
 
     @property
@@ -484,7 +492,7 @@ def make_controller(
     gain = {key: value for key, value in (("K", K), ("state_weights", state_weights),
                                           ("input_weights", input_weights)) if value is not None}
     problems, K, Qx, Ru = gain_problems(gain, plant.n, plant.m)
-    _raise_first(problems)
+    raise_first(problems)
     if K is None:  # the weights are checked: Qx and Ru are covariances of the plant's sizes
         K = _lqr(plant.A, plant.B, Qx, Ru)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loop is unstable
@@ -573,14 +581,14 @@ class SimState:
 
 
 def _resolve_attack(attack: AttackSignal, k: int, e: Array, eta: Array,
-                    r_prev: Optional[Array], s: int, out: Optional[Array] = None) -> Array:
-    """One run's attack as floats of shape (s,), summed onto zeros (so a -0.0 becomes +0.0)
-    into ``out`` (default: a new array)."""
+                    r_prev: Optional[Array], out: Optional[Array] = None) -> Array:
+    """The attack as floats of ``eta``'s shape, one run's (s,) or a stack's (runs, s), summed
+    onto zeros (so a -0.0 becomes +0.0) into ``out`` (default: a new array)."""
     if attack is None:
-        return np.zeros(s)
+        return np.zeros(eta.shape)
     xi = np.asarray(attack(k, e, eta, r_prev), dtype=float)
-    if xi.shape != (s,):
-        raise InvalidParameter(f"attack signal must have shape ({s},), got {xi.shape}")
+    if xi.shape != eta.shape:
+        raise InvalidParameter(f"attack signal must have shape {eta.shape}, got {xi.shape}")
     return np.add(xi, 0.0, out=out)
 
 
@@ -600,9 +608,11 @@ def step(
     new estimation error, the new measurement noise draw and the previous
     step's residual (None at step 0): the omniscient-attacker interface. Its
     value, checked for shape (s,) and summed onto zeros by :func:`_resolve_attack`,
-    is added to the new measurement.
+    is added to the new measurement. ``K``, ``kss`` and ``noise`` must pass
+    :func:`plant_gain`, checked once, at step 0.
     """
     if state is None:
+        plant_gain(plant, K, kss, [noise])
         k = 0
         x = np.zeros(plant.n)
         xhat = x.copy()
@@ -622,7 +632,7 @@ def step(
         xhat = plant.A @ state.xhat + drive + kss.L @ state.r
         r_prev = state.r
     e = x - xhat
-    xi = _resolve_attack(attack, k, e, eta, r_prev, plant.s)
+    xi = _resolve_attack(attack, k, e, eta, r_prev)
     r = plant.C @ x + eta + xi - plant.C @ xhat
     return SimState(k=k, x=x, xhat=xhat, e=e, r=r, xi=xi)
 
@@ -664,10 +674,10 @@ def _lockstep(
     attack) is called once per step for all runs, as
     ``attack(k, e, eta, r_prev)`` with the runs' stacked e (runs, n), eta
     (runs, s) and previous residuals (runs, s) (None at step 0), and returns
-    their attacks as one float array (runs, s); row j acts for run j alone,
-    and only the shape is checked. With ``one_run`` (a single run) it is
-    handed that run's vectors instead, through :func:`_resolve_attack`, as
-    :func:`step` hands them. None of the arrays it is handed is written again.
+    their attacks as one float array (runs, s); row j acts for run j alone.
+    With ``one_run`` (a single run) it is handed that run's vectors instead,
+    as :func:`step` hands them. Either value goes through
+    :func:`_resolve_attack`. None of the arrays it is handed is written again.
     Returns ``{name: (runs, horizon, dim)}`` for each name in ``record`` (among
     x, xhat, r, xi); each step writes its rows straight into them, and a
     residual history is kept only when ``r`` is recorded. When both x and xhat
@@ -723,17 +733,7 @@ def _lockstep(
             np.matmul(C, z, out=cz)
             np.add(cx, eta_k, out=r_k)
             if attack is not None:
-                e = x_h - xhat_h
-                if one_run:
-                    xi = _resolve_attack(attack, k, e, eta_h, r_prev, s, xi_row)
-                else:
-                    xi = attack(k, e, eta_h, r_prev)
-                    if xi.shape != (runs, s):
-                        raise InvalidParameter(
-                            f"attack signal must have shape ({runs}, {s}), got {xi.shape}")
-                    if xi_row is not None:
-                        xi_row[...] = xi
-                r_k += xi
+                r_k += _resolve_attack(attack, k, x_h - xhat_h, eta_h, r_prev, xi_row)
             else:
                 r_k += 0.0  # as step adds its zero xi: it turns a -0.0 sum into +0.0
             r_k -= cxhat
@@ -789,7 +789,7 @@ class UgvParams:
 
     State is [forward velocity, heading, yaw rate]; inputs are the left and
     right wheel forces. ``width`` is the track width; the two resistances damp
-    rolling and turning.
+    rolling and turning. Construction raises the first of :func:`ugv_problems`.
     """
 
     mass: float = 10.0
@@ -798,18 +798,19 @@ class UgvParams:
     roll_resistance: float = 5.0
     turn_resistance: float = 0.8
 
+    def __post_init__(self):
+        raise_first(ugv_problems(vars(self)))
+
 
 def ugv_problems(params) -> list:
     """UGV parameters given as a mapping: unknown keys, then values not finite and positive."""
-    known = {field.name for field in fields(UgvParams)}
-    return ([("params", f"unknown key {key!r}") for key in params if key not in known]
-            + [(f"params.{key}", problem) for key, value in params.items()
-               if (problem := positive_problem(value))])
+    return unknown_keys(params, {f.name for f in fields(UgvParams)}, "params") + [
+        (f"params.{key}", problem) for key, value in params.items()
+        if (problem := positive_problem(value))]
 
 
 def ugv_continuous(params: UgvParams):
     """Continuous-time (Ac, Bc) of the skid-steer vehicle linear model."""
-    _raise_first(ugv_problems(vars(params)))
     m, iz, w = params.mass, params.inertia, params.width
     Ac = np.array([
         [-params.roll_resistance / m, 0.0, 0.0],
@@ -830,7 +831,6 @@ def discretize_ugv(params: UgvParams, ts: float, Q, R) -> LtiPlant:
     All three states are measured (C = I), matching a velocity sensor, a
     heading sensor and a yaw-rate gyro.
     """
-    _raise_first(sample_period_problems(ts))
     Ac, Bc = ugv_continuous(params)
     Ad, Bd = zoh_discretize(Ac, Bc, ts)
     return LtiPlant(A=Ad, B=Bd, C=np.eye(3), Q=Q, R=R, ts=ts)

@@ -376,20 +376,23 @@ def test_null_param_means_default(kind, key, ugv_plant, ugv_kss):
 
 
 @pytest.mark.parametrize("kind, key, value, message", [
-    ("pattern_runs", "amplitude", [0.1, 0.2], "must be a finite number or one per sensor"),
-    ("pattern_runs", "amplitude", "abc", "must be a finite number or one per sensor"),
-    ("pattern_runs", "amplitude", math.nan, "must be a finite number or one per sensor"),
-    ("bias_concentrate", "sigma_a", -0.1, "must be >= 0"),
-    ("worst_case_bdd_randaware", "epsilon", -0.5, "must be >= 0"),
-    ("pattern_runs", "amplitude", True, "must be a finite number or one per sensor"),
-    ("pattern_runs", "amplitude", [0.1, False, 0.1], "must be a finite number or one per sensor"),
-    ("pattern_runs", "typo", 5, "unknown key 'typo' for pattern_runs"),
+    ("pattern_runs", "amplitude", [0.1, 0.2], "must be a finite number or one per sensor; got "),
+    ("pattern_runs", "amplitude", "abc", "must be a finite number or one per sensor; got "),
+    ("pattern_runs", "amplitude", math.nan, "must be a finite number or one per sensor; got "),
+    ("bias_concentrate", "sigma_a", -0.1, "must be >= 0; got "),
+    ("worst_case_bdd_randaware", "epsilon", -0.5, "must be >= 0; got "),
+    ("pattern_runs", "amplitude", True, "must be a finite number or one per sensor; got "),
+    ("pattern_runs", "amplitude", [0.1, False, 0.1],
+     "must be a finite number or one per sensor; got "),
+    ("pattern_runs", "typo", 5, "unknown key 'typo'$"),
 ], ids=["too-few", "text", "nan", "negative-sigma_a", "negative-epsilon", "bool", "bool-entry",
         "unknown-key"])
 def test_bad_param_is_rejected_when_built(kind, key, value, message):
-    """A parameter the policy could not use fails at build time, naming its key."""
+    """A parameter the policy could not use fails at build time, led by its field: the key's
+    own for a value, ``params`` for an unknown key."""
     plan = AttackPlan(kind=kind, sensors=(0,), params={key: value})
-    with pytest.raises(InvalidParameter, match=f"^{key}: {message}; got "):
+    field = "params" if message.startswith("unknown") else f"params.{key}"
+    with pytest.raises(InvalidParameter, match=f"^{field}: {message}"):
         build_attack_policy(plan, 3, np.eye(3), np.ones(3), seed=0)
 
 

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from randmon.attacks import AttackPlan
+from randmon.attacks import THRESHOLD_MARGIN, AttackPlan, stealth_threshold
 from randmon.config import (
     _validate_plant,
     build_plant,
     config_hash,
     load_config,
     load_config_dict,
+    run_bdd,
 )
 from randmon.errors import InvalidParameter, RandmonError, ValidationError
+from randmon.harness import _set_up
 
 MINIMAL = {"plant": {"preset": "ugv"}, "horizon": 1000, "seed": 1}
 
@@ -596,6 +598,34 @@ def test_huge_sample_time_is_runtime_error_exit(tmp_path, capsys):
     path.write_text(json.dumps({**MINIMAL, "plant": {"preset": "ugv", "ts": 1e308}}))
     assert main(["run", "--config", str(path), "--quiet"]) == 3
     assert "runtime error:" in capsys.readouterr().err
+
+
+def _plan(entry, **raw):
+    """A UGV config of one attack phase, ``entry`` over its defaults, and the settings ``raw``."""
+    return {**MINIMAL, **raw, "attacks": [{"kind": "pattern_runs", "sensors": [0], **entry}]}
+
+
+@pytest.mark.parametrize("kind", ["bdd", "cusum", "both"])
+def test_load_holds_a_plan_to_the_threshold_the_run_builds(kind):
+    """Load's stealth threshold is the built policy's: the BDD's at alpha_des.bdd, or without
+    a BDD the one derived at alpha_des.wsr (the two differ here)."""
+    monitors = {"alpha_des": {"wsr": 0.05, "bdd": 0.01}}
+    cfg = load_config_dict(_plan({"kind": "worst_case_bdd"}, monitors=monitors,
+                                 detectors={"kind": kind}))
+    _, kss, *_, (policy,), _ = _set_up(cfg)
+    tau_b = stealth_threshold(kss.sigma, cfg.alpha_des["wsr"],
+                              run_bdd(kind, kss.sigma, cfg.alpha_des))
+    assert policy.consts[1] == (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()  # pinned at tau_b
+    # load refuses a pattern of |r| up to 1.5 amplitude just above that threshold, not below
+    for scale, refused in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+        raw = _plan({"params": {"amplitude": scale * tau_b[0] / 1.5}}, monitors=monitors,
+                    detectors={"kind": kind})
+        try:
+            load_config_dict(raw)
+        except ValidationError:
+            assert refused
+        else:
+            assert not refused
 
 
 # --- fuzzed shipped configs ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from randmon.monitors import (AlarmRateTracker, alarm_rate_scan, signed_ranks, s
                               sir_scan, sir_test, wsr_scan, wsr_test)
 from randmon.lti import (
     CHUNK,
+    KalmanSteadyState,
     LtiPlant,
     NoiseSource,
     UgvParams,
@@ -323,6 +325,17 @@ def test_ugv_rejects_bad_params():
 SCALAR_PLANT = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[0.1]], "R": [[0.1]], "ts": 1.0}
 UGV_Q, UGV_R = np.diag(UGV_DEFAULT_Q), np.diag(UGV_DEFAULT_R)
 
+def _policy(kind, sensors=(0,), params=None, **args):
+    """A call that builds a policy of one phase on the UGV, with the keyword arguments ``args``."""
+    return lambda ugv: build_attack_policy(AttackPlan(kind, sensors, params=params or {}), 3,
+                                           ugv.C, solve_dare(ugv).sigma, **args)
+
+
+def _plan(entry, **raw):
+    """A config of one attack phase, ``entry`` over its defaults, and the settings ``raw``."""
+    return {**raw, "attacks": [{"kind": "pattern_runs", "sensors": [0], **entry}]}
+
+
 #: a library call on bad input, beside the config that load rejects for the same input
 LIBRARY_CALLS = {
     "A-str": (lambda ugv: LtiPlant(**{**SCALAR_PLANT, "A": "a"}),
@@ -341,6 +354,8 @@ LIBRARY_CALLS = {
                   {"plant": {"preset": "ugv", "params": {"mass": True}}}),
     "mass-inf": (lambda ugv: ugv_continuous(UgvParams(mass=math.inf)),
                  {"plant": {"preset": "ugv", "params": {"mass": math.inf}}}),
+    "UgvParams-mass": (lambda ugv: UgvParams(mass=-1.0),
+                       {"plant": {"preset": "ugv", "params": {"mass": -1.0}}}),
     "noise-Q-str": (lambda ugv: NoiseSource("a", UGV_R, 1),
                     {"plant": {**SCALAR_PLANT, "Q": "a"}}),
     "K-str": (lambda ugv: make_controller(ugv, K="x"), {"controller": {"K": "x"}}),
@@ -352,6 +367,18 @@ LIBRARY_CALLS = {
                           {"controller": {"state_weights": [1, 2]}}),
     "state_weights-negative": (lambda ugv: make_controller(ugv, state_weights=[1, -1, 1]),
                                {"controller": {"state_weights": [1, -1, 1]}}),
+    "AttackPlan-kind": (lambda ugv: AttackPlan("x", (0,), 0, 10), _plan({"kind": "x", "stop": 10})),
+    "policy-sensor": (_policy("pattern_runs", (5,)), _plan({"sensors": [5]})),
+    "policy-no-cusum": (_policy("worst_case_cusum"),
+                        _plan({"kind": "worst_case_cusum"}, detectors={"kind": "bdd"})),
+    "policy-short-window": (_policy("worst_case_bdd_randaware", ell=10),
+                            _plan({"kind": "worst_case_bdd_randaware"}, monitors={"window": 10})),
+    "policy-param-unknown": (_policy("pattern_runs", params={"bogus": 1}),
+                             _plan({"params": {"bogus": 1}})),
+    "policy-param-value": (_policy("pattern_runs", params={"amplitude": "abc"}),
+                           _plan({"params": {"amplitude": "abc"}})),
+    "policy-stealth": (_policy("pattern_runs", params={"amplitude": 5.0}),
+                       _plan({"params": {"amplitude": 5.0}})),
 }
 
 
@@ -361,8 +388,9 @@ def test_library_raises_loads_first_problem(call, raw, ugv_plant):
         load_config_dict({**raw, "horizon": 1000})
     with pytest.raises(InvalidParameter) as library:
         call(ugv_plant)
-    first = load.value.problems[0]
-    assert str(library.value) == first.split(".", 1)[1]
+    first = load.value.problems[0]  # the library's text, led by its section
+    lead = re.match(r"(plant|controller|attacks\[0\])(\.|: )", first)
+    assert str(library.value) == first[lead.end():]
 
 
 def _ensemble(ugv, **args):
@@ -699,6 +727,26 @@ def test_step_rejects_bad_attack_shape(ugv_plant, ugv_kss, ugv_gains):
     state = step(ugv_plant, ugv_kss, ugv_gains, None)
     with pytest.raises(InvalidParameter, match=r"^attack signal must have shape \(3,\), got \(2,\)$"):
         step(ugv_plant, ugv_kss, ugv_gains, state, attack=lambda k, e, eta, r_prev: np.zeros(2))
+
+
+#: the one-sensor SCALAR_PLANT's K, filter and noise, each with one of another plant's sizes
+STEP_SIZES = {
+    "noise": ({"noise": NoiseSource(np.eye(2), np.eye(2), 1)},
+              r"noise: must draw the plant's 1 states and 1 sensors, got 2 and 2"),
+    "kss": ({"kss": KalmanSteadyState(np.eye(2), np.ones((2, 1)), np.eye(1), np.ones(1))},
+            r"kss\.L: must be 1x1 \(states x sensors\), got 2x1"),
+    "K-wide": ({"K": [[0.1, 0.1]]}, r"K: must be 1x1 \(plant inputs x states\), got 1x2"),
+    "K-str": ({"K": "a"}, r"K: must be a matrix of finite numbers"),
+}
+
+
+@pytest.mark.parametrize("args, message", STEP_SIZES.values(), ids=STEP_SIZES.keys())
+def test_step_checks_its_sizes_at_step_0(args, message):
+    """K, the filter and the noise must be the plant's sizes, checked once, at step 0."""
+    one = LtiPlant(**SCALAR_PLANT)
+    args = {"K": make_controller(one), "kss": solve_dare(one), "noise": None, **args}
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        step(one, state=None, **args)
 
 
 def test_semidefinite_noise_falls_back_to_eig():
