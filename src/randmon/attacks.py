@@ -23,8 +23,8 @@ import numpy as np
 
 from .detectors import BadDataDetector, CusumDetector, tune_bdd
 from .errors import InvalidParameter
-from .lti import (CHUNK, count_problem, finite_array, is_integer, matrix_arg, philox,
-                  raise_first, require, sigma_array, unknown_keys)
+from .lti import (CHUNK, _resolve_attack, count_problem, finite_array, is_integer, matrix_arg,
+                  philox, raise_first, require, sigma_array, unknown_keys)
 from .monitors import wsr_bounds
 
 #: relative shortfall applied to thresholds the attacks pin the statistic at,
@@ -454,6 +454,29 @@ class CompositeAttack:
         xi = np.zeros(eta.shape)
         for policy in self.policies:
             xi += policy(k, e, eta, r_prev)
+        return xi
+
+
+class PerRunAttacks:
+    """Each run's own one-run attack (None: none) on that run's rows of a stack.
+
+    Called as a stack is, with (R, n) and (R, s) stacks, it hands run j's attack
+    e[j], eta[j] and r_prev[j] (None at step 0), as ``lti.simulate`` hands one
+    run's vectors, and puts its value, through ``lti._resolve_attack``, in row j
+    of zeros shaped as ``eta``. It joins runs whose attacks differ in kind or
+    settings, which :func:`stack` cannot, at one call per run and step.
+    """
+
+    def __init__(self, attacks: Sequence):
+        self.attacks = list(attacks)
+
+    def __call__(self, k: int, e: np.ndarray, eta: np.ndarray,
+                 r_prev: Optional[np.ndarray]) -> np.ndarray:
+        xi = np.zeros(eta.shape)
+        for j, attack in enumerate(self.attacks):
+            if attack is not None:
+                _resolve_attack(attack, k, e[j], eta[j], None if r_prev is None else r_prev[j],
+                                xi[j])
         return xi
 
 

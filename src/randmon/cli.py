@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alphas", type=_float_list, default=[0.05, 0.2])
     sweep.add_argument("--attacks", default="none,bias_concentrate,pattern_runs",
                        help="comma-separated attack kinds")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="accepted and checked (an integer >= 1), then ignored: "
+                            "every cell runs in this process")
     sweep.add_argument("--out", default="sweep.csv")
     return parser
 

@@ -234,9 +234,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     alpha_raw = monitors.get("alpha_des", 0.05)
     alpha_des: dict = {}
     if isinstance(alpha_raw, dict):
-        for key in alpha_raw:
-            if key not in MONITOR_TESTS:
-                problems.append(f"monitors.alpha_des: unknown test {key!r}")
+        problems += _led("monitors.alpha_des", unknown_keys(alpha_raw, MONITOR_TESTS))
         for test in MONITOR_TESTS:
             value = alpha_raw.get(test, 0.05)
             if report(f"monitors.alpha_des.{test}", rate_problem(value)):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidParameter, NonConvergence
 from .gaussian import std_normal_quantile
 from .lti import (HALF_NORMAL_MEAN_FACTOR, array_arg, count_problem, drift_problem, philox,
-                  rate_problem, require, sigma_array)
+                  rate_problem, real_array, require, sigma_array)
 
 #: minimum Monte Carlo sample count accepted by tune_cusum
 CUSUM_MIN_SAMPLES = 1_000_000
@@ -268,24 +268,27 @@ def _cusum_search(sigma: float, alpha_des: float):
 def tune_cusum(
     sigma,
     bias,
-    alpha_des: float,
+    alpha_des,
     n_samples: int = CUSUM_MIN_SAMPLES,
     seed: int = 0,
 ) -> CusumTuning:
-    """Monte Carlo threshold search for a target CUSUM false-alarm rate, per sensor.
+    """Monte Carlo threshold search for a target CUSUM false-alarm rate, per entry.
 
-    ``sigma`` and ``bias`` are scalars or 1-D per-sensor arrays of one length;
-    an array call returns per-sensor ``tau`` and ``achieved_rate``. Each sensor
-    simulates the recursion on i.i.d. |N(0, sigma^2)| inputs and bisects tau
-    until the empirical alarm rate is within ``CUSUM_REL_TOL`` relative of
-    alpha_des: bracketing and early bisection run on the stream's first 1/8,
-    and candidate thresholds are confirmed on the full stream.
+    ``sigma`` and ``bias`` are scalars or 1-D arrays of one length, one entry
+    per sensor (or per sensor and rate); ``alpha_des`` is one rate for every
+    entry or a 1-D array of sigma's length. An array call returns per-entry
+    ``tau`` and ``achieved_rate``. Each entry simulates the recursion on
+    i.i.d. |N(0, sigma^2)| inputs and bisects tau until the empirical alarm
+    rate is within ``CUSUM_REL_TOL`` relative of its alpha_des: bracketing and
+    early bisection run on the stream's first 1/8, and candidate thresholds
+    are confirmed on the full stream.
 
-    All sensors share one draw of |z|, stored time-major by block; sensor i's
-    increments are ``(|z| * sigma[i]) - bias[i]``. The sensors' searches run
+    All entries share one draw of |z|, stored time-major by block; entry i's
+    increments are ``(|z| * sigma[i]) - bias[i]``. The entries' searches run
     side by side, and the rate requests of one round are answered by one
-    ``_cusum_alarms`` pass per stream length. Each rate is that exact count, so
-    every sensor takes the same steps and gets the same tau as a scalar loop
+    ``_cusum_alarms`` pass per stream length, in which identical requests
+    (tau, sigma and bias) share one recursion. Each rate is that exact count,
+    so every entry takes the same steps and gets the same tau as a scalar loop
     over its own increment stream.
 
     Raises ``InvalidParameter`` when a bias <= sqrt(2/pi)*sigma (no downward
@@ -294,7 +297,13 @@ def tune_cusum(
     """
     sig, b = np.atleast_1d(sigma_array(sigma)), np.atleast_1d(array_arg("bias", bias, (0, 1)))
     require("bias", "" if b.size == sig.size else "must match sigma: 1-D arrays of one length")
-    require("alpha_des", rate_problem(alpha_des))
+    rates = real_array(alpha_des, 1)  # one rate for every entry, or one per entry
+    one_rate = rates is None or rates.ndim == 0
+    alphas = [alpha_des] * sig.size if one_rate else rates.tolist()
+    require("alpha_des", "" if len(alphas) == sig.size else "must match sigma: 1-D arrays of one "
+            "length, or be one number")
+    for alpha in alphas:
+        require("alpha_des", rate_problem(alpha))
     for sig_i, b_i in zip(sig.tolist(), b.tolist()):
         require("bias / sigma", drift_problem(b_i / sig_i))
     require("n_samples", count_problem(n_samples, CUSUM_MIN_SAMPLES))
@@ -311,25 +320,28 @@ def tune_cusum(
         az[:, k:k + whole] = z[: whole * CUSUM_BLOCK].reshape(whole, CUSUM_BLOCK).T
         az[: z.size % CUSUM_BLOCK, k + whole] = z[whole * CUSUM_BLOCK:]
 
-    searches = [_cusum_search(sig_i, alpha_des) for sig_i in sig.tolist()]
+    entries = list(zip(sig.tolist(), b.tolist()))
+    searches = [_cusum_search(sig_i, alpha) for (sig_i, _), alpha in zip(entries, alphas)]
     asks = {i: next(search) for i, search in enumerate(searches)}
     results = [None] * len(searches)
     while asks:  # one pass over each stream length answers every open request for it
         for full in (False, True):
-            who = [i for i, (_, on_full) in asks.items() if on_full is full]
+            who = {i: (tau, *entries[i]) for i, (tau, on_full) in asks.items() if on_full is full}
             if not who:
                 continue
             n = n_samples if full else n_samples // 8
             blocks, tail = az[:, : n // CUSUM_BLOCK], az[: n % CUSUM_BLOCK, n // CUSUM_BLOCK]
-            alarms = _cusum_alarms(blocks, tail, [asks[i][0] for i in who],
-                                   scale=sig[who], shift=b[who])
-            for i, count in zip(who, alarms):
+            recursions = list(dict.fromkeys(who.values()))  # (tau, sigma, bias), each once
+            tau, scale, shift = map(np.array, zip(*recursions))
+            counts = dict(zip(recursions, _cusum_alarms(blocks, tail, tau, scale=scale,
+                                                        shift=shift)))
+            for i, request in who.items():
                 try:
-                    asks[i] = searches[i].send(count / n)
+                    asks[i] = searches[i].send(counts[request] / n)
                 except StopIteration as done:
                     results[i] = done.value
                     del asks[i]
-    if np.ndim(sigma) == 0 and np.ndim(bias) == 0:
+    if np.ndim(sigma) == 0 and np.ndim(bias) == 0 and one_rate:
         return results[0]
     return CusumTuning(tau=np.array([t.tau for t in results]),
                        achieved_rate=np.array([t.achieved_rate for t in results]),

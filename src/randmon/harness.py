@@ -18,7 +18,6 @@ so the split leaves every output byte unchanged.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 import math
@@ -33,23 +32,42 @@ from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERS
 from .detectors import CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
 from .errors import InvalidParameter, ValidationError
-from .lti import NoiseSource, count_problem, is_integer, make_controller, simulate, solve_dare
+from .lti import (NoiseSource, _lockstep, count_problem, is_integer, make_controller,
+                  plant_gain, simulate, solve_dare)
 from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
 
 log = logging.getLogger(__name__)
 
 RATE_ASYMPTOTE = 1.0 - math.sqrt(2.0) / 2.0
 
-# Tuned CUSUM thresholds are cached by the exact tuning inputs; tuning is Monte
-# Carlo over >= 1e6 samples and identical inputs recur across sweeps. One call
-# tunes every sensor of a config together, over one shared draw.
-@functools.lru_cache(maxsize=None)
-def _tuned_cusum_tau(sigma: tuple, bias: tuple, alpha: float, n_samples: int, seed: int) -> tuple:
-    tuning = tune_cusum(np.array(sigma), np.array(bias), alpha, n_samples=n_samples, seed=seed)
-    for sig, b, tau, rate in zip(sigma, bias, tuning.tau.tolist(), tuning.achieved_rate.tolist()):
-        log.info("tuned cusum: sigma=%.6g bias=%.6g alpha=%.4g -> tau=%.6g (rate %.5f)",
-                 sig, b, alpha, tau, rate)
-    return tuple(tuning.tau.tolist())
+#: Tuned CUSUM thresholds of this process by the exact tuning inputs (sigma, bias, alpha,
+#: n_samples, seed). Tuning is Monte Carlo over >= 1e6 samples, and identical inputs recur:
+#: a tune before a run, the alphas of a sweep.
+_cusum_taus: dict = {}
+
+
+def _tuned_cusum_taus(sigma: np.ndarray, bias: np.ndarray, alphas, n_samples: int,
+                      seed: int) -> list:
+    """Every sensor's tuned threshold at each of ``alphas``, one tuple per alpha, from the store.
+
+    The alphas it lacks are tuned in one ``tune_cusum`` call over one shared draw,
+    each sensor at each missing alpha an entry of its own.
+    """
+    sigma, bias = tuple(sigma.tolist()), tuple(bias.tolist())
+    keys = [(sigma, bias, alpha, n_samples, seed) for alpha in alphas]
+    missing = list(dict.fromkeys(key for key in keys if key not in _cusum_taus))
+    if missing:
+        rates = [key[2] for key in missing]
+        tuning = tune_cusum(np.tile(sigma, len(missing)), np.tile(bias, len(missing)),
+                            np.repeat(rates, len(sigma)), n_samples=n_samples, seed=seed)
+        taus = tuning.tau.reshape(len(missing), -1).tolist()
+        achieved = tuning.achieved_rate.reshape(len(missing), -1).tolist()
+        for key, alpha, tau, rate in zip(missing, rates, taus, achieved):
+            for sig, b, tau_i, rate_i in zip(sigma, bias, tau, rate):
+                log.info("tuned cusum: sigma=%.6g bias=%.6g alpha=%.4g -> tau=%.6g (rate %.5f)",
+                         sig, b, alpha, tau_i, rate_i)
+            _cusum_taus[key] = tuple(tau)
+    return [_cusum_taus[key] for key in keys]
 
 
 @dataclass
@@ -93,11 +111,16 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
     """
     plant = build_plant(cfg.plant_spec)
     kss = solve_dare(plant)
+    return (plant, kss, *_calibrate(cfg, plant, kss))
+
+
+def _calibrate(cfg: ScenarioConfig, plant, kss) -> tuple:
+    """``(bdd, cusum, policies, noise_seed)`` of ``cfg`` on its plant and filter (``_set_up``)."""
     bdd, cusum = run_bdd(cfg.detector_kind, kss.sigma, cfg.alpha_des), None
     if detects(cfg.detector_kind, "cusum"):
         bias = cfg.bias_scale * kss.sigma
-        tau = _tuned_cusum_tau(tuple(kss.sigma.tolist()), tuple(bias.tolist()),
-                               cfg.alpha_des["cusum"], cfg.tuning_samples, cfg.tuning_seed)
+        (tau,) = _tuned_cusum_taus(kss.sigma, bias, [cfg.alpha_des["cusum"]], cfg.tuning_samples,
+                                   cfg.tuning_seed)
         cusum = CusumDetector(tau=tau, bias=bias)
 
     noise_seed, attack_root = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -105,7 +128,18 @@ def _set_up(cfg: ScenarioConfig) -> tuple:
     policies = [atk.build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=cfg.window,
                                         alpha_des=cfg.alpha_des["wsr"], bdd=bdd, cusum=cusum,
                                         seed=seed) for plan, seed in zip(cfg.attacks, attack_seeds)]
-    return plant, kss, bdd, cusum, policies, noise_seed
+    return bdd, cusum, policies, noise_seed
+
+
+def _controller(cfg: ScenarioConfig, plant):
+    spec = cfg.controller_spec
+    return make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
+                           input_weights=spec.get("input_weights"))
+
+
+def _run_attack(policies):
+    """One run's attack from its phases: None, the one phase alone, or their ``CompositeAttack``."""
+    return atk.CompositeAttack(policies) if len(policies) > 1 else next(iter(policies), None)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
@@ -119,13 +153,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     on them.
     """
     plant, kss, bdd, cusum, policies, noise_seed = _set_up(cfg)
-    spec = cfg.controller_spec
-    K = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
-                        input_weights=spec.get("input_weights"))
+    K = _controller(cfg, plant)
     noise = NoiseSource(plant.Q, plant.R, noise_seed)
-    # simulate sums a run's attack onto zeros as a composite does, so one phase is called alone
-    attack = atk.CompositeAttack(policies) if len(policies) > 1 else next(iter(policies), None)
-    traj = simulate(plant, kss, K, noise, cfg.horizon, attack=attack)
+    traj = simulate(plant, kss, K, noise, cfg.horizon, attack=_run_attack(policies))
     p, alarm, rate, cusum_s, fields = score_residuals(cfg, traj["r"], bdd, cusum)
     summary = RunSummary(
         schema_version=SCHEMA_VERSION,
@@ -362,25 +392,21 @@ def _sweep_config(raw_cfg, alpha: float, attack_kind: str) -> tuple:
         return None, exc.problems + problems
 
 
-def _sweep_cell(args):
-    cfg, alpha, attack_kind = args
-    return {
-        "alpha_des": alpha,
-        "attack": attack_kind,
-        "alarm_rate": run_scenario(cfg).summary.alarm_rate,
-    }
-
-
 def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
-    """Cartesian sweep over desired rates and attack kinds.
+    """Cartesian sweep over desired rates and attack kinds, alpha-major.
 
     Every cell's config is validated up front, so a config error stops the
     sweep before any scenario runs; one ``ValidationError`` lists a ``workers``
     count below 1, then each distinct problem of every cell once, in cell order.
-    Scenarios run in parallel across worker processes; each cell reports the
-    per-test, per-sensor alarm rates of its run. Cells are alpha-major and each worker takes one contiguous block of
-    them, so a worker tunes CUSUM for as few alphas as it can (the tuning
-    cache is per process).
+    ``workers`` is checked and otherwise ignored: every cell runs in this
+    process. Each cell reports the per-test, per-sensor alarm rates of its run,
+    those ``run_scenario`` gives for the cell's config alone.
+
+    A cell changes only the base's ``monitors.alpha_des`` and attacks, so the
+    plant, its filter and the LQR gain are set up once and CUSUM is tuned for
+    every alpha in one call. One ``lti._lockstep`` call then steps every cell,
+    each with its own noise and its own attack (``attacks.PerRunAttacks``), and
+    records only the residuals, which ``score_residuals`` scores cell by cell.
     """
     checked = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
                for a in alphas for kind in attack_kinds]
@@ -388,17 +414,24 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     problems += dict.fromkeys(p for (_, found), _, _ in checked for p in found)
     if problems:
         raise ValidationError(problems)
-    cells = [(cfg, alpha, kind) for (cfg, _), alpha, kind in checked]
-    # a fork-started pool starts all its workers at the first submit
-    workers = min(workers, len(cells))
-    if workers > 1:
-        # imported here: concurrent.futures.process adds to every start that never fans out
-        from concurrent.futures import ProcessPoolExecutor
-
-        block = math.ceil(len(cells) / workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, cells, chunksize=block))
-    return [_sweep_cell(cell) for cell in cells]
+    if not checked:
+        return []
+    cfgs = [cfg for (cfg, _), _, _ in checked]
+    base = cfgs[0]
+    plant = build_plant(base.plant_spec)
+    kss = solve_dare(plant)
+    if detects(base.detector_kind, "cusum"):
+        _tuned_cusum_taus(kss.sigma, base.bias_scale * kss.sigma,
+                          [cfg.alpha_des["cusum"] for cfg in cfgs], base.tuning_samples,
+                          base.tuning_seed)
+    cells = [_calibrate(cfg, plant, kss) for cfg in cfgs]  # (bdd, cusum, policies, noise_seed)
+    noises = [NoiseSource(plant.Q, plant.R, noise_seed) for *_, noise_seed in cells]
+    K = plant_gain(plant, _controller(base, plant), kss, noises)
+    attack = atk.PerRunAttacks([_run_attack(policies) for _, _, policies, _ in cells])
+    r = _lockstep(plant, kss, K, noises, base.horizon, attack, ("r",))["r"]
+    return [{"alpha_des": alpha, "attack": kind,
+             "alarm_rate": score_residuals(cfg, r_j, bdd, cusum)[-1]["alarm_rate"]}
+            for ((cfg, _), alpha, kind), (bdd, cusum, _, _), r_j in zip(checked, cells, r)]
 
 
 def write_sweep(results, path: str) -> str:

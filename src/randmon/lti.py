@@ -41,7 +41,8 @@ same Philox stream as per-step :meth:`NoiseSource.draw` calls. The kernel
 calls its attack once per step for all runs, with the step index and the
 runs' stacked e, eta and previous residuals (for :func:`simulate`, one run's
 vectors, as :func:`step` hands them), and takes every run's attack back: an
-ensemble's attack is one policy joined from the runs' own. Nothing it hands
+ensemble's attack is one policy joined from the runs' own, a sweep's calls
+each cell's own attack on its rows (``attacks.PerRunAttacks``). Nothing it hands
 an attack is written again, so an attack may keep it. Every attack's value
 goes through :func:`_resolve_attack`, as in :func:`step`: it is taken as
 floats, checked for eta's shape and summed onto zeros, which turns a -0.0
@@ -381,9 +382,9 @@ def _riccati_fixed_point(A, C, Q, R):
     """The fixed point of P -> A P A' - A P C' (R + C P C')^-1 C P A' + Q, from P0 = Q.
 
     Memoised per process, so that set-up repeated in one process (a tune
-    before a run, a seed loop, the cells of a sweep worker) iterates each
-    distinct equation once. The key is each input's dtype, shape, strides and
-    bytes, so only inputs whose iteration gives the same bits share a solve.
+    before a run, a seed loop) iterates each distinct equation once. The key
+    is each input's dtype, shape, strides and bytes, so only inputs whose
+    iteration gives the same bits share a solve.
     A miss runs :func:`_riccati_iterate` on the caller's own arrays; every
     call returns a fresh copy, so a caller may change what it gets. An error
     is raised again on every call and never stored.

@@ -368,7 +368,7 @@ MISTYPED = {
     "Q-not-psd": (_explicit(**{**TWO_STATES, "Q": [[0.1, 0.2], [0.2, 0.1]]}), "plant.Q"),
     "R-negative": (_explicit(R=[[-0.1]]), "plant.R"),
     "alpha_des-unknown-test": ({**MINIMAL, "monitors": {"alpha_des": {"wsr": 0.05, "ks": 0.1}}},
-                               "monitors.alpha_des: unknown test 'ks'"),
+                               "monitors.alpha_des: unknown key 'ks'"),
     "tuning_samples-small": ({**MINIMAL, "detectors": {"tuning_samples": 10}},
                              "detectors.tuning_samples"),
     "tuning_samples-float": ({**MINIMAL, "detectors": {"tuning_samples": 1e6}},

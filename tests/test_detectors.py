@@ -391,6 +391,41 @@ def test_tune_cusum_array_call_keeps_each_sensors_own_search():
     assert (out.tau[2].hex(), out.achieved_rate[2]) == ("0x1.e000000000000p+2", 0.005235)
 
 
+def test_tune_cusum_per_entry_alphas_equal_separate_calls(monkeypatch):
+    # A sweep's tuning: every sensor at every alpha, one entry each, over one draw. Every
+    # entry asks for tau = 0 first, the 10.0 bias stops there at both alphas, and the
+    # 0.799 bias walks across block boundaries for 8 iterations at 0.005.
+    sigma, bias, alphas = [1.0, 0.3, 1.0], [10.0, 0.25, 0.799], [0.005, 0.2]
+    alone = {a: tune_cusum(sigma, bias, a, seed=3) for a in alphas}
+    recursions = []
+
+    def counted(blocks, tail, tau, **kwargs):
+        recursions.append(len(tau))
+        return _cusum_alarms(blocks, tail, tau, **kwargs)
+
+    monkeypatch.setattr("randmon.detectors._cusum_alarms", counted)
+    out = tune_cusum(sigma * 2, bias * 2, np.repeat(alphas, 3), seed=3)
+    assert out.tau.tolist() == alone[0.005].tau.tolist() + alone[0.2].tau.tolist()
+    assert out.achieved_rate.tolist() == (alone[0.005].achieved_rate.tolist()
+                                          + alone[0.2].achieved_rate.tolist())
+    assert out.iterations == max(t.iterations for t in alone.values())
+    # the first round's six tau = 0 requests are three recursions, one per (sigma, bias)
+    assert recursions[0] == 3
+    assert tune_cusum(1.0, 1.5, [0.05], seed=3).tau.tolist() == [tune_cusum(1.0, 1.5, 0.05,
+                                                                            seed=3).tau]
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ([0.05, 0.1], "alpha_des: must match sigma: 1-D arrays of one length, or be one number"),
+    ([0.05, 0.1, 1.0], "alpha_des: must be a number in (0, 1), got 1.0"),
+    ([0.05, True, 0.1], "alpha_des: must be a number in (0, 1), got [0.05, True, 0.1]"),
+], ids=["length", "rate", "bool"])
+def test_tune_cusum_rejects_a_bad_per_entry_alpha(alpha, message):
+    with pytest.raises(InvalidParameter) as err:
+        tune_cusum([1.0, 2.0, 3.0], [1.5, 3.0, 4.5], alpha)
+    assert str(err.value) == message
+
+
 #: tuning inputs the library used to take silently (a NaN threshold, a zero CUSUM
 #: threshold and rate) or to fail on with a bare TypeError
 BAD_TUNING = {

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -15,10 +14,11 @@ import numpy as np
 import pytest
 
 from randmon import cli, harness, lti
-from randmon.attacks import saturation_budget
+from randmon.attacks import (ATTACK_KINDS, AttackPlan, CompositeAttack, PerRunAttacks,
+                             build_attack_policy, saturation_budget)
 from randmon.cli import main
 from randmon.config import load_config_dict, read_config
-from randmon.detectors import CusumDetector, tune_cusum
+from randmon.detectors import BadDataDetector, CusumDetector, tune_cusum
 from randmon.errors import InvalidParameter, ValidationError
 from randmon.harness import (
     EMIT_CHUNK_ROWS,
@@ -340,7 +340,8 @@ def test_tuned_thresholds_report():
         assert abs(tau / sigma - 1.959964) < 1e-4
 
 
-def test_sweep_serial_matches_parallel():
+@pytest.mark.parametrize("workers", [1, 2, 64])
+def test_sweep_results_do_not_depend_on_workers(workers):
     raw = {
         "plant": {"preset": "ugv"},
         "monitors": {"alpha_des": 0.05},
@@ -348,45 +349,78 @@ def test_sweep_serial_matches_parallel():
         "horizon": 1200,
         "seed": 3,
     }
-    # 2 alphas x 2 attacks: each of the 2 workers takes a block of 2 cells
-    serial = run_sweep(raw, [0.05, 0.1], ["none", "bias_concentrate"], workers=1)
-    parallel = run_sweep(raw, [0.05, 0.1], ["none", "bias_concentrate"], workers=2)
-    assert serial == parallel
-    assert [(cell["alpha_des"], cell["attack"]) for cell in serial] == [
+    # workers is checked and ignored: every cell runs in the calling process
+    kinds = ["none", "bias_concentrate"]
+    cells = run_sweep(raw, [0.05, 0.1], kinds, workers=workers)
+    assert cells == run_sweep(raw, [0.05, 0.1], kinds)
+    assert [(cell["alpha_des"], cell["attack"]) for cell in cells] == [
         (0.05, "none"), (0.05, "bias_concentrate"), (0.1, "none"), (0.1, "bias_concentrate")]
 
 
-def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
-    # A fork-started pool starts max_workers processes at the first submit; this
-    # serial stand-in records the pool size and starts none.
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cells, chunksize):
-            return map(fn, cells)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(harness, "_sweep_cell", lambda cell: cell[1:])
-    kinds = ["none", "pattern_runs", "bias_concentrate"]
-    assert run_sweep(dict(BASE), [0.05, 0.1], kinds, workers=64) == [
-        (a, kind) for a in (0.05, 0.1) for kind in kinds]
-    assert sizes == [6]
+def test_sweep_starts_no_process():
+    # In a child whose fork and subprocess start raise, a two-alpha sweep with workers runs.
+    code = (
+        "import os, subprocess\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('a sweep started a process')\n"
+        "os.fork = refuse\n"
+        "subprocess.Popen = refuse\n"
+        "from randmon.harness import run_sweep\n"
+        f"raw = {{**{BASE!r}, 'horizon': 400}}\n"
+        "cells = run_sweep(raw, [0.05, 0.1], ['none', 'pattern_runs'], workers=4)\n"
+        "print(len(cells))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])})
+    assert (done.returncode, done.stdout.strip()) == (0, "4"), done.stderr
 
 
-def test_cli_import_loads_no_process_pool():
-    """Only a sweep with workers uses a process pool, so a start of the CLI does not load it."""
-    code = "import sys, randmon.cli; print('concurrent.futures.process' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+#: Bases of the cell-by-cell sweep check: every detector, a window a saturation budget
+#: takes, and one base whose own two-phase attack each cell replaces.
+SWEEP_BASE = {"plant": {"preset": "ugv"}, "detectors": {"kind": "both"}, "horizon": 400,
+              "seed": 5, "monitors": {"window": 20, "rate_window": 20, "alpha_tau": 1.0}}
+TWO_PHASE = [{"kind": "pattern_runs", "sensors": [1], "start": 50, "stop": 150},
+             {"kind": "worst_case_bdd", "sensors": [2], "start": 150}]
+
+
+@pytest.mark.filterwarnings("ignore::randmon.errors.SmallSampleWarning")
+@pytest.mark.parametrize("raw", [SWEEP_BASE, {**SWEEP_BASE, "attacks": TWO_PHASE}],
+                         ids=["base", "base-with-two-phases"])
+def test_sweep_cell_rates_equal_run_scenario_of_the_cell(raw):
+    kinds = ["none", *ATTACK_KINDS]
+    cells = run_sweep(raw, [0.05, 0.2], kinds)
+    for cell in cells:
+        cfg, problems = harness._sweep_config(raw, cell["alpha_des"], cell["attack"])
+        assert problems == []
+        assert cell["alarm_rate"] == run_scenario(cfg).summary.alarm_rate, cell["attack"]
+    assert [(c["alpha_des"], c["attack"]) for c in cells] == [(a, k) for a in (0.05, 0.2)
+                                                                for k in kinds]
+
+
+def test_sweep_stack_residual_rows_equal_simulate_per_cell(ugv_plant, ugv_kss, ugv_gains):
+    # The sweep's stack: each run its own attack (none, every kind, a two-phase composite),
+    # its own noise, one loop call recording only r; each row is simulate's bits.
+    sigma = ugv_kss.sigma
+    bdd = BadDataDetector.tuned(sigma, 0.05)
+    cusum = CusumDetector(tau=4.0 * sigma, bias=1.5 * sigma)
+
+    phases = [[]] + [[kind] for kind in ATTACK_KINDS] + [["pattern_runs", "worst_case_cusum"]]
+
+    def attack(j):  # run j's own attack, built afresh on each call
+        return harness._run_attack([build_attack_policy(
+            AttackPlan(kind, (j % 3,), start=30 + j + 120 * i, stop=140 + j + 120 * i), 3,
+            ugv_plant.C, sigma, ell=20, bdd=bdd, cusum=cusum, seed=j)
+            for i, kind in enumerate(phases[j])])
+
+    runs = len(phases)
+    noises = [NoiseSource(ugv_plant.Q, ugv_plant.R, 100 + j) for j in range(runs)]
+    stacked = lti._lockstep(ugv_plant, ugv_kss, ugv_gains, noises, 300,
+                            PerRunAttacks([attack(j) for j in range(runs)]), ("r",))["r"]
+    assert isinstance(attack(runs - 1), CompositeAttack)
+    for j in range(runs):
+        noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 100 + j)
+        alone = simulate(ugv_plant, ugv_kss, ugv_gains, noise, 300, attack=attack(j))["r"]
+        assert stacked[j].tobytes() == alone.tobytes(), j
 
 
 def test_sweep_config_error_raised_before_fan_out():
@@ -594,7 +628,7 @@ def test_sweep_iterates_each_riccati_equation_once(riccati_iterations):
 
 def test_cusum_tuning_cache_tells_tiny_sigmas_apart(monkeypatch):
     # Both residual sigmas are below 5e-16, so they agree to 15 decimals.
-    harness._tuned_cusum_tau.cache_clear()
+    harness._cusum_taus.clear()
     cfgs = [load_config_dict({
         "plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": [[q]], "R": [[q]]},
         "detectors": {"kind": "cusum"},
@@ -613,7 +647,7 @@ def test_run_after_tune_reuses_the_tuned_cusum_thresholds(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "tune_cusum",
                         lambda *a, **k: calls.append(a) or tune_cusum(*a, **k))
-    harness._tuned_cusum_tau.cache_clear()
+    harness._cusum_taus.clear()
     cfg = load_config_dict({**BASE, "detectors": {"kind": "cusum"}, "horizon": 200})
     tau = tuned_thresholds(cfg)["cusum_tau"]
     assert len(calls) == 1  # one per config: every sensor is tuned in the same call
@@ -622,6 +656,23 @@ def test_run_after_tune_reuses_the_tuned_cusum_thresholds(monkeypatch):
     assert calls == []
     assert art.cusum_s is not None
     assert tuned_thresholds(cfg)["cusum_tau"] == tau and calls == []
+
+
+def test_sweep_tunes_cusum_once_for_every_alpha(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "tune_cusum",
+                        lambda *a, **k: calls.append(a) or tune_cusum(*a, **k))
+    harness._cusum_taus.clear()
+    raw = {**BASE, "detectors": {"kind": "cusum"}, "horizon": 300}
+    run_sweep(raw, [0.05, 0.2], ["none", "pattern_runs"])
+    assert len(calls) == 1  # every sensor at both alphas, one entry each
+    assert calls[0][2].tolist() == [0.05] * 3 + [0.2] * 3
+    for alpha in (0.05, 0.2):  # a cell's set-up reads the store, tuned as it alone would be
+        cfg = harness._sweep_config(raw, alpha, "none")[0]
+        alone = tune_cusum(calls[0][0][:3], calls[0][1][:3], alpha, n_samples=cfg.tuning_samples,
+                           seed=cfg.tuning_seed)
+        assert tuned_thresholds(cfg)["cusum_tau"] == alone.tau.tolist()
+    assert len(calls) == 1
 
 
 def test_cli_budget(tmp_path):
