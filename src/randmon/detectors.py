@@ -19,8 +19,14 @@ from .lti import (HALF_NORMAL_MEAN_FACTOR, array_arg, count_problem, drift_probl
 #: minimum Monte Carlo sample count accepted by tune_cusum
 CUSUM_MIN_SAMPLES = 1_000_000
 
-#: steps per block of the block-parallel kernel in cusum_alarm_fraction
+#: steps per block of tune_cusum's stored draw and of its passes over the whole stream;
+#: at most 510, since the kernel counts each block's alarms (one in two steps at most) in uint8
 CUSUM_BLOCK = 256
+
+#: steps per block of the shorter passes, whose per-step overhead outweighs their arrays:
+#: cusum_alarm_fraction, and tune_cusum over the first 1/8 of its stream (each stored block
+#: read as CUSUM_BLOCK // CUSUM_SUB_BLOCK blocks in turn)
+CUSUM_SUB_BLOCK = 64
 
 #: tune_cusum's tolerance on the achieved rate relative to alpha_des, and its cap on
 #: bracketing doublings and on bisections
@@ -73,14 +79,15 @@ def _cusum_step(s: float, x: float, bias: float, tau: float) -> tuple:
     return (0.0 if s < 0.0 else s), 0
 
 
-def _cusum_advance(s: np.ndarray, x, bias, tau) -> np.ndarray:
+def _cusum_advance(s: np.ndarray, x, bias, tau, alarm=None) -> np.ndarray:
     """``_cusum_step`` on every entry of ``s`` at once, in place; returns the alarms.
 
     Each entry takes the scalar recursion's own float64 operations (the sum
     is computed and then discarded where the statistic alarmed). ``bias`` None
-    skips the subtraction, which is exact for a zero bias.
+    skips the subtraction, which is exact for a zero bias. ``alarm``, a bool
+    array of s's shape, receives the alarms instead of a new array.
     """
-    alarm = s > tau
+    alarm = np.greater(s, tau, out=alarm)
     s += x
     if bias is not None:
         s -= bias
@@ -92,76 +99,167 @@ def _cusum_advance(s: np.ndarray, x, bias, tau) -> np.ndarray:
 def _cusum_alarms(blocks, tail, tau, bias=None, scale=None, shift=None, record=None) -> list:
     """Alarm counts of m CUSUM recursions run side by side.
 
-    ``blocks`` holds full ``CUSUM_BLOCK``-step blocks time-major and ``tail``
-    the steps after them. Without ``scale`` recursion i runs on stream i:
-    ``blocks`` is ``(CUSUM_BLOCK, m, n_blocks)`` (``blocks[j, i, k]`` is step j
+    ``blocks`` holds the stream's full blocks of L steps time-major and
+    ``tail`` the steps after them. Without ``scale`` recursion i runs on
+    stream i: ``blocks`` is ``(L, m, n_blocks)`` (``blocks[j, i, k]`` is step j
     of stream i's block k), ``tail`` is ``(t, m)`` and the increment d is the
     stream value x. With ``scale`` all recursions share one stream, ``blocks``
-    ``(CUSUM_BLOCK, n_blocks)`` and ``tail`` ``(t,)``, and recursion i's d is
-    ``(x * scale[i]) - shift[i]``. Recursion i steps ``S = max(0, (S + d) -
-    bias[i])`` against ``tau[i]``; ``bias`` None skips the subtraction, which
-    is exact for a zero bias. ``record``, a pair of views shaped as the
-    unscaled ``blocks`` and ``tail``, receives every statistic after every step.
+    is ``(L, n_blocks)``, or ``(L, q, c)`` for blocks that follow each other
+    down each column (block ``k * q + p`` at ``[:, p, k]``), ``tail`` is
+    ``(t,)`` and recursion i's d is ``(x * scale[i]) - shift[i]``. Recursion i
+    steps ``S = max(0, (S + d) - bias[i])`` against ``tau[i]``; ``bias`` None
+    skips the subtraction, which is exact for a zero bias. ``record``, a pair
+    of views shaped as the unscaled ``blocks`` and ``tail``, receives every
+    statistic after every step.
 
-    numpy runs the recursions on all blocks side by side, each from zero, with
-    the scalar recursion's own float64 operations. A block entered with a
-    nonzero statistic steps its true and zero-started statistic together in
-    Python until they are equal (from there on they agree), or hands the true
-    one to the next block; the tail is walked alone. Alarms and S are therefore
-    the scalar recursion's own, also for non-finite inputs (NaN never compares
-    equal, so it is walked to the end).
+    ``_zero_started`` steps every block from zero, ``_carry_walks`` fixes up
+    each block entered with a nonzero statistic, and the tail, shorter than a
+    block, steps each recursion in Python floats from the statistic that
+    really leaves its last block. Alarms and S are therefore the scalar
+    recursion's own, also for non-finite inputs.
     """
-    m, n_blocks = len(tau), blocks.shape[-1]
-    s = np.zeros((m, n_blocks))  # row i is recursion i
+    tau = np.asarray(tau, dtype=float)
+    bias = None if bias is None else np.asarray(bias, dtype=float)
+    if scale is not None:
+        blocks = blocks[:, None] if blocks.ndim == 2 else blocks  # (L, q, c)
+        scale, shift = np.asarray(scale, dtype=float), np.asarray(shift, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends, alarms = _zero_started(blocks, tau, bias, scale, shift, record)
+        delta, leaving = _carry_walks(ends, blocks, tau, bias, scale, shift,
+                                      None if record is None else record[0])
+    alarms = (alarms + delta).astype(np.int64).tolist()
+    for i, s in enumerate(leaving.tolist()):
+        tau_i, bias_i = float(tau[i]), 0.0 if bias is None else float(bias[i])
+        xs = tail[:, i] if scale is None else (tail * scale[i]) - shift[i]
+        for k, x in enumerate(xs.tolist()):
+            s, alarm = _cusum_step(s, x, bias_i, tau_i)
+            alarms[i] += alarm
+            if record is not None:
+                record[1][k, i] = s
+    return alarms
 
-    def rows(v):  # each recursion's value over its row of s
-        return np.repeat(np.asarray(v, dtype=float), n_blocks).reshape(m, n_blocks)
+
+def _zero_started(blocks, tau, bias, scale, shift, record) -> tuple:
+    """Every block's pass from a zero statistic, all side by side in numpy.
+
+    The arguments are ``_cusum_alarms``'s own, ``blocks`` with ``scale`` as
+    ``(L, q, c)``. Each step writes the alarms into one buffer, which one
+    per-block counter adds up. Returns each block's statistic at its end
+    (block k of recursion i at ``i * n_blocks + k``, in stream order) and
+    each recursion's alarm count.
+    """
+    m = tau.size
+    shape = (m, *blocks.shape[1 if scale is not None else 2:])
+    size = int(np.prod(shape[1:]))
+
+    def rows(v):  # each recursion's value over its blocks
+        return np.repeat(v, size).reshape(shape)
 
     tau_rows, bias_rows = rows(tau), None if bias is None else rows(bias)
     if scale is not None:
-        d, shift_rows = np.empty((m, n_blocks)), rows(shift)
-    alarms = [0] * m
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, x in enumerate(blocks):
-            if scale is not None:
-                x = np.subtract(np.multiply(x, scale[:, None], out=d), shift_rows, out=d)
-            alarm = _cusum_advance(s, x, bias_rows, tau_rows)
-            for i in range(m):
-                alarms[i] += int(np.count_nonzero(alarm[i]))
-            if record is not None:
-                record[0][j] = s
+        d, shift_rows, scale = np.empty(shape), rows(shift), scale.reshape(m, 1, 1)
+    s = np.zeros(shape)
+    alarm, count = np.empty(shape, dtype=bool), np.zeros(shape, dtype=np.uint8)
+    for j, x in enumerate(blocks):
+        if scale is not None:
+            x = np.subtract(np.multiply(x, scale, out=d), shift_rows, out=d)
+        np.add(count, _cusum_advance(s, x, bias_rows, tau_rows, alarm).view(np.uint8), out=count)
+        if record is not None:
+            record[0][j] = s
+    ends = (s if scale is None else s.transpose(0, 2, 1)).reshape(-1)
+    return ends, count.reshape(m, -1).sum(axis=1, dtype=float)
 
-    for i in range(m):
+
+def _carry_walks(ends, blocks, tau, bias, scale, shift, record) -> tuple:
+    """Fix up every block that is really entered with a nonzero statistic.
+
+    ``ends`` is ``_zero_started``'s; the other arguments are
+    ``_cusum_alarms``'s own, ``blocks`` with ``scale`` as ``(L, q, c)`` and
+    ``record`` the blocks of the recorded statistic. A walk moves a block
+    from the carry its counts and recorded S were stepped from to another:
+    it steps the statistic from each together, adds the alarms from the new
+    carry minus those from the old, records the new statistic, and stops
+    once the two are equal (from there on they agree; NaN never compares
+    equal).
+
+    numpy first walks every block after a nonzero end from zero to that end,
+    all side by side. A walk that leaves its block with another statistic
+    than that end leaves the next block counted from a wrong carry. From
+    each such block, in stream order, Python floats carry the true statistic
+    on, walking each next block from the carry it is counted from, until a
+    block leaves with the statistic the next one is counted from. Such chains
+    are few and short, a numpy step costs about as much for one walk as for
+    thousands, and each chain is walked once.
+
+    Returns each recursion's alarm delta and the statistic leaving its last
+    block.
+    """
+    m = tau.size
+    size = ends.size // m
+    leaving = ends[size - 1::size].copy() if size else np.zeros(m)
+    rec, k = np.divmod(np.flatnonzero(ends) + 1, max(size, 1))
+    rec, k = rec[k != 0], k[k != 0]  # past a recursion's last block is the tail
+    q = 1 if scale is None else blocks.shape[1]
+    # the open walks: their number and where blocks[j] holds their step; their S from
+    # the new and from the old carry, and their parameters; and the alarms of each S
+    # (at most one in two steps)
+    at = np.vstack((np.arange(rec.size), *((rec, k) if scale is None else (k % q, k // q))))
+    val = np.vstack([ends[rec * size + k - 1], np.zeros(rec.size), tau[rec]]
+                    + ([] if bias is None else [bias[rec]])
+                    + ([] if scale is None else [scale[rec], shift[rec]]))
+    hits = np.zeros((2, rec.size), dtype=np.uint8)
+    out = np.zeros((4, rec.size))  # each walk's two S leaving its block (equal once met), alarms
+    for j, x in enumerate(blocks):
+        keep = val[0] != val[1]
+        if np.count_nonzero(keep) < keep.size:
+            out[2:, at[0, ~keep]] = hits[:, ~keep]
+            at, val, hits = at[:, keep], val[:, keep], hits[:, keep]
+        if not at.shape[1]:
+            break
+        x = x[at[1], at[2]]
+        if scale is not None:
+            x = (x * val[-2]) - val[-1]
+        alarm = _cusum_advance(val[:2], x, None if bias is None else val[3], val[2])
+        np.add(hits, alarm.view(np.uint8), out=hits)
+        if record is not None:
+            record[j][at[1], at[2]] = val[0]
+    else:
+        out[:, at[0]] = np.vstack((val[:2], hits))
+    delta = np.bincount(rec, out[2], m) - np.bincount(rec, out[3], m)
+
+    # the blocks whose true end (their walk's new S) is not the next block's carry
+    going = out[0].view(np.int64) != out[1].view(np.int64)
+    moved = dict(zip((rec[going] * size + k[going]).tolist(), out[0, going].tolist()))
+    last = -1  # the last block a chain reached
+    for block in sorted(moved):
+        if block <= last:
+            continue
+        i, b = divmod(block, size)
+        true, counted = moved[block], float(ends[block])
         tau_i, bias_i = float(tau[i]), 0.0 if bias is None else float(bias[i])
-        scale_i, shift_i = (None, None) if scale is None else (float(scale[i]), float(shift[i]))
-        stream, rest = (blocks[:, i], tail[:, i]) if scale is None else (blocks, tail)
-
-        def values(xs):  # converted lazily: most walks are short
-            xs = map(float, xs)
-            return xs if scale_i is None else ((x * scale_i) - shift_i for x in xs)
-
-        carry = 0.0
-        for k, end in enumerate(s[i].tolist()):
-            if carry == 0.0:
-                carry = end
-                continue
-            true_s, zero_s = carry, 0.0
-            for j, v in enumerate(values(stream[:, k])):
-                if true_s == zero_s:
-                    true_s = end
+        while np.float64(true).tobytes() != np.float64(counted).tobytes():
+            b += 1
+            if b == size:
+                leaving[i] = true
+                break
+            last = i * size + b
+            xs = (blocks[:, i, b] if scale is None
+                  else (blocks[:, b % q, b // q] * scale[i]) - shift[i])
+            new, current, walked, alarms = true, counted, [], 0
+            for x in xs.tolist():
+                if new == current:
                     break
-                true_s, true_alarm = _cusum_step(true_s, v, bias_i, tau_i)
-                zero_s, zero_alarm = _cusum_step(zero_s, v, bias_i, tau_i)
-                alarms[i] += true_alarm - zero_alarm
-                if record is not None:
-                    record[0][j, i, k] = true_s
-            carry = true_s
-        for k, v in enumerate(values(rest)):
-            carry, alarm = _cusum_step(carry, v, bias_i, tau_i)
-            alarms[i] += alarm
+                new, alarm = _cusum_step(new, x, bias_i, tau_i)
+                current, counted_alarm = _cusum_step(current, x, bias_i, tau_i)
+                alarms += alarm - counted_alarm
+                walked.append(new)
+            delta[i] += alarms
             if record is not None:
-                record[1][k, i] = carry
-    return alarms
+                record[:len(walked), i, b] = walked
+            # block b's true end; block b + 1 is counted from b's zero-started end
+            true = new if new != current else moved.get(last, float(ends[last]))
+            counted = float(ends[last])
+    return delta, leaving
 
 
 def cusum_alarm_fraction(x, tau, bias=0.0, out=None) -> float | np.ndarray:
@@ -186,11 +284,11 @@ def cusum_alarm_fraction(x, tau, bias=0.0, out=None) -> float | np.ndarray:
         raise InvalidParameter(f"out must be a float64 array of x's shape {x.shape}")
     n = x.shape[0]
     require("x", "" if x.size else "empty increment stream")
-    full = n - n % CUSUM_BLOCK
+    full = n - n % CUSUM_SUB_BLOCK
 
-    def split(a):  # (CUSUM_BLOCK, m, n_blocks) blocks and (t, m) tail; splitting an axis is a view
+    def split(a):  # (CUSUM_SUB_BLOCK, m, n_blocks) blocks and (t, m) tail, as views
         a = a.reshape(n, -1)
-        return a[:full].reshape(-1, CUSUM_BLOCK, a.shape[1]).transpose(1, 2, 0), a[full:]
+        return a[:full].reshape(-1, CUSUM_SUB_BLOCK, a.shape[1]).transpose(1, 2, 0), a[full:]
 
     alarms = _cusum_alarms(*split(x), np.atleast_1d(tau),
                            np.atleast_1d(bias) if np.any(bias) else None,
@@ -265,6 +363,25 @@ def _cusum_search(sigma: float, alpha_des: float):
     return CusumTuning(tau=tau, achieved_rate=achieved, iterations=iterations)
 
 
+def _half_normal_blocks(n_samples: int, seed: int) -> np.ndarray:
+    """``tune_cusum``'s draw of |z|, time-major: column k is block k, the last the tail.
+
+    It is drawn 64 blocks at a time into one reused chunk, which gives the bits
+    of one ``standard_normal(n_samples)`` draw and no second copy.
+    """
+    rng = philox(seed)
+    az = np.empty((CUSUM_BLOCK, n_samples // CUSUM_BLOCK + 1))
+    chunk = np.empty(64 * CUSUM_BLOCK)
+    for start in range(0, n_samples, chunk.size):
+        z = chunk[: n_samples - start]
+        rng.standard_normal(out=z)
+        np.abs(z, out=z)
+        k, whole = start // CUSUM_BLOCK, z.size // CUSUM_BLOCK
+        az[:, k:k + whole] = z[: whole * CUSUM_BLOCK].reshape(whole, CUSUM_BLOCK).T
+        az[: z.size % CUSUM_BLOCK, k + whole] = z[whole * CUSUM_BLOCK:]
+    return az
+
+
 def tune_cusum(
     sigma,
     bias,
@@ -308,18 +425,7 @@ def tune_cusum(
         require("bias / sigma", drift_problem(b_i / sig_i))
     require("n_samples", count_problem(n_samples, CUSUM_MIN_SAMPLES))
 
-    # |z| time-major: column k is block k, the last column holds the tail. It is
-    # drawn chunk by chunk, which gives the bits of one draw and no second copy.
-    rng = philox(seed)
-    az = np.empty((CUSUM_BLOCK, n_samples // CUSUM_BLOCK + 1))
-    chunk = 64 * CUSUM_BLOCK
-    for start in range(0, n_samples, chunk):
-        z = rng.standard_normal(min(chunk, n_samples - start))
-        np.abs(z, out=z)
-        k, whole = start // CUSUM_BLOCK, z.size // CUSUM_BLOCK
-        az[:, k:k + whole] = z[: whole * CUSUM_BLOCK].reshape(whole, CUSUM_BLOCK).T
-        az[: z.size % CUSUM_BLOCK, k + whole] = z[whole * CUSUM_BLOCK:]
-
+    az = _half_normal_blocks(n_samples, seed)
     entries = list(zip(sig.tolist(), b.tolist()))
     searches = [_cusum_search(sig_i, alpha) for (sig_i, _), alpha in zip(entries, alphas)]
     asks = {i: next(search) for i, search in enumerate(searches)}
@@ -331,6 +437,9 @@ def tune_cusum(
                 continue
             n = n_samples if full else n_samples // 8
             blocks, tail = az[:, : n // CUSUM_BLOCK], az[: n % CUSUM_BLOCK, n // CUSUM_BLOCK]
+            if not full:  # (CUSUM_SUB_BLOCK, q, c): each stored block as q blocks, a view
+                blocks = blocks.reshape(CUSUM_BLOCK // CUSUM_SUB_BLOCK, CUSUM_SUB_BLOCK,
+                                        blocks.shape[1]).transpose(1, 0, 2)
             recursions = list(dict.fromkeys(who.values()))  # (tau, sigma, bias), each once
             tau, scale, shift = map(np.array, zip(*recursions))
             counts = dict(zip(recursions, _cusum_alarms(blocks, tail, tau, scale=scale,

@@ -403,7 +403,7 @@ def _riccati_iterate(A, C, Q, R):
     iteration and reused; the norms are ``np.linalg.norm``'s own Frobenius
     form. The iterates are bit-equal to evaluating the formula as written.
     """
-    solve, isfinite = np.linalg.solve, np.isfinite
+    solve, isfinite = np.linalg.solve, math.isfinite
     At, Ct = A.T, C.T
     floor = np.finfo(float).tiny
     P = Q.copy()
@@ -418,13 +418,17 @@ def _riccati_iterate(A, C, Q, R):
                 raise SingularInnovation("innovation covariance is singular") from exc
             Pn = AP @ At - AP @ Ct @ X + Q
             Pn = 0.5 * (Pn + Pn.T)
-            if not isfinite(Pn).all():
-                raise NonConvergence("covariance iteration diverged (undetectable unstable mode?)")
             d, pn = (Pn - P).ravel(order="K"), Pn.ravel(order="K")
             step, scale = math.sqrt(d.dot(d)), math.sqrt(pn.dot(pn))
-            # Relative step tolerance; the tiny floor only matters for P = 0, and
-            # overflowed norms (divergence in progress) must not count as converged.
-            if isfinite(step) and isfinite(scale) and step <= RICCATI_TOL * max(scale, floor):
+            # A non-finite entry of Pn makes its norm non-finite, so Pn itself is
+            # checked only then; overflowed norms of a finite Pn (divergence in
+            # progress) must not count as converged either. Relative step
+            # tolerance; the tiny floor only matters for P = 0.
+            if not (isfinite(step) and isfinite(scale)):
+                if not np.isfinite(Pn).all():
+                    raise NonConvergence("covariance iteration diverged (undetectable unstable "
+                                         "mode?)")
+            elif step <= RICCATI_TOL * max(scale, floor):
                 return Pn
             P = Pn
     raise NonConvergence(f"Riccati iteration did not converge in {RICCATI_MAX_ITER} iterations")

@@ -11,10 +11,12 @@ from randmon.config import build_plant, load_config
 from randmon.detectors import (
     CUSUM_BLOCK,
     CUSUM_MIN_SAMPLES,
+    CUSUM_SUB_BLOCK,
     BadDataDetector,
     CusumDetector,
     HALF_NORMAL_MEAN_FACTOR,
     _cusum_alarms,
+    _cusum_step,
     cusum_alarm_fraction,
     tune_bdd,
     tune_cusum,
@@ -277,6 +279,123 @@ def test_cusum_kernel_statistic_matches_detector_steps(stream):
     got_alarm[1:] = got_s[:-1] > det.tau
     assert got_s.tobytes() == want_s.tobytes()
     assert got_alarm.tobytes() == want_alarm.tobytes()
+
+
+# --- the kernel's carry walks on the paths tune_cusum and score_residuals take -----------
+
+
+def scalar_cusum_path(d, tau, bias=0.0):
+    """Reference: every S and the alarm count of the ``_cusum_step`` loop over ``d``."""
+    s, path, alarms = 0.0, [], 0
+    for x in d:
+        s, alarm = _cusum_step(s, x, bias, tau)
+        path.append(s)
+        alarms += alarm
+    return path, alarms
+
+
+def block_walks(d, tau, length, bias=0.0):
+    """Per block of ``length`` steps of the ``_cusum_step`` loop: the true S leaving it, the S
+    leaving it from zero, and whether the two differ before every step (a walk that runs to
+    the block's end)."""
+    d, blocks, s = np.asarray(d).tolist(), [], 0.0
+    for k in range(len(d) // length):
+        z, apart = 0.0, True
+        for x in d[k * length:(k + 1) * length]:
+            apart = apart and s != z
+            s, z = _cusum_step(s, x, bias, tau)[0], _cusum_step(z, x, bias, tau)[0]
+        blocks.append((s, z, apart))
+    return blocks
+
+
+def rising_stream(n, seed):
+    """Increments of 0.05 to about 0.1: S climbs for blocks on end and alarms above 40."""
+    return 0.05 + 0.02 * np.abs(np.random.default_rng(seed).standard_normal(n))
+
+
+def rewalked_stream(n, length, seed):
+    """Increments whose block 2 is walked twice, the second walk shorter than the first.
+
+    Block 1 ends at 7 from its carry 1 and at 6 from zero, both above tau = 5, so the
+    first round walks block 2 from 6 and the second from 7. From 6 S alarms at once and
+    differs from the zero-started S until both clamp at step 41; from 7 it alarms at once
+    too and meets the walk from 6 after one step.
+    """
+    d = np.random.default_rng(seed).uniform(-1.0, 1.2, n)
+    d[:3 * length] = 0.0
+    d[length - 1], d[2 * length - 1] = 1.0, 6.0
+    d[2 * length], d[2 * length + 1:2 * length + 41], d[2 * length + 41] = 1.0, 0.5, -100.0
+    return d
+
+
+def with_specials(d, length):
+    """``d`` with NaN, inf and -inf at steps inside blocks 2 to 4."""
+    d = d.copy()
+    d[2 * length + 10], d[3 * length + 30], d[4 * length - 5] = math.nan, math.inf, -math.inf
+    return d
+
+
+def scaled_kernel(x, tau, scale, shift, length):
+    """``_cusum_alarms`` as ``tune_cusum`` calls it on a time-major store of |z|: blocks of
+    ``CUSUM_BLOCK`` steps, read as blocks of ``length`` steps in turn."""
+    full = x.size - x.size % CUSUM_BLOCK
+    blocks = np.empty((CUSUM_BLOCK, full // CUSUM_BLOCK + 1))[:, :-1]  # a store's full blocks
+    blocks[:] = x[:full].reshape(-1, CUSUM_BLOCK).T
+    if length < CUSUM_BLOCK:
+        blocks = blocks.reshape(CUSUM_BLOCK // length, length, blocks.shape[1]).transpose(1, 0, 2)
+    with np.errstate(all="ignore"):
+        return _cusum_alarms(blocks, x[full:], np.array(tau), scale=np.array(scale),
+                             shift=np.array(shift))
+
+
+KERNEL_LENGTHS = [k * CUSUM_BLOCK + off for k in (4, 5) for off in (-1, 0, 1)]
+KERNEL_STREAMS = {
+    "rising": lambda n, length: (rising_stream(n, n), 40.0),
+    "rewalked": lambda n, length: (rewalked_stream(n, length, n), 5.0),
+    "rising-specials": lambda n, length: (with_specials(rising_stream(n, n), length), 40.0),
+    "rewalked-specials": lambda n, length: (with_specials(rewalked_stream(n, length, n), length),
+                                            5.0),
+}
+
+
+def check_stream_shape(name, d, tau, length):
+    """The walk each stream is built for happens in the scalar loop itself."""
+    blocks = block_walks(d, tau, length)
+    if name.startswith("rising"):  # a carry that crosses three blocks or more without meeting
+        assert all(apart for _, _, apart in blocks[1:4])
+    else:  # block 2 walked from its zero-started carry 6, then from its true carry 7
+        assert blocks[1][:2] == (7.0, 6.0) and blocks[1][2]
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+@pytest.mark.parametrize("name", sorted(KERNEL_STREAMS))
+@pytest.mark.parametrize("length", [CUSUM_BLOCK, CUSUM_SUB_BLOCK])
+def test_cusum_kernel_scaled_walks_match_scalar_loop(name, n, length):
+    # tune_cusum's path: recursion i steps (x * scale[i]) - shift[i]; the full stream in
+    # CUSUM_BLOCK blocks, its first 1/8 as blocks of CUSUM_SUB_BLOCK steps in turn
+    d, tau = KERNEL_STREAMS[name](n, length)
+    check_stream_shape(name, d, tau, length)
+    x = d + 100.0
+    scale, shift, taus = [1.0, 1.0, 2.0], [100.0, 99.5, 200.0], [tau, tau, 2.0 * tau]
+    with np.errstate(all="ignore"):
+        want = [scalar_cusum_path(((x * sc) - sh).tolist(), t)[1]
+                for sc, sh, t in zip(scale, shift, taus)]
+    assert scaled_kernel(x, taus, scale, shift, length) == want
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+@pytest.mark.parametrize("name", sorted(KERNEL_STREAMS))
+def test_cusum_kernel_recorded_walks_match_scalar_loop(name, n):
+    # score_residuals' path: |r| per sensor with a bias, S recorded after every step
+    d, tau = KERNEL_STREAMS[name](n, CUSUM_SUB_BLOCK)
+    check_stream_shape(name, d, tau, CUSUM_SUB_BLOCK)
+    r = np.column_stack((d + 100.0, d[::-1] + 100.0))
+    got = np.full_like(r, -1.0)
+    with np.errstate(all="ignore"):
+        fractions = cusum_alarm_fraction(np.abs(r), [tau, tau], [100.0, 100.0], out=got)
+        want = [scalar_cusum_path(np.abs(column).tolist(), tau, 100.0) for column in r.T]
+    assert fractions.tolist() == [alarms / n for _, alarms in want]
+    assert got.T.tobytes() == np.array([path for path, _ in want]).tobytes()
 
 
 # --- cusum tuning -------------------------------------------------------------------------
