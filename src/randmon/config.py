@@ -19,7 +19,7 @@ from .detectors import CUSUM_MIN_SAMPLES, BadDataDetector
 from .errors import InvalidParameter, ValidationError
 from .lti import (LtiPlant, UgvParams, count_problem, discretize_ugv, drift_problem,
                   gain_problems, is_integer, make_controller, plant_problems, positive_problem,
-                  raise_first, rate_problem, sample_period_problems, solve_dare, ugv_problems,
+                  rate_problem, sample_period_problems, solve_dare, ugv_problems,
                   unknown_keys, variances_problem)
 
 SCHEMA_VERSION = 1
@@ -116,7 +116,6 @@ def run_bdd(detector_kind: str, sigma, alpha_des: dict) -> Optional[BadDataDetec
 def build_plant(spec: dict) -> LtiPlant:
     """Instantiate the plant from its resolved spec dict (``ScenarioConfig.plant_spec``)."""
     if spec.get("preset") == "ugv":
-        raise_first(sample_period_problems(spec["ts"]))  # load checks ts before the params
         params = UgvParams(**spec.get("params", {}))
         return discretize_ugv(params, spec["ts"], np.diag(spec["q_diag"]), np.diag(spec["r_diag"]))
     return LtiPlant(**{key: spec[key] for key in (*"ABCQR", "ts")})
@@ -148,7 +147,8 @@ def _validate_plant(spec, problems: list) -> tuple:
     The sizes are (states, inputs, sensors): 3, 2 and 3 for the UGV; the rows of ``A``,
     the columns of ``B`` and the rows of ``C`` for an explicit plant; None where the spec
     does not give one. The sample period, an explicit plant, the UGV parameters and its
-    noise variances are checked by ``lti``'s rule sets.
+    noise variances are checked by ``lti``'s rule sets, a UGV's in the order ``build_plant``
+    raises them: ``params`` (``UgvParams``), then ``ts`` (``zoh_discretize``).
     """
     if not isinstance(spec, dict):
         problems.append("plant: must be an object")
@@ -161,11 +161,10 @@ def _validate_plant(spec, problems: list) -> tuple:
                       for key, axis in zip("ABC", (0, 1, 0)))
     else:
         out = {"ts": 0.05, "q_diag": list(UGV_DEFAULT_Q), "r_diag": list(UGV_DEFAULT_R), **spec}
-        found = sample_period_problems(out["ts"])
-        found += [] if preset == "ugv" else [("preset", f"unknown preset {preset!r}")]
+        found = [] if preset == "ugv" else [("preset", f"unknown preset {preset!r}")]
         params = spec.get("params", {})
         found += (ugv_problems(params) if isinstance(params, dict)
-                  else [("params", "must be an object")])
+                  else [("params", "must be an object")]) + sample_period_problems(out["ts"])
         found += [(key, problem) for key, unit in (("q_diag", "state"), ("r_diag", "sensor"))
                   if (problem := variances_problem(out[key], 3, f"UGV {unit}")[0])]
         sizes = (3, 2, 3) if preset == "ugv" else (None, None, None)

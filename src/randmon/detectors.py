@@ -115,8 +115,9 @@ def _cusum_alarms(blocks, tail, tau, bias=None, scale=None, shift=None, record=N
     ``_zero_started`` steps every block from zero, ``_carry_walks`` fixes up
     each block entered with a nonzero statistic, and the tail, shorter than a
     block, steps each recursion in Python floats from the statistic that
-    really leaves its last block. Alarms and S are therefore the scalar
-    recursion's own, also for non-finite inputs.
+    really leaves its last block. Alarms are therefore the scalar recursion's
+    own for any input, and so is S, except for a NaN's payload bits where two
+    NaN payloads meet: numpy's and Python's adds may keep different ones.
     """
     tau = np.asarray(tau, dtype=float)
     bias = None if bias is None else np.asarray(bias, dtype=float)
@@ -272,7 +273,8 @@ def cusum_alarm_fraction(x, tau, bias=0.0, out=None) -> float | np.ndarray:
     tau it resets to zero and alarms, without consuming x; otherwise it
     accumulates, clamped at zero. ``out``, a float64 array of x's shape, receives S
     after every step; the alarm at step k is ``S[k - 1] > tau``, with S zero
-    before step 0. The counts are the scalar recursion's own.
+    before step 0. The counts are the scalar recursion's own for any input, and
+    so is S, except for a NaN's payload bits where two NaN payloads meet.
     """
     tau, bias = _settings(tau, bias)
     x = array_arg("x", x, (1, 2), finite=False)  # steps, or steps x m

@@ -4,15 +4,17 @@ Every run is driven by one master seed. Noise, attack dither and saturation
 schedules draw from independent child streams, so runs are bit-reproducible
 and attack randomness does not perturb the noise sequence.
 
-A run has two phases. The first is ``lti.simulate``: it steps the closed
-loop (plant, estimator, controller, attack) and records the trajectory, the
-residuals and the applied attack. A CUSUM worst-case attack steps its own copy
-of the tuned detector on each residual it is handed; nothing else steps a
-detector in the loop. The second phase, ``score_residuals``, scores the
-recorded residual array: the window tests, the boundary detectors (every
-sensor's CUSUM in one multi-column pass) and the sliding alarm rates of all
-four tests, over all steps at once, with the detectors' own float operations,
-so the split leaves every output byte unchanged.
+A run has two phases. The first, ``_run``, sets up the plant, its filter,
+the detectors and the attacks (``_set_up``), steps the closed loop in one
+``lti._lockstep`` call and records the trajectory, the residuals and the
+applied attack. A sweep is that call over its cells, so ``run_scenario`` is a
+sweep of one cell. A CUSUM worst-case attack steps its own copy of the tuned
+detector on each residual it is handed; nothing else steps a detector in the
+loop. The second phase, ``score_residuals``, scores each run's recorded
+residuals: the window tests, the boundary detectors (every sensor's CUSUM in
+one multi-column pass) and the sliding alarm rates of all four tests, over all
+steps at once, with the detectors' own float operations, so the split leaves
+every output byte unchanged.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .config import (DEFAULT_HORIZON, DEFAULT_WINDOW, MONITOR_TESTS, SCHEMA_VERS
 from .detectors import CusumDetector, cusum_alarm_fraction, tune_cusum
 from .deviation import deviation_limit
 from .errors import InvalidParameter, ValidationError
-from .lti import (NoiseSource, _lockstep, count_problem, is_integer, make_controller,
-                  plant_gain, simulate, solve_dare)
+from .lti import NoiseSource, _lockstep, count_problem, is_integer, make_controller, solve_dare
 from .monitors import alarm_rate_scan, sir_bounds, sir_scan, wsr_bounds, wsr_scan
 
 log = logging.getLogger(__name__)
@@ -103,59 +104,67 @@ class RunArtifacts:
         return self.k.shape[0]
 
 
-def _set_up(cfg: ScenarioConfig) -> tuple:
-    """The plant, its steady-state filter, the detectors calibrated from it and the attacks.
+def _set_up(cfgs) -> tuple:
+    """``(plant, kss, cells)``: the plant and its filter, solved once, and one
+    ``(bdd, cusum, policies, noise_seed)`` per config, a disabled detector None.
 
-    Returns ``(plant, kss, bdd, cusum, policies, noise_seed)``; a detector the
-    config disables is None. Load has checked each plan, its stealth bound included.
+    The configs must differ only in ``alpha_des``, attacks and seed. CUSUM is
+    tuned at every config's alpha in one call. Load has checked each plan, its
+    stealth bound included.
     """
-    plant = build_plant(cfg.plant_spec)
+    base = cfgs[0]
+    plant = build_plant(base.plant_spec)
     kss = solve_dare(plant)
-    return (plant, kss, *_calibrate(cfg, plant, kss))
+    bias, taus = base.bias_scale * kss.sigma, [None] * len(cfgs)
+    if detects(base.detector_kind, "cusum"):
+        taus = _tuned_cusum_taus(kss.sigma, bias, [cfg.alpha_des["cusum"] for cfg in cfgs],
+                                 base.tuning_samples, base.tuning_seed)
+    cells = []
+    for cfg, tau in zip(cfgs, taus):
+        bdd = run_bdd(cfg.detector_kind, kss.sigma, cfg.alpha_des)
+        cusum = None if tau is None else CusumDetector(tau=tau, bias=bias)
+        noise_seed, attack_root = np.random.SeedSequence(cfg.seed).spawn(2)
+        seeds = attack_root.spawn(max(1, len(cfg.attacks)))
+        policies = [atk.build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=cfg.window,
+                                            alpha_des=cfg.alpha_des["wsr"], bdd=bdd, cusum=cusum,
+                                            seed=seed) for plan, seed in zip(cfg.attacks, seeds)]
+        cells.append((bdd, cusum, policies, noise_seed))
+    return plant, kss, cells
 
 
-def _calibrate(cfg: ScenarioConfig, plant, kss) -> tuple:
-    """``(bdd, cusum, policies, noise_seed)`` of ``cfg`` on its plant and filter (``_set_up``)."""
-    bdd, cusum = run_bdd(cfg.detector_kind, kss.sigma, cfg.alpha_des), None
-    if detects(cfg.detector_kind, "cusum"):
-        bias = cfg.bias_scale * kss.sigma
-        (tau,) = _tuned_cusum_taus(kss.sigma, bias, [cfg.alpha_des["cusum"]], cfg.tuning_samples,
-                                   cfg.tuning_seed)
-        cusum = CusumDetector(tau=tau, bias=bias)
+def _run(cfgs, record) -> tuple:
+    """``(plant, kss, K, cells, out)``: ``cfgs`` set up by ``_set_up`` and stepped in one
+    ``lti._lockstep`` call, ``out`` holding ``record``'s ``(configs, horizon, dim)`` arrays.
 
-    noise_seed, attack_root = np.random.SeedSequence(cfg.seed).spawn(2)
-    attack_seeds = attack_root.spawn(max(1, len(cfg.attacks)))
-    policies = [atk.build_attack_policy(plan, plant.s, plant.C, kss.sigma, ell=cfg.window,
-                                        alpha_des=cfg.alpha_des["wsr"], bdd=bdd, cusum=cusum,
-                                        seed=seed) for plan, seed in zip(cfg.attacks, attack_seeds)]
-    return bdd, cusum, policies, noise_seed
-
-
-def _controller(cfg: ScenarioConfig, plant):
-    spec = cfg.controller_spec
-    return make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
-                           input_weights=spec.get("input_weights"))
-
-
-def _run_attack(policies):
-    """One run's attack from its phases: None, the one phase alone, or their ``CompositeAttack``."""
-    return atk.CompositeAttack(policies) if len(policies) > 1 else next(iter(policies), None)
+    Each config has its own noise and attack (None, its one phase or their
+    ``CompositeAttack``). A single config's attack is handed its own vectors,
+    as ``lti.simulate`` hands them; several go through ``attacks.PerRunAttacks``.
+    """
+    plant, kss, cells = _set_up(cfgs)
+    spec = cfgs[0].controller_spec
+    K = make_controller(plant, K=spec.get("K"), state_weights=spec.get("state_weights"),
+                        input_weights=spec.get("input_weights"))
+    noises = [NoiseSource(plant.Q, plant.R, noise_seed) for *_, noise_seed in cells]
+    attacks = [atk.CompositeAttack(policies) if len(policies) > 1 else next(iter(policies), None)
+               for _, _, policies, _ in cells]
+    one_run = len(cfgs) == 1
+    out = _lockstep(plant, kss, K, noises, cfgs[0].horizon,
+                    attacks[0] if one_run else atk.PerRunAttacks(attacks), record, one_run=one_run)
+    return plant, kss, K, cells, out
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Execute one scenario and return its artifacts.
 
-    Deterministic for a given config and seed. It sets up, simulates the closed
-    loop with ``lti.simulate`` (a CUSUM worst-case attack there steps its own
-    copy of the tuned detector on each previous residual), scores the recorded
-    residuals with ``score_residuals`` and reports the deviation. Monitors are
-    pure observers of the residual stream; the plant trajectory does not depend
-    on them.
+    Deterministic for a given config and seed. ``_run`` sets up and steps the
+    closed loop (a CUSUM worst-case attack there steps its own copy of the
+    tuned detector on each previous residual); ``score_residuals`` scores the
+    recorded residuals, and the deviation is reported. Monitors are pure
+    observers of the residual stream; the plant trajectory does not depend on
+    them.
     """
-    plant, kss, bdd, cusum, policies, noise_seed = _set_up(cfg)
-    K = _controller(cfg, plant)
-    noise = NoiseSource(plant.Q, plant.R, noise_seed)
-    traj = simulate(plant, kss, K, noise, cfg.horizon, attack=_run_attack(policies))
+    plant, kss, K, [(bdd, cusum, policies, _)], out = _run([cfg], ("x", "xhat", "r", "xi"))
+    traj = {name: rows[0] for name, rows in out.items()}
     p, alarm, rate, cusum_s, fields = score_residuals(cfg, traj["r"], bdd, cusum)
     summary = RunSummary(
         schema_version=SCHEMA_VERSION,
@@ -348,7 +357,7 @@ def write_budget_curve(rows, path: str) -> str:
 
 def tuned_thresholds(cfg: ScenarioConfig) -> dict:
     """Detector thresholds and monitor bounds for `randmon tune`; it rejects what a run rejects."""
-    _, kss, bdd, cusum, _, _ = _set_up(cfg)
+    _, kss, [(bdd, cusum, _, _)] = _set_up([cfg])
     out = {
         "sigma": kss.sigma.tolist(),
         "wsr_bounds": list(wsr_bounds(cfg.window, cfg.alpha_des["wsr"])),
@@ -402,11 +411,10 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
     process. Each cell reports the per-test, per-sensor alarm rates of its run,
     those ``run_scenario`` gives for the cell's config alone.
 
-    A cell changes only the base's ``monitors.alpha_des`` and attacks, so the
-    plant, its filter and the LQR gain are set up once and CUSUM is tuned for
-    every alpha in one call. One ``lti._lockstep`` call then steps every cell,
-    each with its own noise and its own attack (``attacks.PerRunAttacks``), and
-    records only the residuals, which ``score_residuals`` scores cell by cell.
+    A cell changes only the base's ``monitors.alpha_des`` and attacks, so all
+    cells take ``run_scenario``'s one path, ``_run``: one set-up, one CUSUM
+    tuning for every alpha, and one loop call that records only the
+    residuals, which ``score_residuals`` scores cell by cell.
     """
     checked = [(_sweep_config(raw_cfg, float(a), kind), float(a), kind)
                for a in alphas for kind in attack_kinds]
@@ -416,22 +424,10 @@ def run_sweep(raw_cfg: dict, alphas, attack_kinds, workers: int = 1) -> list:
         raise ValidationError(problems)
     if not checked:
         return []
-    cfgs = [cfg for (cfg, _), _, _ in checked]
-    base = cfgs[0]
-    plant = build_plant(base.plant_spec)
-    kss = solve_dare(plant)
-    if detects(base.detector_kind, "cusum"):
-        _tuned_cusum_taus(kss.sigma, base.bias_scale * kss.sigma,
-                          [cfg.alpha_des["cusum"] for cfg in cfgs], base.tuning_samples,
-                          base.tuning_seed)
-    cells = [_calibrate(cfg, plant, kss) for cfg in cfgs]  # (bdd, cusum, policies, noise_seed)
-    noises = [NoiseSource(plant.Q, plant.R, noise_seed) for *_, noise_seed in cells]
-    K = plant_gain(plant, _controller(base, plant), kss, noises)
-    attack = atk.PerRunAttacks([_run_attack(policies) for _, _, policies, _ in cells])
-    r = _lockstep(plant, kss, K, noises, base.horizon, attack, ("r",))["r"]
+    *_, cells, out = _run([cfg for (cfg, _), _, _ in checked], ("r",))
     return [{"alpha_des": alpha, "attack": kind,
              "alarm_rate": score_residuals(cfg, r_j, bdd, cusum)[-1]["alarm_rate"]}
-            for ((cfg, _), alpha, kind), (bdd, cusum, _, _), r_j in zip(checked, cells, r)]
+            for ((cfg, _), alpha, kind), (bdd, cusum, _, _), r_j in zip(checked, cells, out["r"])]
 
 
 def write_sweep(results, path: str) -> str:

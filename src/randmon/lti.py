@@ -22,33 +22,34 @@ the predicted estimate.
 
 Stepping
 --------
-:func:`simulate` (one run) and ``deviation.run_attack_ensemble`` (many
-seeded runs) both call :func:`_lockstep`, which advances every run together.
-Each run's x and xhat are held side by side in one ``(runs, 2, n, 1)`` column
-stack z, so ``A @ z`` and ``C @ z`` are one stacked call each; numpy computes
-every stacked product as one matrix-vector product per run and per vector,
-with the same bits as the per-run ``A @ x``. When both x and xhat are
-recorded (:func:`simulate`), each step's z is computed straight into its
-record row, and the records are views of it; otherwise z alternates between
-two rows and the recorded half is copied out. The other products and the
-input are written into buffers allocated once (``out=``), residuals straight
-into their record rows, and each step's process noise sits beside
-``L @ r_prev``, so both state updates are two in-place adds in the float
-order of the recursions above. The kernel takes each step's rows by iterating
-its arrays a chunk at a time, not by indexing them. Each run's noise is drawn
-and coloured ``CHUNK`` steps at a time (:meth:`NoiseSource.block`), from the
-same Philox stream as per-step :meth:`NoiseSource.draw` calls. The kernel
-calls its attack once per step for all runs, with the step index and the
-runs' stacked e, eta and previous residuals (for :func:`simulate`, one run's
-vectors, as :func:`step` hands them), and takes every run's attack back: an
-ensemble's attack is one policy joined from the runs' own, a sweep's calls
-each cell's own attack on its rows (``attacks.PerRunAttacks``). Nothing it hands
-an attack is written again, so an attack may keep it. Every attack's value
-goes through :func:`_resolve_attack`, as in :func:`step`: it is taken as
-floats, checked for eta's shape and summed onto zeros, which turns a -0.0
-attack into +0.0. :func:`step` is the same recursion one run and one step at
-a time, starting from ``state=None`` at the zero start; it is the reference
-the kernel is tested against.
+:func:`simulate` (one run), ``deviation.run_attack_ensemble`` (seeded runs)
+and ``harness._run`` (a scenario, or a sweep's cells, one run each) call
+:func:`_lockstep`, which advances every run together. Each run's x and xhat
+are held side by side in one ``(runs, 2, n, 1)`` column stack z, so ``A @ z``
+and ``C @ z`` are one stacked call each; numpy computes every stacked product
+as one matrix-vector product per run and per vector, with the same bits as the
+per-run ``A @ x``. When both x and xhat are recorded (a scenario run), each
+step's z is computed straight into its record row, and the records are views
+of it; otherwise z alternates between two rows and the recorded half is copied
+out. The other products and the input are written into buffers allocated once
+(``out=``), residuals straight into their record rows, and each step's process
+noise sits beside ``L @ r_prev``, so both state updates are two in-place adds
+in the float order of the recursions above. The kernel takes each step's rows
+by iterating its arrays a chunk at a time, not by indexing them. Each run's
+noise is drawn and coloured ``CHUNK`` steps at a time
+(:meth:`NoiseSource.block`), from the same Philox stream as per-step
+:meth:`NoiseSource.draw` calls. The kernel calls its attack once per step for
+all runs, with the step index and the runs' stacked e, eta and previous
+residuals (for a single run, its own vectors, as :func:`step` hands them), and
+takes every run's attack back: an ensemble's attack is one policy joined from
+the runs' own, a sweep's calls each cell's own attack on its rows
+(``attacks.PerRunAttacks``). Nothing it hands an attack is written again, so
+an attack may keep it. Every attack's value goes through
+:func:`_resolve_attack`, as in :func:`step`: it is taken as floats, checked
+for eta's shape and summed onto zeros, which turns a -0.0 attack into +0.0.
+:func:`step` is the same recursion one run and one step at a time, starting
+from ``state=None`` at the zero start; it is the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations

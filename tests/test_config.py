@@ -473,9 +473,9 @@ PLANT_AND_CONTROLLER_PROBLEMS = {
     "ts-inf": (_ugv(ts=math.inf), ["plant.ts: must be a finite positive number, got inf"]),
     "ts-preset-params-noise": (
         _ugv(preset="car", ts=0, params={"mass": 0, "x": 1}, q_diag=[1], r_diag="x"),
-        ["plant.ts: must be a finite positive number, got 0", "plant.preset: unknown preset 'car'",
-         "plant.params: unknown key 'x'",
+        ["plant.preset: unknown preset 'car'", "plant.params: unknown key 'x'",
          "plant.params.mass: must be a finite positive number, got 0",
+         "plant.ts: must be a finite positive number, got 0",
          "plant.q_diag: must have 3 entries, one per UGV state, got 1",
          "plant.r_diag: must be a list of finite numbers"]),
     "q_diag-not-psd": (_ugv(q_diag=[1e-5, -1e-6, 1e-5]),
@@ -612,7 +612,7 @@ def test_load_holds_a_plan_to_the_threshold_the_run_builds(kind):
     monitors = {"alpha_des": {"wsr": 0.05, "bdd": 0.01}}
     cfg = load_config_dict(_plan({"kind": "worst_case_bdd"}, monitors=monitors,
                                  detectors={"kind": kind}))
-    _, kss, *_, (policy,), _ = _set_up(cfg)
+    _, kss, [(_, _, (policy,), _)] = _set_up([cfg])
     tau_b = stealth_threshold(kss.sigma, cfg.alpha_des["wsr"],
                               run_bdd(kind, kss.sigma, cfg.alpha_des))
     assert policy.consts[1] == (tau_b * (1.0 - THRESHOLD_MARGIN)).tolist()  # pinned at tau_b

@@ -398,6 +398,31 @@ def test_cusum_kernel_recorded_walks_match_scalar_loop(name, n):
     assert got.T.tobytes() == np.array([path for path, _ in want]).tobytes()
 
 
+def test_cusum_kernel_matches_scalar_loop_on_nans_of_two_payloads():
+    # Where two NaN payloads meet on one statistic, numpy's and Python's float adds may keep
+    # different ones: the counts must be the _cusum_step loop's, the recorded S NaN where the
+    # loop's is and every finite S the loop's bytes.
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+    n, length, tau, bias = 5 * CUSUM_SUB_BLOCK + 7, CUSUM_SUB_BLOCK, 3.0, 0.01
+    x = np.column_stack([rising_stream(n, seed) for seed in (1, 2, 3)])
+    path = scalar_cusum_path(x[:, 2].tolist(), tau, bias)[0]
+    first_alarm = next(k for k, s in enumerate(path, 1) if s > tau)  # S[k - 1] first above tau
+    x[2 * length + 10, 0], x[3 * length + 5, 0] = nan_a, nan_b  # meet inside the blocks
+    x[n - 5, 1], x[n - 2, 1] = nan_b, nan_a  # meet in the tail
+    x[first_alarm, 2], x[3 * length - 1, 2], x[4 * length, 2] = nan_a, nan_b, nan_a
+    got = np.full_like(x, -1.0)
+    with np.errstate(all="ignore"):
+        fractions = cusum_alarm_fraction(x, [tau] * 3, [bias] * 3, out=got)
+        paths, alarms = zip(*(scalar_cusum_path(column.tolist(), tau, bias) for column in x.T))
+    want = np.array(paths).T
+    assert want[first_alarm, 2] == 0.0  # an alarm step resets S without reading its NaN
+    assert fractions.tolist() == [count / n for count in alarms] and all(alarms)
+    assert np.isnan(want).any(axis=0).all()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
 # --- cusum tuning -------------------------------------------------------------------------
 
 

@@ -126,7 +126,7 @@ def test_score_residuals_reproduces_a_written_runs_scores(name, tmp_path):
     cfg = load_config_dict(raw)
     s = sum(col.startswith("r") for col in cols)
     r = np.array([columns[f"r{i}"] for i in range(s)], dtype=float).T
-    _, _, bdd, cusum, _, _ = harness._set_up(cfg)
+    _, _, [(bdd, cusum, _, _)] = harness._set_up([cfg])
     p, alarm, rate, cusum_s, _ = harness.score_residuals(cfg, r, bdd, cusum)
     scored = {**{f"{t}_p": a for t, a in p.items()}, **{f"{t}_alarm": a for t, a in alarm.items()},
               **{f"{t}_rate": a for t, a in rate.items()}, "cusum_S": cusum_s}
@@ -407,10 +407,11 @@ def test_sweep_stack_residual_rows_equal_simulate_per_cell(ugv_plant, ugv_kss, u
     phases = [[]] + [[kind] for kind in ATTACK_KINDS] + [["pattern_runs", "worst_case_cusum"]]
 
     def attack(j):  # run j's own attack, built afresh on each call
-        return harness._run_attack([build_attack_policy(
+        policies = [build_attack_policy(
             AttackPlan(kind, (j % 3,), start=30 + j + 120 * i, stop=140 + j + 120 * i), 3,
             ugv_plant.C, sigma, ell=20, bdd=bdd, cusum=cusum, seed=j)
-            for i, kind in enumerate(phases[j])])
+            for i, kind in enumerate(phases[j])]
+        return CompositeAttack(policies) if len(policies) > 1 else next(iter(policies), None)
 
     runs = len(phases)
     noises = [NoiseSource(ugv_plant.Q, ugv_plant.R, 100 + j) for j in range(runs)]
@@ -421,6 +422,25 @@ def test_sweep_stack_residual_rows_equal_simulate_per_cell(ugv_plant, ugv_kss, u
         noise = NoiseSource(ugv_plant.Q, ugv_plant.R, 100 + j)
         alone = simulate(ugv_plant, ugv_kss, ugv_gains, noise, 300, attack=attack(j))["r"]
         assert stacked[j].tobytes() == alone.tobytes(), j
+
+
+@pytest.mark.filterwarnings("ignore::randmon.errors.SmallSampleWarning")
+def test_sweep_shared_run_rows_equal_run_scenario_of_each_config():
+    # A sweep and a run take one path: stacked in one _run, configs of one base that differ
+    # in seed and attacks (none, a three-phase composite, a CUSUM worst case) each record
+    # the r and xi rows of run_scenario on that config alone.
+    three_phase = [{"kind": kind, "sensors": [0], "start": start, "stop": start + 100}
+                   for kind, start in (("bias_concentrate", 50), ("pattern_runs", 160),
+                                       ("symmetric_flood", 270))]
+    plans = [[], three_phase, [{"kind": "worst_case_cusum", "sensors": [1], "start": 60}]]
+    cfgs = [load_config_dict({**SWEEP_BASE, "seed": 5 + j, "attacks": attacks})
+            for j, attacks in enumerate(plans)]
+    out = harness._run(cfgs, ("r", "xi"))[-1]
+    for j, cfg in enumerate(cfgs):
+        alone = run_scenario(cfg)
+        assert out["xi"][j].any() == bool(plans[j]), j
+        assert out["r"][j].tobytes() == alone.r.tobytes(), j
+        assert out["xi"][j].tobytes() == alone.xi.tobytes(), j
 
 
 def test_sweep_config_error_raised_before_fan_out():
